@@ -77,7 +77,7 @@ func run(args []string) (retErr error) {
 	cells := fs.Int("cells", 8, "bcc supercells per side (atoms = 2*cells^3)")
 	steps := fs.Int("steps", 100, "timesteps to run")
 	temp := fs.Float64("temp", 300, "initial temperature (K)")
-	strat := fs.String("strategy", "serial", "reduction strategy: serial|sdc|cs|atomic|sap|rc|tasked")
+	strat := fs.String("strategy", "serial", "reduction strategy: serial|sdc|cs|atomic|sap|rc")
 	threads := fs.Int("threads", 1, "worker threads for parallel strategies")
 	dim := fs.Int("dim", 2, "SDC decomposition dimensionality (1-3)")
 	dt := fs.Float64("dt", 1e-3, "timestep (ps)")

@@ -29,6 +29,17 @@ func TestRunBadFlags(t *testing.T) {
 			t.Errorf("case %d accepted: %v", i, args)
 		}
 	}
+	// The removed work-stealing strategy is rejected with the list of
+	// strategies that remain.
+	err := run([]string{"-strategy", "tasked", "-cells", "6", "-steps", "1"})
+	if err == nil {
+		t.Fatal("-strategy tasked accepted")
+	}
+	for _, k := range []string{"serial", "sdc", "cs", "atomic", "sap", "rc"} {
+		if !strings.Contains(err.Error(), k) {
+			t.Errorf("-strategy tasked error %q does not list %q", err, k)
+		}
+	}
 }
 
 func TestRunXYZAndCheckpointRoundTrip(t *testing.T) {

@@ -5,10 +5,8 @@
 //	sdcbench -experiment reorder             # §II.D reordering gains
 //	sdcbench -experiment numa                # §V future-work NUMA study
 //	sdcbench -experiment cluster             # §V future-work hybrid cluster study
-//	sdcbench -experiment tasked              # tasked vs SDC -> BENCH_tasked.json
-//	sdcbench -experiment serve               # job-service throughput -> BENCH_serve.json
 //	sdcbench -experiment load                # traffic-shaped load run -> BENCH_load.json
-//	sdcbench -experiment all                 # everything, including tasked, serve and load
+//	sdcbench -experiment all                 # everything, including load
 //	sdcbench -experiment table1 -mode measured -cells 10 -steps 20
 //
 // Model mode (default) predicts the paper's 16-core Xeon E7320 testbed
@@ -21,7 +19,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -44,7 +41,7 @@ func main() {
 // all runs — every experiment the command knows, in render order. The
 // usage string promises "everything", so skipping one here is a bug
 // (the flag-coverage test in main_test.go pins the set).
-var allExperiments = []string{"table1", "fig9", "reorder", "numa", "cluster", "tasked", "serve", "load"}
+var allExperiments = []string{"table1", "fig9", "reorder", "numa", "cluster", "load"}
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("sdcbench", flag.ContinueOnError)
@@ -55,12 +52,6 @@ func run(args []string) error {
 	threads := fs.String("threads", "", "comma-separated thread counts (default 2,3,4,8,12,16)")
 	csvOut := fs.Bool("csv", false, "emit machine-readable CSV instead of tables")
 	check := fs.Bool("check", false, "verify all strategies with the dynamic write-set check first; measured sweeps run checked")
-	serveJobs := fs.Int("serve-jobs", 8, "serve experiment: jobs to push through the service")
-	serveShards := fs.Int("serve-shards", 2, "serve experiment: concurrent shards")
-	serveOut := fs.String("serve-out", "BENCH_serve.json", "serve experiment: machine-readable output file")
-	taskedOut := fs.String("tasked-out", "BENCH_tasked.json", "tasked experiment: machine-readable output file")
-	baseline := fs.String("baseline", "", "tasked experiment: committed baseline JSON to diff speed ratios against")
-	benchTol := fs.Float64("bench-tolerance", 0.5, "tasked experiment: relative tolerance for the baseline ratio diff")
 	loadClients := fs.Int("load-clients", 200, "load experiment: concurrent synthetic clients")
 	loadDuration := fs.Duration("load-duration", 3*time.Second, "load experiment: how long clients keep submitting")
 	loadOut := fs.String("load-out", "BENCH_load.json", "load experiment: machine-readable output file")
@@ -98,43 +89,15 @@ func run(args []string) error {
 			fmt.Println()
 		}
 		var err error
-		switch name {
-		case "serve":
-			err = runServeBench(*serveJobs, *serveShards, *steps, *serveOut)
-		case "load":
+		if name == "load" {
 			err = runLoadBench(*loadClients, *loadDuration, *loadOut, *loadBaseline, *loadTol)
-		case "tasked":
-			err = sdcmd.RunTaskedBench(opts, *taskedOut, *baseline, *benchTol)
-		default:
+		} else {
 			err = sdcmd.RunExperiment(name, opts)
 		}
 		if err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// runServeBench pushes jobs through a live sdcserve instance on a
-// loopback port and writes the throughput/latency summary as JSON. It
-// is not part of -experiment all: it measures service overhead, not
-// the paper's force-loop evaluation.
-func runServeBench(jobs, shards, steps int, out string) error {
-	res, err := serve.RunBench(serve.BenchOptions{Jobs: jobs, MaxJobs: shards, Steps: steps})
-	if err != nil {
-		return fmt.Errorf("serve bench: %w", err)
-	}
-	fmt.Printf("serve bench: %d jobs over %d shards in %.3fs — %.1f jobs/s, p50 %.1f ms, p95 %.1f ms, cache hit %.2f ms\n",
-		res.Jobs, res.Shards, res.WallSeconds, res.JobsPerSec, res.P50Ms, res.P95Ms, res.CacheHitMs)
-	b, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if err := os.WriteFile(out, b, 0o644); err != nil {
-		return fmt.Errorf("serve bench: write %s: %w", out, err)
-	}
-	fmt.Printf("wrote %s\n", out)
 	return nil
 }
 

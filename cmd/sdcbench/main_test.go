@@ -29,36 +29,12 @@ func TestRunChecked(t *testing.T) {
 	}
 }
 
-func TestRunServeBench(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	if err := run([]string{"-experiment", "serve", "-serve-jobs", "3",
-		"-serve-shards", "2", "-steps", "10", "-serve-out", out}); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res struct {
-		Jobs       int     `json:"jobs"`
-		JobsPerSec float64 `json:"jobs_per_sec"`
-		P50        float64 `json:"p50_ms"`
-		P95        float64 `json:"p95_ms"`
-	}
-	if err := json.Unmarshal(b, &res); err != nil {
-		t.Fatalf("BENCH_serve.json: %v", err)
-	}
-	if res.Jobs != 3 || res.JobsPerSec <= 0 || res.P50 <= 0 || res.P95 < res.P50 {
-		t.Errorf("implausible bench output: %+v", res)
-	}
-}
-
 // TestAllCoversEveryExperiment pins the -experiment all contract: the
 // usage string promises "everything", and a previous revision silently
-// skipped serve. Every dispatchable experiment must appear in
+// skipped one. Every dispatchable experiment must appear in
 // allExperiments exactly once.
 func TestAllCoversEveryExperiment(t *testing.T) {
-	want := []string{"table1", "fig9", "reorder", "numa", "cluster", "tasked", "serve", "load"}
+	want := []string{"table1", "fig9", "reorder", "numa", "cluster", "load"}
 	if len(allExperiments) != len(want) {
 		t.Fatalf("allExperiments = %v, want %v", allExperiments, want)
 	}
@@ -73,53 +49,6 @@ func TestAllCoversEveryExperiment(t *testing.T) {
 		if !seen[e] {
 			t.Errorf("experiment %q missing from -experiment all", e)
 		}
-	}
-}
-
-func TestRunTaskedBenchWritesAndDiffsBaseline(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_tasked.json")
-	if err := run([]string{"-experiment", "tasked", "-cells", "6", "-steps", "1",
-		"-threads", "2", "-tasked-out", out}); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res struct {
-		Threads int `json:"threads"`
-		Rows    []struct {
-			Case      string  `json:"case"`
-			Config    string  `json:"config"`
-			MsPerCall float64 `json:"ms_per_call"`
-			Tasks     int64   `json:"tasks"`
-		} `json:"rows"`
-	}
-	if err := json.Unmarshal(b, &res); err != nil {
-		t.Fatalf("BENCH_tasked.json: %v", err)
-	}
-	if res.Threads != 2 || len(res.Rows) != 6 {
-		t.Fatalf("implausible bench output: %+v", res)
-	}
-	tasks := int64(0)
-	for _, r := range res.Rows {
-		if r.MsPerCall <= 0 {
-			t.Errorf("row %s/%s has non-positive time", r.Case, r.Config)
-		}
-		if r.Config == "tasked" {
-			tasks += r.Tasks
-		}
-	}
-	if tasks == 0 {
-		t.Error("tasked rows report zero executed tasks — telemetry not wired")
-	}
-	// Diffing a run against its own committed output must pass within
-	// any sane tolerance (timing noise between the two runs is why the
-	// tolerance flag exists).
-	if err := run([]string{"-experiment", "tasked", "-cells", "6", "-steps", "1",
-		"-threads", "2", "-tasked-out", filepath.Join(t.TempDir(), "next.json"),
-		"-baseline", out, "-bench-tolerance", "25"}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -167,8 +96,10 @@ func TestRunLoadBenchWritesAndDiffsBaseline(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run([]string{"-experiment", "bogus"}); err == nil {
-		t.Error("unknown experiment accepted")
+	for _, exp := range []string{"bogus", "tasked", "serve"} {
+		if err := run([]string{"-experiment", exp}); err == nil {
+			t.Errorf("unknown experiment %q accepted", exp)
+		}
 	}
 	if err := run([]string{"-mode", "bogus"}); err == nil {
 		t.Error("bad mode accepted")

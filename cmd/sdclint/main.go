@@ -5,10 +5,7 @@
 //	sdclint -json ./...      # one JSON finding per line, for tooling
 //	sdclint -sarif ./...     # one SARIF 2.1.0 document, for CI upload
 //	sdclint -rules           # list the rules and what they enforce
-//
-//	sdclint -write-baseline lint.base ./...   # record current findings
-//	sdclint -baseline lint.base ./...         # fail only on NEW findings
-//	sdclint -fix ./...                        # remove stale ignore rules
+//	sdclint -fix ./...       # remove stale ignore rules
 //
 // Findings print as file:line:col: rule: message. A finding is
 // suppressed by a same-line or preceding-line comment of the form
@@ -39,8 +36,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	asJSON := fs.Bool("json", false, "emit one JSON finding per line")
 	asSARIF := fs.Bool("sarif", false, "emit one SARIF 2.1.0 document")
 	listRules := fs.Bool("rules", false, "list the rules and exit")
-	baseline := fs.String("baseline", "", "suppress findings recorded in this baseline file; fail only on new ones")
-	writeBaseline := fs.String("write-baseline", "", "record current findings to this baseline file and exit 0")
 	fix := fs.Bool("fix", false, "rewrite source to remove stale //lint:ignore rules, then re-run")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -83,22 +78,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			_, _ = fmt.Fprintf(stderr, "sdclint: fixed %s:%d: removed stale ignore of %v\n", e.File, e.Line, e.Removed)
 		}
 		findings = fixed
-	}
-	if *writeBaseline != "" {
-		if err := lint.WriteBaselineFile(*writeBaseline, findings); err != nil {
-			_, _ = fmt.Fprintln(stderr, "sdclint:", err)
-			return 2
-		}
-		_, _ = fmt.Fprintf(stderr, "sdclint: wrote %d finding(s) to %s\n", len(findings), *writeBaseline)
-		return 0
-	}
-	if *baseline != "" {
-		b, err := lint.ReadBaselineFile(*baseline)
-		if err != nil {
-			_, _ = fmt.Fprintln(stderr, "sdclint:", err)
-			return 2
-		}
-		findings = b.Filter(findings)
 	}
 	if *asSARIF {
 		err = lint.WriteSARIF(stdout, "sdclint", lint.AsPasses(rules), findings)

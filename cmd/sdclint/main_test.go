@@ -42,31 +42,6 @@ func TestRunReportsFindings(t *testing.T) {
 	}
 }
 
-// TestRunBaselineGate pins the -write-baseline / -baseline cycle over
-// the lint fixture: a recorded run exits 0 under its own baseline.
-func TestRunBaselineGate(t *testing.T) {
-	chdirFixture(t)
-	base := filepath.Join(t.TempDir(), "lint.base")
-	var out, errb bytes.Buffer
-	if code := run([]string{"-write-baseline", base, "./..."}, &out, &errb); code != 0 {
-		t.Fatalf("-write-baseline exit %d, want 0; stderr: %s", code, errb.String())
-	}
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-baseline", base, "./..."}, &out, &errb); code != 0 {
-		t.Fatalf("-baseline exit %d, want 0 (no new findings)\nstdout: %s\nstderr: %s",
-			code, out.String(), errb.String())
-	}
-	if out.Len() != 0 {
-		t.Errorf("baselined run printed findings:\n%s", out.String())
-	}
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-baseline", filepath.Join(t.TempDir(), "missing.base"), "./..."}, &out, &errb); code != 2 {
-		t.Fatalf("missing baseline exit %d, want 2", code)
-	}
-}
-
 func TestRunJSON(t *testing.T) {
 	chdirFixture(t)
 	var out, errb bytes.Buffer

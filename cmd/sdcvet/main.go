@@ -24,18 +24,13 @@
 //	sdcvet -rules            # list every rule/pass and what it enforces
 //	sdcvet -fix ./...        # remove stale //lint:ignore rules in place
 //
-//	sdcvet -write-baseline vet.base ./...   # record current findings
-//	sdcvet -baseline vet.base ./...         # fail only on NEW findings
-//
 //	sdcvet -write-kernel-budget LINT_kernel.json   # record compiler budget
 //	sdcvet -kernel-budget                          # gate against it
 //
 // Everything runs under one driver over one parse and type-check of
 // the tree. Findings print as file:line:col: rule: message and are
 // suppressed by the same //lint:ignore <rule>[,<rule>...] <reason>
-// directives sdclint honors. A baseline file (one JSON finding per
-// line, matched by file+rule+message) gates a run on "no new findings"
-// while a surfaced backlog is burned down.
+// directives sdclint honors.
 //
 // The kernel-budget mode is a different kind of gate: instead of AST
 // passes it replays the compiler's own escape-analysis and
@@ -74,8 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	asJSON := fs.Bool("json", false, "emit one JSON finding per line")
 	asSARIF := fs.Bool("sarif", false, "emit one SARIF 2.1.0 document")
 	listRules := fs.Bool("rules", false, "list the rules and passes, then exit")
-	baseline := fs.String("baseline", "", "suppress findings recorded in this baseline file; fail only on new ones")
-	writeBaseline := fs.String("write-baseline", "", "record current findings to this baseline file and exit 0")
 	fix := fs.Bool("fix", false, "rewrite source to remove stale //lint:ignore rules, then re-run")
 	kernelBudget := fs.Bool("kernel-budget", false, "diff compiler escape/bounds-check diagnostics against the kernel budget baseline instead of running the passes")
 	kernelBaseline := fs.String("kernel-baseline", "LINT_kernel.json", "kernel budget baseline file for -kernel-budget")
@@ -124,22 +117,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			_, _ = fmt.Fprintf(stderr, "sdcvet: fixed %s:%d: removed stale ignore of %v\n", e.File, e.Line, e.Removed)
 		}
 		findings = fixed
-	}
-	if *writeBaseline != "" {
-		if err := lint.WriteBaselineFile(*writeBaseline, findings); err != nil {
-			_, _ = fmt.Fprintln(stderr, "sdcvet:", err)
-			return 2
-		}
-		_, _ = fmt.Fprintf(stderr, "sdcvet: wrote %d finding(s) to %s\n", len(findings), *writeBaseline)
-		return 0
-	}
-	if *baseline != "" {
-		b, err := lint.ReadBaselineFile(*baseline)
-		if err != nil {
-			_, _ = fmt.Fprintln(stderr, "sdcvet:", err)
-			return 2
-		}
-		findings = b.Filter(findings)
 	}
 	if *asSARIF {
 		err = lint.WriteSARIF(stdout, "sdcvet", all, findings)

@@ -177,55 +177,6 @@ func TestRunFlowFixtureFindings(t *testing.T) {
 	}
 }
 
-// TestRunBaselineGate pins the -write-baseline / -baseline cycle: a
-// recorded run exits 0 under its own baseline, and still fails when a
-// rule's findings are not in the baseline.
-func TestRunBaselineGate(t *testing.T) {
-	chdirTo(t, "internal/flow/testdata/src")
-	base := filepath.Join(t.TempDir(), "vet.base")
-
-	var out, errb bytes.Buffer
-	if code := run([]string{"-write-baseline", base, "./..."}, &out, &errb); code != 0 {
-		t.Fatalf("-write-baseline exit %d, want 0; stderr: %s", code, errb.String())
-	}
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-baseline", base, "./..."}, &out, &errb); code != 0 {
-		t.Fatalf("-baseline exit %d, want 0 (no new findings)\nstdout: %s\nstderr: %s",
-			code, out.String(), errb.String())
-	}
-	if out.Len() != 0 {
-		t.Errorf("baselined run printed findings:\n%s", out.String())
-	}
-
-	// A baseline missing the goroutine-leak entries must let exactly
-	// those findings through.
-	data, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var kept []string
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		if !strings.Contains(line, "goroutine-leak") {
-			kept = append(kept, line)
-		}
-	}
-	partial := filepath.Join(t.TempDir(), "partial.base")
-	if err := os.WriteFile(partial, []byte(strings.Join(kept, "\n")+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-baseline", partial, "./..."}, &out, &errb); code != 1 {
-		t.Fatalf("partial baseline exit %d, want 1; stdout: %s", code, out.String())
-	}
-	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
-		if !strings.Contains(line, "goroutine-leak") {
-			t.Errorf("non-new finding leaked past the baseline: %s", line)
-		}
-	}
-}
-
 // TestRunMemFixtureFindings drives the three sdcatomic passes through
 // the command over their own broken fixture.
 func TestRunMemFixtureFindings(t *testing.T) {

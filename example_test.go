@@ -39,5 +39,4 @@ func ExampleStrategies() {
 	// atomic
 	// sap
 	// rc
-	// tasked
 }

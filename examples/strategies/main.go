@@ -60,7 +60,7 @@ func main() {
 	fmt.Printf("%-8s %12s %10s %14s %s\n", "strategy", "time", "vs serial", "max |ΔF| (eV/Å)", "notes")
 	fmt.Printf("%-8s %12v %10s %14s %s\n", "serial", serialTime, "1.00x", "0", "reference (Figs. 1/2 loops)")
 
-	for _, k := range []strategy.Kind{strategy.SDC, strategy.Tasked, strategy.CS, strategy.AtomicCS, strategy.SAP, strategy.RC} {
+	for _, k := range []strategy.Kind{strategy.SDC, strategy.CS, strategy.AtomicCS, strategy.SAP, strategy.RC} {
 		red, err := strategy.New(strategy.Config{Kind: k, List: list, Pool: pool, Decomp: dec})
 		if err != nil {
 			log.Fatal(err)
@@ -79,7 +79,6 @@ func main() {
 		}
 		note := map[strategy.Kind]string{
 			strategy.SDC:      "color sweeps, barrier-only sync",
-			strategy.Tasked:   "work-stealing cell tasks, no color barriers",
 			strategy.CS:       "one mutex per shared update",
 			strategy.AtomicCS: "CAS loop per float64 update",
 			strategy.SAP:      fmt.Sprintf("private copies (×%d memory)", threads),

@@ -373,8 +373,7 @@ func (d *Decomposition) ForNeighborSubdomains(s int, fn func(flat int)) {
 
 // AdjacencyLists returns, for every subdomain, the ascending flat
 // indices of its adjacent subdomains (the 3×3×3 neighborhood minus the
-// subdomain itself, with periodic wrap). The task scheduler precomputes
-// this once per decomposition to build its readiness DAG.
+// subdomain itself, with periodic wrap).
 func (d *Decomposition) AdjacencyLists() [][]int32 {
 	ns := d.NumSubdomains()
 	adj := make([][]int32, ns)

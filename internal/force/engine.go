@@ -36,7 +36,7 @@ type Engine struct {
 	// structure-of-arrays component streams. The pair kernels read X/Y/Z
 	// instead of gathering whole Vec3 values, so a cell-blocked sweep
 	// (core.Decomposition.Contiguous) streams three dense arrays — the
-	// cache-blocking layout the tasked strategy's SoA refactor targets.
+	// §II.D cache-blocking layout.
 	// Repacking is O(N) per evaluation against O(pairs) kernel work.
 	// Forces stay AoS ([]vec.Vec3): the strategies accumulate per
 	// component in place and the integrator consumes Vec3 directly.

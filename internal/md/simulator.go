@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"sdcmd/internal/box"
 	"sdcmd/internal/core"
@@ -36,10 +35,10 @@ type Config struct {
 	// BlockReorder, when true, permutes the atoms into decomposition
 	// block order at every neighbor-list rebuild, making each
 	// subdomain's atoms contiguous in memory — the §II.D cache-blocking
-	// reorder that enables the dense cell-block sweeps of the SDC and
-	// tasked strategies. It renumbers atoms (trajectory output order
-	// changes) so it is opt-in, requires a decomposition strategy (SDC
-	// or Tasked), and currently excludes alloy systems.
+	// reorder that enables the dense cell-block sweeps of the SDC
+	// strategy. It renumbers atoms (trajectory output order changes) so
+	// it is opt-in, requires the SDC strategy, and currently excludes
+	// alloy systems.
 	BlockReorder bool
 	// Dt is the timestep in ps.
 	Dt float64
@@ -95,8 +94,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("md: threads %d must be >= 1", c.Threads)
 	}
 	if c.BlockReorder {
-		if c.Strategy != strategy.SDC && c.Strategy != strategy.Tasked {
-			return fmt.Errorf("md: BlockReorder requires a decomposition strategy (sdc or tasked), got %v", c.Strategy)
+		if c.Strategy != strategy.SDC {
+			return fmt.Errorf("md: BlockReorder requires the sdc strategy, got %v", c.Strategy)
 		}
 		if c.Alloy != nil {
 			return errors.New("md: BlockReorder does not support alloy systems (species arrays are not permuted)")
@@ -246,7 +245,6 @@ type Simulator struct {
 
 	step        int
 	rebuilds    int
-	forceTime   time.Duration
 	embedEnergy float64
 	closed      bool
 }
@@ -304,7 +302,7 @@ func NewSimulator(sys *System, cfg Config) (*Simulator, error) {
 // is built from the final atom numbering.
 func (s *Simulator) rebuild() error {
 	reach := s.eng.Cutoff() + s.cfg.Skin
-	if s.cfg.Strategy == strategy.SDC || s.cfg.Strategy == strategy.Tasked {
+	if s.cfg.Strategy == strategy.SDC {
 		if s.dec == nil || s.dec.Box != s.Sys.Box {
 			dec, err := core.Decompose(s.Sys.Box, s.Sys.Pos, s.cfg.Dim, reach)
 			if err != nil {
@@ -345,7 +343,7 @@ func (s *Simulator) rebuild() error {
 // blockReorder permutes the system into the decomposition's block
 // order (PartIndex is exactly the NewToOld mapping of cell-major
 // order) and rebins, after which PartIndex is the identity and
-// Decomposition.Contiguous() holds — the SDC/tasked sweeps then stream
+// Decomposition.Contiguous() holds — the SDC sweeps then stream
 // each subdomain as one dense index range.
 func (s *Simulator) blockReorder() error {
 	perm, err := reorder.FromNewToOld(s.dec.PartIndex)
@@ -368,14 +366,12 @@ func (s *Simulator) needsRebuild() bool {
 	return neighbor.MaxDisplacement2(s.Sys.Box, s.posAtBuild, s.Sys.Pos) > half*half
 }
 
-// computeForces runs the instrumented three-phase EAM evaluation; the
-// accumulated time is exactly what the paper's experiments measure
+// computeForces runs the three-phase EAM evaluation; with telemetry on,
+// the engine times each phase — what the paper's experiments measure
 // ("the running times of the calculations of the electron densities and
 // forces", §III.A).
 func (s *Simulator) computeForces() error {
-	start := time.Now()
 	res, err := s.eng.Compute(s.red, s.Sys.Pos, s.Sys.Force)
-	s.forceTime += time.Since(start)
 	if err != nil {
 		return err
 	}
@@ -510,19 +506,11 @@ func (s *Simulator) Rebuilds() int { return s.rebuilds }
 // when telemetry is disabled).
 func (s *Simulator) Telemetry() *telemetry.Recorder { return s.cfg.Telemetry }
 
-// ForceTime returns the accumulated wall time of the density+force
-// phases — the paper's measured quantity.
-func (s *Simulator) ForceTime() time.Duration { return s.forceTime }
-
-// ResetForceTime zeroes the accumulated force-phase timer (used after
-// warmup, so measurements exclude first-touch effects).
-func (s *Simulator) ResetForceTime() { s.forceTime = 0 }
-
 // List exposes the current neighbor list (read-only use).
 func (s *Simulator) List() *neighbor.List { return s.list }
 
-// Decomposition exposes the spatial decomposition of the SDC and
-// tasked strategies (nil for the others).
+// Decomposition exposes the spatial decomposition of the SDC strategy
+// (nil for the others).
 func (s *Simulator) Decomposition() *core.Decomposition { return s.dec }
 
 // Reducer exposes the active reducer.

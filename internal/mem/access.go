@@ -581,8 +581,8 @@ func deref(t types.Type) types.Type {
 	return t
 }
 
-// shortClass compresses "sdcmd/internal/strategy.taskQueue.buf" to
-// "strategy.taskQueue.buf" for messages.
+// shortClass compresses "sdcmd/internal/brokendeque.Deque.buf" to
+// "brokendeque.Deque.buf" for messages.
 func shortClass(c string) string {
 	if i := strings.LastIndex(c, "/"); i >= 0 {
 		return c[i+1:]

@@ -1,9 +1,8 @@
 // Package mem implements the memory-model analyses of sdcatomic, the
-// fourth static layer of the correctness stack. The work-stealing
-// scheduler added by the Tasked strategy (Meyer, arXiv:1305.4196 /
-// arXiv:1611.00075) rests on raw sync/atomic protocols — owner-push /
-// steal-half deques, CAS claim loops, publish-then-consume handoffs —
-// that sdclint, sdcvet and sdcflow cannot judge: they reason about
+// fourth static layer of the correctness stack. Lock-free code rests on
+// raw sync/atomic protocols — owner-push / steal-half deques, CAS claim
+// loops, publish-then-consume handoffs — that sdclint, sdcvet and
+// sdcflow cannot judge: they reason about
 // locks, write sets and goroutine lifecycles, not about the atomics
 // discipline that keeps lock-free code correct. The race detector only
 // certifies the interleavings a test happens to execute; the passes
@@ -24,8 +23,8 @@
 //     or pointed-to data, that scalar publishes the data. Producers
 //     must finish every initializing write before the publishing
 //     store/CAS, and consumers must load through the atomic before
-//     dereferencing — the owner-push/steal-half handoff in
-//     strategy/deque.go is the motivating instance.
+//     dereferencing — the owner-push/steal-half deque handoff seeded
+//     in the testdata brokendeque fixture is the motivating instance.
 //   - cas-loop: a CAS retry loop must re-load its target inside the
 //     loop (a stale expected value spins forever or, worse, succeeds
 //     against recycled state), and its recomputation must not read
@@ -38,10 +37,9 @@
 // unsafe.Pointer round-trips are skipped. Statement order within a
 // function approximates the happens-before candidates; cross-function
 // protocols are inferred from consumer-side evidence only. The dynamic
-// complements — the randomized steal-schedule stress test and the
-// broken-deque fixture's runtime detector in internal/strategy — cover
-// the gaps at runtime; the cross-validation test in this package pins
-// static ⊇ dynamic for the seeded deque bugs. See DESIGN.md,
+// complement is the broken-deque runtime detector in this package's
+// tests; the cross-validation pair there pins static ⊇ dynamic for
+// the seeded deque bugs. See DESIGN.md,
 // "Correctness tooling".
 package mem
 

@@ -83,10 +83,10 @@ func TestSafePatternsProve(t *testing.T) {
 }
 
 // TestStaticCatchesBrokenDeque is the static half of the
-// static ⊇ dynamic cross-validation: the two publication bugs the
-// broken-deque stress test in internal/strategy exhibits at runtime —
-// tail published before the slot write, slot read before the bounds
-// load — must both be flagged here.
+// static ⊇ dynamic cross-validation: the two publication bugs
+// TestBrokenDequeCaughtDynamically exhibits at runtime — tail
+// published before the slot write, slot read before the bounds load —
+// must both be flagged here.
 func TestStaticCatchesBrokenDeque(t *testing.T) {
 	var producer, consumer bool
 	for _, f := range fixtureFindings(t) {

@@ -19,9 +19,10 @@ import (
 //     must perform the load first; a payload read sequenced before the
 //     first load is not ordered after the producer's writes.
 //
-// The owner-push/steal-half deque in internal/strategy/deque.go is the
-// motivating instance: push must store the slot before publishing
-// tail, and take must load head/tail before copying slots out.
+// The owner-push/steal-half deque of the testdata brokendeque fixture
+// is the motivating instance: push must store the slot before
+// publishing tail, and take must load head/tail before copying slots
+// out.
 type publishPass struct{ sh *shared }
 
 func (p *publishPass) Name() string { return "publication-safety" }

@@ -2,8 +2,8 @@
 // publication-safety pass exists for: the owner-push/steal-half deque
 // protocol with the store/write order inverted on the producer side
 // and the load/read order inverted on the consumer side. The same two
-// bugs are reproduced dynamically by the broken-deque stress test in
-// internal/strategy — the cross-validation test pins that whatever the
+// bugs are reproduced dynamically by TestBrokenDequeCaughtDynamically
+// in internal/mem — the cross-validation test pins that whatever the
 // dynamic detector catches, this pass flags statically.
 package brokendeque
 

@@ -79,8 +79,8 @@ func TestScrambleDeterministic(t *testing.T) {
 }
 
 // TestScrambleGolden pins the exact permutation for a fixed seed: the
-// scrambled baselines in committed bench results (BENCH_reorder.json,
-// BENCH_tasked.json) are reproducible only if Scramble is a pure
+// scrambled baselines in committed bench results (BENCH_reorder.json)
+// are reproducible only if Scramble is a pure
 // function of its seed, never of process-global randomness. If this
 // test breaks, the committed baselines no longer describe the same
 // workload.

@@ -43,8 +43,7 @@ type JobSpec struct {
 	Temperature float64 `json:"temperature,omitempty"`
 	// Seed makes runs reproducible (default 1).
 	Seed int64 `json:"seed,omitempty"`
-	// Strategy is one of serial|sdc|cs|atomic|sap|rc|tasked (default
-	// serial).
+	// Strategy is one of serial|sdc|cs|atomic|sap|rc (default serial).
 	Strategy string `json:"strategy,omitempty"`
 	// Threads is the requested worker count; the scheduler clamps it to
 	// its per-shard share of the CPU budget (default 1).

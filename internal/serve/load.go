@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -245,6 +246,21 @@ func RunLoad(o LoadOptions) (LoadResult, error) {
 		res.StreamDropRate = float64(t.streamsDropped) / float64(t.streamsOpened)
 	}
 	return res, nil
+}
+
+// percentile reads the p-th percentile (nearest-rank) from sorted data.
+func percentile(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	rank := int(math.Ceil(p*float64(len(sorted)))) - 1
+	if rank < 0 {
+		rank = 0
+	}
+	if rank >= len(sorted) {
+		rank = len(sorted) - 1
+	}
+	return sorted[rank]
 }
 
 // runLoadClient is one client's submit loop until the deadline.

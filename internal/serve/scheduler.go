@@ -1175,9 +1175,6 @@ func mergeWorkers(a, b []telemetry.WorkerStat) []telemetry.WorkerStat {
 		acc.Worker = w.Worker
 		acc.BusySeconds += w.BusySeconds
 		acc.WaitSeconds += w.WaitSeconds
-		acc.Tasks += w.Tasks
-		acc.Steals += w.Steals
-		acc.Stolen += w.Stolen
 		byWorker[w.Worker] = acc
 	}
 	out := make([]telemetry.WorkerStat, 0, len(byWorker))

@@ -122,6 +122,9 @@ func TestStoreCacheHitSurvivesRestart(t *testing.T) {
 // TestCorruptManifestQuarantinedNotFatal: a torn drain manifest (and a
 // leftover atomic-write temp) in the state dir must not stop startup —
 // the manifest is renamed aside, the temp swept, healthy work resumes.
+// A well-formed manifest naming a strategy this build no longer has
+// ("tasked", written by an older process) must not stop startup either:
+// that job resumes and fails with the unknown-strategy error.
 func TestCorruptManifestQuarantinedNotFatal(t *testing.T) {
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "j000000.json")
@@ -132,6 +135,29 @@ func TestCorruptManifestQuarantinedNotFatal(t *testing.T) {
 	if err := os.WriteFile(tmp, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	healthy, err := smallSpec(41, 10).normalized(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthyHash, err := healthy.hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	removed := healthy
+	removed.Strategy = "tasked"
+	removed.Seed = 42
+	for _, m := range []manifest{
+		{ID: "j000002", Hash: "removed-strategy", Spec: removed},
+		{ID: "j000003", Hash: healthyHash, Spec: healthy},
+	} {
+		b, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, m.ID+".json"), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	sched, err := NewScheduler(Options{MaxJobs: 1, CPU: 1, StateDir: dir})
 	if err != nil {
 		t.Fatalf("corrupt manifest failed startup: %v", err)
@@ -141,8 +167,26 @@ func TestCorruptManifestQuarantinedNotFatal(t *testing.T) {
 			t.Errorf("drain: %v", err)
 		}
 	}()
-	if c := sched.Counters(); c.BadManifests != 1 || c.Resumed != 0 {
-		t.Fatalf("counters %+v, want 1 bad manifest, 0 resumed", c)
+	if c := sched.Counters(); c.BadManifests != 1 || c.Resumed != 2 {
+		t.Fatalf("counters %+v, want 1 bad manifest, 2 resumed", c)
+	}
+	waitSchedDone(t, sched, "j000003")
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		_, st, ok := sched.Result("j000002")
+		if !ok {
+			t.Fatal("removed-strategy job vanished")
+		}
+		if st.State == StateFailed {
+			if !strings.Contains(st.Error, `unknown kind "tasked"`) || !strings.Contains(st.Error, "sdc") {
+				t.Errorf("removed-strategy job error %q, want the unknown-kind error listing the kinds", st.Error)
+			}
+			break
+		}
+		if st.State == StateDone || time.Now().After(deadline) {
+			t.Fatalf("removed-strategy job in state %q, want %q", st.State, StateFailed)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 	if _, err := os.Stat(bad); !os.IsNotExist(err) {
 		t.Error("corrupt manifest still in scan position")

@@ -86,94 +86,3 @@ func AuditSDCSchedule(dec *core.Decomposition, list *neighbor.List, threads int)
 	}
 	return conflicts, nil
 }
-
-// TaskConflict records a pair of subdomains whose write sets intersect
-// without the dependency DAG ordering them — i.e. they are either not
-// adjacent (so no DAG edge exists between them) or share a color (so
-// the color-order edge is ill-defined). Either way the task schedule
-// could run them concurrently on the intersecting slots.
-type TaskConflict struct {
-	// A and B are the offending subdomains, A < B.
-	A, B int32
-	// Slot is one intersecting reduction-array index (atom index).
-	Slot int32
-	// SameColor distinguishes the two failure modes: true means A and B
-	// are adjacent but share a color; false means they are not adjacent
-	// at all yet still write a common slot.
-	SameColor bool
-}
-
-func (c TaskConflict) String() string {
-	mode := "non-adjacent subdomains"
-	if c.SameColor {
-		mode = "same-color adjacent subdomains"
-	}
-	return fmt.Sprintf("%s %d and %d both write slot %d", mode, c.A, c.B, c.Slot)
-}
-
-// AuditTaskedSchedule statically proves the Tasked safety theorem on
-// the actual data structures: for every pair of subdomains whose write
-// sets (own atoms plus their half-list neighbors) intersect, the pair
-// must be adjacent AND differently colored — exactly the condition
-// under which the readiness DAG has a direct edge totally ordering
-// them. It returns every violating pair; a correct decomposition
-// returns none.
-//
-// Like AuditSDCSchedule this is a schedule verifier, not a runtime
-// detector: it works without concurrent execution, so it holds even on
-// a single-core host. Its dynamic counterpart is the taskedReducer's
-// in-flight overlap detector.
-func AuditTaskedSchedule(dec *core.Decomposition, list *neighbor.List) ([]TaskConflict, error) {
-	if dec == nil || list == nil {
-		return nil, fmt.Errorf("strategy: audit needs a decomposition and a list")
-	}
-	if !list.Half {
-		return nil, ErrNeedHalfList
-	}
-	if len(dec.PartIndex) != list.N() {
-		return nil, fmt.Errorf("strategy: decomposition covers %d atoms, list %d", len(dec.PartIndex), list.N())
-	}
-	ns := dec.NumSubdomains()
-	// writers[slot] lists the subdomains writing that slot; write sets
-	// are small multiples of the atom count, so this stays O(N·nbrs).
-	writers := make([][]int32, list.N())
-	for s := 0; s < ns; s++ {
-		mark := func(slot int32) {
-			w := writers[slot]
-			if n := len(w); n == 0 || w[n-1] != int32(s) {
-				writers[slot] = append(w, int32(s))
-			}
-		}
-		for _, i := range dec.Atoms(s) {
-			mark(i)
-			for _, j := range list.Neighbors(int(i)) {
-				mark(j)
-			}
-		}
-	}
-	var conflicts []TaskConflict
-	seen := make(map[[2]int32]struct{})
-	for slot, w := range writers {
-		for x := 0; x < len(w); x++ {
-			for y := x + 1; y < len(w); y++ {
-				a, b := w[x], w[y]
-				if a > b {
-					a, b = b, a
-				}
-				if _, dup := seen[[2]int32{a, b}]; dup {
-					continue
-				}
-				adjacent := dec.AdjacentSubdomains(int(a), int(b))
-				sameColor := dec.ColorOf[a] == dec.ColorOf[b]
-				if adjacent && !sameColor {
-					continue // ordered by a DAG edge — safe
-				}
-				seen[[2]int32{a, b}] = struct{}{}
-				conflicts = append(conflicts, TaskConflict{
-					A: a, B: b, Slot: int32(slot), SameColor: adjacent && sameColor,
-				})
-			}
-		}
-	}
-	return conflicts, nil
-}

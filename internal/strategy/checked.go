@@ -30,16 +30,6 @@ const (
 	// WriteOwnerOnly: visit(i, j) contributes only to out[i], and each i
 	// belongs to exactly one worker's block (RC).
 	WriteOwnerOnly
-	// WriteDepOrderedPair: visit(i, j) writes out[i] and out[j] with no
-	// synchronization, but the scheduler's dependency DAG totally orders
-	// every pair of tasks whose write sets intersect (Tasked). Phase-
-	// based recording cannot interpret this shape — a sweep has no
-	// barriers, so legitimately ordered cross-color writes to one slot
-	// would look like same-phase conflicts. The Tasked reducer instead
-	// carries its own always-on overlap detector (see taskedReducer) and
-	// the static AuditTaskedSchedule proves the DAG covers every write-
-	// set intersection.
-	WriteDepOrderedPair
 )
 
 // String names the shape for reports.
@@ -53,8 +43,6 @@ func (s WriteShape) String() string {
 		return "private-pair"
 	case WriteOwnerOnly:
 		return "owner-only"
-	case WriteDepOrderedPair:
-		return "dep-ordered-pair"
 	}
 	return fmt.Sprintf("WriteShape(%d)", int(s))
 }

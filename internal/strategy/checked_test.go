@@ -141,7 +141,6 @@ func TestCheckedReducerCleanStrategies(t *testing.T) {
 		AtomicCS: WriteSyncedPair,
 		SAP:      WritePrivatePair,
 		RC:       WriteOwnerOnly,
-		Tasked:   WriteDepOrderedPair,
 	}
 	for _, k := range Kinds {
 		k := k

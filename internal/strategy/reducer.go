@@ -32,12 +32,6 @@ const (
 	// RC recomputes each pair twice on a full list so threads write
 	// only their own atoms.
 	RC
-	// Tasked schedules the SDC subdomains as dependency-tracked cell
-	// tasks over work-stealing deques instead of the rigid color-barrier
-	// loop: a subdomain runs as soon as every adjacent lower-color
-	// subdomain has finished, so idle workers steal ready tasks rather
-	// than wait at 2^dim barriers per sweep (Meyer, arXiv:1305.4196).
-	Tasked
 )
 
 var kindNames = map[Kind]string{
@@ -47,7 +41,6 @@ var kindNames = map[Kind]string{
 	AtomicCS: "atomic",
 	SAP:      "sap",
 	RC:       "rc",
-	Tasked:   "tasked",
 }
 
 // String returns the short lowercase name used by CLIs.
@@ -66,11 +59,11 @@ func ParseKind(s string) (Kind, error) {
 			return k, nil
 		}
 	}
-	return 0, fmt.Errorf("strategy: unknown kind %q (want one of serial, sdc, cs, atomic, sap, rc, tasked)", s)
+	return 0, fmt.Errorf("strategy: unknown kind %q (want one of serial, sdc, cs, atomic, sap, rc)", s)
 }
 
 // Kinds lists all strategies in presentation order.
-var Kinds = []Kind{Serial, SDC, CS, AtomicCS, SAP, RC, Tasked}
+var Kinds = []Kind{Serial, SDC, CS, AtomicCS, SAP, RC}
 
 // ScalarVisit computes the pair contribution of (i, j) to a per-atom
 // scalar array: ci is added to out[i] and cj to out[j]. It must be a
@@ -116,8 +109,7 @@ type Config struct {
 	List *neighbor.List
 	// Pool supplies workers; nil is allowed for Serial only.
 	Pool *Pool
-	// Decomp is the SDC decomposition; required for Kinds SDC and
-	// Tasked.
+	// Decomp is the SDC decomposition; required for Kind SDC.
 	Decomp *core.Decomposition
 	// Telemetry, when non-nil, receives per-color sweep times from the
 	// SDC reducer (worker-level accumulation is attached to the Pool
@@ -142,15 +134,10 @@ func New(cfg Config) (Reducer, error) {
 	case Serial:
 		return &serialReducer{list: cfg.List}, nil
 	case SDC:
-		if err := validateDecomp(cfg, "SDC"); err != nil {
+		if err := validateDecomp(cfg); err != nil {
 			return nil, err
 		}
 		return &sdcReducer{list: cfg.List, pool: cfg.Pool, dec: cfg.Decomp, tel: cfg.Telemetry}, nil
-	case Tasked:
-		if err := validateDecomp(cfg, "Tasked"); err != nil {
-			return nil, err
-		}
-		return newTaskedReducer(cfg.List, cfg.Pool, cfg.Decomp, cfg.Telemetry), nil
 	case CS:
 		return &csReducer{list: cfg.List, pool: cfg.Pool}, nil
 	case AtomicCS:
@@ -164,12 +151,12 @@ func New(cfg Config) (Reducer, error) {
 	}
 }
 
-// validateDecomp checks the decomposition requirements shared by the
-// SDC and Tasked strategies: both rely on the coloring's safety radius
-// and on the partition covering exactly the list's atoms.
-func validateDecomp(cfg Config, name string) error {
+// validateDecomp checks the SDC decomposition requirements: the
+// coloring's safety radius must cover the list's reach, and the
+// partition must cover exactly the list's atoms.
+func validateDecomp(cfg Config) error {
 	if cfg.Decomp == nil {
-		return fmt.Errorf("strategy: %s requires a decomposition", name)
+		return fmt.Errorf("strategy: SDC requires a decomposition")
 	}
 	if cfg.Decomp.Reach < cfg.List.Cutoff+cfg.List.Skin-1e-12 {
 		return fmt.Errorf("strategy: decomposition reach %g < list reach %g — coloring unsafe",

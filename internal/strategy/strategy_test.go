@@ -3,6 +3,7 @@ package strategy
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -78,6 +79,17 @@ func TestKindStringsAndParse(t *testing.T) {
 	if _, err := ParseKind("bogus"); err == nil {
 		t.Error("bogus kind accepted")
 	}
+	// The removed work-stealing kind must be rejected with an error that
+	// names every kind still accepted.
+	_, err := ParseKind("tasked")
+	if err == nil {
+		t.Fatal("removed kind \"tasked\" accepted")
+	}
+	for _, k := range Kinds {
+		if !strings.Contains(err.Error(), k.String()) {
+			t.Errorf("ParseKind error %q does not list kind %q", err, k)
+		}
+	}
 	if Kind(99).String() != "Kind(99)" {
 		t.Error("unknown kind string wrong")
 	}
@@ -132,7 +144,7 @@ func TestAllStrategiesMatchSerial(t *testing.T) {
 	wantVector := make([]vec.Vec3, n)
 	ref.SweepVector(wantVector, vc)
 
-	for _, k := range []Kind{SDC, CS, AtomicCS, SAP, RC, Tasked} {
+	for _, k := range []Kind{SDC, CS, AtomicCS, SAP, RC} {
 		for _, threads := range []int{1, 2, 3, 4, 7} {
 			r, pool := buildReducer(t, s, k, threads)
 			gotScalar := make([]float64, n)
@@ -224,7 +236,7 @@ func TestPairWorkAccounting(t *testing.T) {
 	s := newTestSystem(t, 6, 4.0)
 	pool := MustNewPool(2)
 	defer pool.Close()
-	for _, k := range []Kind{Serial, SDC, CS, AtomicCS, SAP, Tasked} {
+	for _, k := range []Kind{Serial, SDC, CS, AtomicCS, SAP} {
 		r, err := New(Config{Kind: k, List: s.list, Pool: pool, Decomp: s.dec})
 		if err != nil {
 			t.Fatal(err)
@@ -323,7 +335,7 @@ func TestThreadsReporting(t *testing.T) {
 	if r.Threads() != 1 || r.Kind() != Serial {
 		t.Error("serial reducer misreports")
 	}
-	for _, k := range []Kind{SDC, CS, AtomicCS, SAP, RC, Tasked} {
+	for _, k := range []Kind{SDC, CS, AtomicCS, SAP, RC} {
 		r, pool := buildReducer(t, s, k, 5)
 		if r.Threads() != 5 {
 			t.Errorf("%v Threads = %d", k, r.Threads())
@@ -471,7 +483,7 @@ func TestStressConcurrentSweeps(t *testing.T) {
 
 	pool := MustNewPool(6)
 	defer pool.Close()
-	for _, k := range []Kind{SDC, CS, AtomicCS, SAP, RC, Tasked} {
+	for _, k := range []Kind{SDC, CS, AtomicCS, SAP, RC} {
 		r, err := New(Config{Kind: k, List: list, Pool: pool, Decomp: dec})
 		if err != nil {
 			t.Fatal(err)

@@ -97,27 +97,6 @@ func (m Metrics) WritePrometheus(w io.Writer) error {
 		for _, wk := range m.Workers {
 			b.printf("sdcmd_worker_utilization{worker=\"%d\"} %g\n", wk.Worker, wk.Utilization)
 		}
-		anyTasks := false
-		for _, wk := range m.Workers {
-			if wk.Tasks != 0 || wk.Steals != 0 || wk.Stolen != 0 {
-				anyTasks = true
-				break
-			}
-		}
-		if anyTasks {
-			b.header("sdcmd_worker_tasks_total", "counter", "Cell tasks executed per worker (tasked strategy).")
-			for _, wk := range m.Workers {
-				b.printf("sdcmd_worker_tasks_total{worker=\"%d\"} %d\n", wk.Worker, wk.Tasks)
-			}
-			b.header("sdcmd_worker_steals_total", "counter", "Successful steal operations per worker (tasked strategy).")
-			for _, wk := range m.Workers {
-				b.printf("sdcmd_worker_steals_total{worker=\"%d\"} %d\n", wk.Worker, wk.Steals)
-			}
-			b.header("sdcmd_worker_stolen_tasks_total", "counter", "Tasks acquired by stealing per worker (tasked strategy).")
-			for _, wk := range m.Workers {
-				b.printf("sdcmd_worker_stolen_tasks_total{worker=\"%d\"} %d\n", wk.Worker, wk.Stolen)
-			}
-		}
 	}
 
 	b.header("sdcmd_rebuilds_total", "counter", "Neighbor-list (re)builds.")

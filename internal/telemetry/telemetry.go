@@ -86,15 +86,10 @@ type Recorder struct {
 	checkpoints atomic.Uint64
 
 	// Worker accumulation is coarse (once per parallel region, not per
-	// item), so a mutex-guarded grow-only set of slices suffices. tasks/
-	// steals/stolen are the task-scheduler counters (Tasked strategy):
-	// cell tasks executed, steal operations, tasks obtained by stealing.
+	// item), so a mutex-guarded grow-only pair of slices suffices.
 	mu     sync.Mutex
 	busyNS []int64
 	waitNS []int64
-	tasks  []int64
-	steals []int64
-	stolen []int64
 }
 
 // NewRecorder builds an empty recorder anchored at now.
@@ -183,28 +178,6 @@ func (r *Recorder) AddWorker(tid int, busy, wait time.Duration) {
 	r.mu.Unlock()
 }
 
-// AddWorkerTasks accumulates one task-scheduler sweep's counters for
-// worker tid: cell tasks executed, steal operations performed, and
-// tasks obtained by stealing.
-func (r *Recorder) AddWorkerTasks(tid int, executed, steals, stolen int64) {
-	if r == nil || tid < 0 {
-		return
-	}
-	r.mu.Lock()
-	for len(r.tasks) <= tid {
-		//lint:ignore hot-loop grows once to the worker count on first sight of each tid, then never again
-		r.tasks = append(r.tasks, 0)
-		//lint:ignore hot-loop grows once to the worker count on first sight of each tid, then never again
-		r.steals = append(r.steals, 0)
-		//lint:ignore hot-loop grows once to the worker count on first sight of each tid, then never again
-		r.stolen = append(r.stolen, 0)
-	}
-	r.tasks[tid] += executed
-	r.steals[tid] += steals
-	r.stolen[tid] += stolen
-	r.mu.Unlock()
-}
-
 // IncRebuild counts one neighbor-list (re)build.
 func (r *Recorder) IncRebuild() {
 	if r != nil {
@@ -264,14 +237,6 @@ type WorkerStat struct {
 	// Utilization is busy/(busy+wait) in (0, 1]; 0 when the worker
 	// never ran.
 	Utilization float64 `json:"utilization"`
-	// Tasks counts cell tasks this worker executed (Tasked strategy
-	// only; 0 under barrier schedules).
-	Tasks int64 `json:"tasks,omitempty"`
-	// Steals counts steal operations this worker performed.
-	Steals int64 `json:"steals,omitempty"`
-	// Stolen counts tasks this worker obtained by stealing (one steal
-	// operation claims half the victim's queue).
-	Stolen int64 `json:"stolen,omitempty"`
 }
 
 // Metrics is a typed, JSON-serializable snapshot of a Recorder.
@@ -343,29 +308,16 @@ func (r *Recorder) Snapshot() Metrics {
 		})
 	}
 	r.mu.Lock()
-	nw := len(r.busyNS)
-	if len(r.tasks) > nw {
-		nw = len(r.tasks)
-	}
-	for t := 0; t < nw; t++ {
-		var busy, wait float64
-		if t < len(r.busyNS) {
-			busy = time.Duration(r.busyNS[t]).Seconds()
-			wait = time.Duration(r.waitNS[t]).Seconds()
-		}
+	for t := range r.busyNS {
+		busy := time.Duration(r.busyNS[t]).Seconds()
+		wait := time.Duration(r.waitNS[t]).Seconds()
 		util := 0.0
 		if busy+wait > 0 {
 			util = busy / (busy + wait)
 		}
-		ws := WorkerStat{
+		m.Workers = append(m.Workers, WorkerStat{
 			Worker: t, BusySeconds: busy, WaitSeconds: wait, Utilization: util,
-		}
-		if t < len(r.tasks) {
-			ws.Tasks = r.tasks[t]
-			ws.Steals = r.steals[t]
-			ws.Stolen = r.stolen[t]
-		}
-		m.Workers = append(m.Workers, ws)
+		})
 	}
 	r.mu.Unlock()
 	m.Rebuilds = r.rebuilds.Load()

@@ -27,73 +27,12 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.EndPhase(PhaseForce, sp)
 	r.AddColor(0, time.Second)
 	r.AddWorker(0, time.Second, time.Second)
-	r.AddWorkerTasks(0, 1, 1, 1)
 	r.IncRebuild()
 	r.IncFault()
 	r.IncRollback()
 	r.IncCheckpoint()
 	if m := r.Snapshot(); m.Rebuilds != 0 || m.PhaseSeconds() != 0 {
 		t.Errorf("nil recorder snapshot not zero: %+v", m)
-	}
-}
-
-func TestAddWorkerTasksAccumulates(t *testing.T) {
-	r := NewRecorder()
-	r.AddWorkerTasks(2, 7, 3, 5)
-	r.AddWorkerTasks(2, 1, 1, 1)
-	r.AddWorkerTasks(0, 4, 0, 0)
-	r.AddWorkerTasks(-1, 9, 9, 9) // negative worker ids are dropped
-
-	m := r.Snapshot()
-	if len(m.Workers) != 3 {
-		t.Fatalf("got %d worker stats, want 3 (ids 0..2): %+v", len(m.Workers), m.Workers)
-	}
-	w0, w2 := m.Workers[0], m.Workers[2]
-	if w0.Tasks != 4 || w0.Steals != 0 || w0.Stolen != 0 {
-		t.Errorf("worker 0 task stats = %+v", w0)
-	}
-	if w2.Tasks != 8 || w2.Steals != 4 || w2.Stolen != 6 {
-		t.Errorf("worker 2 task stats = %+v, want tasks=8 steals=4 stolen=6", w2)
-	}
-
-	// Busy/wait recorded for the same worker must merge into one row.
-	r.AddWorker(2, 3*time.Second, time.Second)
-	m = r.Snapshot()
-	if len(m.Workers) != 3 {
-		t.Fatalf("AddWorker split the rows: %+v", m.Workers)
-	}
-	if m.Workers[2].Tasks != 8 || m.Workers[2].Utilization != 0.75 {
-		t.Errorf("merged row = %+v", m.Workers[2])
-	}
-}
-
-func TestWritePrometheusTaskCounters(t *testing.T) {
-	r := NewRecorder()
-	r.AddWorker(0, time.Second, time.Second)
-	var buf bytes.Buffer
-	if err := r.Snapshot().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "sdcmd_worker_tasks_total") {
-		t.Error("task counter family emitted with no task activity")
-	}
-
-	r.AddWorkerTasks(1, 6, 2, 3)
-	buf.Reset()
-	if err := r.Snapshot().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		`sdcmd_worker_tasks_total{worker="1"} 6`,
-		`sdcmd_worker_steals_total{worker="1"} 2`,
-		`sdcmd_worker_stolen_tasks_total{worker="1"} 3`,
-		`sdcmd_worker_tasks_total{worker="0"} 0`,
-		"# TYPE sdcmd_worker_tasks_total counter",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("prometheus output missing %q:\n%s", want, out)
-		}
 	}
 }
 

@@ -25,17 +25,12 @@ type ColorMetrics struct {
 }
 
 // WorkerMetrics reports one pool worker's busy/wait split across
-// parallel regions; Utilization is busy/(busy+wait). Tasks/Steals/
-// Stolen are the work-stealing scheduler counters, populated only by
-// the "tasked" strategy.
+// parallel regions; Utilization is busy/(busy+wait).
 type WorkerMetrics struct {
 	Worker      int     `json:"worker"`
 	BusySeconds float64 `json:"busy_seconds"`
 	WaitSeconds float64 `json:"wait_seconds"`
 	Utilization float64 `json:"utilization"`
-	Tasks       int64   `json:"tasks,omitempty"`
-	Steals      int64   `json:"steals,omitempty"`
-	Stolen      int64   `json:"stolen,omitempty"`
 }
 
 // Metrics is a snapshot of a simulation's telemetry: the paper's

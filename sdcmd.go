@@ -7,8 +7,7 @@
 // The package is a facade over the implementation packages:
 //
 //   - internal/core — the SDC decomposition and coloring
-//   - internal/strategy — SDC plus the CS/Atomic/SAP/RC baselines and
-//     the work-stealing tasked scheduler
+//   - internal/strategy — SDC plus the CS/Atomic/SAP/RC baselines
 //   - internal/potential, internal/force — the EAM physics
 //   - internal/md — time integration
 //   - internal/harness, internal/perfmodel — the paper's experiments
@@ -30,7 +29,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 
 	"sdcmd/internal/core"
 	"sdcmd/internal/harness"
@@ -54,8 +52,8 @@ type SimOptions struct {
 	Temperature float64
 	// Seed makes runs reproducible (default 1).
 	Seed int64
-	// Strategy is one of "serial", "sdc", "cs", "atomic", "sap", "rc",
-	// "tasked" (default "serial").
+	// Strategy is one of "serial", "sdc", "cs", "atomic", "sap", "rc"
+	// (default "serial").
 	Strategy string
 	// Threads is the worker count for parallel strategies (default 1).
 	Threads int
@@ -81,10 +79,9 @@ type SimOptions struct {
 	Telemetry bool
 	// BlockReorder permutes atoms into decomposition block order at
 	// every neighbor-list rebuild (the §II.D cache-blocking reorder),
-	// enabling the dense cell-block sweeps of the "sdc" and "tasked"
-	// strategies. Off by default: it renumbers atoms, so trajectory and
-	// checkpoint atom order changes. Requires Strategy "sdc" or
-	// "tasked".
+	// enabling the dense cell-block sweeps of the "sdc" strategy. Off by
+	// default: it renumbers atoms, so trajectory and checkpoint atom
+	// order changes. Requires Strategy "sdc".
 	BlockReorder bool
 }
 
@@ -387,73 +384,9 @@ func RunExperiment(name string, o ExperimentOptions) error {
 			return err
 		}
 		return res.Render(o.Out)
-	case "tasked":
-		res, err := harness.RunTasked(opts)
-		if err != nil {
-			return err
-		}
-		return res.Render(o.Out)
 	default:
-		return fmt.Errorf("sdcmd: unknown experiment %q (want table1, fig9, reorder, numa, cluster or tasked)", name)
+		return fmt.Errorf("sdcmd: unknown experiment %q (want table1, fig9, reorder, numa or cluster)", name)
 	}
-}
-
-// RunTaskedBench runs the tasked-vs-SDC head-to-head (always measured
-// on this host), renders the table to o.Out, writes the machine-
-// readable result to outPath, and — when baselinePath is non-empty —
-// compares the tasked/sdc-blocked speed ratios against the committed
-// baseline within the relative tolerance tol, returning an error on
-// drift. The ratio comparison makes the committed baseline portable
-// across hosts of different absolute speed.
-func RunTaskedBench(o ExperimentOptions, outPath, baselinePath string, tol float64) error {
-	if o.Out == nil {
-		return fmt.Errorf("sdcmd: ExperimentOptions.Out is required")
-	}
-	opts := harness.Options{
-		Mode:          harness.ModeMeasured,
-		Threads:       o.Threads,
-		MeasuredCells: o.MeasuredCells,
-		MeasuredSteps: o.MeasuredSteps,
-		Check:         o.Check,
-	}
-	res, err := harness.RunTasked(opts)
-	if err != nil {
-		return err
-	}
-	if err := res.Render(o.Out); err != nil {
-		return err
-	}
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return fmt.Errorf("sdcmd: tasked bench: %w", err)
-		}
-		werr := res.WriteJSON(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fmt.Errorf("sdcmd: tasked bench: write %s: %w", outPath, werr)
-		}
-	}
-	if baselinePath != "" {
-		bf, err := os.Open(baselinePath)
-		if err != nil {
-			return fmt.Errorf("sdcmd: tasked bench: %w", err)
-		}
-		base, err := harness.ReadTaskedResult(bf)
-		_ = bf.Close()
-		if err != nil {
-			return err
-		}
-		if err := harness.CompareTaskedBaseline(res, base, tol); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(o.Out, "baseline %s: ratios within %.0f%% tolerance\n", baselinePath, tol*100); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Strategies lists the supported strategy names.

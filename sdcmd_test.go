@@ -188,10 +188,10 @@ func TestRunExperimentFacade(t *testing.T) {
 
 func TestStrategiesList(t *testing.T) {
 	got := Strategies()
-	if len(got) != 7 {
+	if len(got) != 6 {
 		t.Fatalf("Strategies = %v", got)
 	}
-	want := map[string]bool{"serial": true, "sdc": true, "cs": true, "atomic": true, "sap": true, "rc": true, "tasked": true}
+	want := map[string]bool{"serial": true, "sdc": true, "cs": true, "atomic": true, "sap": true, "rc": true}
 	for _, s := range got {
 		if !want[s] {
 			t.Errorf("unexpected strategy %q", s)
