@@ -1,5 +1,5 @@
-// Command sdcvet runs the full static-analysis suite: the six sdclint
-// source-discipline rules, the interprocedural sdcvet passes —
+// Command sdcvet runs the full static-analysis suite: the six
+// source-discipline rules of internal/lint, the interprocedural passes —
 // sdc-shared-write (worker-body writes to shared reduction arrays must
 // be provably confined or flow through an approved strategy.Reducer)
 // and hot-loop (no allocation, defer or map iteration inside loops of
@@ -29,8 +29,9 @@
 //
 // Everything runs under one driver over one parse and type-check of
 // the tree. Findings print as file:line:col: rule: message and are
-// suppressed by the same //lint:ignore <rule>[,<rule>...] <reason>
-// directives sdclint honors.
+// suppressed by a same-line or preceding-line comment
+// //lint:ignore <rule>[,<rule>...] <reason>, where the reason is
+// mandatory.
 //
 // The kernel-budget mode is a different kind of gate: instead of AST
 // passes it replays the compiler's own escape-analysis and

@@ -327,3 +327,14 @@ func TestJSONAndSARIFExclusive(t *testing.T) {
 		t.Fatalf("exit %d, want 2", code)
 	}
 }
+
+func TestRunMissingDir(t *testing.T) {
+	chdirTo(t, "internal/vet/testdata/src")
+	var out, errb bytes.Buffer
+	if code := run([]string{"./no-such-dir/..."}, &out, &errb); code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	if errb.Len() == 0 {
+		t.Error("expected a diagnostic on stderr")
+	}
+}

@@ -17,7 +17,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"sdcmd/internal/box"
 	"sdcmd/internal/vec"
@@ -101,20 +100,7 @@ type Decomposition struct {
 
 	// axes are the split axes (defaults to Dim.Axes()).
 	axes []vec.Axis
-	// contiguous records whether PartIndex is the identity permutation,
-	// i.e. atoms are already stored in block-major subdomain order so
-	// subdomain s occupies the dense range [PStart[s], PStart[s+1]).
-	// Recomputed by every Rebin.
-	contiguous bool
 }
-
-// Contiguous reports whether the atom partition is the identity
-// permutation: subdomain s's atoms are exactly the dense index range
-// [PStart[s], PStart[s+1]). This holds after the block-reorder pass
-// (applying PartIndex as a NewToOld permutation to the system arrays and
-// rebinning), and lets force sweeps walk packed blocks instead of
-// indirecting through PartIndex.
-func (d *Decomposition) Contiguous() bool { return d.contiguous }
 
 // Axes returns the split axes.
 func (d *Decomposition) Axes() []vec.Axis { return d.axes }
@@ -282,13 +268,6 @@ func (d *Decomposition) Rebin(pos []vec.Vec3) {
 		d.PartIndex[cursor[s]] = int32(i)
 		cursor[s]++
 	}
-	d.contiguous = true
-	for k, i := range d.PartIndex {
-		if int(i) != k {
-			d.contiguous = false
-			break
-		}
-	}
 }
 
 // Atoms returns the atom indices of subdomain s (aliases storage).
@@ -309,31 +288,6 @@ func (d *Decomposition) ColorAtomCounts() []int {
 		out[d.ColorOf[s]] += d.AtomCount(s)
 	}
 	return out
-}
-
-// AdjacentSubdomains reports whether subdomains a and b share a face,
-// edge or corner, honoring periodic wrap along periodic axes. A
-// subdomain is not adjacent to itself.
-func (d *Decomposition) AdjacentSubdomains(a, b int) bool {
-	if a == b {
-		return false
-	}
-	ca, cb := d.Unflatten(a), d.Unflatten(b)
-	for ax := 0; ax < 3; ax++ {
-		diff := ca[ax] - cb[ax]
-		if diff < 0 {
-			diff = -diff
-		}
-		if d.Box.Periodic[ax] && d.Counts[ax] > 1 {
-			if wrapped := d.Counts[ax] - diff; wrapped < diff {
-				diff = wrapped
-			}
-		}
-		if diff > 1 {
-			return false
-		}
-	}
-	return true
 }
 
 // ForNeighborSubdomains calls fn with the flat index of every subdomain
@@ -369,25 +323,6 @@ func (d *Decomposition) ForNeighborSubdomains(s int, fn func(flat int)) {
 			}
 		}
 	}
-}
-
-// AdjacencyLists returns, for every subdomain, the ascending flat
-// indices of its adjacent subdomains (the 3×3×3 neighborhood minus the
-// subdomain itself, with periodic wrap).
-func (d *Decomposition) AdjacencyLists() [][]int32 {
-	ns := d.NumSubdomains()
-	adj := make([][]int32, ns)
-	for s := 0; s < ns; s++ {
-		var nbr []int32
-		d.ForNeighborSubdomains(s, func(o int) {
-			if o != s {
-				nbr = append(nbr, int32(o))
-			}
-		})
-		sort.Slice(nbr, func(i, j int) bool { return nbr[i] < nbr[j] })
-		adj[s] = nbr
-	}
-	return adj
 }
 
 // Verify checks the SDC invariants; tests and debug builds call it

@@ -214,40 +214,6 @@ func TestSubdomainOfConsistency(t *testing.T) {
 	}
 }
 
-func TestAdjacency(t *testing.T) {
-	bx := box.MustNew(vec.Zero, vec.Splat(64))
-	pos := randomPositions(50, bx, 10)
-	dec, err := Decompose(bx, pos, Dim1, 4) // 8 subdomains along x
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Counts[0] != 8 {
-		t.Fatalf("counts = %v", dec.Counts)
-	}
-	if !dec.AdjacentSubdomains(0, 1) {
-		t.Error("0 and 1 must be adjacent")
-	}
-	if dec.AdjacentSubdomains(0, 2) {
-		t.Error("0 and 2 must not be adjacent")
-	}
-	if !dec.AdjacentSubdomains(0, 7) {
-		t.Error("0 and 7 must be adjacent through the periodic wrap")
-	}
-	if dec.AdjacentSubdomains(3, 3) {
-		t.Error("self adjacency must be false")
-	}
-	// Open boundary: wrap adjacency disappears.
-	bx2 := bx
-	bx2.Periodic[0] = false
-	dec2, err := Decompose(bx2, pos, Dim1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec2.AdjacentSubdomains(0, 7) {
-		t.Error("0 and 7 adjacent despite open boundary")
-	}
-}
-
 func TestColorAtomCountsBalance(t *testing.T) {
 	// A uniform lattice must distribute atoms almost evenly per color.
 	cfg := lattice.MustBuild(lattice.BCC, 10, 10, 10, 2.8665)

@@ -1,11 +1,12 @@
 // Struct-of-arrays position storage. The simulator's public arrays stay
 // AoS ([]vec.Vec3 — the integrator, IO and reducer ABI all speak Vec3),
 // but the force kernels repack positions into three parallel coordinate
-// slices once per evaluation. Combined with the block reorder that makes
-// the SDC partition contiguous, every sweep then streams three dense
-// float64 arrays per cell block instead of gathering 24-byte structs
-// through partindex — the cache-blocking layout of the paper's §II.D and
-// of Meyer's cell-task kernels.
+// slices once per evaluation. Combined with the block reorder, after
+// which every subdomain's Atoms(s) is a dense ascending index range,
+// the sweep over partindex then streams three dense float64 arrays per
+// cell block instead of gathering scattered 24-byte structs — the
+// cache-blocking layout of the paper's §II.D and of Meyer's cell-task
+// kernels.
 package core
 
 import "sdcmd/internal/vec"

@@ -50,15 +50,16 @@ func TestSoA3ResizeReusesCapacity(t *testing.T) {
 	}
 }
 
-func TestContiguousDetection(t *testing.T) {
+// TestBlockReorderRebinsToIdentity pins the property the block reorder
+// relies on: applying PartIndex as a NewToOld permutation and rebinning
+// yields the identity partition, so every subdomain's Atoms(s) is the
+// dense range [PStart[s], PStart[s+1]).
+func TestBlockReorderRebinsToIdentity(t *testing.T) {
 	bx := box.MustNew(vec.Zero, vec.Splat(40))
 	pos := randomPositions(400, bx, 7)
 	dec, err := Decompose(bx, pos, Dim2, 3)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if dec.Contiguous() {
-		t.Fatal("random positions should not bin to the identity partition")
 	}
 	// Apply the partition as a reorder: new slot k holds old atom
 	// PartIndex[k]. Rebinning the reordered positions must then yield
@@ -68,9 +69,6 @@ func TestContiguousDetection(t *testing.T) {
 		reordered[k] = pos[old]
 	}
 	dec.Rebin(reordered)
-	if !dec.Contiguous() {
-		t.Fatal("block-reordered positions must be contiguous")
-	}
 	for k, i := range dec.PartIndex {
 		if int(i) != k {
 			t.Fatalf("PartIndex[%d] = %d after reorder", k, i)
@@ -78,39 +76,5 @@ func TestContiguousDetection(t *testing.T) {
 	}
 	if err := dec.Verify(reordered); err != nil {
 		t.Fatalf("Verify after reorder: %v", err)
-	}
-	// Any subsequent motion that changes binning drops the flag.
-	dec.Rebin(pos)
-	if dec.Contiguous() {
-		t.Fatal("scattered positions must clear the contiguous flag")
-	}
-}
-
-func TestAdjacencyListsMatchAdjacentSubdomains(t *testing.T) {
-	bx := box.MustNew(vec.Zero, vec.New(50, 37, 29))
-	pos := randomPositions(200, bx, 9)
-	dec, err := Decompose(bx, pos, Dim3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adj := dec.AdjacencyLists()
-	ns := dec.NumSubdomains()
-	if len(adj) != ns {
-		t.Fatalf("got %d adjacency lists, want %d", len(adj), ns)
-	}
-	for s := 0; s < ns; s++ {
-		in := make(map[int32]bool, len(adj[s]))
-		for i, o := range adj[s] {
-			if i > 0 && adj[s][i-1] >= o {
-				t.Fatalf("adjacency list of %d not strictly ascending: %v", s, adj[s])
-			}
-			in[o] = true
-		}
-		for o := 0; o < ns; o++ {
-			if dec.AdjacentSubdomains(s, o) != in[int32(o)] {
-				t.Fatalf("subdomain %d vs %d: AdjacentSubdomains=%v, list=%v",
-					s, o, dec.AdjacentSubdomains(s, o), in[int32(o)])
-			}
-		}
 	}
 }

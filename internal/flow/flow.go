@@ -1,13 +1,13 @@
 // Package flow implements the concurrency-lifecycle analyses of
-// sdcflow, the third static layer of the correctness stack. sdclint
-// checks per-package source disciplines and sdcvet proves write-set
-// confinement; the passes here prove the *lifecycle* claims those
-// layers assume: every goroutine the control plane launches is joined
-// or stoppable, mutexes are acquired in one global order, cancellation
-// reaches every blocking operation the ctx-accepting entry points can
-// hit, and no map iteration order leaks into float accumulation or
-// serialized artifacts (the bit-for-bit resume and content-addressed
-// cache invariants).
+// sdcflow, the third static layer of the correctness stack. The
+// internal/lint rules check per-package source disciplines and
+// internal/vet proves write-set confinement; the passes here prove the
+// *lifecycle* claims those layers assume: every goroutine the control
+// plane launches is joined or stoppable, mutexes are acquired in one
+// global order, cancellation reaches every blocking operation the
+// ctx-accepting entry points can hit, and no map iteration order leaks
+// into float accumulation or serialized artifacts (the bit-for-bit
+// resume and content-addressed cache invariants).
 //
 // Four passes share one whole-program function/call-graph index built
 // over the same single parse and type-check as the other tools:

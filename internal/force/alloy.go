@@ -2,39 +2,20 @@ package force
 
 import (
 	"fmt"
-	"math"
 
 	"sdcmd/internal/box"
 	"sdcmd/internal/potential"
 	"sdcmd/internal/strategy"
-	"sdcmd/internal/telemetry"
 	"sdcmd/internal/vec"
 )
 
-// AlloyEngine is the multi-species counterpart of Engine: the same
-// three EAM phases, with species-resolved pair, density and embedding
-// functions. It reuses the identical strategy.Reducer machinery — the
-// SDC coloring argument is purely geometric and species-blind.
-type AlloyEngine struct {
-	// Pot is the alloy potential.
-	Pot potential.AlloyEAM
-	// Box supplies the minimum-image convention.
-	Box box.Box
-	// Species[i] is atom i's species index.
-	Species []int32
-
-	rho []float64
-	fp  []float64
-
-	tel *telemetry.Recorder // per-phase timers; nil = disabled
-}
-
-// SetTelemetry attaches a recorder that times the three phases of every
-// Compute; nil detaches.
-func (e *AlloyEngine) SetTelemetry(rec *telemetry.Recorder) { e.tel = rec }
-
-// NewAlloyEngine validates the species array against the potential.
-func NewAlloyEngine(pot potential.AlloyEAM, bx box.Box, species []int32) (*AlloyEngine, error) {
+// NewAlloyEngine builds an engine for a multi-species system: the same
+// three EAM phases with species-resolved pair, density and embedding
+// terms. The SDC coloring argument is purely geometric and
+// species-blind, so every strategy.Reducer applies unchanged.
+// species[i] is atom i's species index, validated against the
+// potential; every evaluation needs one position per species entry.
+func NewAlloyEngine(pot potential.AlloyEAM, bx box.Box, species []int32) (*Engine, error) {
 	if pot == nil {
 		return nil, fmt.Errorf("force: nil alloy potential")
 	}
@@ -47,139 +28,76 @@ func NewAlloyEngine(pot potential.AlloyEAM, bx box.Box, species []int32) (*Alloy
 			return nil, fmt.Errorf("force: atom %d has species %d, potential knows %d", i, s, ns)
 		}
 	}
-	return &AlloyEngine{Pot: pot, Box: bx, Species: species}, nil
+	return &Engine{Box: bx, alloy: pot, species: species, cutoff: pot.Cutoff(), terms: alloyTerms}, nil
 }
 
-func (e *AlloyEngine) resize(n int) {
-	if cap(e.rho) < n {
-		e.rho = make([]float64, n)
-		e.fp = make([]float64, n)
-		return
-	}
-	e.rho = e.rho[:n]
-	e.fp = e.fp[:n]
+var alloyTerms = terms{
+	density: (*Engine).alloyDensityVisit,
+	embed:   (*Engine).alloyEmbedTerm,
+	force:   (*Engine).alloyForceVisit,
+	pair:    (*Engine).alloyPairVisit,
 }
 
-// Compute evaluates forces into f and returns the embedding energy.
-// len(pos) must equal len(f) and len(Species).
-func (e *AlloyEngine) Compute(red strategy.Reducer, pos []vec.Vec3, f []vec.Vec3) (Result, error) {
-	n := len(pos)
-	if len(f) != n || len(e.Species) != n {
-		return Result{}, fmt.Errorf("force: alloy sizes pos=%d f=%d species=%d", n, len(f), len(e.Species))
-	}
-	e.resize(n)
-	cut := e.Pot.Cutoff()
-
-	// Phase 1: species-resolved densities. ρ_i gains the density
-	// donated by j's species and vice versa (direction-consistent, as
-	// the strategy contract requires).
-	sp := e.tel.Span()
-	for i := range e.rho {
-		e.rho[i] = 0
-	}
-	red.SweepScalar(e.rho, func(i, j int32) (float64, float64) {
-		r := e.Box.Distance(pos[i], pos[j])
+// alloyDensityVisit is the species-resolved phase-1 kernel: ρ_i gains
+// the density donated by j's species and vice versa
+// (direction-consistent, as the strategy contract requires).
+func (e *Engine) alloyDensityVisit() strategy.ScalarVisit {
+	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
+	sp, cut := e.species, e.cutoff
+	return func(i, j int32) (float64, float64) {
+		r := e.Box.MinImageComp(x[i]-x[j], y[i]-y[j], z[i]-z[j]).Norm()
 		if r <= 0 || r >= cut {
 			return 0, 0
 		}
-		phiFromJ, _ := e.Pot.DensityOf(int(e.Species[j]), r)
-		phiFromI, _ := e.Pot.DensityOf(int(e.Species[i]), r)
+		phiFromJ, _ := e.alloy.DensityOf(int(sp[j]), r)
+		phiFromI, _ := e.alloy.DensityOf(int(sp[i]), r)
 		return phiFromJ, phiFromI
-	})
-
-	e.tel.EndPhase(telemetry.PhaseDensity, sp)
-
-	// Phase 2: per-species embedding.
-	sp = e.tel.Span()
-	threads := red.Threads()
-	partial := make([]float64, threads)
-	minR := make([]float64, threads)
-	maxR := make([]float64, threads)
-	for t := range minR {
-		minR[t] = math.Inf(1)
-		maxR[t] = math.Inf(-1)
 	}
-	red.ParallelForAtoms(func(start, end, tid int) {
-		sum := 0.0
-		lo, hi := minR[tid], maxR[tid]
-		for i := start; i < end; i++ {
-			fe, dfe := e.Pot.EmbedOf(int(e.Species[i]), e.rho[i])
-			e.fp[i] = dfe
-			sum += fe
-			if e.rho[i] < lo {
-				lo = e.rho[i]
-			}
-			if e.rho[i] > hi {
-				hi = e.rho[i]
-			}
-		}
-		partial[tid] += sum
-		minR[tid], maxR[tid] = lo, hi
-	})
-	res := Result{MinRho: math.Inf(1), MaxRho: math.Inf(-1)}
-	for t := 0; t < threads; t++ {
-		res.EmbedEnergy += partial[t]
-		if minR[t] < res.MinRho {
-			res.MinRho = minR[t]
-		}
-		if maxR[t] > res.MaxRho {
-			res.MaxRho = maxR[t]
-		}
-	}
-	if n == 0 {
-		res.MinRho, res.MaxRho = 0, 0
-	}
-	e.tel.EndPhase(telemetry.PhaseEmbed, sp)
+}
 
-	// Phase 3: forces. The embedding coupling pairs F'(ρ_i) with the
-	// *partner's* density derivative: eq. (2) generalized to species.
-	sp = e.tel.Span()
-	vec.Fill(f, vec.Vec3{})
+// alloyEmbedTerm is the per-species phase-2 term.
+func (e *Engine) alloyEmbedTerm(i int, rho float64) (float64, float64) {
+	return e.alloy.EmbedOf(int(e.species[i]), rho)
+}
+
+// alloyForceVisit is the species-resolved phase-3 kernel. The embedding
+// coupling pairs F'(ρ_i) with the *partner's* density derivative:
+// eq. (2) generalized to species.
+func (e *Engine) alloyForceVisit() strategy.VectorVisit {
 	fp := e.fp
-	red.SweepVector(f, func(i, j int32) vec.Vec3 {
-		d := e.Box.MinImage(pos[i], pos[j])
+	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
+	sp, cut := e.species, e.cutoff
+	return func(i, j int32) vec.Vec3 {
+		d := e.Box.MinImageComp(x[i]-x[j], y[i]-y[j], z[i]-z[j])
 		r := d.Norm()
 		if r <= 0 || r >= cut {
 			return vec.Vec3{}
 		}
-		si, sj := int(e.Species[i]), int(e.Species[j])
-		_, dv := e.Pot.PairEnergy(si, sj, r)
-		_, dphiJ := e.Pot.DensityOf(sj, r) // j's donation to i
-		_, dphiI := e.Pot.DensityOf(si, r) // i's donation to j
+		si, sj := int(sp[i]), int(sp[j])
+		_, dv := e.alloy.PairEnergy(si, sj, r)
+		_, dphiJ := e.alloy.DensityOf(sj, r) // j's donation to i
+		_, dphiI := e.alloy.DensityOf(si, r) // i's donation to j
 		coeff := dv + fp[i]*dphiJ + fp[j]*dphiI
 		return d.Scale(-coeff / r)
-	})
-	e.tel.EndPhase(telemetry.PhaseForce, sp)
-	return res, nil
+	}
 }
 
-// PotentialEnergy returns total, pair and embedding energies at pos.
-func (e *AlloyEngine) PotentialEnergy(red strategy.Reducer, pos []vec.Vec3) (total, pair, embed float64, err error) {
-	n := len(pos)
-	f := make([]vec.Vec3, n)
-	res, err := e.Compute(red, pos, f)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	embed = res.EmbedEnergy
-	per := make([]float64, n)
-	cut := e.Pot.Cutoff()
-	red.SweepScalar(per, func(i, j int32) (float64, float64) {
-		r := e.Box.Distance(pos[i], pos[j])
+// alloyPairVisit is the species-resolved pair-energy kernel.
+func (e *Engine) alloyPairVisit() strategy.ScalarVisit {
+	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
+	sp, cut := e.species, e.cutoff
+	return func(i, j int32) (float64, float64) {
+		r := e.Box.MinImageComp(x[i]-x[j], y[i]-y[j], z[i]-z[j]).Norm()
 		if r <= 0 || r >= cut {
 			return 0, 0
 		}
-		v, _ := e.Pot.PairEnergy(int(e.Species[i]), int(e.Species[j]), r)
+		v, _ := e.alloy.PairEnergy(int(sp[i]), int(sp[j]), r)
 		return v / 2, v / 2
-	})
-	for _, v := range per {
-		pair += v
 	}
-	return pair + embed, pair, embed, nil
 }
 
 // AlloyReference computes alloy energies and forces by direct O(N²)
-// summation — the correctness oracle for AlloyEngine.
+// summation — the correctness oracle for NewAlloyEngine's engine.
 func AlloyReference(pot potential.AlloyEAM, bx box.Box, species []int32, pos []vec.Vec3) (f []vec.Vec3, total float64) {
 	n := len(pos)
 	f = make([]vec.Vec3, n)

@@ -213,4 +213,11 @@ func TestAlloyComputeSizeMismatch(t *testing.T) {
 	if _, err := eng.Compute(red, cfg.Pos, make([]vec.Vec3, 3)); err == nil {
 		t.Error("mismatched force array accepted")
 	}
+	short := cfg.Pos[:3]
+	if _, err := eng.Compute(red, short, make([]vec.Vec3, 3)); err == nil {
+		t.Error("Compute accepted fewer positions than species")
+	}
+	if _, _, _, err := eng.PotentialEnergy(red, short); err == nil {
+		t.Error("PotentialEnergy accepted fewer positions than species")
+	}
 }

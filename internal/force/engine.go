@@ -19,24 +19,29 @@ import (
 	"sdcmd/internal/vec"
 )
 
-// Engine evaluates EAM energies and forces for one system. It owns the
-// per-atom scratch arrays (rho and F'(rho)), so one Engine must not be
-// used from multiple goroutines at once; internal parallelism comes
-// from the reducer.
+// Engine evaluates EAM energies and forces for one system of "metals
+// and alloys" (§II.C): NewEngine builds it for a single species,
+// NewAlloyEngine for several. It owns the per-atom scratch arrays (rho
+// and F'(rho)), so one Engine must not be used from multiple goroutines
+// at once; internal parallelism comes from the reducer.
 type Engine struct {
-	// Pot is the potential (a true EAM or a PairOnly adapter).
-	Pot potential.EAM
 	// Box supplies the minimum-image convention.
 	Box box.Box
+
+	pot     potential.EAM      // single-species potential (NewEngine)
+	alloy   potential.AlloyEAM // multi-species potential (NewAlloyEngine)
+	species []int32            // species[i] is atom i's species (alloy only)
+	cutoff  float64
+	terms   terms
 
 	rho []float64 // electron densities ρ_i (phase 1 output)
 	fp  []float64 // embedding derivatives F'(ρ_i) (phase 2 output)
 
 	// soa holds the positions of the current evaluation repacked into
 	// structure-of-arrays component streams. The pair kernels read X/Y/Z
-	// instead of gathering whole Vec3 values, so a cell-blocked sweep
-	// (core.Decomposition.Contiguous) streams three dense arrays — the
-	// §II.D cache-blocking layout.
+	// instead of gathering whole Vec3 values, so a sweep over a
+	// block-reordered subdomain streams three dense arrays — the §II.D
+	// cache-blocking layout.
 	// Repacking is O(N) per evaluation against O(pairs) kernel work.
 	// Forces stay AoS ([]vec.Vec3): the strategies accumulate per
 	// component in place and the integrator consumes Vec3 directly.
@@ -45,7 +50,29 @@ type Engine struct {
 	tel *telemetry.Recorder // per-phase timers; nil = disabled
 }
 
-// NewEngine validates and builds an engine.
+// terms are the potential-specific parts of the three phases. The
+// constructor picks the single-species or the species-resolved set
+// once, so no per-pair code tests which kind of system it evaluates.
+// The kernel builders read the SoA positions of the latest pack. They
+// are method expressions, not method values: a method value's wrapper
+// inlines the builder, and the clone of its closure is compiled with
+// the per-pair calls out of line (about 10% slower on the 54 000-atom
+// alloy force call).
+type terms struct {
+	density func(*Engine) strategy.ScalarVisit                  // phase 1: ρ each atom of a pair gains
+	embed   func(e *Engine, i int, rho float64) (f, df float64) // phase 2: F(ρ_i) and F'(ρ_i)
+	force   func(*Engine) strategy.VectorVisit                  // phase 3: the pair force of eq. (2)
+	pair    func(*Engine) strategy.ScalarVisit                  // V(r), half to each atom
+}
+
+var singleTerms = terms{
+	density: (*Engine).densityVisit,
+	embed:   (*Engine).embedTerm,
+	force:   (*Engine).forceVisit,
+	pair:    (*Engine).pairVisit,
+}
+
+// NewEngine validates and builds a single-species engine.
 func NewEngine(pot potential.EAM, bx box.Box) (*Engine, error) {
 	if pot == nil {
 		return nil, fmt.Errorf("force: nil potential")
@@ -53,7 +80,7 @@ func NewEngine(pot potential.EAM, bx box.Box) (*Engine, error) {
 	if !(pot.Cutoff() > 0) {
 		return nil, fmt.Errorf("force: potential cutoff %g must be positive", pot.Cutoff())
 	}
-	return &Engine{Pot: pot, Box: bx}, nil
+	return &Engine{Box: bx, pot: pot, cutoff: pot.Cutoff(), terms: singleTerms}, nil
 }
 
 // Result reports one force evaluation.
@@ -65,6 +92,9 @@ type Result struct {
 	MinRho, MaxRho float64
 }
 
+// Cutoff returns the potential's interaction cutoff.
+func (e *Engine) Cutoff() float64 { return e.cutoff }
+
 // Rho returns the phase-1 densities of the latest evaluation (aliased;
 // valid until the next call).
 func (e *Engine) Rho() []float64 { return e.rho }
@@ -73,77 +103,85 @@ func (e *Engine) Rho() []float64 { return e.rho }
 // Compute (§III.A's decomposition); nil detaches.
 func (e *Engine) SetTelemetry(rec *telemetry.Recorder) { e.tel = rec }
 
-func (e *Engine) resize(n int) {
-	if cap(e.rho) < n {
-		e.rho = make([]float64, n)
-		e.fp = make([]float64, n)
-		return
-	}
-	e.rho = e.rho[:n]
-	e.fp = e.fp[:n]
-}
-
-// densityVisit is the phase-1 kernel: φ(r) flows both ways for a
-// single-species system (this is also §II.D.1's optimization — i's
-// contribution to j is computed in the same visit). It reads the
-// SoA-packed positions of the latest pack() — three dense component
-// streams instead of an AoS Vec3 gather — with arithmetic bit-identical
-// to Box.Distance on the original vectors.
+// densityVisit is the single-species phase-1 kernel: φ(r) flows both
+// ways (this is also §II.D.1's optimization — i's contribution to j is
+// computed in the same visit). It reads the SoA-packed positions of the
+// latest pack() — three dense component streams instead of an AoS Vec3
+// gather — with arithmetic bit-identical to Box.Distance on the
+// original vectors.
 func (e *Engine) densityVisit() strategy.ScalarVisit {
 	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
 	return func(i, j int32) (float64, float64) {
 		r := e.Box.MinImageComp(x[i]-x[j], y[i]-y[j], z[i]-z[j]).Norm()
-		phi, _ := e.Pot.Density(r)
+		phi, _ := e.pot.Density(r)
 		return phi, phi
 	}
 }
 
-// forceVisit is the phase-3 kernel implementing the paper's eq. (2):
-// the pair force magnitude is V'(r) + (F'(ρ_i)+F'(ρ_j))·φ'(r), directed
-// along the minimum-image separation. It is antisymmetric, as the
-// strategy contract requires. Like densityVisit it reads the SoA
-// component streams.
+// embedTerm is the single-species phase-2 term.
+func (e *Engine) embedTerm(_ int, rho float64) (float64, float64) { return e.pot.Embed(rho) }
+
+// forceVisit is the single-species phase-3 kernel implementing the
+// paper's eq. (2): the pair force magnitude is V'(r) + (F'(ρ_i)+F'(ρ_j))·φ'(r),
+// directed along the minimum-image separation. It is antisymmetric, as
+// the strategy contract requires.
 func (e *Engine) forceVisit() strategy.VectorVisit {
 	fp := e.fp
 	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
+	cut := e.cutoff
 	return func(i, j int32) vec.Vec3 {
 		d := e.Box.MinImageComp(x[i]-x[j], y[i]-y[j], z[i]-z[j])
 		r := d.Norm()
-		if r <= 0 || r >= e.Pot.Cutoff() {
+		if r <= 0 || r >= cut {
 			return vec.Vec3{}
 		}
-		_, dv := e.Pot.Energy(r)
-		_, dphi := e.Pot.Density(r)
+		_, dv := e.pot.Energy(r)
+		_, dphi := e.pot.Density(r)
 		coeff := dv + (fp[i]+fp[j])*dphi
 		return d.Scale(-coeff / r)
 	}
 }
 
-// pack repacks pos into the SoA scratch; every public entry point calls
-// it before building kernels so the closures alias current data.
-func (e *Engine) pack(pos []vec.Vec3) { e.soa.Pack(pos) }
-
-// Compute runs the three phases and writes forces into f (overwritten).
-// len(f) must equal len(pos) and match the reducer's neighbor list.
-func (e *Engine) Compute(red strategy.Reducer, pos []vec.Vec3, f []vec.Vec3) (Result, error) {
-	n := len(pos)
-	if len(f) != n {
-		return Result{}, fmt.Errorf("force: force array length %d != %d atoms", len(f), n)
+// pairVisit is the single-species pair-energy kernel.
+func (e *Engine) pairVisit() strategy.ScalarVisit {
+	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
+	return func(i, j int32) (float64, float64) {
+		r := e.Box.MinImageComp(x[i]-x[j], y[i]-y[j], z[i]-z[j]).Norm()
+		v, _ := e.pot.Energy(r)
+		return v / 2, v / 2
 	}
-	e.resize(n)
-	e.pack(pos)
+}
 
-	// Phase 1: electron densities (irregular scalar reduction).
-	sp := e.tel.Span()
+// pack checks pos against the species array and repacks it into the
+// SoA scratch; every public entry point calls it before building
+// kernels so the closures alias current data.
+func (e *Engine) pack(pos []vec.Vec3) error {
+	if e.alloy != nil && len(e.species) != len(pos) {
+		return fmt.Errorf("force: %d species for %d atoms", len(e.species), len(pos))
+	}
+	e.soa.Pack(pos)
+	return nil
+}
+
+// densities runs phase 1, the irregular scalar reduction, over the
+// packed positions into rho.
+func (e *Engine) densities(red strategy.Reducer) {
+	n := e.soa.Len()
+	if cap(e.rho) < n {
+		e.rho = make([]float64, n)
+		e.fp = make([]float64, n)
+	}
+	e.rho, e.fp = e.rho[:n], e.fp[:n]
 	for i := range e.rho {
 		e.rho[i] = 0
 	}
-	red.SweepScalar(e.rho, e.densityVisit())
-	e.tel.EndPhase(telemetry.PhaseDensity, sp)
+	red.SweepScalar(e.rho, e.terms.density(e))
+}
 
-	// Phase 2: embedding energies and F'(ρ) — no cross-iteration
-	// dependence, a plain parallel-for (§II.C phase 2).
-	sp = e.tel.Span()
+// embedding runs phase 2 — F(ρ_i) and F'(ρ_i) have no cross-iteration
+// dependence, a plain parallel-for (§II.C phase 2) — and reduces
+// Σ F(ρ_i) and the ρ range over the workers.
+func (e *Engine) embedding(red strategy.Reducer) Result {
 	threads := red.Threads()
 	partial := make([]float64, threads)
 	minR := make([]float64, threads)
@@ -152,11 +190,12 @@ func (e *Engine) Compute(red strategy.Reducer, pos []vec.Vec3, f []vec.Vec3) (Re
 		minR[t] = math.Inf(1)
 		maxR[t] = math.Inf(-1)
 	}
+	embed := e.terms.embed
 	red.ParallelForAtoms(func(start, end, tid int) {
 		sum := 0.0
 		lo, hi := minR[tid], maxR[tid]
 		for i := start; i < end; i++ {
-			fe, dfe := e.Pot.Embed(e.rho[i])
+			fe, dfe := embed(e, i, e.rho[i])
 			e.fp[i] = dfe
 			sum += fe
 			if e.rho[i] < lo {
@@ -179,64 +218,64 @@ func (e *Engine) Compute(red strategy.Reducer, pos []vec.Vec3, f []vec.Vec3) (Re
 			res.MaxRho = maxR[t]
 		}
 	}
-	if n == 0 {
+	if len(e.rho) == 0 {
 		res.MinRho, res.MaxRho = 0, 0
 	}
+	return res
+}
+
+// Compute runs the three phases and writes forces into f (overwritten).
+// len(f) must equal len(pos) (and, for an alloy, the species count) and
+// match the reducer's neighbor list.
+func (e *Engine) Compute(red strategy.Reducer, pos []vec.Vec3, f []vec.Vec3) (Result, error) {
+	if len(f) != len(pos) {
+		return Result{}, fmt.Errorf("force: force array length %d != %d atoms", len(f), len(pos))
+	}
+	if err := e.pack(pos); err != nil {
+		return Result{}, err
+	}
+	sp := e.tel.Span()
+	e.densities(red)
+	e.tel.EndPhase(telemetry.PhaseDensity, sp)
+
+	sp = e.tel.Span()
+	res := e.embedding(red)
 	e.tel.EndPhase(telemetry.PhaseEmbed, sp)
 
 	// Phase 3: forces (irregular vector reduction).
 	sp = e.tel.Span()
 	vec.Fill(f, vec.Vec3{})
-	red.SweepVector(f, e.forceVisit())
+	red.SweepVector(f, e.terms.force(e))
 	e.tel.EndPhase(telemetry.PhaseForce, sp)
 	return res, nil
 }
 
 // PairEnergy computes Σ_pairs V(r) with one extra scalar sweep (each
 // atom receives half of each bond's energy).
-func (e *Engine) PairEnergy(red strategy.Reducer, pos []vec.Vec3) float64 {
-	e.pack(pos)
+func (e *Engine) PairEnergy(red strategy.Reducer, pos []vec.Vec3) (float64, error) {
+	if err := e.pack(pos); err != nil {
+		return 0, err
+	}
 	per := make([]float64, len(pos))
-	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
-	red.SweepScalar(per, func(i, j int32) (float64, float64) {
-		r := e.Box.MinImageComp(x[i]-x[j], y[i]-y[j], z[i]-z[j]).Norm()
-		v, _ := e.Pot.Energy(r)
-		return v / 2, v / 2
-	})
+	red.SweepScalar(per, e.terms.pair(e))
 	total := 0.0
 	for _, v := range per {
 		total += v
 	}
-	return total
+	return total, nil
 }
 
 // PotentialEnergy returns the full EAM energy Σ F(ρ_i) + ½ΣΣ V(r) and
 // its two components. It re-runs phases 1-2 internally, so it does not
 // disturb a previous Compute's outputs except the scratch arrays.
-func (e *Engine) PotentialEnergy(red strategy.Reducer, pos []vec.Vec3) (total, pair, embed float64) {
-	n := len(pos)
-	e.resize(n)
-	e.pack(pos)
-	for i := range e.rho {
-		e.rho[i] = 0
+func (e *Engine) PotentialEnergy(red strategy.Reducer, pos []vec.Vec3) (total, pair, embed float64, err error) {
+	// PairEnergy validates and packs pos for the two phases below.
+	if pair, err = e.PairEnergy(red, pos); err != nil {
+		return 0, 0, 0, err
 	}
-	red.SweepScalar(e.rho, e.densityVisit())
-	threads := red.Threads()
-	partial := make([]float64, threads)
-	red.ParallelForAtoms(func(start, end, tid int) {
-		sum := 0.0
-		for i := start; i < end; i++ {
-			fe, dfe := e.Pot.Embed(e.rho[i])
-			e.fp[i] = dfe
-			sum += fe
-		}
-		partial[tid] += sum
-	})
-	for _, p := range partial {
-		embed += p
-	}
-	pair = e.PairEnergy(red, pos)
-	return pair + embed, pair, embed
+	e.densities(red)
+	embed = e.embedding(red).EmbedEnergy
+	return pair + embed, pair, embed, nil
 }
 
 // Virial computes W = Σ_pairs r_ij · f_ij (pair virial including the
@@ -247,9 +286,11 @@ func (e *Engine) Virial(red strategy.Reducer, pos []vec.Vec3) (float64, error) {
 	if len(e.fp) != len(pos) {
 		return 0, fmt.Errorf("force: Virial requires a preceding Compute on the same system")
 	}
-	e.pack(pos)
+	if err := e.pack(pos); err != nil {
+		return 0, err
+	}
 	per := make([]float64, len(pos))
-	fv := e.forceVisit()
+	fv := e.terms.force(e)
 	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
 	red.SweepScalar(per, func(i, j int32) (float64, float64) {
 		d := e.Box.MinImageComp(x[i]-x[j], y[i]-y[j], z[i]-z[j])
@@ -273,8 +314,10 @@ func (e *Engine) StressTensor(red strategy.Reducer, pos []vec.Vec3) ([3][3]float
 	if len(e.fp) != len(pos) {
 		return w, fmt.Errorf("force: StressTensor requires a preceding Compute on the same system")
 	}
-	e.pack(pos)
-	fv := e.forceVisit()
+	if err := e.pack(pos); err != nil {
+		return w, err
+	}
+	fv := e.terms.force(e)
 	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
 	per := make([]float64, len(pos))
 	for a := 0; a < 3; a++ {

@@ -85,7 +85,10 @@ func TestComputeMatchesReference(t *testing.T) {
 	if math.Abs(res.EmbedEnergy-wantEmbed) > 1e-8*(1+math.Abs(wantEmbed)) {
 		t.Errorf("embed energy %g, reference %g", res.EmbedEnergy, wantEmbed)
 	}
-	total, pair, embed := eng.PotentialEnergy(red, s.pos)
+	total, pair, embed, err := eng.PotentialEnergy(red, s.pos)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(pair-wantPair) > 1e-8*(1+math.Abs(wantPair)) {
 		t.Errorf("pair energy %g, reference %g", pair, wantPair)
 	}
@@ -409,7 +412,10 @@ func TestTranslationInvariance(t *testing.T) {
 	if _, err := eng.Compute(red, s.pos, f0); err != nil {
 		t.Fatal(err)
 	}
-	e0, _, _ := eng.PotentialEnergy(red, s.pos)
+	e0, _, _, err := eng.PotentialEnergy(red, s.pos)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	shift := vec.New(1.37, -2.2, 0.61)
 	shifted := make([]vec.Vec3, len(s.pos))
@@ -422,7 +428,10 @@ func TestTranslationInvariance(t *testing.T) {
 	if _, err := eng.Compute(red, shifted, f1); err != nil {
 		t.Fatal(err)
 	}
-	e1, _, _ := eng.PotentialEnergy(red, shifted)
+	e1, _, _, err := eng.PotentialEnergy(red, shifted)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(e1-e0) > 1e-8*(1+math.Abs(e0)) {
 		t.Errorf("energy not translation invariant: %g vs %g", e0, e1)
 	}

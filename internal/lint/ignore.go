@@ -119,8 +119,8 @@ func (p *Package) malformedIgnores() []Finding {
 
 // staleIgnores reports directive rules that suppressed nothing in the
 // run. Only rules the run actually knows are judged: a directive for a
-// rule of the other tool (e.g. an sdcvet pass seen by sdclint) is not
-// this run's business.
+// pass outside the run (e.g. an sdcvet pass when only the source rules
+// run) is not this run's business.
 func (p *Package) staleIgnores(known map[string]bool) []Finding {
 	var out []Finding
 	for i := range p.ignores {

@@ -6,7 +6,7 @@
 // routes through strategy.Pool, atomics stay confined to the CS
 // reducer, kernels stay deterministic, and errors are not silently
 // dropped. The rules in this package machine-check those disciplines;
-// cmd/sdclint runs them over the tree, and AuditSDCSchedule /
+// cmd/sdcvet runs them over the tree, and AuditSDCSchedule /
 // strategy.CheckedReducer cover the schedule-level and runtime-level
 // complements (see DESIGN.md, "Correctness tooling").
 //
@@ -103,7 +103,8 @@ func Run(pkgs []*Package, rules []Rule) []Finding {
 // suppressions (a directive rule that fired nothing this run), and
 // returns everything sorted by (file, line, col, rule). Stale detection
 // only judges directives naming a rule among the passes actually run,
-// so sdclint does not condemn a directive meant for an sdcvet pass.
+// so a run of some passes does not condemn a directive meant for
+// another.
 func RunPasses(pkgs []*Package, passes []Pass) []Finding {
 	byFile := map[string]*Package{}
 	known := KnownRules(passes)
@@ -142,7 +143,7 @@ func RunPasses(pkgs []*Package, passes []Pass) []Finding {
 }
 
 // Write renders findings one per line. JSON mode emits one JSON object
-// per line (the -json contract of cmd/sdclint) so downstream tooling
+// per line (the -json contract of cmd/sdcvet) so downstream tooling
 // can stream-parse results.
 func Write(w io.Writer, findings []Finding, asJSON bool) error {
 	for _, f := range findings {

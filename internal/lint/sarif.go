@@ -10,8 +10,8 @@ import (
 // scanning among them) ingest for inline annotations. WriteSARIF emits
 // the minimal valid subset: one run, the driver's rule inventory, and
 // one result per finding with a physical location. Findings are
-// reported at level "error" because both sdclint and sdcvet treat any
-// finding as a build failure.
+// reported at level "error" because sdcvet treats any finding as a
+// build failure.
 
 type sarifLog struct {
 	Schema  string     `json:"$schema"`

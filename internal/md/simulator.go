@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 
-	"sdcmd/internal/box"
 	"sdcmd/internal/core"
 	"sdcmd/internal/force"
 	"sdcmd/internal/neighbor"
@@ -35,18 +34,18 @@ type Config struct {
 	// BlockReorder, when true, permutes the atoms into decomposition
 	// block order at every neighbor-list rebuild, making each
 	// subdomain's atoms contiguous in memory — the §II.D cache-blocking
-	// reorder that enables the dense cell-block sweeps of the SDC
-	// strategy. It renumbers atoms (trajectory output order changes) so
-	// it is opt-in, requires the SDC strategy, and currently excludes
-	// alloy systems.
+	// reorder, after which the SDC sweeps walk each subdomain as one
+	// dense index range. It renumbers atoms (trajectory output order
+	// changes) so it is opt-in, requires the SDC strategy, and excludes
+	// alloy systems (Species is not permuted).
 	BlockReorder bool
 	// Dt is the timestep in ps.
 	Dt float64
 	// Thermostat, when non-nil, is applied after every step.
 	Thermostat Thermostat
 	// Alloy, with Species, replaces Pot for multi-species systems:
-	// the simulator then drives a force.AlloyEngine. Exactly one of
-	// Pot/Alloy must be set.
+	// the simulator then builds its engine with force.NewAlloyEngine.
+	// Exactly one of Pot/Alloy must be set.
 	Alloy   potential.AlloyEAM
 	Species []int32
 	// Telemetry, when non-nil, receives per-phase force timers,
@@ -192,43 +191,6 @@ func (l *Langevin) Apply(sys *System, dt float64) {
 	}
 }
 
-// engineIface abstracts the single-species and alloy force engines.
-type engineIface interface {
-	Cutoff() float64
-	SetBox(bx box.Box)
-	SetTelemetry(rec *telemetry.Recorder)
-	Compute(red strategy.Reducer, pos, f []vec.Vec3) (force.Result, error)
-	PotentialEnergy(red strategy.Reducer, pos []vec.Vec3) (float64, error)
-}
-
-// singleEngine adapts *force.Engine.
-type singleEngine struct{ e *force.Engine }
-
-func (w singleEngine) Cutoff() float64                      { return w.e.Pot.Cutoff() }
-func (w singleEngine) SetBox(bx box.Box)                    { w.e.Box = bx }
-func (w singleEngine) SetTelemetry(rec *telemetry.Recorder) { w.e.SetTelemetry(rec) }
-func (w singleEngine) Compute(red strategy.Reducer, pos, f []vec.Vec3) (force.Result, error) {
-	return w.e.Compute(red, pos, f)
-}
-func (w singleEngine) PotentialEnergy(red strategy.Reducer, pos []vec.Vec3) (float64, error) {
-	total, _, _ := w.e.PotentialEnergy(red, pos)
-	return total, nil
-}
-
-// alloyEngine adapts *force.AlloyEngine.
-type alloyEngine struct{ e *force.AlloyEngine }
-
-func (w alloyEngine) Cutoff() float64                      { return w.e.Pot.Cutoff() }
-func (w alloyEngine) SetBox(bx box.Box)                    { w.e.Box = bx }
-func (w alloyEngine) SetTelemetry(rec *telemetry.Recorder) { w.e.SetTelemetry(rec) }
-func (w alloyEngine) Compute(red strategy.Reducer, pos, f []vec.Vec3) (force.Result, error) {
-	return w.e.Compute(red, pos, f)
-}
-func (w alloyEngine) PotentialEnergy(red strategy.Reducer, pos []vec.Vec3) (float64, error) {
-	total, _, _, err := w.e.PotentialEnergy(red, pos)
-	return total, err
-}
-
 // Simulator advances a System with velocity-Verlet under a chosen
 // strategy, owning the neighbor list, SDC decomposition and worker
 // pool, and rebuilding them as atoms migrate.
@@ -236,7 +198,7 @@ type Simulator struct {
 	Sys *System
 	cfg Config
 
-	eng        engineIface
+	eng        *force.Engine
 	list       *neighbor.List
 	dec        *core.Decomposition
 	red        strategy.Reducer
@@ -261,19 +223,15 @@ func NewSimulator(sys *System, cfg Config) (*Simulator, error) {
 	if cfg.Alloy != nil && len(cfg.Species) != sys.N() {
 		return nil, fmt.Errorf("md: %d species for %d atoms", len(cfg.Species), sys.N())
 	}
-	var eng engineIface
+	var eng *force.Engine
+	var err error
 	if cfg.Alloy != nil {
-		ae, err := force.NewAlloyEngine(cfg.Alloy, sys.Box, cfg.Species)
-		if err != nil {
-			return nil, err
-		}
-		eng = alloyEngine{ae}
+		eng, err = force.NewAlloyEngine(cfg.Alloy, sys.Box, cfg.Species)
 	} else {
-		se, err := force.NewEngine(cfg.Pot, sys.Box)
-		if err != nil {
-			return nil, err
-		}
-		eng = singleEngine{se}
+		eng, err = force.NewEngine(cfg.Pot, sys.Box)
+	}
+	if err != nil {
+		return nil, err
 	}
 	sim := &Simulator{Sys: sys, cfg: cfg, eng: eng}
 	eng.SetTelemetry(cfg.Telemetry)
@@ -318,8 +276,15 @@ func (s *Simulator) rebuild() error {
 			}
 		}
 	}
+	// The list build borrows the simulator's pool. The serial strategy
+	// has none and passes an untyped nil: a nil *Pool stored in the
+	// interface is not == nil, so BuildParallel would call it.
+	var pool neighbor.Parallelizer
+	if s.pool != nil {
+		pool = s.pool
+	}
 	list, err := neighbor.Builder{Cutoff: s.eng.Cutoff(), Skin: s.cfg.Skin, Half: true}.
-		Build(s.Sys.Box, s.Sys.Pos)
+		BuildParallel(s.Sys.Box, s.Sys.Pos, pool)
 	if err != nil {
 		return err
 	}
@@ -342,9 +307,9 @@ func (s *Simulator) rebuild() error {
 
 // blockReorder permutes the system into the decomposition's block
 // order (PartIndex is exactly the NewToOld mapping of cell-major
-// order) and rebins, after which PartIndex is the identity and
-// Decomposition.Contiguous() holds — the SDC sweeps then stream
-// each subdomain as one dense index range.
+// order) and rebins, after which PartIndex is the identity — the SDC
+// sweeps' Fig. 7/8 loop over Atoms(s) then walks each subdomain as one
+// dense index range.
 func (s *Simulator) blockReorder() error {
 	perm, err := reorder.FromNewToOld(s.dec.PartIndex)
 	if err != nil {
@@ -478,7 +443,7 @@ func (s *Simulator) Config() Config { return s.cfg }
 // PotentialEnergy evaluates the full EAM energy at the current
 // positions (extra sweeps; not part of the timed force path).
 func (s *Simulator) PotentialEnergy() float64 {
-	total, err := s.eng.PotentialEnergy(s.red, s.Sys.Pos)
+	total, _, _, err := s.eng.PotentialEnergy(s.red, s.Sys.Pos)
 	if err != nil {
 		// The engine was validated at construction; an error here means
 		// the system was mutated inconsistently — surface loudly.
@@ -521,7 +486,7 @@ func (s *Simulator) Reducer() strategy.Reducer { return s.red }
 // discarded).
 func (s *Simulator) ApplyStrain(eps vec.Vec3) error {
 	s.Sys.ApplyStrain(eps)
-	s.eng.SetBox(s.Sys.Box)
+	s.eng.Box = s.Sys.Box
 	s.dec = nil
 	if err := s.rebuild(); err != nil {
 		return err

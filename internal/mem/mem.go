@@ -1,8 +1,8 @@
 // Package mem implements the memory-model analyses of sdcatomic, the
 // fourth static layer of the correctness stack. Lock-free code rests on
 // raw sync/atomic protocols — owner-push / steal-half deques, CAS claim
-// loops, publish-then-consume handoffs — that sdclint, sdcvet and
-// sdcflow cannot judge: they reason about
+// loops, publish-then-consume handoffs — that the lint rules, the
+// write-set pass and sdcflow cannot judge: they reason about
 // locks, write sets and goroutine lifecycles, not about the atomics
 // discipline that keeps lock-free code correct. The race detector only
 // certifies the interleavings a test happens to execute; the passes

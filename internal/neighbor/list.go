@@ -2,6 +2,7 @@ package neighbor
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"sdcmd/internal/box"
@@ -185,20 +186,26 @@ type Builder struct {
 	Half bool
 }
 
-// Build constructs the list with a cell grid (O(N)); when the box is
-// too small for a 3-cells-per-axis grid it transparently falls back to
-// the exact O(N²) search.
+// Build constructs the list with a cell grid (O(N)) on the calling
+// goroutine; when the box is too small for a 3-cells-per-axis grid it
+// transparently falls back to the exact O(N²) search.
 func (b Builder) Build(bx box.Box, pos []vec.Vec3) (*List, error) {
-	if !(b.Cutoff > 0) {
-		return nil, fmt.Errorf("neighbor: cutoff %g must be positive", b.Cutoff)
+	return b.BuildParallel(bx, pos, nil)
+}
+
+// BuildParallel is Build with the candidate search split over a worker
+// pool. The count pass and the fill pass are both per-atom-independent,
+// so no synchronization is needed beyond the pool barriers, and the
+// list is identical to Build's. The pool is only borrowed; nil runs
+// both passes on the calling goroutine.
+func (b Builder) BuildParallel(bx box.Box, pos []vec.Vec3, pool Parallelizer) (*List, error) {
+	if err := b.validate(bx); err != nil {
+		return nil, err
 	}
-	if b.Skin < 0 {
-		return nil, fmt.Errorf("neighbor: skin %g must be non-negative", b.Skin)
+	if pool == nil {
+		pool = inline{}
 	}
 	reach := b.Cutoff + b.Skin
-	if !bx.FitsCutoff(reach) {
-		return nil, fmt.Errorf("neighbor: box %v too small for cutoff+skin %g (minimum image violated)", bx, reach)
-	}
 	grid, err := NewCellGrid(bx, pos, reach)
 	if err != nil {
 		return nil, err
@@ -206,12 +213,8 @@ func (b Builder) Build(bx box.Box, pos []vec.Vec3) (*List, error) {
 	if grid.Dims[0] < 3 || grid.Dims[1] < 3 || grid.Dims[2] < 3 {
 		return b.BuildBruteForce(bx, pos)
 	}
-	return b.buildFromGrid(bx, pos, grid)
-}
-
-func (b Builder) buildFromGrid(bx box.Box, pos []vec.Vec3, grid *CellGrid) (*List, error) {
 	n := len(pos)
-	reach2 := (b.Cutoff + b.Skin) * (b.Cutoff + b.Skin)
+	reach2 := reach * reach
 	l := &List{
 		Half:   b.Half,
 		Cutoff: b.Cutoff,
@@ -219,62 +222,74 @@ func (b Builder) buildFromGrid(bx box.Box, pos []vec.Vec3, grid *CellGrid) (*Lis
 		Index:  make([]int32, n),
 		Len:    make([]int32, n),
 	}
-	// Two passes: count then fill, so Neigh is exactly sized and the
-	// CSR arrays are contiguous in atom order (the "regular array" form
-	// §II.D's reordering produces).
-	counts := make([]int32, n)
-	scratch := make([]int32, 0, 64)
-	forEachCandidate := func(i int) []int32 {
-		scratch = scratch[:0]
+	candidates := func(i int, out []int32) []int32 {
+		out = out[:0]
 		ci := grid.Unflatten(grid.CellOfAtom(i))
 		pi := pos[i]
 		grid.ForNeighborCells(ci, func(flat int) {
 			for _, j32 := range grid.CellAtoms(flat) {
 				j := int(j32)
-				if j == i {
-					continue
-				}
-				if b.Half && j < i {
+				if j == i || (b.Half && j < i) {
 					continue
 				}
 				if bx.Distance2(pi, pos[j]) < reach2 {
-					scratch = append(scratch, j32)
+					out = append(out, j32)
 				}
 			}
 		})
-		return scratch
+		return out
 	}
-	for i := 0; i < n; i++ {
-		counts[i] = int32(len(forEachCandidate(i)))
-	}
+	// Two passes: count then fill, so Neigh is exactly sized and the
+	// CSR arrays are contiguous in atom order (the "regular array" form
+	// §II.D's reordering produces).
+	counts := make([]int32, n)
+	pool.ParallelFor(n, func(start, end, _ int) {
+		scratch := make([]int32, 0, 64)
+		for i := start; i < end; i++ {
+			scratch = candidates(i, scratch)
+			counts[i] = int32(len(scratch))
+		}
+	})
 	var total int32
 	for i := 0; i < n; i++ {
 		l.Index[i] = total
 		total += counts[i]
 	}
 	l.Neigh = make([]int32, total)
-	for i := 0; i < n; i++ {
-		nb := forEachCandidate(i)
-		sort.Slice(nb, func(a, b int) bool { return nb[a] < nb[b] })
-		copy(l.Neigh[l.Index[i]:], nb)
-		l.Len[i] = int32(len(nb))
-	}
+	pool.ParallelFor(n, func(start, end, _ int) {
+		scratch := make([]int32, 0, 64)
+		for i := start; i < end; i++ {
+			scratch = candidates(i, scratch)
+			slices.Sort(scratch)
+			//lint:ignore sdc-shared-write rows are disjoint by construction: Index is an exclusive prefix sum over counts, so [Index[i], Index[i]+counts[i]) never overlaps across i
+			copy(l.Neigh[l.Index[i]:], scratch)
+			l.Len[i] = int32(len(scratch))
+		}
+	})
 	return l, nil
+}
+
+// validate rejects a cutoff, skin or box no list can be built for.
+func (b Builder) validate(bx box.Box) error {
+	if !(b.Cutoff > 0) {
+		return fmt.Errorf("neighbor: cutoff %g must be positive", b.Cutoff)
+	}
+	if b.Skin < 0 {
+		return fmt.Errorf("neighbor: skin %g must be non-negative", b.Skin)
+	}
+	if reach := b.Cutoff + b.Skin; !bx.FitsCutoff(reach) {
+		return fmt.Errorf("neighbor: box %v too small for cutoff+skin %g (minimum image violated)", bx, reach)
+	}
+	return nil
 }
 
 // BuildBruteForce is the exact O(N²) construction used as the test
 // oracle and as the small-box fallback.
 func (b Builder) BuildBruteForce(bx box.Box, pos []vec.Vec3) (*List, error) {
-	if !(b.Cutoff > 0) {
-		return nil, fmt.Errorf("neighbor: cutoff %g must be positive", b.Cutoff)
-	}
-	if b.Skin < 0 {
-		return nil, fmt.Errorf("neighbor: skin %g must be non-negative", b.Skin)
+	if err := b.validate(bx); err != nil {
+		return nil, err
 	}
 	reach := b.Cutoff + b.Skin
-	if !bx.FitsCutoff(reach) {
-		return nil, fmt.Errorf("neighbor: box %v too small for cutoff+skin %g (minimum image violated)", bx, reach)
-	}
 	n := len(pos)
 	reach2 := reach * reach
 	nb := make([][]int32, n)
@@ -320,88 +335,15 @@ func MaxDisplacement2(bx box.Box, old, cur []vec.Vec3) float64 {
 	return worst
 }
 
-// BuildParallel is Build with the candidate search parallelized over a
-// worker pool (counts pass and fill pass are both per-atom-independent,
-// so no synchronization is needed beyond the pool barriers). Results
-// are identical to Build. The pool is only borrowed; nil falls back to
-// the serial Build.
-func (b Builder) BuildParallel(bx box.Box, pos []vec.Vec3, pool Parallelizer) (*List, error) {
-	if pool == nil {
-		return b.Build(bx, pos)
-	}
-	if !(b.Cutoff > 0) {
-		return nil, fmt.Errorf("neighbor: cutoff %g must be positive", b.Cutoff)
-	}
-	if b.Skin < 0 {
-		return nil, fmt.Errorf("neighbor: skin %g must be non-negative", b.Skin)
-	}
-	reach := b.Cutoff + b.Skin
-	if !bx.FitsCutoff(reach) {
-		return nil, fmt.Errorf("neighbor: box %v too small for cutoff+skin %g (minimum image violated)", bx, reach)
-	}
-	grid, err := NewCellGrid(bx, pos, reach)
-	if err != nil {
-		return nil, err
-	}
-	if grid.Dims[0] < 3 || grid.Dims[1] < 3 || grid.Dims[2] < 3 {
-		return b.BuildBruteForce(bx, pos)
-	}
-	n := len(pos)
-	reach2 := reach * reach
-	l := &List{
-		Half:   b.Half,
-		Cutoff: b.Cutoff,
-		Skin:   b.Skin,
-		Index:  make([]int32, n),
-		Len:    make([]int32, n),
-	}
-	candidates := func(i int, out []int32) []int32 {
-		out = out[:0]
-		ci := grid.Unflatten(grid.CellOfAtom(i))
-		pi := pos[i]
-		grid.ForNeighborCells(ci, func(flat int) {
-			for _, j32 := range grid.CellAtoms(flat) {
-				j := int(j32)
-				if j == i || (b.Half && j < i) {
-					continue
-				}
-				if bx.Distance2(pi, pos[j]) < reach2 {
-					out = append(out, j32)
-				}
-			}
-		})
-		return out
-	}
-	counts := make([]int32, n)
-	pool.ParallelFor(n, func(start, end, _ int) {
-		scratch := make([]int32, 0, 64)
-		for i := start; i < end; i++ {
-			scratch = candidates(i, scratch)
-			counts[i] = int32(len(scratch))
-		}
-	})
-	var total int32
-	for i := 0; i < n; i++ {
-		l.Index[i] = total
-		total += counts[i]
-	}
-	l.Neigh = make([]int32, total)
-	pool.ParallelFor(n, func(start, end, _ int) {
-		scratch := make([]int32, 0, 64)
-		for i := start; i < end; i++ {
-			scratch = candidates(i, scratch)
-			sort.Slice(scratch, func(a, b int) bool { return scratch[a] < scratch[b] })
-			//lint:ignore sdc-shared-write rows are disjoint by construction: Index is an exclusive prefix sum over counts, so [Index[i], Index[i]+counts[i]) never overlaps across i
-			copy(l.Neigh[l.Index[i]:], scratch)
-			l.Len[i] = int32(len(scratch))
-		}
-	})
-	return l, nil
-}
-
 // Parallelizer is the worker-pool capability BuildParallel needs; the
 // strategy.Pool satisfies it (declared here to avoid a dependency
 // cycle).
 type Parallelizer interface {
 	ParallelFor(n int, body func(start, end, tid int))
 }
+
+// inline is the Parallelizer of a build without a pool: one chunk on
+// the calling goroutine.
+type inline struct{}
+
+func (inline) ParallelFor(n int, body func(start, end, tid int)) { body(0, n, 0) }

@@ -7,7 +7,7 @@
 // plane. All simulation work still routes through internal/md and
 // internal/guard, every parallel force sweep through strategy.Pool; the
 // goroutines here (shard workers, the HTTP accept loop) carry no
-// force-loop parallelism, which is why the package holds an sdclint
+// force-loop parallelism, which is why the package holds a lint
 // pool-only-go allow-list entry.
 package serve
 

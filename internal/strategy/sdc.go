@@ -50,26 +50,11 @@ func (r *sdcReducer) barrier() {
 func (r *sdcReducer) Decomposition() *core.Decomposition { return r.dec }
 
 func (r *sdcReducer) SweepScalar(out []float64, visit ScalarVisit) {
-	contig := r.dec.Contiguous()
 	for c := 0; c < r.dec.NumColors(); c++ {
 		sp := r.tel.Span()
 		subs := r.dec.ByColor[c]
 		r.pool.ParallelForStrided(len(subs), func(k, _ int) {
 			s := int(subs[k])
-			if contig {
-				// Block-reordered storage: the subdomain is the dense
-				// range [PStart[s], PStart[s+1]) — stream it without
-				// the partindex gather. Identical visit order (the
-				// permutation is the identity), so bit-identical sums.
-				for i := r.dec.PStart[s]; i < r.dec.PStart[s+1]; i++ {
-					for _, j := range r.list.Neighbors(int(i)) {
-						ci, cj := visit(i, j)
-						out[i] += ci
-						out[j] += cj
-					}
-				}
-				return
-			}
 			for _, i := range r.dec.Atoms(s) {
 				for _, j := range r.list.Neighbors(int(i)) {
 					ci, cj := visit(i, j)
@@ -86,26 +71,11 @@ func (r *sdcReducer) SweepScalar(out []float64, visit ScalarVisit) {
 }
 
 func (r *sdcReducer) SweepVector(out []vec.Vec3, visit VectorVisit) {
-	contig := r.dec.Contiguous()
 	for c := 0; c < r.dec.NumColors(); c++ {
 		sp := r.tel.Span()
 		subs := r.dec.ByColor[c]
 		r.pool.ParallelForStrided(len(subs), func(k, _ int) {
 			s := int(subs[k])
-			if contig {
-				for i := r.dec.PStart[s]; i < r.dec.PStart[s+1]; i++ {
-					for _, j := range r.list.Neighbors(int(i)) {
-						f := visit(i, j)
-						out[i][0] += f[0]
-						out[i][1] += f[1]
-						out[i][2] += f[2]
-						out[j][0] -= f[0]
-						out[j][1] -= f[1]
-						out[j][2] -= f[2]
-					}
-				}
-				return
-			}
 			for _, i := range r.dec.Atoms(s) {
 				for _, j := range r.list.Neighbors(int(i)) {
 					f := visit(i, j)

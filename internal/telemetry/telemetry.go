@@ -23,7 +23,7 @@
 // Recorder, so the kernel-determinism discipline (no wall clock in
 // kernel packages) stays intact — a dead Span records nothing.
 // Likewise sync/atomic and the listener/streamer goroutines live here
-// under explicit sdclint allow-list entries: they are observability
+// under explicit lint allow-list entries: they are observability
 // control plane, not reduction-strategy synchronization or worker
 // parallelism.
 package telemetry
