@@ -362,42 +362,6 @@ func BenchmarkAblation_HybridVsShared(b *testing.B) {
 	})
 }
 
-func BenchmarkAblation_Scheduling(b *testing.B) {
-	// Static-strided (the paper's Fig. 7/8 pattern) vs dynamic
-	// (omp schedule(dynamic) analogue) subdomain distribution.
-	s := newBenchSystem(b, benchCells)
-	dec := s.decompose(b, core.Dim2)
-	sc := func(i, j int32) (float64, float64) { return 1, 1 }
-	for _, mode := range []string{"strided", "dynamic"} {
-		b.Run(mode, func(b *testing.B) {
-			pool := strategy.MustNewPool(benchThreads)
-			defer pool.Close()
-			out := make([]float64, s.cfg.N())
-			b.ResetTimer()
-			for it := 0; it < b.N; it++ {
-				for c := 0; c < dec.NumColors(); c++ {
-					subs := dec.ByColor[c]
-					body := func(k, _ int) {
-						sd := int(subs[k])
-						for _, i := range dec.Atoms(sd) {
-							for _, j := range s.list.Neighbors(int(i)) {
-								ci, cj := sc(i, j)
-								out[i] += ci
-								out[j] += cj
-							}
-						}
-					}
-					if mode == "strided" {
-						pool.ParallelForStrided(len(subs), body)
-					} else {
-						pool.ParallelForDynamic(len(subs), body)
-					}
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkAblation_Cutoff(b *testing.B) {
 	// Pair count (and thus EAM cost) scales ~rc³; the paper's choice of
 	// rc governs both accuracy and the work the strategies divide.

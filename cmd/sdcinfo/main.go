@@ -77,7 +77,7 @@ func run(args []string) error {
 
 	for _, dim := range []core.Dim{core.Dim1, core.Dim2, core.Dim3} {
 		dec, err := core.Decompose(bx, nil, dim, *reach)
-		if errors.Is(err, core.ErrTooFewSubdomains) {
+		if errors.Is(err, core.ErrTooFewSubdomains) || errors.Is(err, core.ErrTooManyCells) {
 			fmt.Printf("  %v: infeasible (%v)\n", dim, err)
 			continue
 		}

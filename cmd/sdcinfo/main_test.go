@@ -8,6 +8,11 @@ func TestRunByCase(t *testing.T) {
 			t.Errorf("case %s: %v", name, err)
 		}
 	}
+	// Reach 0.05 Å needs 858³ subdomains in 3D: the grid cap reports
+	// it infeasible instead of allocating it.
+	if err := run([]string{"-case", "small", "-reach", "0.05"}); err != nil {
+		t.Errorf("tiny reach: %v", err)
+	}
 }
 
 func TestRunByEdge(t *testing.T) {

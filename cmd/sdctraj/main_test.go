@@ -39,6 +39,10 @@ func TestRunAnalyses(t *testing.T) {
 		{"-in", path, "-vacf"},
 		{"-in", path, "-coord", "-rc", "2.7"},
 		{"-in", path, "-rdf", "-msd", "-vacf", "-coord"},
+		// A cutoff far below the atomic spacing finds no neighbors,
+		// without asking the neighbor grid for ~10¹⁵ cells.
+		{"-in", path, "-coord", "-rc", "1e-4"},
+		{"-in", path, "-rdf", "-rmax", "1e-4"},
 	} {
 		if err := run(args); err != nil {
 			t.Errorf("%v: %v", args, err)

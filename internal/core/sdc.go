@@ -17,6 +17,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"sdcmd/internal/box"
 	"sdcmd/internal/vec"
@@ -74,24 +75,20 @@ func (d Dim) Axes() []vec.Axis {
 // Table 1 (1D SDC on the small case at high thread counts).
 var ErrTooFewSubdomains = errors.New("core: cannot form an even number (>=2) of subdomains with edge >= 2*reach")
 
-// Decomposition is a colored spatial partition of a box plus the CSR
-// atom partition over it.
+// Decomposition is a colored spatial partition of a box: the embedded
+// Grid holds the subdomains and the CSR atom partition over them, and
+// the decomposition adds their coloring.
 type Decomposition struct {
-	// Box is the decomposed cell.
-	Box box.Box
+	// Grid is the subdomain grid. Its Counts are even on decomposed
+	// axes and 1 elsewhere; its PStart/PartIndex are the paper's
+	// pstart[]/partindex[] arrays: atoms of subdomain s are
+	// PartIndex[PStart[s]:PStart[s+1]].
+	Grid
 	// Dim is the decomposition dimensionality.
 	Dim Dim
 	// Reach is the interaction reach (cutoff + skin) the coloring is
 	// safe for.
 	Reach float64
-	// Counts is the number of subdomains along each axis (1 on
-	// non-decomposed axes); even on decomposed axes.
-	Counts [3]int
-
-	// PStart/PartIndex are the paper's pstart[]/partindex[] arrays:
-	// atoms of subdomain s are PartIndex[PStart[s]:PStart[s+1]].
-	PStart    []int32
-	PartIndex []int32
 
 	// ColorOf[s] is the color (0..Colors-1) of subdomain s.
 	ColorOf []int8
@@ -137,27 +134,32 @@ func DecomposeAxes(bx box.Box, pos []vec.Vec3, axes []vec.Axis, reach float64) (
 	if !(reach > 0) {
 		return nil, fmt.Errorf("core: reach %g must be positive", reach)
 	}
-	dec := &Decomposition{Box: bx, Dim: Dim(len(axes)), Reach: reach,
-		Counts: [3]int{1, 1, 1}, axes: append([]vec.Axis(nil), axes...)}
+	counts := [3]int{1, 1, 1}
 	l := bx.Lengths()
 	for _, a := range axes {
-		n := int(l[a] / (2 * reach)) // largest count with edge >= 2*reach
-		n -= n % 2                   // paper step 1: even count per axis
+		// Largest count with edge >= 2*reach; the clamp only keeps the
+		// conversion defined; NewGrid rejects anything above MaxCells.
+		n := int(min(l[a]/(2*reach), math.MaxInt32))
+		n -= n % 2 // paper step 1: even count per axis
 		if n < 2 {
 			return nil, fmt.Errorf("%w: axis %v length %g, reach %g (max %d subdomains)",
 				ErrTooFewSubdomains, a, l[a], reach, int(l[a]/(2*reach)))
 		}
-		dec.Counts[a] = n
+		counts[a] = n
 	}
+	g, err := NewGrid(bx, counts)
+	if err != nil {
+		return nil, err
+	}
+	dec := &Decomposition{Grid: *g, Dim: Dim(len(axes)), Reach: reach,
+		axes: append([]vec.Axis(nil), axes...)}
 	dec.color()
 	dec.Rebin(pos)
 	return dec, nil
 }
 
 // NumSubdomains returns the total subdomain count.
-func (d *Decomposition) NumSubdomains() int {
-	return d.Counts[0] * d.Counts[1] * d.Counts[2]
-}
+func (d *Decomposition) NumSubdomains() int { return d.NumCells() }
 
 // NumColors returns the color count (2^Dim).
 func (d *Decomposition) NumColors() int { return d.Dim.Colors() }
@@ -168,46 +170,6 @@ func (d *Decomposition) NumColors() int { return d.Dim.Colors() }
 // above this value cannot be fully utilized.
 func (d *Decomposition) SubdomainsPerColor() int {
 	return d.NumSubdomains() / d.NumColors()
-}
-
-// EdgeLengths returns the subdomain edge along each axis.
-func (d *Decomposition) EdgeLengths() vec.Vec3 {
-	l := d.Box.Lengths()
-	return vec.New(
-		l[0]/float64(d.Counts[0]),
-		l[1]/float64(d.Counts[1]),
-		l[2]/float64(d.Counts[2]),
-	)
-}
-
-// Flatten maps subdomain grid coordinates to the flat subdomain index.
-func (d *Decomposition) Flatten(c [3]int) int {
-	return (c[0]*d.Counts[1]+c[1])*d.Counts[2] + c[2]
-}
-
-// Unflatten is the inverse of Flatten.
-func (d *Decomposition) Unflatten(s int) [3]int {
-	z := s % d.Counts[2]
-	s /= d.Counts[2]
-	y := s % d.Counts[1]
-	x := s / d.Counts[1]
-	return [3]int{x, y, z}
-}
-
-// SubdomainOf returns the flat subdomain index containing position p.
-func (d *Decomposition) SubdomainOf(p vec.Vec3) int {
-	f := d.Box.FracCoord(d.Box.Wrap(p))
-	var c [3]int
-	for a := 0; a < 3; a++ {
-		c[a] = int(f[a] * float64(d.Counts[a]))
-		if c[a] >= d.Counts[a] {
-			c[a] = d.Counts[a] - 1
-		}
-		if c[a] < 0 {
-			c[a] = 0
-		}
-	}
-	return d.Flatten(c)
 }
 
 // color assigns the red-black generalization: the color is the parity
@@ -234,52 +196,6 @@ func (d *Decomposition) color() {
 	}
 }
 
-// Rebin recomputes the pstart/partindex CSR partition for new
-// positions. The paper performs this together with neighbor-list
-// updates (§II.B step notes); its cost is a counting sort, O(N).
-func (d *Decomposition) Rebin(pos []vec.Vec3) {
-	ns := d.NumSubdomains()
-	if cap(d.PStart) >= ns+1 {
-		d.PStart = d.PStart[:ns+1]
-		for i := range d.PStart {
-			d.PStart[i] = 0
-		}
-	} else {
-		d.PStart = make([]int32, ns+1)
-	}
-	if cap(d.PartIndex) >= len(pos) {
-		d.PartIndex = d.PartIndex[:len(pos)]
-	} else {
-		d.PartIndex = make([]int32, len(pos))
-	}
-	sub := make([]int32, len(pos))
-	for i, p := range pos {
-		s := d.SubdomainOf(p)
-		sub[i] = int32(s)
-		d.PStart[s+1]++
-	}
-	for s := 0; s < ns; s++ {
-		d.PStart[s+1] += d.PStart[s]
-	}
-	cursor := make([]int32, ns)
-	copy(cursor, d.PStart[:ns])
-	for i := range pos {
-		s := sub[i]
-		d.PartIndex[cursor[s]] = int32(i)
-		cursor[s]++
-	}
-}
-
-// Atoms returns the atom indices of subdomain s (aliases storage).
-func (d *Decomposition) Atoms(s int) []int32 {
-	return d.PartIndex[d.PStart[s]:d.PStart[s+1]]
-}
-
-// AtomCount returns how many atoms subdomain s holds.
-func (d *Decomposition) AtomCount(s int) int {
-	return int(d.PStart[s+1] - d.PStart[s])
-}
-
 // ColorAtomCounts returns the total atoms per color — the load-balance
 // figure the paper's uniform-density argument relies on.
 func (d *Decomposition) ColorAtomCounts() []int {
@@ -290,41 +206,6 @@ func (d *Decomposition) ColorAtomCounts() []int {
 	return out
 }
 
-// ForNeighborSubdomains calls fn with the flat index of every subdomain
-// in the 3×3×3 neighborhood of s (including s itself), wrapping on
-// periodic axes and suppressing duplicates when an axis has fewer than
-// three subdomains.
-func (d *Decomposition) ForNeighborSubdomains(s int, fn func(flat int)) {
-	c := d.Unflatten(s)
-	seen := make(map[int]struct{}, 27)
-	for dx := -1; dx <= 1; dx++ {
-		for dy := -1; dy <= 1; dy++ {
-			for dz := -1; dz <= 1; dz++ {
-				n := [3]int{c[0] + dx, c[1] + dy, c[2] + dz}
-				ok := true
-				for ax := 0; ax < 3; ax++ {
-					if n[ax] < 0 || n[ax] >= d.Counts[ax] {
-						if !d.Box.Periodic[ax] {
-							ok = false
-							break
-						}
-						n[ax] = ((n[ax] % d.Counts[ax]) + d.Counts[ax]) % d.Counts[ax]
-					}
-				}
-				if !ok {
-					continue
-				}
-				flat := d.Flatten(n)
-				if _, dup := seen[flat]; dup {
-					continue
-				}
-				seen[flat] = struct{}{}
-				fn(flat)
-			}
-		}
-	}
-}
-
 // Verify checks the SDC invariants; tests and debug builds call it
 // after construction and after every Rebin.
 //
@@ -332,7 +213,7 @@ func (d *Decomposition) ForNeighborSubdomains(s int, fn func(flat int)) {
 //   - per-color subdomain counts are exactly equal
 //   - adjacent subdomains never share a color
 //   - the CSR partition covers each atom exactly once and agrees with
-//     SubdomainOf
+//     CellOf
 func (d *Decomposition) Verify(pos []vec.Vec3) error {
 	edges := d.EdgeLengths()
 	for _, a := range d.axes {
@@ -358,7 +239,7 @@ func (d *Decomposition) Verify(pos []vec.Vec3) error {
 	ns := d.NumSubdomains()
 	for s := 0; s < ns; s++ {
 		var bad error
-		d.ForNeighborSubdomains(s, func(o int) {
+		d.ForNeighbors(s, func(o int) {
 			if bad == nil && o != s && d.ColorOf[s] == d.ColorOf[o] {
 				bad = fmt.Errorf("core: same-color subdomains %d and %d are adjacent", s, o)
 			}
@@ -377,8 +258,8 @@ func (d *Decomposition) Verify(pos []vec.Vec3) error {
 				return fmt.Errorf("core: atom %d in two subdomains", i)
 			}
 			seen[i] = true
-			if got := d.SubdomainOf(pos[i]); got != s {
-				return fmt.Errorf("core: atom %d binned to %d but SubdomainOf=%d", i, s, got)
+			if got := d.CellOf(pos[i]); got != s {
+				return fmt.Errorf("core: atom %d binned to %d but CellOf=%d", i, s, got)
 			}
 		}
 	}

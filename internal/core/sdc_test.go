@@ -63,6 +63,26 @@ func TestDecomposeTooSmall(t *testing.T) {
 	}
 }
 
+func TestDecomposeTooManySubdomains(t *testing.T) {
+	// A tiny reach must fail with the grid cap's error instead of
+	// allocating its subdomains: in the 86 Å small-case box, 3D at
+	// reach 0.336 needs 128³ = 2 097 152 > MaxCells, while 2D needs
+	// 128² and stays legal.
+	smallEdge := float64(lattice.Small.CellsPerSide()) * lattice.FeLatticeConstant
+	bx := box.MustNew(vec.Zero, vec.Splat(smallEdge))
+	reach := smallEdge / 256
+	if _, err := Decompose(bx, nil, Dim3, reach); !errors.Is(err, ErrTooManyCells) {
+		t.Errorf("3D: got %v, want ErrTooManyCells", err)
+	}
+	dec, err := Decompose(bx, nil, Dim2, reach)
+	if err != nil {
+		t.Fatalf("2D: %v", err)
+	}
+	if dec.Counts != [3]int{128, 128, 1} {
+		t.Errorf("2D counts %v, want 128×128×1", dec.Counts)
+	}
+}
+
 func TestDecomposeCountsEvenAndEdgeBound(t *testing.T) {
 	bx := box.MustNew(vec.Zero, vec.New(50, 37, 29))
 	pos := randomPositions(500, bx, 3)
@@ -118,7 +138,7 @@ func TestNoAdjacentSameColor(t *testing.T) {
 		}
 		ns := dec.NumSubdomains()
 		for s := 0; s < ns; s++ {
-			dec.ForNeighborSubdomains(s, func(o int) {
+			dec.ForNeighbors(s, func(o int) {
 				if o != s && dec.ColorOf[s] == dec.ColorOf[o] {
 					t.Fatalf("%v: adjacent subdomains %d,%d share color %d", d, s, o, dec.ColorOf[s])
 				}
@@ -194,6 +214,10 @@ func TestRebinFollowsAtoms(t *testing.T) {
 	}
 }
 
+// TestSubdomainOfConsistency checks the grid Decompose builds on a box
+// not anchored at the origin: a complete, stable partition in the
+// subdomain CellOf names, a Flatten/Unflatten round trip, and CellOf in
+// range for every atom.
 func TestSubdomainOfConsistency(t *testing.T) {
 	bx := box.MustNew(vec.New(-10, -10, -10), vec.New(38, 38, 38))
 	pos := randomPositions(300, bx, 9)
@@ -201,15 +225,16 @@ func TestSubdomainOfConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkBinning(t, &dec.Grid, pos)
 	for s := 0; s < dec.NumSubdomains(); s++ {
 		if got := dec.Flatten(dec.Unflatten(s)); got != s {
 			t.Fatalf("Flatten/Unflatten round trip: %d -> %d", s, got)
 		}
 	}
 	for _, p := range pos {
-		s := dec.SubdomainOf(p)
+		s := dec.CellOf(p)
 		if s < 0 || s >= dec.NumSubdomains() {
-			t.Fatalf("SubdomainOf(%v) = %d out of range", p, s)
+			t.Fatalf("CellOf(%v) = %d out of range", p, s)
 		}
 	}
 }
@@ -276,7 +301,7 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	}
 
 	d = mk()
-	if len(d.Atoms(d.SubdomainOf(pos[0]))) > 0 {
+	if len(d.Atoms(d.CellOf(pos[0]))) > 0 {
 		// Duplicate an atom: overwrite some other entry with atom 0's id.
 		d.PartIndex[len(d.PartIndex)-1] = d.PartIndex[0]
 		if err := d.Verify(pos); err == nil {

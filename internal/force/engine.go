@@ -99,6 +99,10 @@ func (e *Engine) Cutoff() float64 { return e.cutoff }
 // valid until the next call).
 func (e *Engine) Rho() []float64 { return e.rho }
 
+// FPrime returns the phase-2 embedding derivatives F'(ρ_i) of the
+// latest evaluation (aliased; valid until the next call).
+func (e *Engine) FPrime() []float64 { return e.fp }
+
 // SetTelemetry attaches a recorder that times the three phases of every
 // Compute (§III.A's decomposition); nil detaches.
 func (e *Engine) SetTelemetry(rec *telemetry.Recorder) { e.tel = rec }
@@ -224,29 +228,55 @@ func (e *Engine) embedding(red strategy.Reducer) Result {
 	return res
 }
 
-// Compute runs the three phases and writes forces into f (overwritten).
-// len(f) must equal len(pos) (and, for an alloy, the species count) and
-// match the reducer's neighbor list.
-func (e *Engine) Compute(red strategy.Reducer, pos []vec.Vec3, f []vec.Vec3) (Result, error) {
-	if len(f) != len(pos) {
-		return Result{}, fmt.Errorf("force: force array length %d != %d atoms", len(f), len(pos))
-	}
+// Densities runs phase 1 at positions pos: it packs them (outside the
+// density span, so the SoA pack stays its own layer) and sweeps the
+// pair densities into Rho. len(pos) must match the species count of an
+// alloy and the reducer's neighbor list, whose neighbors may index
+// atoms past its own rows.
+func (e *Engine) Densities(red strategy.Reducer, pos []vec.Vec3) error {
 	if err := e.pack(pos); err != nil {
-		return Result{}, err
+		return err
 	}
 	sp := e.tel.Span()
 	e.densities(red)
 	e.tel.EndPhase(telemetry.PhaseDensity, sp)
+	return nil
+}
 
-	sp = e.tel.Span()
+// Embed runs phase 2 over the reducer's atoms: F'(ρ) into FPrime and
+// Σ F(ρ_i) and the ρ range into the Result. Densities must have run.
+func (e *Engine) Embed(red strategy.Reducer) Result {
+	sp := e.tel.Span()
 	res := e.embedding(red)
 	e.tel.EndPhase(telemetry.PhaseEmbed, sp)
+	return res
+}
 
-	// Phase 3: forces (irregular vector reduction).
-	sp = e.tel.Span()
+// Forces runs phase 3, the irregular vector reduction, and writes the
+// forces into f (overwritten), one per position of the latest
+// Densities. Embed must have run.
+func (e *Engine) Forces(red strategy.Reducer, f []vec.Vec3) error {
+	if len(f) != e.soa.Len() {
+		return fmt.Errorf("force: force array length %d != %d atoms", len(f), e.soa.Len())
+	}
+	sp := e.tel.Span()
 	vec.Fill(f, vec.Vec3{})
 	red.SweepVector(f, e.terms.force(e))
 	e.tel.EndPhase(telemetry.PhaseForce, sp)
+	return nil
+}
+
+// Compute runs the three phases and writes forces into f (overwritten).
+// len(f) must equal len(pos) (and, for an alloy, the species count) and
+// match the reducer's neighbor list.
+func (e *Engine) Compute(red strategy.Reducer, pos []vec.Vec3, f []vec.Vec3) (Result, error) {
+	if err := e.Densities(red, pos); err != nil {
+		return Result{}, err
+	}
+	res := e.Embed(red)
+	if err := e.Forces(red, f); err != nil {
+		return Result{}, err
+	}
 	return res, nil
 }
 

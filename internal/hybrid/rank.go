@@ -6,6 +6,7 @@ import (
 
 	"sdcmd/internal/box"
 	"sdcmd/internal/core"
+	"sdcmd/internal/force"
 	"sdcmd/internal/neighbor"
 	"sdcmd/internal/strategy"
 	"sdcmd/internal/vec"
@@ -41,19 +42,16 @@ type rank struct {
 	recvCount [2]int
 	ghostGid  []int32 // global ids of ghosts, aligned with slots
 
-	// Force-evaluation state.
-	lbox box.Box // local extended box: x open, y/z periodic
-	list *neighbor.List
-	dec  *core.Decomposition // SDC over owned atoms (nil when serial)
+	// Force-evaluation state. The engine's box is the local extended
+	// box (x open, y/z periodic), fixed for the rank's lifetime; the
+	// reducer is rebuilt with the ghosts.
+	eng  *force.Engine
+	red  strategy.Reducer
 	pool *strategy.Pool
-	rho  []float64
-	fp   []float64
 
 	posAtBuild []vec.Vec3 // owned positions at last rebuild
 
-	// Per-step outputs.
-	pairEnergy  float64
-	embedEnergy float64
+	embedEnergy float64 // Σ F(ρ_i) over owned atoms, latest evaluation
 }
 
 // side constants.
@@ -221,13 +219,6 @@ func (r *rank) exchangeGhosts() error {
 	} else {
 		r.frc = r.frc[:nLocal]
 	}
-	if cap(r.rho) < nLocal {
-		r.rho = make([]float64, nLocal)
-		r.fp = make([]float64, nLocal)
-	} else {
-		r.rho = r.rho[:nLocal]
-		r.fp = r.fp[:nLocal]
-	}
 	return nil
 }
 
@@ -259,35 +250,40 @@ func (r *rank) refreshGhostPositions() error {
 	return nil
 }
 
-// rebuildStructures reconstructs the local extended box, the filtered
-// half neighbor list and the per-rank SDC decomposition.
-func (r *rank) rebuildStructures() error {
+// localBox returns the rank's extended box: its slab widened by the
+// reach on both x faces (open, so ghosts keep their shifted images),
+// periodic in y and z like the global cell. Widening a slab of the
+// validated global cell cannot make an edge degenerate.
+func (r *rank) localBox() box.Box {
 	reach := r.reach()
 	lo, hi := r.gbox.Lo, r.gbox.Hi
 	lo[0], hi[0] = r.slabLo-reach-1e-9, r.slabHi+reach+1e-9
-	lbox, err := box.New(lo, hi)
-	if err != nil {
-		return err
-	}
-	lbox.Periodic = [3]bool{false, true, true}
-	r.lbox = lbox
+	return box.Box{Lo: lo, Hi: hi, Periodic: [3]bool{false, true, true}}
+}
 
+// rebuildStructures rebuilds the reducer: Serial, or SDC over a
+// {Y, Z} decomposition of the owned atoms, over the filtered half
+// neighbor list.
+func (r *rank) rebuildStructures() error {
+	reach := r.reach()
 	full, err := neighbor.Builder{Cutoff: r.cfg.Pot.Cutoff(), Skin: r.cfg.Skin, Half: true}.
-		Build(lbox, r.pos)
+		Build(r.eng.Box, r.pos)
 	if err != nil {
 		return err
 	}
-	r.list = filterCrossRank(full, r.nOwned, r.gid, r.ghostGid)
-
+	var dec *core.Decomposition
 	if r.cfg.Strategy == strategy.SDC {
 		slab := r.gbox
 		slab.Lo[0], slab.Hi[0] = r.slabLo, r.slabHi
 		slab.Periodic[0] = false
-		dec, err := core.DecomposeAxes(slab, r.pos[:r.nOwned], []vec.Axis{vec.Y, vec.Z}, reach)
-		if err != nil {
+		if dec, err = core.DecomposeAxes(slab, r.pos[:r.nOwned], []vec.Axis{vec.Y, vec.Z}, reach); err != nil {
 			return fmt.Errorf("hybrid: rank %d SDC decomposition: %w", r.id, err)
 		}
-		r.dec = dec
+	}
+	r.red, err = strategy.New(strategy.Config{Kind: r.cfg.Strategy, Pool: r.pool, Decomp: dec,
+		List: filterCrossRank(full, r.nOwned, r.gid, r.ghostGid)})
+	if err != nil {
+		return err
 	}
 	if cap(r.posAtBuild) < r.nOwned {
 		r.posAtBuild = make([]vec.Vec3, r.nOwned)
@@ -298,65 +294,32 @@ func (r *rank) rebuildStructures() error {
 	return nil
 }
 
-// filterCrossRank keeps exactly the pairs this rank must compute:
-// owned-owned pairs (i < j local, as built), and owned-ghost pairs
-// where the owned atom's global id is smaller than the ghost's — the
-// tie-break that assigns every cross-rank pair to exactly one rank.
-// Ghost-owned rows cannot occur (ghost local indices are larger) and
-// ghost-ghost pairs are dropped (computed by a neighboring rank).
+// filterCrossRank keeps exactly the pairs this rank must compute, in
+// one row per owned atom: owned-owned pairs (i < j local, as built),
+// and owned-ghost pairs where the owned atom's global id is smaller
+// than the ghost's — the tie-break that assigns every cross-rank pair
+// to exactly one rank. Ghost slots appear only as neighbors; ghost-ghost
+// pairs are dropped (a neighboring rank computes them).
 func filterCrossRank(l *neighbor.List, nOwned int, gid, ghostGid []int32) *neighbor.List {
 	out := &neighbor.List{
 		Half:   true,
 		Cutoff: l.Cutoff,
 		Skin:   l.Skin,
-		Index:  make([]int32, l.N()),
-		Len:    make([]int32, l.N()),
+		Index:  make([]int32, nOwned),
+		Len:    make([]int32, nOwned),
 	}
 	keep := make([]int32, 0, l.Pairs())
-	for i := 0; i < l.N(); i++ {
+	for i := 0; i < nOwned; i++ {
 		out.Index[i] = int32(len(keep))
-		if i >= nOwned {
-			continue // ghost row: ghost-ghost only
-		}
 		for _, j := range l.Neighbors(i) {
-			if int(j) < nOwned {
-				keep = append(keep, j) // owned-owned
-				continue
-			}
-			if gid[i] < ghostGid[int(j)-nOwned] {
-				keep = append(keep, j) // this rank owns the pair
+			if int(j) < nOwned || gid[i] < ghostGid[int(j)-nOwned] {
+				keep = append(keep, j)
 			}
 		}
 		out.Len[i] = int32(len(keep)) - out.Index[i]
 	}
 	out.Neigh = keep
 	return out
-}
-
-// sweepPairs runs body over every kept pair, either serially or as an
-// SDC color sweep over the rank's worker pool. body must be safe under
-// the SDC write-disjointness guarantee (it writes only slots i and j,
-// plus per-tid scratch).
-func (r *rank) sweepPairs(body func(i, j int32, tid int)) {
-	if r.dec == nil || r.pool == nil {
-		for i := 0; i < r.nOwned; i++ {
-			for _, j := range r.list.Neighbors(i) {
-				body(int32(i), j, 0)
-			}
-		}
-		return
-	}
-	for c := 0; c < r.dec.NumColors(); c++ {
-		subs := r.dec.ByColor[c]
-		r.pool.ParallelForStrided(len(subs), func(k, tid int) {
-			s := int(subs[k])
-			for _, i := range r.dec.Atoms(s) {
-				for _, j := range r.list.Neighbors(int(i)) {
-					body(i, j, tid)
-				}
-			}
-		})
-	}
 }
 
 // reverseComm ships ghost-slot scalar accumulations back to their
@@ -444,109 +407,27 @@ func (r *rank) forwardCommScalar(vals []float64, tagBase int) error {
 	return nil
 }
 
-// computeForces runs the distributed three-phase EAM evaluation.
+// computeForces runs the distributed three-phase EAM evaluation: the
+// engine's phases over the rank's reducer, with the reverse exchange of
+// ghost densities, the forward exchange of F'(ρ) to the ghosts, and the
+// reverse exchange of ghost forces in between.
 func (r *rank) computeForces() error {
-	pot := r.cfg.Pot
-	cut := pot.Cutoff()
-	nLocal := len(r.pos)
-
-	// Phase 1: densities (local sweep + reverse comm of ghost rho).
-	for i := 0; i < nLocal; i++ {
-		r.rho[i] = 0
-	}
-	r.sweepPairs(func(i, j int32, _ int) {
-		d := r.lbox.MinImage(r.pos[i], r.pos[j])
-		dist := d.Norm()
-		if dist <= 0 || dist >= cut {
-			return
-		}
-		phi, _ := pot.Density(dist)
-		r.rho[i] += phi
-		r.rho[j] += phi
-	})
-	if err := r.reverseCommScalar(r.rho, tagRho); err != nil {
+	if err := r.eng.Densities(r.red, r.pos); err != nil {
 		return err
 	}
-
-	// Phase 2: embedding for owned atoms; forward comm of F'(ρ).
-	embed := 0.0
-	for i := 0; i < r.nOwned; i++ {
-		fe, dfe := pot.Embed(r.rho[i])
-		embed += fe
-		r.fp[i] = dfe
-	}
-	r.embedEnergy = embed
-	if err := r.forwardCommScalar(r.fp, tagFp); err != nil {
+	if err := r.reverseCommScalar(r.eng.Rho(), tagRho); err != nil {
 		return err
 	}
-
-	// Phase 3: forces (local sweep + reverse comm of ghost forces).
-	for i := range r.frc {
-		r.frc[i] = vec.Vec3{}
-	}
-	pairE := newPadded(r.threads())
-	r.sweepPairs(func(i, j int32, tid int) {
-		d := r.lbox.MinImage(r.pos[i], r.pos[j])
-		dist := d.Norm()
-		if dist <= 0 || dist >= cut {
-			return
-		}
-		v, dv := pot.Energy(dist)
-		_, dphi := pot.Density(dist)
-		coeff := dv + (r.fp[i]+r.fp[j])*dphi
-		f := d.Scale(-coeff / dist)
-		r.frc[i] = r.frc[i].Add(f)
-		r.frc[j] = r.frc[j].Sub(f)
-		pairE.add(tid, v)
-	})
-	if err := r.reverseCommVec(r.frc, tagForce); err != nil {
+	// The reducer's rows are the owned atoms, so this is the owned
+	// embedding energy with no ghost fix-up.
+	r.embedEnergy = r.eng.Embed(r.red).EmbedEnergy
+	if err := r.forwardCommScalar(r.eng.FPrime(), tagFp); err != nil {
 		return err
 	}
-	r.pairEnergy = pairE.sum()
-	return nil
-}
-
-// threads returns the per-rank worker count.
-func (r *rank) threads() int {
-	if r.pool == nil {
-		return 1
+	if err := r.eng.Forces(r.red, r.frc); err != nil {
+		return err
 	}
-	return r.pool.Threads()
-}
-
-// padded is a tiny per-thread accumulator; with SDC sweeps multiple
-// workers add concurrently, so each worker gets its own padded slot.
-type padded struct {
-	slots []paddedSlot
-}
-
-type paddedSlot struct {
-	v float64
-	_ [7]float64 // cache-line padding against false sharing
-}
-
-func newPadded(n int) *padded { return &padded{slots: make([]paddedSlot, n)} }
-
-func (p *padded) add(slot int, v float64) { p.slots[slot].v += v }
-
-func (p *padded) sum() float64 {
-	t := 0.0
-	for i := range p.slots {
-		t += p.slots[i].v
-	}
-	return t
-}
-
-// maxDisplacement2 returns the largest squared drift of owned atoms
-// since the last rebuild.
-func (r *rank) maxDisplacement2() float64 {
-	worst := 0.0
-	for i := 0; i < r.nOwned; i++ {
-		if d2 := r.gbox.Distance2(r.pos[i], r.posAtBuild[i]); d2 > worst {
-			worst = d2
-		}
-	}
-	return worst
+	return r.reverseCommVec(r.frc, tagForce)
 }
 
 // kineticEnergy of the owned atoms.

@@ -3,13 +3,14 @@ package hybrid
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
 	"sdcmd/internal/box"
+	"sdcmd/internal/force"
 	"sdcmd/internal/guard"
 	"sdcmd/internal/md"
+	"sdcmd/internal/neighbor"
 	"sdcmd/internal/potential"
 	"sdcmd/internal/strategy"
 	"sdcmd/internal/vec"
@@ -132,12 +133,15 @@ func NewSimulator(gbox box.Box, pos, vel []vec.Vec3, cfg Config) (*Simulator, er
 			left:   (id - 1 + cfg.Ranks) % cfg.Ranks,
 			right:  (id + 1) % cfg.Ranks,
 		}
+		if r.eng, err = force.NewEngine(cfg.Pot, r.localBox()); err != nil {
+			s.Close()
+			return nil, err
+		}
 		if cfg.Strategy == strategy.SDC {
-			pool, err := strategy.NewPool(cfg.ThreadsPerRank)
-			if err != nil {
+			if r.pool, err = strategy.NewPool(cfg.ThreadsPerRank); err != nil {
+				s.Close()
 				return nil, err
 			}
-			r.pool = pool
 		}
 		s.ranks[id] = r
 	}
@@ -187,13 +191,14 @@ func (s *Simulator) Step(n int) error {
 	cfg := s.cfg
 	halfDtOverM := 0.5 * cfg.Dt / cfg.Mass
 	halfSkin2 := (cfg.Skin / 2) * (cfg.Skin / 2)
+	thermostat := md.Berendsen{Target: cfg.ThermostatTarget, Tau: cfg.ThermostatTau}
 	err := s.parallel(func(r *rank) error {
 		for k := 0; k < n; k++ {
 			for i := 0; i < r.nOwned; i++ {
 				r.vel[i] = r.vel[i].AddScaled(halfDtOverM, r.frc[i])
 				r.pos[i] = r.pos[i].AddScaled(cfg.Dt, r.vel[i])
 			}
-			disp2 := r.maxDisplacement2()
+			disp2 := neighbor.MaxDisplacement2(r.gbox, r.posAtBuild, r.pos[:r.nOwned])
 			glob, err := r.comm.AllReduceMax(r.id, disp2)
 			if err != nil {
 				return err
@@ -228,16 +233,9 @@ func (s *Simulator) Step(n int) error {
 				if err != nil {
 					return err
 				}
-				tCur := 2 * keGlobal / (3 * nGlobal * md.KB)
-				if tCur > 0 {
-					lambda2 := 1 + cfg.Dt/cfg.ThermostatTau*(cfg.ThermostatTarget/tCur-1)
-					if lambda2 < 0.25 {
-						lambda2 = 0.25
-					}
-					scale := math.Sqrt(lambda2)
-					for i := 0; i < r.nOwned; i++ {
-						r.vel[i] = r.vel[i].Scale(scale)
-					}
+				scale := thermostat.Lambda(2*keGlobal/(3*nGlobal*md.KB), cfg.Dt)
+				for i := 0; i < r.nOwned; i++ {
+					r.vel[i] = r.vel[i].Scale(scale)
 				}
 			}
 			if cfg.CheckEvery > 0 && (s.step+k+1)%cfg.CheckEvery == 0 {
@@ -268,12 +266,20 @@ func (s *Simulator) N() int {
 	return n
 }
 
-// PotentialEnergy returns the global EAM energy from the latest force
-// evaluation (pair + embedding; each pair counted on exactly one rank).
+// PotentialEnergy returns the global EAM energy at the current
+// positions: each rank's embedding energy from its latest force
+// evaluation plus its pair term, swept on demand over the pairs it
+// owns (each pair is counted on exactly one rank).
 func (s *Simulator) PotentialEnergy() float64 {
 	e := 0.0
 	for _, r := range s.ranks {
-		e += r.pairEnergy + r.embedEnergy
+		pair, err := r.eng.PairEnergy(r.red, r.pos)
+		if err != nil {
+			// A single-species engine has no species array to mismatch.
+			//lint:ignore no-panic unreachable for a single-species engine, not a recoverable condition
+			panic(err)
+		}
+		e += pair + r.embedEnergy
 	}
 	return e
 }
@@ -332,7 +338,7 @@ func (s *Simulator) RankLoads() []int {
 // Close releases the per-rank worker pools.
 func (s *Simulator) Close() {
 	for _, r := range s.ranks {
-		if r.pool != nil {
+		if r != nil && r.pool != nil {
 			r.pool.Close()
 			r.pool = nil
 		}

@@ -137,18 +137,23 @@ func (b *Berendsen) Validate() error {
 
 // Apply implements Thermostat.
 func (b *Berendsen) Apply(sys *System, dt float64) {
-	cur := sys.Temperature()
+	scale := b.Lambda(sys.Temperature(), dt)
+	for i := range sys.Vel {
+		sys.Vel[i] = sys.Vel[i].Scale(scale)
+	}
+}
+
+// Lambda returns the velocity scale λ for one step of length dt at
+// temperature cur; 1 when cur <= 0, where there is nothing to rescale.
+func (b *Berendsen) Lambda(cur, dt float64) float64 {
 	if cur <= 0 {
-		return
+		return 1
 	}
 	lambda2 := 1 + dt/b.Tau*(b.Target/cur-1)
 	if lambda2 < 0.25 {
 		lambda2 = 0.25 // clamp: avoid catastrophic rescales on cold starts
 	}
-	scale := math.Sqrt(lambda2)
-	for i := range sys.Vel {
-		sys.Vel[i] = sys.Vel[i].Scale(scale)
-	}
+	return math.Sqrt(lambda2)
 }
 
 // Langevin is the stochastic thermostat: each step applies the exact
@@ -306,16 +311,12 @@ func (s *Simulator) rebuild() error {
 }
 
 // blockReorder permutes the system into the decomposition's block
-// order (PartIndex is exactly the NewToOld mapping of cell-major
-// order) and rebins, after which PartIndex is the identity — the SDC
-// sweeps' Fig. 7/8 loop over Atoms(s) then walks each subdomain as one
-// dense index range.
+// order — reorder.SpatialOrder over the decomposition's own grid — and
+// rebins, after which PartIndex is the identity: the SDC sweeps' Fig.
+// 7/8 loop over Atoms(s) then walks each subdomain as one dense index
+// range.
 func (s *Simulator) blockReorder() error {
-	perm, err := reorder.FromNewToOld(s.dec.PartIndex)
-	if err != nil {
-		return fmt.Errorf("md: block reorder: %w", err)
-	}
-	if err := s.Sys.Permute(perm); err != nil {
+	if err := s.Sys.Permute(reorder.SpatialOrder(&s.dec.Grid)); err != nil {
 		return err
 	}
 	s.dec.Rebin(s.Sys.Pos)

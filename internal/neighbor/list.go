@@ -1,3 +1,9 @@
+// Package neighbor builds the Verlet neighbor lists at the heart of the
+// paper's force loops (the CSR arrays neighindex[], neighlen[],
+// neighlist[] of Figs. 1/2/7/8), via a linked-cell grid — the same
+// core.Grid the SDC decomposition bins with — so construction is O(N)
+// instead of O(N²). A brute-force builder with identical semantics
+// serves as the correctness oracle.
 package neighbor
 
 import (
@@ -6,6 +12,7 @@ import (
 	"sort"
 
 	"sdcmd/internal/box"
+	"sdcmd/internal/core"
 	"sdcmd/internal/vec"
 )
 
@@ -186,9 +193,44 @@ type Builder struct {
 	Half bool
 }
 
+// NewCellGrid bins pos into the finest core.Grid whose cells are at
+// least reach wide, so all neighbors within reach of an atom lie in
+// the 27 cells around its own. An axis shorter than reach gets one
+// cell. The grid never has more cells than atoms (nor than
+// core.MaxCells): the finest axis is halved until it fits, and wider
+// cells still hold every neighbor, so a tiny reach or a sparse system
+// only costs extra candidates.
+func NewCellGrid(bx box.Box, pos []vec.Vec3, reach float64) (*core.Grid, error) {
+	if !(reach > 0) {
+		return nil, fmt.Errorf("neighbor: cell reach %g must be positive", reach)
+	}
+	limit := max(1, min(len(pos), core.MaxCells))
+	l := bx.Lengths()
+	var counts [3]int
+	for a := range counts {
+		counts[a] = int(max(1, min(l[a]/reach, float64(limit))))
+	}
+	for counts[0]*counts[1]*counts[2] > limit {
+		a := 0
+		for b := 1; b < 3; b++ {
+			if counts[b] > counts[a] {
+				a = b
+			}
+		}
+		counts[a] = (counts[a] + 1) / 2
+	}
+	g, err := core.NewGrid(bx, counts)
+	if err != nil {
+		return nil, err
+	}
+	g.Rebin(pos)
+	return g, nil
+}
+
 // Build constructs the list with a cell grid (O(N)) on the calling
-// goroutine; when the box is too small for a 3-cells-per-axis grid it
-// transparently falls back to the exact O(N²) search.
+// goroutine; when the grid has fewer than 3 cells along some axis (a
+// small box or a sparse system) it transparently falls back to the
+// exact O(N²) search.
 func (b Builder) Build(bx box.Box, pos []vec.Vec3) (*List, error) {
 	return b.BuildParallel(bx, pos, nil)
 }
@@ -210,7 +252,7 @@ func (b Builder) BuildParallel(bx box.Box, pos []vec.Vec3, pool Parallelizer) (*
 	if err != nil {
 		return nil, err
 	}
-	if grid.Dims[0] < 3 || grid.Dims[1] < 3 || grid.Dims[2] < 3 {
+	if grid.Counts[0] < 3 || grid.Counts[1] < 3 || grid.Counts[2] < 3 {
 		return b.BuildBruteForce(bx, pos)
 	}
 	n := len(pos)
@@ -224,10 +266,9 @@ func (b Builder) BuildParallel(bx box.Box, pos []vec.Vec3, pool Parallelizer) (*
 	}
 	candidates := func(i int, out []int32) []int32 {
 		out = out[:0]
-		ci := grid.Unflatten(grid.CellOfAtom(i))
 		pi := pos[i]
-		grid.ForNeighborCells(ci, func(flat int) {
-			for _, j32 := range grid.CellAtoms(flat) {
+		grid.ForNeighbors(grid.CellOfAtom(i), func(flat int) {
+			for _, j32 := range grid.Atoms(flat) {
 				j := int(j32)
 				if j == i || (b.Half && j < i) {
 					continue

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sdcmd/internal/box"
+	"sdcmd/internal/core"
 	"sdcmd/internal/lattice"
 	"sdcmd/internal/vec"
 )
@@ -34,35 +35,44 @@ func TestCellGridValidation(t *testing.T) {
 
 func TestCellGridDims(t *testing.T) {
 	bx := box.MustNew(vec.Zero, vec.New(10, 7, 2))
-	g, err := NewCellGrid(bx, nil, 2.0)
+	g, err := NewCellGrid(bx, randomPositions(100, bx, 3), 2.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Dims != [3]int{5, 3, 1} {
-		t.Errorf("Dims = %v", g.Dims)
+	if g.Counts != [3]int{5, 3, 1} {
+		t.Errorf("Counts = %v", g.Counts)
 	}
 	if g.NumCells() != 15 {
 		t.Errorf("NumCells = %d", g.NumCells())
+	}
+	// Fewer atoms than cells: the finest axis is halved until the grid
+	// has no more cells than atoms.
+	g, err = NewCellGrid(bx, randomPositions(4, bx, 3), 2.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Counts != [3]int{2, 2, 1} {
+		t.Errorf("sparse Counts = %v, want 2×2×1", g.Counts)
 	}
 }
 
 func TestCellGridBinningComplete(t *testing.T) {
 	bx := box.MustNew(vec.Zero, vec.Splat(9))
 	pos := randomPositions(500, bx, 7)
-	g, err := NewCellGrid(bx, pos, 1.5)
+	g, err := NewCellGrid(bx, pos, 1.5) // 6×6×6
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := make(map[int32]bool)
 	for c := 0; c < g.NumCells(); c++ {
-		for _, a := range g.CellAtoms(c) {
+		for _, a := range g.Atoms(c) {
 			if seen[a] {
 				t.Fatalf("atom %d binned twice", a)
 			}
 			seen[a] = true
 			// The atom must geometrically be in this cell.
-			if g.CellIndexOf(pos[a]) != c {
-				t.Fatalf("atom %d in cell %d but CellIndexOf says %d", a, c, g.CellIndexOf(pos[a]))
+			if g.CellOf(pos[a]) != c {
+				t.Fatalf("atom %d in cell %d but CellOf says %d", a, c, g.CellOf(pos[a]))
 			}
 			if g.CellOfAtom(int(a)) != c {
 				t.Fatalf("CellOfAtom mismatch for %d", a)
@@ -74,9 +84,22 @@ func TestCellGridBinningComplete(t *testing.T) {
 	}
 }
 
+// cellGrid builds the grid NewCellGrid picks for reach over enough
+// atoms that no axis is widened, and checks its counts.
+func cellGrid(t *testing.T, bx box.Box, reach float64, want [3]int) *core.Grid {
+	t.Helper()
+	g, err := NewCellGrid(bx, randomPositions(want[0]*want[1]*want[2], bx, 5), reach)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Counts != want {
+		t.Fatalf("Counts = %v, want %v", g.Counts, want)
+	}
+	return g
+}
+
 func TestFlattenUnflattenRoundTrip(t *testing.T) {
-	bx := box.MustNew(vec.Zero, vec.New(12, 8, 4))
-	g, _ := NewCellGrid(bx, nil, 1.0)
+	g := cellGrid(t, box.MustNew(vec.Zero, vec.New(12, 8, 4)), 1.0, [3]int{12, 8, 4})
 	for c := 0; c < g.NumCells(); c++ {
 		if got := g.Flatten(g.Unflatten(c)); got != c {
 			t.Fatalf("round trip %d -> %v -> %d", c, g.Unflatten(c), got)
@@ -85,26 +108,24 @@ func TestFlattenUnflattenRoundTrip(t *testing.T) {
 }
 
 func TestForNeighborCellsCount(t *testing.T) {
-	bx := box.MustNew(vec.Zero, vec.Splat(10))
-	g, _ := NewCellGrid(bx, nil, 2.0) // 5×5×5 periodic
+	g := cellGrid(t, box.MustNew(vec.Zero, vec.Splat(10)), 2.0, [3]int{5, 5, 5}) // periodic
 	count := 0
-	g.ForNeighborCells([3]int{2, 2, 2}, func(int) { count++ })
+	g.ForNeighbors(g.Flatten([3]int{2, 2, 2}), func(int) { count++ })
 	if count != 27 {
 		t.Errorf("interior neighborhood = %d cells, want 27", count)
 	}
 	// Periodic wrap at the corner still yields 27 distinct cells.
 	seen := map[int]bool{}
-	g.ForNeighborCells([3]int{0, 0, 0}, func(f int) { seen[f] = true })
+	g.ForNeighbors(g.Flatten([3]int{0, 0, 0}), func(f int) { seen[f] = true })
 	if len(seen) != 27 {
 		t.Errorf("corner neighborhood = %d distinct cells, want 27", len(seen))
 	}
 }
 
 func TestForNeighborCellsSmallGridNoDuplicates(t *testing.T) {
-	bx := box.MustNew(vec.Zero, vec.New(4, 4, 20))
-	g, _ := NewCellGrid(bx, nil, 2.0) // 2×2×10
+	g := cellGrid(t, box.MustNew(vec.Zero, vec.New(4, 4, 20)), 2.0, [3]int{2, 2, 10})
 	visits := map[int]int{}
-	g.ForNeighborCells([3]int{0, 0, 5}, func(f int) { visits[f]++ })
+	g.ForNeighbors(g.Flatten([3]int{0, 0, 5}), func(f int) { visits[f]++ })
 	for c, n := range visits {
 		if n > 1 {
 			t.Errorf("cell %d visited %d times", c, n)
@@ -119,11 +140,37 @@ func TestForNeighborCellsSmallGridNoDuplicates(t *testing.T) {
 func TestForNeighborCellsOpenBoundary(t *testing.T) {
 	bx := box.MustNew(vec.Zero, vec.Splat(10))
 	bx.Periodic = [3]bool{false, true, true}
-	g, _ := NewCellGrid(bx, nil, 2.0)
+	g := cellGrid(t, bx, 2.0, [3]int{5, 5, 5})
 	count := 0
-	g.ForNeighborCells([3]int{0, 2, 2}, func(int) { count++ })
+	g.ForNeighbors(g.Flatten([3]int{0, 2, 2}), func(int) { count++ })
 	if count != 18 { // 2×3×3: no wrap across the open x face
 		t.Errorf("open-boundary neighborhood = %d, want 18", count)
+	}
+}
+
+// TestTinyReachMatchesBruteForce: a reach far below the interatomic
+// spacing asks for ~10¹⁵ cells. The grid is widened to at most one cell
+// per atom, so the build neither panics nor runs out of memory, and the
+// lists still match the exact search.
+func TestTinyReachMatchesBruteForce(t *testing.T) {
+	bx := box.MustNew(vec.Zero, vec.Splat(12))
+	for _, n := range []int{0, 5, 400} {
+		pos := randomPositions(n, bx, 23)
+		pos = append(pos, pos[:min(n, 3)]...) // coincident atoms are at distance 0 < reach
+		for _, half := range []bool{false, true} {
+			b := Builder{Cutoff: 1e-4, Half: half}
+			got, err := b.Build(bx, pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := b.BuildBruteForce(bx, pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Index, want.Index) || !slices.Equal(got.Len, want.Len) || !slices.Equal(got.Neigh, want.Neigh) {
+				t.Fatalf("n=%d half=%v: grid list differs from the exact search", n, half)
+			}
+		}
 	}
 }
 

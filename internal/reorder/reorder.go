@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"sdcmd/internal/core"
 	"sdcmd/internal/neighbor"
 	"sdcmd/internal/vec"
 )
@@ -74,16 +75,15 @@ func (p Permutation) Validate() error {
 	return nil
 }
 
-// SpatialOrder derives the locality permutation from a cell grid: atoms
-// are renumbered in cell-major order (the grid's CSR order), so each
-// cell's atoms — and therefore most neighbor pairs — become contiguous.
-// This is the §II.D.1 "sequence accessing on irregular array"
-// transformation.
-func SpatialOrder(grid *neighbor.CellGrid) Permutation {
-	n := len(grid.Atoms)
-	newToOld := make([]int32, n)
-	copy(newToOld, grid.Atoms)
-	p, err := FromNewToOld(newToOld)
+// SpatialOrder derives the locality permutation from a binned grid:
+// atoms are renumbered in cell-major order (the grid's CSR PartIndex),
+// so each cell's atoms — and therefore most neighbor pairs — become
+// contiguous. This is the §II.D.1 "sequence accessing on irregular
+// array" transformation; on the SDC decomposition's grid it is also the
+// cache-blocking reorder after which every subdomain is one dense index
+// range.
+func SpatialOrder(g *core.Grid) Permutation {
+	p, err := FromNewToOld(g.PartIndex)
 	if err != nil {
 		// The grid bins each atom exactly once, so this is unreachable
 		// unless the grid is corrupt — a programmer error.

@@ -10,8 +10,6 @@ package strategy
 import (
 	"fmt"
 	"sync"
-	//lint:ignore cs-only-atomics the dynamic-scheduling work counter is pool infrastructure, not a reduction strategy
-	"sync/atomic"
 	"time"
 
 	"sdcmd/internal/telemetry"
@@ -172,27 +170,6 @@ func (p *Pool) ParallelForStrided(n int, body func(k, tid int)) {
 	}
 	p.Run(func(tid int) {
 		for k := tid; k < n; k += p.threads {
-			body(k, tid)
-		}
-	})
-}
-
-// ParallelForDynamic distributes indices through a shared atomic
-// counter — the `omp schedule(dynamic,1)` analogue. Costs one atomic op
-// per item but absorbs load imbalance when items (e.g. subdomains with
-// uneven atom counts) vary in cost; the ablation benchmarks compare it
-// against the static schedules.
-func (p *Pool) ParallelForDynamic(n int, body func(k, tid int)) {
-	if n <= 0 {
-		return
-	}
-	var next int64
-	p.Run(func(tid int) {
-		for {
-			k := int(atomic.AddInt64(&next, 1)) - 1
-			if k >= n {
-				return
-			}
 			body(k, tid)
 		}
 	})

@@ -50,7 +50,7 @@ func TestPoolRepeatedLifecycleLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
 		p := MustNewPool(3)
-		p.ParallelForDynamic(32, func(_, _ int) {})
+		p.ParallelForStrided(32, func(_, _ int) {})
 		p.Close()
 	}
 	settleToGoroutineCount(t, before)

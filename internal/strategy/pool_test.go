@@ -37,7 +37,6 @@ func TestPoolParallelForAfterClosePanics(t *testing.T) {
 	for name, call := range map[string]func(){
 		"ParallelFor":        func() { p.ParallelFor(8, func(int, int, int) {}) },
 		"ParallelForStrided": func() { p.ParallelForStrided(8, func(int, int) {}) },
-		"ParallelForDynamic": func() { p.ParallelForDynamic(8, func(int, int) {}) },
 	} {
 		func() {
 			defer func() {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 
 	"sdcmd/internal/box"
@@ -496,57 +495,6 @@ func TestStressConcurrentSweeps(t *testing.T) {
 					t.Fatalf("%v rep %d: count mismatch at %d: %g vs %g", k, rep, i, got[i], want[i])
 				}
 			}
-		}
-	}
-}
-
-func TestPoolParallelForDynamic(t *testing.T) {
-	pool := MustNewPool(4)
-	defer pool.Close()
-	n := 537
-	hits := make([]int32, n)
-	var mu sync.Mutex
-	pool.ParallelForDynamic(n, func(k, tid int) {
-		mu.Lock()
-		hits[k]++
-		mu.Unlock()
-	})
-	for k, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d visited %d times", k, h)
-		}
-	}
-	pool.ParallelForDynamic(0, func(k, tid int) { t.Error("body called for n=0") })
-}
-
-func TestDynamicScheduleMatchesStatic(t *testing.T) {
-	// SDC results must be schedule-independent: run the SDC sweep with
-	// a dynamic inner schedule via a custom sweep and compare.
-	s := newTestSystem(t, 6, 4.0)
-	sc, _ := s.visits()
-	serial, _ := buildReducer(t, s, Serial, 1)
-	want := make([]float64, s.list.N())
-	serial.SweepScalar(want, sc)
-
-	pool := MustNewPool(3)
-	defer pool.Close()
-	got := make([]float64, s.list.N())
-	for c := 0; c < s.dec.NumColors(); c++ {
-		subs := s.dec.ByColor[c]
-		pool.ParallelForDynamic(len(subs), func(k, _ int) {
-			sd := int(subs[k])
-			for _, i := range s.dec.Atoms(sd) {
-				for _, j := range s.list.Neighbors(int(i)) {
-					ci, cj := sc(i, j)
-					got[i] += ci
-					got[j] += cj
-				}
-			}
-		})
-	}
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-10*(1+math.Abs(want[i])) {
-			t.Fatalf("dynamic schedule diverged at %d", i)
 		}
 	}
 }
