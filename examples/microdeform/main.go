@@ -2,9 +2,8 @@
 // test cases "were designed to observe micro-deformation behaviors of
 // the pure Fe metals material"). The crystal is equilibrated with a
 // thermostat, then stretched along x in small strain increments; after
-// each increment the potential-energy rise and the virial-derived
-// stress proxy are reported, tracing the elastic response of the
-// lattice.
+// each increment the potential energy and its rise per atom are
+// reported, tracing the elastic response of the lattice.
 //
 //	go run ./examples/microdeform
 package main

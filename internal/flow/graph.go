@@ -330,7 +330,7 @@ func (w *walker) call(c *ast.CallExpr, viaGo bool) *edge {
 		w.expr(a)
 	}
 	var e *edge
-	switch fun := ast.Unparen(c.Fun).(type) {
+	switch fun := lint.CallTarget(w.n.pkg.Info, c.Fun).(type) {
 	case *ast.FuncLit:
 		ln := w.hatch(fun)
 		// hatch records a fold edge; retag it as the call itself.
@@ -343,7 +343,7 @@ func (w *walker) call(c *ast.CallExpr, viaGo bool) *edge {
 		obj := w.objOf(fun)
 		switch obj := obj.(type) {
 		case *types.Func:
-			e = &edge{callee: obj.FullName(), pos: c.Pos(), viaGo: viaGo}
+			e = &edge{callee: obj.Origin().FullName(), pos: c.Pos(), viaGo: viaGo}
 		case *types.Var:
 			if ln := w.lits[obj]; ln != nil {
 				e = &edge{lit: ln, pos: c.Pos(), viaGo: viaGo}
@@ -371,7 +371,7 @@ func (w *walker) call(c *ast.CallExpr, viaGo bool) *edge {
 				break
 			}
 		}
-		e = &edge{callee: fn.FullName(), pos: c.Pos(), viaGo: viaGo}
+		e = &edge{callee: fn.Origin().FullName(), pos: c.Pos(), viaGo: viaGo}
 	}
 	if e == nil {
 		return nil

@@ -376,10 +376,10 @@ func (s *lockScan) handleCall(c *ast.CallExpr, held map[string]token.Pos) {
 // expansion (the walker's edges are not indexed by position).
 func (s *lockScan) edgeFor(c *ast.CallExpr) edge {
 	info := s.n.pkg.Info
-	switch fun := ast.Unparen(c.Fun).(type) {
+	switch fun := lint.CallTarget(info, c.Fun).(type) {
 	case *ast.Ident:
 		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return edge{callee: fn.FullName(), pos: c.Pos()}
+			return edge{callee: fn.Origin().FullName(), pos: c.Pos()}
 		}
 	case *ast.SelectorExpr:
 		fn, _ := info.Uses[fun.Sel].(*types.Func)
@@ -397,7 +397,7 @@ func (s *lockScan) edgeFor(c *ast.CallExpr) edge {
 				}, pos: c.Pos()}
 			}
 		}
-		return edge{callee: fn.FullName(), pos: c.Pos()}
+		return edge{callee: fn.Origin().FullName(), pos: c.Pos()}
 	}
 	return edge{}
 }

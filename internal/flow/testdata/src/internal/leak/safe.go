@@ -81,3 +81,17 @@ func (l *looper) loop() {
 func (l *looper) Start() {
 	go l.loop()
 }
+
+// JoinedGeneric launches an explicitly instantiated worker; the launch
+// must resolve to worker's declaration, whose Done is the evidence.
+func JoinedGeneric(items []int) {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go worker[int](items, &wg)
+	wg.Wait()
+}
+
+func worker[T any](items []T, wg *sync.WaitGroup) {
+	defer wg.Done()
+	_ = items
+}

@@ -41,17 +41,18 @@ var alloyTerms = terms{
 // alloyDensityVisit is the species-resolved phase-1 kernel: ρ_i gains
 // the density donated by j's species and vice versa
 // (direction-consistent, as the strategy contract requires).
-func (e *Engine) alloyDensityVisit() strategy.ScalarVisit {
+func (e *Engine) alloyDensityVisit() strategy.Visit[float64] {
 	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
 	sp, cut := e.species, e.cutoff
-	return func(i, j int32) (float64, float64) {
+	return func(i, j int32, oi, oj *float64) {
 		r := e.Box.MinImageComp(x[i]-x[j], y[i]-y[j], z[i]-z[j]).Norm()
 		if r <= 0 || r >= cut {
-			return 0, 0
+			return
 		}
 		phiFromJ, _ := e.alloy.DensityOf(int(sp[j]), r)
 		phiFromI, _ := e.alloy.DensityOf(int(sp[i]), r)
-		return phiFromJ, phiFromI
+		*oi += phiFromJ
+		*oj += phiFromI
 	}
 }
 
@@ -63,36 +64,37 @@ func (e *Engine) alloyEmbedTerm(i int, rho float64) (float64, float64) {
 // alloyForceVisit is the species-resolved phase-3 kernel. The embedding
 // coupling pairs F'(ρ_i) with the *partner's* density derivative:
 // eq. (2) generalized to species.
-func (e *Engine) alloyForceVisit() strategy.VectorVisit {
+func (e *Engine) alloyForceVisit() strategy.Visit[vec.Vec3] {
 	fp := e.fp
 	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
 	sp, cut := e.species, e.cutoff
-	return func(i, j int32) vec.Vec3 {
+	return func(i, j int32, oi, oj *vec.Vec3) {
 		d := e.Box.MinImageComp(x[i]-x[j], y[i]-y[j], z[i]-z[j])
 		r := d.Norm()
 		if r <= 0 || r >= cut {
-			return vec.Vec3{}
+			return
 		}
 		si, sj := int(sp[i]), int(sp[j])
 		_, dv := e.alloy.PairEnergy(si, sj, r)
 		_, dphiJ := e.alloy.DensityOf(sj, r) // j's donation to i
 		_, dphiI := e.alloy.DensityOf(si, r) // i's donation to j
 		coeff := dv + fp[i]*dphiJ + fp[j]*dphiI
-		return d.Scale(-coeff / r)
+		addPair(oi, oj, d.Scale(-coeff/r))
 	}
 }
 
 // alloyPairVisit is the species-resolved pair-energy kernel.
-func (e *Engine) alloyPairVisit() strategy.ScalarVisit {
+func (e *Engine) alloyPairVisit() strategy.Visit[float64] {
 	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
 	sp, cut := e.species, e.cutoff
-	return func(i, j int32) (float64, float64) {
+	return func(i, j int32, oi, oj *float64) {
 		r := e.Box.MinImageComp(x[i]-x[j], y[i]-y[j], z[i]-z[j]).Norm()
 		if r <= 0 || r >= cut {
-			return 0, 0
+			return
 		}
 		v, _ := e.alloy.PairEnergy(int(sp[i]), int(sp[j]), r)
-		return v / 2, v / 2
+		*oi += v / 2
+		*oj += v / 2
 	}
 }
 

@@ -59,10 +59,10 @@ type Engine struct {
 // the per-pair calls out of line (about 10% slower on the 54 000-atom
 // alloy force call).
 type terms struct {
-	density func(*Engine) strategy.ScalarVisit                  // phase 1: ρ each atom of a pair gains
+	density func(*Engine) strategy.Visit[float64]               // phase 1: ρ each atom of a pair gains
 	embed   func(e *Engine, i int, rho float64) (f, df float64) // phase 2: F(ρ_i) and F'(ρ_i)
-	force   func(*Engine) strategy.VectorVisit                  // phase 3: the pair force of eq. (2)
-	pair    func(*Engine) strategy.ScalarVisit                  // V(r), half to each atom
+	force   func(*Engine) strategy.Visit[vec.Vec3]              // phase 3: the pair force of eq. (2)
+	pair    func(*Engine) strategy.Visit[float64]               // V(r), half to each atom
 }
 
 var singleTerms = terms{
@@ -113,12 +113,13 @@ func (e *Engine) SetTelemetry(rec *telemetry.Recorder) { e.tel = rec }
 // latest pack() — three dense component streams instead of an AoS Vec3
 // gather — with arithmetic bit-identical to Box.Distance on the
 // original vectors.
-func (e *Engine) densityVisit() strategy.ScalarVisit {
+func (e *Engine) densityVisit() strategy.Visit[float64] {
 	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
-	return func(i, j int32) (float64, float64) {
+	return func(i, j int32, oi, oj *float64) {
 		r := e.Box.MinImageComp(x[i]-x[j], y[i]-y[j], z[i]-z[j]).Norm()
 		phi, _ := e.pot.Density(r)
-		return phi, phi
+		*oi += phi
+		*oj += phi
 	}
 }
 
@@ -129,30 +130,43 @@ func (e *Engine) embedTerm(_ int, rho float64) (float64, float64) { return e.pot
 // paper's eq. (2): the pair force magnitude is V'(r) + (F'(ρ_i)+F'(ρ_j))·φ'(r),
 // directed along the minimum-image separation. It is antisymmetric, as
 // the strategy contract requires.
-func (e *Engine) forceVisit() strategy.VectorVisit {
+func (e *Engine) forceVisit() strategy.Visit[vec.Vec3] {
 	fp := e.fp
 	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
 	cut := e.cutoff
-	return func(i, j int32) vec.Vec3 {
+	return func(i, j int32, oi, oj *vec.Vec3) {
 		d := e.Box.MinImageComp(x[i]-x[j], y[i]-y[j], z[i]-z[j])
 		r := d.Norm()
 		if r <= 0 || r >= cut {
-			return vec.Vec3{}
+			return
 		}
 		_, dv := e.pot.Energy(r)
 		_, dphi := e.pot.Density(r)
 		coeff := dv + (fp[i]+fp[j])*dphi
-		return d.Scale(-coeff / r)
+		addPair(oi, oj, d.Scale(-coeff/r))
 	}
 }
 
+// addPair adds the pair force f on atom i to i's slot, then −f to j's
+// (Newton's third law, §II.D.2), one component at a time. It is the
+// single place the force kernels write.
+func addPair(oi, oj *vec.Vec3, f vec.Vec3) {
+	oi[0] += f[0]
+	oi[1] += f[1]
+	oi[2] += f[2]
+	oj[0] -= f[0]
+	oj[1] -= f[1]
+	oj[2] -= f[2]
+}
+
 // pairVisit is the single-species pair-energy kernel.
-func (e *Engine) pairVisit() strategy.ScalarVisit {
+func (e *Engine) pairVisit() strategy.Visit[float64] {
 	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
-	return func(i, j int32) (float64, float64) {
+	return func(i, j int32, oi, oj *float64) {
 		r := e.Box.MinImageComp(x[i]-x[j], y[i]-y[j], z[i]-z[j]).Norm()
 		v, _ := e.pot.Energy(r)
-		return v / 2, v / 2
+		*oi += v / 2
+		*oj += v / 2
 	}
 }
 
@@ -306,67 +320,4 @@ func (e *Engine) PotentialEnergy(red strategy.Reducer, pos []vec.Vec3) (total, p
 	e.densities(red)
 	embed = e.embedding(red).EmbedEnergy
 	return pair + embed, pair, embed, nil
-}
-
-// Virial computes W = Σ_pairs r_ij · f_ij (pair virial including the
-// embedding coupling), used for the pressure diagnostic
-// P = (N k_B T + W/3) / V. Compute must have run first so F'(ρ) is
-// current; Virial returns an error otherwise.
-func (e *Engine) Virial(red strategy.Reducer, pos []vec.Vec3) (float64, error) {
-	if len(e.fp) != len(pos) {
-		return 0, fmt.Errorf("force: Virial requires a preceding Compute on the same system")
-	}
-	if err := e.pack(pos); err != nil {
-		return 0, err
-	}
-	per := make([]float64, len(pos))
-	fv := e.terms.force(e)
-	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
-	red.SweepScalar(per, func(i, j int32) (float64, float64) {
-		d := e.Box.MinImageComp(x[i]-x[j], y[i]-y[j], z[i]-z[j])
-		w := d.Dot(fv(i, j))
-		return w / 2, w / 2
-	})
-	total := 0.0
-	for _, w := range per {
-		total += w
-	}
-	return total, nil
-}
-
-// StressTensor computes the virial stress tensor contribution
-// W_ab = Σ_pairs d_a · f_b (eV units; divide by volume for stress,
-// add the kinetic term m·Σ v_a v_b for the full Cauchy stress). Compute
-// must have run first so F'(ρ) is current. Six scalar sweeps — a
-// diagnostic, not a hot path.
-func (e *Engine) StressTensor(red strategy.Reducer, pos []vec.Vec3) ([3][3]float64, error) {
-	var w [3][3]float64
-	if len(e.fp) != len(pos) {
-		return w, fmt.Errorf("force: StressTensor requires a preceding Compute on the same system")
-	}
-	if err := e.pack(pos); err != nil {
-		return w, err
-	}
-	fv := e.terms.force(e)
-	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
-	per := make([]float64, len(pos))
-	for a := 0; a < 3; a++ {
-		for b := a; b < 3; b++ {
-			for k := range per {
-				per[k] = 0
-			}
-			red.SweepScalar(per, func(i, j int32) (float64, float64) {
-				d := e.Box.MinImageComp(x[i]-x[j], y[i]-y[j], z[i]-z[j])
-				v := d[a] * fv(i, j)[b]
-				return v / 2, v / 2
-			})
-			sum := 0.0
-			for _, v := range per {
-				sum += v
-			}
-			w[a][b] = sum
-			w[b][a] = sum
-		}
-	}
-	return w, nil
 }

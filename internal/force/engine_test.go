@@ -205,55 +205,6 @@ func TestRhoDiagnostics(t *testing.T) {
 	}
 }
 
-func TestVirial(t *testing.T) {
-	s := newSys(t, 5, 0.05)
-	eng, _ := NewEngine(s.pot, s.bx)
-	red := s.serial(t)
-
-	// Virial before Compute must error.
-	if _, err := eng.Virial(red, s.pos); err == nil {
-		t.Error("Virial without Compute accepted")
-	}
-	f := make([]vec.Vec3, len(s.pos))
-	if _, err := eng.Compute(red, s.pos, f); err != nil {
-		t.Fatal(err)
-	}
-	w, err := eng.Virial(red, s.pos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(w) || math.IsInf(w, 0) {
-		t.Errorf("virial = %g", w)
-	}
-	// Compressed crystal should push outward: positive virial when the
-	// lattice is squeezed below equilibrium.
-	squeezeBox := s.bx
-	squeezed := make([]vec.Vec3, len(s.pos))
-	copy(squeezed, s.pos)
-	squeezeBox.ApplyStrain(squeezed, vec.Splat(-0.06))
-	squeezeBox = squeezeBox.Strained(vec.Splat(-0.06))
-	engS, _ := NewEngine(s.pot, squeezeBox)
-	listS, err := neighbor.Builder{Cutoff: s.pot.Cutoff(), Skin: 0.3, Half: true}.Build(squeezeBox, squeezed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	redS, err := strategy.New(strategy.Config{Kind: strategy.Serial, List: listS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fS := make([]vec.Vec3, len(squeezed))
-	if _, err := engS.Compute(redS, squeezed, fS); err != nil {
-		t.Fatal(err)
-	}
-	wS, err := engS.Virial(redS, squeezed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wS <= w {
-		t.Errorf("squeezing did not raise the virial: %g -> %g", w, wS)
-	}
-}
-
 func TestPairOnlyPotentialThroughEngine(t *testing.T) {
 	// The pure pair path (paper's one-phase comparison point): embed
 	// energy must vanish and forces must match the LJ-only reference.
@@ -327,78 +278,6 @@ func TestEmptySystem(t *testing.T) {
 	}
 	if res.EmbedEnergy != 0 || res.MinRho != 0 || res.MaxRho != 0 {
 		t.Errorf("empty system result = %+v", res)
-	}
-}
-
-func TestStressTensor(t *testing.T) {
-	s := newSys(t, 5, 0.05)
-	eng, _ := NewEngine(s.pot, s.bx)
-	red := s.serial(t)
-	if _, err := eng.StressTensor(red, s.pos); err == nil {
-		t.Error("StressTensor without Compute accepted")
-	}
-	f := make([]vec.Vec3, len(s.pos))
-	if _, err := eng.Compute(red, s.pos, f); err != nil {
-		t.Fatal(err)
-	}
-	w, err := eng.StressTensor(red, s.pos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Symmetric, and its trace equals the scalar virial.
-	for a := 0; a < 3; a++ {
-		for b := 0; b < 3; b++ {
-			if w[a][b] != w[b][a] {
-				t.Fatalf("stress tensor not symmetric at (%d,%d)", a, b)
-			}
-		}
-	}
-	virial, err := eng.Virial(red, s.pos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace := w[0][0] + w[1][1] + w[2][2]
-	if math.Abs(trace-virial) > 1e-8*(1+math.Abs(virial)) {
-		t.Errorf("tr(W) = %g, scalar virial %g", trace, virial)
-	}
-	// A cubic crystal at rest: nearly isotropic, tiny off-diagonals.
-	offMax := 0.0
-	for a := 0; a < 3; a++ {
-		for b := 0; b < 3; b++ {
-			if a != b && math.Abs(w[a][b]) > offMax {
-				offMax = math.Abs(w[a][b])
-			}
-		}
-	}
-	diagScale := math.Abs(w[0][0]) + 1
-	if offMax > 0.2*diagScale {
-		t.Errorf("off-diagonal stress %g too large vs diagonal %g", offMax, w[0][0])
-	}
-	// Uniaxial strain breaks isotropy: the strained axis must differ
-	// from the others.
-	strained := s.bx
-	pos2 := append([]vec.Vec3(nil), s.pos...)
-	strained.ApplyStrain(pos2, vec.New(0.04, 0, 0))
-	strained = strained.Strained(vec.New(0.04, 0, 0))
-	eng2, _ := NewEngine(s.pot, strained)
-	list2, err := neighbor.Builder{Cutoff: s.pot.Cutoff(), Skin: 0.3, Half: true}.Build(strained, pos2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	red2, err := strategy.New(strategy.Config{Kind: strategy.Serial, List: list2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2 := make([]vec.Vec3, len(pos2))
-	if _, err := eng2.Compute(red2, pos2, f2); err != nil {
-		t.Fatal(err)
-	}
-	w2, err := eng2.StressTensor(red2, pos2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(w2[0][0]-w2[1][1]) < 1e-6 {
-		t.Error("uniaxial strain did not split the stress diagonal")
 	}
 }
 

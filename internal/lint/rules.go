@@ -115,6 +115,35 @@ func pkgNameOf(p *Package, f *SourceFile, id *ast.Ident) string {
 	return ""
 }
 
+// CallTarget returns a call's callee expression with parentheses and
+// any explicit instantiation stripped: for f[T](…) or pkg.f[T, U](…) it
+// is the Ident or SelectorExpr that info.Uses resolves to the generic
+// function. An index into a slice or map of funcs is a value, not an
+// instantiation, and comes back as it is.
+func CallTarget(info *types.Info, fun ast.Expr) ast.Expr {
+	fun = ast.Unparen(fun)
+	var x ast.Expr
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		x = ast.Unparen(ix.X)
+	case *ast.IndexListExpr:
+		x = ast.Unparen(ix.X)
+	default:
+		return fun
+	}
+	id, _ := x.(*ast.Ident)
+	if sel, ok := x.(*ast.SelectorExpr); ok {
+		id = sel.Sel
+	}
+	if info == nil || id == nil {
+		return fun
+	}
+	if _, generic := info.Uses[id].(*types.Func); !generic {
+		return fun
+	}
+	return x
+}
+
 // ---------------------------------------------------------------------------
 
 // PoolOnlyGo (R1) forbids raw `go` statements outside the worker pool

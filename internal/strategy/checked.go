@@ -11,24 +11,28 @@ import (
 
 // WriteShape declares which reduction-array slots one visit call writes,
 // and under what protection — the information the dynamic race check
-// needs to interpret a sweep. Shapes are declared by each reducer (via
-// WriteShaper); a wrapper that finds no declaration assumes the most
-// conservative shape.
+// needs to interpret a sweep. Under the Visit contract the strategy
+// picks the slots it hands each visit, so the shape describes that
+// choice. Shapes are declared by each reducer (via WriteShaper); a
+// wrapper that finds no declaration assumes the most conservative shape.
 type WriteShape int
 
 const (
-	// WriteSharedPair: visit(i, j) writes out[i] and out[j] directly,
-	// with no synchronization. Safe only if no two concurrent workers
-	// ever touch the same slot in the same phase — the SDC §II.B claim.
+	// WriteSharedPair: visit(i, j) receives out[i] and out[j]
+	// themselves and adds to them with no synchronization. Safe only if
+	// no two concurrent workers ever touch the same slot in the same
+	// phase — the SDC §II.B claim.
 	WriteSharedPair WriteShape = iota
-	// WriteSyncedPair: visit(i, j) writes out[i] and out[j] under a
-	// mutex or atomic CAS, so overlapping writes are legal (CS family).
+	// WriteSyncedPair: visit(i, j) adds into worker locals, which the
+	// strategy adds into out[i] and out[j] under a mutex or atomic CAS,
+	// so overlapping writes are legal (CS family).
 	WriteSyncedPair
-	// WritePrivatePair: visit(i, j) writes slots i and j of a
+	// WritePrivatePair: visit(i, j) receives slots i and j of a
 	// thread-private copy; the merge is separately synchronized (SAP).
 	WritePrivatePair
-	// WriteOwnerOnly: visit(i, j) contributes only to out[i], and each i
-	// belongs to exactly one worker's block (RC).
+	// WriteOwnerOnly: visit(i, j) receives out[i] and a worker-private
+	// discard slot for j, and each i belongs to exactly one worker's
+	// block (RC).
 	WriteOwnerOnly
 )
 
@@ -154,30 +158,28 @@ func (c *CheckedReducer) recording() bool {
 }
 
 // SweepScalar runs the wrapped scalar sweep, observing writes.
-func (c *CheckedReducer) SweepScalar(out []float64, visit ScalarVisit) {
-	if !c.recording() {
-		c.inner.SweepScalar(out, visit)
-		c.bumpSweep()
-		return
-	}
-	c.beginSweep("scalar")
-	c.inner.SweepScalar(out, func(i, j int32) (float64, float64) {
-		c.record(i, j)
-		return visit(i, j)
-	})
+func (c *CheckedReducer) SweepScalar(out []float64, visit Visit[float64]) {
+	checkedSweep(c, "scalar", c.inner.SweepScalar, out, visit)
 }
 
 // SweepVector runs the wrapped vector sweep, observing writes.
-func (c *CheckedReducer) SweepVector(out []vec.Vec3, visit VectorVisit) {
+func (c *CheckedReducer) SweepVector(out []vec.Vec3, visit Visit[vec.Vec3]) {
+	checkedSweep(c, "vector", c.inner.SweepVector, out, visit)
+}
+
+// checkedSweep runs one wrapped sweep. Under a recording shape every
+// visit first notes the slots it writes, then adds to whatever slots
+// the wrapped strategy handed it.
+func checkedSweep[T Elem](c *CheckedReducer, kind string, sweep func([]T, Visit[T]), out []T, visit Visit[T]) {
 	if !c.recording() {
-		c.inner.SweepVector(out, visit)
+		sweep(out, visit)
 		c.bumpSweep()
 		return
 	}
-	c.beginSweep("vector")
-	c.inner.SweepVector(out, func(i, j int32) vec.Vec3 {
+	c.beginSweep(kind)
+	sweep(out, func(i, j int32, oi, oj *T) {
 		c.record(i, j)
-		return visit(i, j)
+		visit(i, j, oi, oj)
 	})
 }
 

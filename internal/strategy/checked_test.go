@@ -27,32 +27,20 @@ func (r *uncoloredReducer) Threads() int           { return r.pool.Threads() }
 func (r *uncoloredReducer) PairWork() int          { return r.list.Pairs() }
 func (r *uncoloredReducer) WriteShape() WriteShape { return WriteSharedPair }
 
-func (r *uncoloredReducer) SweepScalar(out []float64, visit ScalarVisit) {
-	r.pool.ParallelFor(r.list.N(), func(start, end, _ int) {
-		for i := start; i < end; i++ {
-			for _, j := range r.list.Neighbors(i) {
-				ci, cj := visit(int32(i), j)
-				r.mu.Lock()
-				out[i] += ci
-				out[j] += cj
-				r.mu.Unlock()
-			}
-		}
-	})
+func (r *uncoloredReducer) SweepScalar(out []float64, visit Visit[float64]) {
+	uncoloredSweep(r, out, visit)
 }
 
-func (r *uncoloredReducer) SweepVector(out []vec.Vec3, visit VectorVisit) {
+func (r *uncoloredReducer) SweepVector(out []vec.Vec3, visit Visit[vec.Vec3]) {
+	uncoloredSweep(r, out, visit)
+}
+
+func uncoloredSweep[T Elem](r *uncoloredReducer, out []T, visit Visit[T]) {
 	r.pool.ParallelFor(r.list.N(), func(start, end, _ int) {
 		for i := start; i < end; i++ {
 			for _, j := range r.list.Neighbors(i) {
-				f := visit(int32(i), j)
 				r.mu.Lock()
-				out[i][0] += f[0]
-				out[i][1] += f[1]
-				out[i][2] += f[2]
-				out[j][0] -= f[0]
-				out[j][1] -= f[1]
-				out[j][2] -= f[2]
+				visit(int32(i), j, &out[i], &out[j])
 				r.mu.Unlock()
 			}
 		}

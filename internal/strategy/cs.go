@@ -29,32 +29,28 @@ func (r *csReducer) PairWork() int { return r.list.Pairs() }
 // the critical section, so overlapping slots are legal by construction.
 func (r *csReducer) WriteShape() WriteShape { return WriteSyncedPair }
 
-func (r *csReducer) SweepScalar(out []float64, visit ScalarVisit) {
-	r.pool.ParallelFor(r.list.N(), func(start, end, _ int) {
-		for i := start; i < end; i++ {
-			for _, j := range r.list.Neighbors(i) {
-				ci, cj := visit(int32(i), j)
-				r.mu.Lock()
-				out[i] += ci
-				out[j] += cj
-				r.mu.Unlock()
-			}
-		}
-	})
+func (r *csReducer) SweepScalar(out []float64, visit Visit[float64]) {
+	csSweep(r, out, visit)
 }
 
-func (r *csReducer) SweepVector(out []vec.Vec3, visit VectorVisit) {
+func (r *csReducer) SweepVector(out []vec.Vec3, visit Visit[vec.Vec3]) {
+	csSweep(r, out, visit)
+}
+
+// csSweep hands each visit two worker locals and adds them into out
+// inside the critical section, so only the writes are serialized, not
+// the pair arithmetic. The locals are declared once per worker: passed
+// to visit, they live on the heap.
+func csSweep[T Elem](r *csReducer, out []T, visit Visit[T]) {
 	r.pool.ParallelFor(r.list.N(), func(start, end, _ int) {
+		var oi, oj, zero T
 		for i := start; i < end; i++ {
 			for _, j := range r.list.Neighbors(i) {
-				f := visit(int32(i), j)
+				oi, oj = zero, zero
+				visit(int32(i), j, &oi, &oj)
 				r.mu.Lock()
-				out[i][0] += f[0]
-				out[i][1] += f[1]
-				out[i][2] += f[2]
-				out[j][0] -= f[0]
-				out[j][1] -= f[1]
-				out[j][2] -= f[2]
+				add(&out[i], &oi)
+				add(&out[j], &oj)
 				r.mu.Unlock()
 			}
 		}
@@ -94,29 +90,33 @@ func atomicAddFloat64(addr *float64, v float64) {
 	}
 }
 
-func (r *atomicReducer) SweepScalar(out []float64, visit ScalarVisit) {
-	r.pool.ParallelFor(r.list.N(), func(start, end, _ int) {
-		for i := start; i < end; i++ {
-			for _, j := range r.list.Neighbors(i) {
-				ci, cj := visit(int32(i), j)
-				atomicAddFloat64(&out[i], ci)
-				atomicAddFloat64(&out[j], cj)
-			}
-		}
-	})
+// atomicAdd adds *v into *dst with one CAS loop per component.
+func atomicAdd[T Elem](dst, v *T) {
+	d := floats(dst)
+	for k, x := range floats(v) {
+		atomicAddFloat64(&d[k], x)
+	}
 }
 
-func (r *atomicReducer) SweepVector(out []vec.Vec3, visit VectorVisit) {
+func (r *atomicReducer) SweepScalar(out []float64, visit Visit[float64]) {
+	atomicSweep(r, out, visit)
+}
+
+func (r *atomicReducer) SweepVector(out []vec.Vec3, visit Visit[vec.Vec3]) {
+	atomicSweep(r, out, visit)
+}
+
+// atomicSweep is csSweep with the mutex replaced by per-component CAS
+// adds of the worker locals.
+func atomicSweep[T Elem](r *atomicReducer, out []T, visit Visit[T]) {
 	r.pool.ParallelFor(r.list.N(), func(start, end, _ int) {
+		var oi, oj, zero T
 		for i := start; i < end; i++ {
 			for _, j := range r.list.Neighbors(i) {
-				f := visit(int32(i), j)
-				atomicAddFloat64(&out[i][0], f[0])
-				atomicAddFloat64(&out[i][1], f[1])
-				atomicAddFloat64(&out[i][2], f[2])
-				atomicAddFloat64(&out[j][0], -f[0])
-				atomicAddFloat64(&out[j][1], -f[1])
-				atomicAddFloat64(&out[j][2], -f[2])
+				oi, oj = zero, zero
+				visit(int32(i), j, &oi, &oj)
+				atomicAdd(&out[i], &oi)
+				atomicAdd(&out[j], &oj)
 			}
 		}
 	})

@@ -23,8 +23,9 @@ func (r *rcReducer) Threads() int { return r.pool.Threads() }
 // PairWork is the doubled pair count: RC's defining cost.
 func (r *rcReducer) PairWork() int { return r.full.Pairs() }
 
-// WriteShape implements WriteShaper: each visit contributes only to
-// out[i], and the ParallelFor blocks partition i across workers.
+// WriteShape implements WriteShaper: each visit writes only out[i] (its
+// j slot is a worker-private discard), and the ParallelFor blocks
+// partition i across workers.
 func (r *rcReducer) WriteShape() WriteShape { return WriteOwnerOnly }
 
 // FullListBytes reports the extra neighbor-list storage RC carries
@@ -33,32 +34,26 @@ func (r *rcReducer) FullListBytes() int {
 	return (r.full.Pairs() - r.half.Pairs()) * 4
 }
 
-func (r *rcReducer) SweepScalar(out []float64, visit ScalarVisit) {
-	r.pool.ParallelFor(r.full.N(), func(start, end, _ int) {
-		for i := start; i < end; i++ {
-			acc := 0.0
-			for _, j := range r.full.Neighbors(i) {
-				ci, _ := visit(int32(i), j)
-				acc += ci
-			}
-			out[i] += acc
-		}
-	})
+func (r *rcReducer) SweepScalar(out []float64, visit Visit[float64]) {
+	rcSweep(r, out, visit)
 }
 
-func (r *rcReducer) SweepVector(out []vec.Vec3, visit VectorVisit) {
+func (r *rcReducer) SweepVector(out []vec.Vec3, visit Visit[vec.Vec3]) {
+	rcSweep(r, out, visit)
+}
+
+// rcSweep walks each worker's block of full-list rows, adding atom i's
+// side of every pair straight into out[i]; j's side goes to a worker
+// discard slot that is never read. Declared once per worker, the slot
+// lives on the heap because visit receives its address.
+func rcSweep[T Elem](r *rcReducer, out []T, visit Visit[T]) {
 	r.pool.ParallelFor(r.full.N(), func(start, end, _ int) {
+		var discard T
 		for i := start; i < end; i++ {
-			var acc vec.Vec3
+			oi := &out[i]
 			for _, j := range r.full.Neighbors(i) {
-				f := visit(int32(i), j)
-				acc[0] += f[0]
-				acc[1] += f[1]
-				acc[2] += f[2]
+				visit(int32(i), j, oi, &discard)
 			}
-			out[i][0] += acc[0]
-			out[i][1] += acc[1]
-			out[i][2] += acc[2]
 		}
 	})
 }

@@ -65,18 +65,24 @@ func ParseKind(s string) (Kind, error) {
 // Kinds lists all strategies in presentation order.
 var Kinds = []Kind{Serial, SDC, CS, AtomicCS, SAP, RC}
 
-// ScalarVisit computes the pair contribution of (i, j) to a per-atom
-// scalar array: ci is added to out[i] and cj to out[j]. It must be a
-// pure function of its arguments (strategies call it concurrently) and
-// direction-consistent — visit(j, i) must return (cj, ci) — because the
-// RC strategy re-evaluates each pair from both ends.
-type ScalarVisit func(i, j int32) (ci, cj float64)
+// Elem is a per-atom reduction element: float64 for the density and
+// pair-energy sweeps, vec.Vec3 for the force sweep.
+type Elem interface{ float64 | vec.Vec3 }
 
-// VectorVisit computes the pair force on atom i from atom j; out[i]
-// receives +f and out[j] receives −f (Newton's third law, the §II.D.2
-// optimization). It must be pure and antisymmetric —
-// visit(j, i) = −visit(i, j) — for the same RC reason.
-type VectorVisit func(i, j int32) vec.Vec3
+// Visit adds the contributions of pair (i, j) into two reduction slots:
+// atom i's into *oi and atom j's into *oj. The strategy alone decides
+// where the slots live — the shared output array (Serial, SDC), a
+// thread-private copy (SAP), worker locals it merges under a mutex or
+// CAS (CS, AtomicCS), or, for j, a worker's discard slot (RC) — so a
+// visit must only add to them: what a slot already holds is the
+// strategy's business and must not change what is added. Strategies
+// call it concurrently, so apart from the slots it must be a pure
+// function of (i, j), and direction-consistent: visit(j, i) adds to
+// *oi what visit(i, j) adds to *oj, because RC evaluates each pair from
+// both ends and keeps only atom i's side. The force visit adds +f to
+// atom i and −f to atom j (Newton's third law, the §II.D.2
+// optimization).
+type Visit[T Elem] func(i, j int32, oi, oj *T)
 
 // Reducer executes the two irregular-reduction sweeps of the EAM force
 // calculation under one scheduling/synchronization policy.
@@ -87,10 +93,10 @@ type Reducer interface {
 	Threads() int
 	// SweepScalar accumulates visit over all pairs into out
 	// (the electron-density loop of Figs. 1/7). out is NOT zeroed.
-	SweepScalar(out []float64, visit ScalarVisit)
+	SweepScalar(out []float64, visit Visit[float64])
 	// SweepVector accumulates visit over all pairs into out
 	// (the force loop of Figs. 2/8). out is NOT zeroed.
-	SweepVector(out []vec.Vec3, visit VectorVisit)
+	SweepVector(out []vec.Vec3, visit Visit[vec.Vec3])
 	// ParallelForAtoms runs body over [0, N) — the embedding phase,
 	// which has no cross-iteration dependence (§II.C phase 2).
 	ParallelForAtoms(body func(start, end, tid int))

@@ -47,79 +47,44 @@ func (r *sapReducer) PrivateBytes() int {
 	return total
 }
 
-func (r *sapReducer) scalarBuffers() [][]float64 {
-	if len(r.privScalar) != r.pool.Threads() || (len(r.privScalar) > 0 && len(r.privScalar[0]) != r.list.N()) {
-		r.privScalar = make([][]float64, r.pool.Threads())
-		for t := range r.privScalar {
+// buffers returns one private copy of the reduction array per worker,
+// reusing *priv unless the thread or atom count changed.
+func buffers[T Elem](priv *[][]T, threads, n int) [][]T {
+	if len(*priv) != threads || (threads > 0 && len((*priv)[0]) != n) {
+		*priv = make([][]T, threads)
+		for t := range *priv {
 			//lint:ignore hot-loop buffers are rebuilt only when the thread or atom count changes, then reused every sweep
-			r.privScalar[t] = make([]float64, r.list.N())
+			(*priv)[t] = make([]T, n)
 		}
 	}
-	return r.privScalar
+	return *priv
 }
 
-func (r *sapReducer) vectorBuffers() [][]vec.Vec3 {
-	if len(r.privVector) != r.pool.Threads() || (len(r.privVector) > 0 && len(r.privVector[0]) != r.list.N()) {
-		r.privVector = make([][]vec.Vec3, r.pool.Threads())
-		for t := range r.privVector {
-			//lint:ignore hot-loop buffers are rebuilt only when the thread or atom count changes, then reused every sweep
-			r.privVector[t] = make([]vec.Vec3, r.list.N())
-		}
-	}
-	return r.privVector
+func (r *sapReducer) SweepScalar(out []float64, visit Visit[float64]) {
+	sapSweep(r, &r.privScalar, out, visit)
 }
 
-func (r *sapReducer) SweepScalar(out []float64, visit ScalarVisit) {
-	priv := r.scalarBuffers()
+func (r *sapReducer) SweepVector(out []vec.Vec3, visit Visit[vec.Vec3]) {
+	sapSweep(r, &r.privVector, out, visit)
+}
+
+// sapSweep has each worker zero its private copy, walk its block of
+// rows into it, and merge the copy into out.
+func sapSweep[T Elem](r *sapReducer, priv *[][]T, out []T, visit Visit[T]) {
 	n := r.list.N()
+	bufs := buffers(priv, r.pool.Threads(), n)
 	r.pool.Run(func(tid int) {
-		p := priv[tid]
-		for k := range p {
-			p[k] = 0
-		}
+		p := bufs[tid]
+		clear(p)
 		start, end := chunk(n, r.pool.Threads(), tid)
 		for i := start; i < end; i++ {
-			for _, j := range r.list.Neighbors(i) {
-				ci, cj := visit(int32(i), j)
-				p[i] += ci
-				p[j] += cj
-			}
+			pairRow(r.list, int32(i), p, visit)
 		}
 		// Merge under the critical section, as the paper describes:
 		// "updating shared array must be done in a critical section".
 		r.mu.Lock()
-		for k := 0; k < n; k++ {
-			out[k] += p[k]
-		}
-		r.mu.Unlock()
-	})
-}
-
-func (r *sapReducer) SweepVector(out []vec.Vec3, visit VectorVisit) {
-	priv := r.vectorBuffers()
-	n := r.list.N()
-	r.pool.Run(func(tid int) {
-		p := priv[tid]
 		for k := range p {
-			p[k] = vec.Vec3{}
-		}
-		start, end := chunk(n, r.pool.Threads(), tid)
-		for i := start; i < end; i++ {
-			for _, j := range r.list.Neighbors(i) {
-				f := visit(int32(i), j)
-				p[i][0] += f[0]
-				p[i][1] += f[1]
-				p[i][2] += f[2]
-				p[j][0] -= f[0]
-				p[j][1] -= f[1]
-				p[j][2] -= f[2]
-			}
-		}
-		r.mu.Lock()
-		for k := 0; k < n; k++ {
-			out[k][0] += p[k][0]
-			out[k][1] += p[k][1]
-			out[k][2] += p[k][2]
+			add(&out[k], &p[k])
 		}
 		r.mu.Unlock()
 	})

@@ -46,21 +46,23 @@ func (r *sdcReducer) barrier() {
 	}
 }
 
-// Decomposition exposes the coloring for diagnostics.
-func (r *sdcReducer) Decomposition() *core.Decomposition { return r.dec }
+func (r *sdcReducer) SweepScalar(out []float64, visit Visit[float64]) {
+	sdcSweep(r, out, visit)
+}
 
-func (r *sdcReducer) SweepScalar(out []float64, visit ScalarVisit) {
+func (r *sdcReducer) SweepVector(out []vec.Vec3, visit Visit[vec.Vec3]) {
+	sdcSweep(r, out, visit)
+}
+
+// sdcSweep runs the color loop: each color's subdomains are strided
+// over the workers, which walk their atoms' rows writing out directly.
+func sdcSweep[T Elem](r *sdcReducer, out []T, visit Visit[T]) {
 	for c := 0; c < r.dec.NumColors(); c++ {
 		sp := r.tel.Span()
 		subs := r.dec.ByColor[c]
 		r.pool.ParallelForStrided(len(subs), func(k, _ int) {
-			s := int(subs[k])
-			for _, i := range r.dec.Atoms(s) {
-				for _, j := range r.list.Neighbors(int(i)) {
-					ci, cj := visit(i, j)
-					out[i] += ci
-					out[j] += cj
-				}
+			for _, i := range r.dec.Atoms(int(subs[k])) {
+				pairRow(r.list, i, out, visit)
 			}
 		})
 		// Pool barrier here: the next color starts only when every
@@ -70,49 +72,6 @@ func (r *sdcReducer) SweepScalar(out []float64, visit ScalarVisit) {
 	}
 }
 
-func (r *sdcReducer) SweepVector(out []vec.Vec3, visit VectorVisit) {
-	for c := 0; c < r.dec.NumColors(); c++ {
-		sp := r.tel.Span()
-		subs := r.dec.ByColor[c]
-		r.pool.ParallelForStrided(len(subs), func(k, _ int) {
-			s := int(subs[k])
-			for _, i := range r.dec.Atoms(s) {
-				for _, j := range r.list.Neighbors(int(i)) {
-					f := visit(i, j)
-					out[i][0] += f[0]
-					out[i][1] += f[1]
-					out[i][2] += f[2]
-					out[j][0] -= f[0]
-					out[j][1] -= f[1]
-					out[j][2] -= f[2]
-				}
-			}
-		})
-		r.barrier()
-		r.tel.AddColor(c, sp.Elapsed())
-	}
-}
-
 func (r *sdcReducer) ParallelForAtoms(body func(start, end, tid int)) {
 	r.pool.ParallelFor(r.list.N(), body)
-}
-
-// WriteSets returns, for each color, the set of atom indices each
-// subdomain of that color writes during a sweep (its own atoms plus
-// their half-list neighbors). The SDC safety theorem says write sets of
-// same-color subdomains are pairwise disjoint; tests assert it.
-func (r *sdcReducer) WriteSets(color int) []map[int32]struct{} {
-	subs := r.dec.ByColor[color]
-	sets := make([]map[int32]struct{}, len(subs))
-	for k, s := range subs {
-		set := make(map[int32]struct{})
-		for _, i := range r.dec.Atoms(int(s)) {
-			set[i] = struct{}{}
-			for _, j := range r.list.Neighbors(int(i)) {
-				set[j] = struct{}{}
-			}
-		}
-		sets[k] = set
-	}
-	return sets
 }

@@ -21,29 +21,19 @@ func (r *serialReducer) PairWork() int { return r.list.Pairs() }
 // slots unsynchronized; with one worker no overlap can ever conflict.
 func (r *serialReducer) WriteShape() WriteShape { return WriteSharedPair }
 
-func (r *serialReducer) SweepScalar(out []float64, visit ScalarVisit) {
-	n := r.list.N()
-	for i := 0; i < n; i++ {
-		for _, j := range r.list.Neighbors(i) {
-			ci, cj := visit(int32(i), j)
-			out[i] += ci
-			out[j] += cj
-		}
-	}
+func (r *serialReducer) SweepScalar(out []float64, visit Visit[float64]) {
+	serialSweep(r, out, visit)
 }
 
-func (r *serialReducer) SweepVector(out []vec.Vec3, visit VectorVisit) {
+func (r *serialReducer) SweepVector(out []vec.Vec3, visit Visit[vec.Vec3]) {
+	serialSweep(r, out, visit)
+}
+
+// serialSweep walks every row in atom order, writing out directly.
+func serialSweep[T Elem](r *serialReducer, out []T, visit Visit[T]) {
 	n := r.list.N()
 	for i := 0; i < n; i++ {
-		for _, j := range r.list.Neighbors(i) {
-			f := visit(int32(i), j)
-			out[i][0] += f[0]
-			out[i][1] += f[1]
-			out[i][2] += f[2]
-			out[j][0] -= f[0]
-			out[j][1] -= f[1]
-			out[j][2] -= f[2]
-		}
+		pairRow(r.list, int32(i), out, visit)
 	}
 }
 

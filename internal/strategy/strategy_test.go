@@ -39,17 +39,20 @@ func newTestSystem(t *testing.T, cells int, reach float64) *testSystem {
 // visits returns geometry-derived test kernels: a scalar "density-like"
 // pair term and an antisymmetric vector term, both real functions of
 // the minimum-image distance so mistakes in pair handling change sums.
-func (s *testSystem) visits() (ScalarVisit, VectorVisit) {
-	sc := func(i, j int32) (float64, float64) {
+func (s *testSystem) visits() (Visit[float64], Visit[vec.Vec3]) {
+	sc := func(i, j int32, oi, oj *float64) {
 		d := s.bx.MinImage(s.pos[i], s.pos[j])
 		r := d.Norm()
 		v := math.Exp(-r)
-		return v, v
+		*oi += v
+		*oj += v
 	}
-	vc := func(i, j int32) vec.Vec3 {
+	vc := func(i, j int32, oi, oj *vec.Vec3) {
 		d := s.bx.MinImage(s.pos[i], s.pos[j])
 		r2 := d.Norm2()
-		return d.Scale(1 / (1 + r2))
+		f := d.Scale(1 / (1 + r2))
+		*oi = oi.Add(f)
+		*oj = oj.Sub(f)
 	}
 	return sc, vc
 }
@@ -166,43 +169,66 @@ func TestAllStrategiesMatchSerial(t *testing.T) {
 }
 
 func TestSweepsAccumulate(t *testing.T) {
-	// Sweeps must add into out, not overwrite it.
+	// Sweeps must add into out, not overwrite it, wherever the strategy
+	// points the visit's slots: out itself (Serial, SDC, and RC for atom
+	// i), worker locals (CS, AtomicCS) or private copies (SAP).
 	s := newTestSystem(t, 6, 4.0)
-	sc, _ := s.visits()
-	r, _ := buildReducer(t, s, Serial, 1)
-	out := make([]float64, s.list.N())
-	r.SweepScalar(out, sc)
-	first := append([]float64(nil), out...)
-	r.SweepScalar(out, sc)
+	sc, vc := s.visits()
+	for _, k := range Kinds {
+		r, pool := buildReducer(t, s, k, 3)
+		checkAccumulates(t, k.String()+"/scalar", r.SweepScalar, sc, s.list.N())
+		checkAccumulates(t, k.String()+"/vector", r.SweepVector, vc, s.list.N())
+		if pool != nil {
+			pool.Close()
+		}
+	}
+}
+
+// checkAccumulates runs sweep twice into a non-zero out and checks that
+// every component ends at its start value plus twice what one sweep
+// into zeros contributes.
+func checkAccumulates[T Elem](t *testing.T, name string, sweep func([]T, Visit[T]), visit Visit[T], n int) {
+	t.Helper()
+	once := make([]T, n)
+	sweep(once, visit)
+	start := make([]T, n)
+	for i := range start {
+		for c := range floats(&start[i]) {
+			floats(&start[i])[c] = float64(i%7) - 2.5 + float64(c)
+		}
+	}
+	out := append([]T(nil), start...)
+	sweep(out, visit)
+	sweep(out, visit)
 	for i := range out {
-		if math.Abs(out[i]-2*first[i]) > 1e-12*(1+math.Abs(out[i])) {
-			t.Fatalf("second sweep did not accumulate at %d", i)
+		got, s0, o := floats(&out[i]), floats(&start[i]), floats(&once[i])
+		for c := range got {
+			want := s0[c] + 2*o[c]
+			if math.Abs(got[c]-want) > 1e-10*(1+math.Abs(want)) {
+				t.Fatalf("%s: out[%d][%d] = %g after two sweeps, want %g", name, i, c, got[c], want)
+			}
 		}
 	}
 }
 
 func TestSDCWriteSetsDisjoint(t *testing.T) {
 	// The paper's central safety claim (§II.B): within one color, the
-	// write sets of distinct subdomains never overlap.
+	// write sets of distinct subdomains never overlap. With as many
+	// workers as the largest color has subdomains, every subdomain is
+	// its own worker, so any overlap is a conflict.
 	s := newTestSystem(t, 8, 4.0)
-	pool := MustNewPool(4)
-	defer pool.Close()
-	r, err := New(Config{Kind: SDC, List: s.list, Pool: pool, Decomp: s.dec})
+	threads := 0
+	for _, subs := range s.dec.ByColor {
+		threads = max(threads, len(subs))
+	}
+	conflicts, err := AuditSDCSchedule(s.dec, s.list, threads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sdc := r.(*sdcReducer)
-	for c := 0; c < s.dec.NumColors(); c++ {
-		sets := sdc.WriteSets(c)
-		owner := make(map[int32]int)
-		for k, set := range sets {
-			for atom := range set {
-				if prev, taken := owner[atom]; taken {
-					t.Fatalf("color %d: atom %d written by subdomains %d and %d", c, atom, prev, k)
-				}
-				owner[atom] = k
-			}
-		}
+	if len(conflicts) != 0 {
+		c := conflicts[0]
+		t.Fatalf("%d conflicts; first: color %d, atom %d written by workers %d and %d",
+			len(conflicts), c.Color, c.Slot, c.FirstTID, c.SecondTID)
 	}
 }
 
@@ -218,11 +244,10 @@ func TestSDCColorsCoverAllPairs(t *testing.T) {
 	var visited int64
 	var mu = make(chan struct{}, 1)
 	mu <- struct{}{}
-	count := func(i, j int32) (float64, float64) {
+	count := func(i, j int32, _, _ *float64) {
 		<-mu
 		visited++
 		mu <- struct{}{}
-		return 0, 0
 	}
 	out := make([]float64, s.list.N())
 	r.SweepScalar(out, count)
@@ -472,7 +497,10 @@ func TestStressConcurrentSweeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := func(i, j int32) (float64, float64) { return 1, 1 }
+	sc := func(i, j int32, oi, oj *float64) {
+		*oi++
+		*oj++
+	}
 	serial, err := New(Config{Kind: Serial, List: list})
 	if err != nil {
 		t.Fatal(err)

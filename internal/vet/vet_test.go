@@ -137,32 +137,20 @@ func (r *uncoloredVetReducer) Threads() int                    { return r.pool.T
 func (r *uncoloredVetReducer) PairWork() int                   { return r.list.Pairs() }
 func (r *uncoloredVetReducer) WriteShape() strategy.WriteShape { return strategy.WriteSharedPair }
 
-func (r *uncoloredVetReducer) SweepScalar(out []float64, visit strategy.ScalarVisit) {
-	r.pool.ParallelFor(r.list.N(), func(start, end, _ int) {
-		for i := start; i < end; i++ {
-			for _, j := range r.list.Neighbors(i) {
-				ci, cj := visit(int32(i), j)
-				r.mu.Lock()
-				out[i] += ci
-				out[j] += cj
-				r.mu.Unlock()
-			}
-		}
-	})
+func (r *uncoloredVetReducer) SweepScalar(out []float64, visit strategy.Visit[float64]) {
+	uncoloredVetSweep(r, out, visit)
 }
 
-func (r *uncoloredVetReducer) SweepVector(out []vec.Vec3, visit strategy.VectorVisit) {
+func (r *uncoloredVetReducer) SweepVector(out []vec.Vec3, visit strategy.Visit[vec.Vec3]) {
+	uncoloredVetSweep(r, out, visit)
+}
+
+func uncoloredVetSweep[T strategy.Elem](r *uncoloredVetReducer, out []T, visit strategy.Visit[T]) {
 	r.pool.ParallelFor(r.list.N(), func(start, end, _ int) {
 		for i := start; i < end; i++ {
 			for _, j := range r.list.Neighbors(i) {
-				f := visit(int32(i), j)
 				r.mu.Lock()
-				out[i][0] += f[0]
-				out[i][1] += f[1]
-				out[i][2] += f[2]
-				out[j][0] -= f[0]
-				out[j][1] -= f[1]
-				out[j][2] -= f[2]
+				visit(int32(i), j, &out[i], &out[j])
 				r.mu.Unlock()
 			}
 		}
@@ -189,8 +177,14 @@ func TestStaticSupersetOfDynamic(t *testing.T) {
 	pool := strategy.MustNewPool(4)
 	defer pool.Close()
 	chk := strategy.NewCheckedReducer(&uncoloredVetReducer{list: list, pool: pool})
-	chk.SweepScalar(make([]float64, list.N()), func(i, j int32) (float64, float64) { return 1, 1 })
-	chk.SweepVector(make([]vec.Vec3, list.N()), func(i, j int32) vec.Vec3 { return vec.Vec3{1, 0, 0} })
+	chk.SweepScalar(make([]float64, list.N()), func(i, j int32, oi, oj *float64) {
+		*oi++
+		*oj++
+	})
+	chk.SweepVector(make([]vec.Vec3, list.N()), func(i, j int32, oi, oj *vec.Vec3) {
+		oi[0]++
+		oj[0]--
+	})
 
 	dynamicKinds := map[string]bool{}
 	for _, c := range chk.Conflicts() {

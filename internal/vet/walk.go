@@ -5,6 +5,8 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
+
+	"sdcmd/internal/lint"
 )
 
 // The intraprocedural walk: one pass over a function body that builds
@@ -220,7 +222,7 @@ func (fr *frame) call(x *ast.CallExpr) {
 		fr.expr(a)
 	}
 
-	switch fun := ast.Unparen(x.Fun).(type) {
+	switch fun := lint.CallTarget(info, x.Fun).(type) {
 	case *ast.FuncLit:
 		n := fr.hatchLit(fun)
 		fr.node.calls = append(fr.node.calls, callSite{lit: n, args: argOrigins(nil), pos: x.Pos()})
@@ -229,7 +231,7 @@ func (fr *frame) call(x *ast.CallExpr) {
 		if info != nil {
 			if fn, ok := info.Uses[fun].(*types.Func); ok && fn != nil {
 				fr.node.calls = append(fr.node.calls,
-					callSite{callee: fn.FullName(), args: argOrigins(nil), pos: x.Pos()})
+					callSite{callee: fn.Origin().FullName(), args: argOrigins(nil), pos: x.Pos()})
 				return
 			}
 		}
@@ -257,7 +259,7 @@ func (fr *frame) call(x *ast.CallExpr) {
 			}
 		}
 		fr.node.calls = append(fr.node.calls,
-			callSite{callee: fn.FullName(), args: argOrigins(recv), pos: x.Pos()})
+			callSite{callee: fn.Origin().FullName(), args: argOrigins(recv), pos: x.Pos()})
 		// Worker dispatch: Pool-family method, literal body last.
 		if recv != nil && dispatchMethods[fun.Sel.Name] && fn.Pkg() != nil &&
 			poolPackage(fn.Pkg().Path()) && len(litNodes) > 0 && len(x.Args) > 0 {
