@@ -119,13 +119,38 @@ func (b Box) MinImage(pi, pj vec.Vec3) vec.Vec3 {
 	return d
 }
 
-// MinImageComp applies the minimum-image convention to a raw
-// component-wise displacement (dx, dy, dz) = p_i - p_j. It performs
-// exactly the arithmetic MinImage performs on the assembled vector, so
-// callers holding SoA component arrays (core.SoA3) get bit-identical
-// displacements without gathering whole Vec3 values first.
-func (b Box) MinImageComp(dx, dy, dz float64) vec.Vec3 {
-	return b.MinImage(vec.Vec3{dx, dy, dz}, vec.Vec3{})
+// Image is a box's minimum-image convention in multiply form: each
+// periodic axis's edge L and its inverse 1/L, both 0 on an open axis.
+// Box.Image computes it once per box, so a pair loop pays a multiply
+// per component where MinImage pays a division.
+type Image struct {
+	L, Inv vec.Vec3
+}
+
+// Image returns the box's precomputed minimum image.
+func (b Box) Image() Image {
+	var im Image
+	l := b.Lengths()
+	for a := range im.L {
+		if b.Periodic[a] {
+			im.L[a], im.Inv[a] = l[a], 1/l[a]
+		}
+	}
+	return im
+}
+
+// Min applies the minimum image to the displacement (dx, dy, dz) =
+// pᵢ − pⱼ: d − L·round(d·(1/L)) on each axis. round(d·(1/L)) can differ
+// from MinImage's round(d/L) only when d/L lies within an ulp of k+½,
+// a pair ≈ L/2 apart, which FitsCutoff puts beyond the cutoff; every
+// other component equals MinImage's bit for bit. An open axis
+// subtracts a zero (only a −0 component comes back as +0).
+func (im Image) Min(dx, dy, dz float64) vec.Vec3 {
+	return vec.Vec3{
+		dx - im.L[0]*math.Round(dx*im.Inv[0]),
+		dy - im.L[1]*math.Round(dy*im.Inv[1]),
+		dz - im.L[2]*math.Round(dz*im.Inv[2]),
+	}
 }
 
 // Distance2 returns the squared minimum-image distance between pi and pj.

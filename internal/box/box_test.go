@@ -174,25 +174,49 @@ func TestMinImageMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestMinImageCompBitIdentical pins the SoA-kernel contract: assembling
-// the displacement from component arrays and running it through
-// MinImageComp yields the exact floats MinImage yields on the original
-// vectors — the force engine's SoA repack cannot perturb trajectories.
-func TestMinImageCompBitIdentical(t *testing.T) {
-	b := MustNew(vec.Zero, vec.New(2, 3, 4))
-	b.Periodic = [3]bool{true, false, true}
+// TestImageMatchesMinImage pins the force kernels' image to MinImage:
+// on random boxes with mixed periodic and open axes, for wrapped pᵢ and
+// pⱼ, every displacement whose image lies within 0.49 L on each
+// periodic axis has Image.Min's components equal to MinImage's bit for
+// bit. Only an image within an ulp of L/2 may round the other way.
+func TestImageMatchesMinImage(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 2000; i++ {
-		p := vec.New(rng.Float64()*9-3, rng.Float64()*9-3, rng.Float64()*9-3)
-		q := vec.New(rng.Float64()*9-3, rng.Float64()*9-3, rng.Float64()*9-3)
-		want := b.MinImage(p, q)
-		got := b.MinImageComp(p[0]-q[0], p[1]-q[1], p[2]-q[2])
-		for a := 0; a < 3; a++ {
-			if math.Float64bits(got[a]) != math.Float64bits(want[a]) {
-				t.Fatalf("component %d differs: %x vs %x (p=%v q=%v)",
-					a, math.Float64bits(got[a]), math.Float64bits(want[a]), p, q)
-			}
+	checked := 0
+	for k := 0; k < 200; k++ {
+		lo := vec.New(rng.Float64()*20-10, rng.Float64()*20-10, rng.Float64()*20-10)
+		b := MustNew(lo, lo.Add(vec.New(0.5+rng.Float64()*30, 0.5+rng.Float64()*30, 0.5+rng.Float64()*30)))
+		for a := range b.Periodic {
+			b.Periodic[a] = rng.Intn(3) > 0
 		}
+		l, im := b.Lengths(), b.Image()
+		point := func() vec.Vec3 {
+			var p vec.Vec3
+			for a := range p {
+				p[a] = b.Lo[a] + (rng.Float64()*3-1)*l[a]
+			}
+			return b.Wrap(p)
+		}
+	pairs:
+		for n := 0; n < 200; n++ {
+			p, q := point(), point()
+			want := b.MinImage(p, q)
+			for a := range want {
+				if b.Periodic[a] && math.Abs(want[a]) > 0.49*l[a] {
+					continue pairs
+				}
+			}
+			got := im.Min(p[0]-q[0], p[1]-q[1], p[2]-q[2])
+			for a := range got {
+				if math.Float64bits(got[a]) != math.Float64bits(want[a]) {
+					t.Fatalf("%v: component %d differs: %x vs %x (p=%v q=%v)",
+						b, a, math.Float64bits(got[a]), math.Float64bits(want[a]), p, q)
+				}
+			}
+			checked++
+		}
+	}
+	if checked < 30000 {
+		t.Errorf("only %d of 40000 displacements within 0.49 L", checked)
 	}
 }
 

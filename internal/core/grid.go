@@ -82,9 +82,19 @@ func (g *Grid) Unflatten(c int) [3]int {
 }
 
 // CellOf returns the flat index of the cell containing position p,
-// wrapped into the box on periodic axes and clamped into range.
+// wrapped into the box on periodic axes and clamped into range. A
+// coordinate already inside the box is binned as it is: Box.Wrap can
+// round one within an ulp of Hi down to about Lo, and the neighbor
+// search's periodic shifts need every atom in the cell its coordinate
+// lies in.
 func (g *Grid) CellOf(p vec.Vec3) int {
-	f := g.Box.FracCoord(g.Box.Wrap(p))
+	w := g.Box.Wrap(p)
+	for a := range w {
+		if p[a] >= g.Box.Lo[a] && p[a] < g.Box.Hi[a] {
+			w[a] = p[a]
+		}
+	}
+	f := g.Box.FracCoord(w)
 	var c [3]int
 	for a := range c {
 		c[a] = min(max(int(f[a]*float64(g.Counts[a])), 0), g.Counts[a]-1)
@@ -143,34 +153,46 @@ func resize(s []int32, n int) []int32 {
 
 // ForNeighbors calls fn with the flat index of every cell in the
 // 3×3×3 neighborhood of cell c, c included, wrapping on periodic axes
-// and stopping at open faces. On an axis with fewer than 3 cells the
-// wrapped offsets reach the same cell, so duplicates are dropped there
-// and each neighbor cell is visited once.
-func (g *Grid) ForNeighbors(c int, fn func(flat int)) {
+// and stopping at open faces, and with the periodic shift of that
+// cell's image: −L, 0 or +L per axis, so an atom at p in the cell lies
+// at p+shift next to cell c. On an axis with fewer than 3 cells the
+// wrapped offsets reach the same cell, so duplicates are dropped there,
+// each neighbor cell is visited once, and its shift is that of the
+// first offset reaching it.
+func (g *Grid) ForNeighbors(c int, fn func(flat int, shift vec.Vec3)) {
+	type step struct {
+		k int     // neighbor cell coordinate
+		s float64 // its periodic shift
+	}
 	co := g.Unflatten(c)
-	var near [3][3]int // distinct neighbor coordinates per axis
-	var count [3]int
+	l := g.Box.Lengths()
+	var buf [3][3]step
+	var near [3][]step // distinct neighbor coordinates per axis
 	for a := range near {
+		near[a] = buf[a][:0]
 		n := g.Counts[a]
 		for d := -1; d <= 1; d++ {
-			k := co[a] + d
-			if k < 0 || k >= n {
+			st := step{k: co[a] + d}
+			if st.k < 0 || st.k >= n {
 				if !g.Box.Periodic[a] {
 					continue
 				}
-				k = (k + n) % n
+				if st.k < 0 {
+					st = step{st.k + n, -l[a]}
+				} else {
+					st = step{st.k - n, l[a]}
+				}
 			}
-			if n < 3 && slices.Contains(near[a][:count[a]], k) {
+			if n < 3 && slices.ContainsFunc(near[a], func(o step) bool { return o.k == st.k }) {
 				continue
 			}
-			near[a][count[a]] = k
-			count[a]++
+			near[a] = append(near[a], st)
 		}
 	}
-	for _, x := range near[0][:count[0]] {
-		for _, y := range near[1][:count[1]] {
-			for _, z := range near[2][:count[2]] {
-				fn(g.Flatten([3]int{x, y, z}))
+	for _, x := range near[0] {
+		for _, y := range near[1] {
+			for _, z := range near[2] {
+				fn(g.Flatten([3]int{x.k, y.k, z.k}), vec.Vec3{x.s, y.s, z.s})
 			}
 		}
 	}

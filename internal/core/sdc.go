@@ -239,7 +239,7 @@ func (d *Decomposition) Verify(pos []vec.Vec3) error {
 	ns := d.NumSubdomains()
 	for s := 0; s < ns; s++ {
 		var bad error
-		d.ForNeighbors(s, func(o int) {
+		d.ForNeighbors(s, func(o int, _ vec.Vec3) {
 			if bad == nil && o != s && d.ColorOf[s] == d.ColorOf[o] {
 				bad = fmt.Errorf("core: same-color subdomains %d and %d are adjacent", s, o)
 			}

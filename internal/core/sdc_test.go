@@ -138,7 +138,7 @@ func TestNoAdjacentSameColor(t *testing.T) {
 		}
 		ns := dec.NumSubdomains()
 		for s := 0; s < ns; s++ {
-			dec.ForNeighbors(s, func(o int) {
+			dec.ForNeighbors(s, func(o int, _ vec.Vec3) {
 				if o != s && dec.ColorOf[s] == dec.ColorOf[o] {
 					t.Fatalf("%v: adjacent subdomains %d,%d share color %d", d, s, o, dec.ColorOf[s])
 				}

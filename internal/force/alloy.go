@@ -43,9 +43,9 @@ var alloyTerms = terms{
 // (direction-consistent, as the strategy contract requires).
 func (e *Engine) alloyDensityVisit() strategy.Visit[float64] {
 	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
-	sp, cut := e.species, e.cutoff
+	im, sp, cut := e.img, e.species, e.cutoff
 	return func(i, j int32, oi, oj *float64) {
-		r := e.Box.MinImageComp(x[i]-x[j], y[i]-y[j], z[i]-z[j]).Norm()
+		r := im.Min(x[i]-x[j], y[i]-y[j], z[i]-z[j]).Norm()
 		if r <= 0 || r >= cut {
 			return
 		}
@@ -67,9 +67,9 @@ func (e *Engine) alloyEmbedTerm(i int, rho float64) (float64, float64) {
 func (e *Engine) alloyForceVisit() strategy.Visit[vec.Vec3] {
 	fp := e.fp
 	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
-	sp, cut := e.species, e.cutoff
+	im, sp, cut := e.img, e.species, e.cutoff
 	return func(i, j int32, oi, oj *vec.Vec3) {
-		d := e.Box.MinImageComp(x[i]-x[j], y[i]-y[j], z[i]-z[j])
+		d := im.Min(x[i]-x[j], y[i]-y[j], z[i]-z[j])
 		r := d.Norm()
 		if r <= 0 || r >= cut {
 			return
@@ -86,9 +86,9 @@ func (e *Engine) alloyForceVisit() strategy.Visit[vec.Vec3] {
 // alloyPairVisit is the species-resolved pair-energy kernel.
 func (e *Engine) alloyPairVisit() strategy.Visit[float64] {
 	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
-	sp, cut := e.species, e.cutoff
+	im, sp, cut := e.img, e.species, e.cutoff
 	return func(i, j int32, oi, oj *float64) {
-		r := e.Box.MinImageComp(x[i]-x[j], y[i]-y[j], z[i]-z[j]).Norm()
+		r := im.Min(x[i]-x[j], y[i]-y[j], z[i]-z[j]).Norm()
 		if r <= 0 || r >= cut {
 			return
 		}

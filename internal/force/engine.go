@@ -25,7 +25,8 @@ import (
 // and F'(rho)), so one Engine must not be used from multiple goroutines
 // at once; internal parallelism comes from the reducer.
 type Engine struct {
-	// Box supplies the minimum-image convention.
+	// Box supplies the minimum-image convention. Every evaluation
+	// re-reads it, so a caller may replace it between calls.
 	Box box.Box
 
 	pot     potential.EAM      // single-species potential (NewEngine)
@@ -46,6 +47,9 @@ type Engine struct {
 	// Forces stay AoS ([]vec.Vec3): the strategies accumulate per
 	// component in place and the integrator consumes Vec3 directly.
 	soa core.SoA3
+	// img is Box's minimum image in multiply form, refreshed by every
+	// pack: the kernels pay no division per pair.
+	img box.Image
 
 	tel *telemetry.Recorder // per-phase timers; nil = disabled
 }
@@ -109,14 +113,15 @@ func (e *Engine) SetTelemetry(rec *telemetry.Recorder) { e.tel = rec }
 
 // densityVisit is the single-species phase-1 kernel: φ(r) flows both
 // ways (this is also §II.D.1's optimization — i's contribution to j is
-// computed in the same visit). It reads the SoA-packed positions of the
-// latest pack() — three dense component streams instead of an AoS Vec3
-// gather — with arithmetic bit-identical to Box.Distance on the
-// original vectors.
+// computed in the same visit). It reads the SoA-packed positions and
+// the image of the latest pack() — three dense component streams
+// instead of an AoS Vec3 gather — with arithmetic bit-identical to
+// Box.Distance on the original vectors for every pair closer than L/2.
 func (e *Engine) densityVisit() strategy.Visit[float64] {
 	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
+	im := e.img
 	return func(i, j int32, oi, oj *float64) {
-		r := e.Box.MinImageComp(x[i]-x[j], y[i]-y[j], z[i]-z[j]).Norm()
+		r := im.Min(x[i]-x[j], y[i]-y[j], z[i]-z[j]).Norm()
 		phi, _ := e.pot.Density(r)
 		*oi += phi
 		*oj += phi
@@ -133,9 +138,9 @@ func (e *Engine) embedTerm(_ int, rho float64) (float64, float64) { return e.pot
 func (e *Engine) forceVisit() strategy.Visit[vec.Vec3] {
 	fp := e.fp
 	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
-	cut := e.cutoff
+	im, cut := e.img, e.cutoff
 	return func(i, j int32, oi, oj *vec.Vec3) {
-		d := e.Box.MinImageComp(x[i]-x[j], y[i]-y[j], z[i]-z[j])
+		d := im.Min(x[i]-x[j], y[i]-y[j], z[i]-z[j])
 		r := d.Norm()
 		if r <= 0 || r >= cut {
 			return
@@ -162,22 +167,24 @@ func addPair(oi, oj *vec.Vec3, f vec.Vec3) {
 // pairVisit is the single-species pair-energy kernel.
 func (e *Engine) pairVisit() strategy.Visit[float64] {
 	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
+	im := e.img
 	return func(i, j int32, oi, oj *float64) {
-		r := e.Box.MinImageComp(x[i]-x[j], y[i]-y[j], z[i]-z[j]).Norm()
+		r := im.Min(x[i]-x[j], y[i]-y[j], z[i]-z[j]).Norm()
 		v, _ := e.pot.Energy(r)
 		*oi += v / 2
 		*oj += v / 2
 	}
 }
 
-// pack checks pos against the species array and repacks it into the
-// SoA scratch; every public entry point calls it before building
-// kernels so the closures alias current data.
+// pack checks pos against the species array, repacks it into the SoA
+// scratch and refreshes the image from Box; every public entry point
+// calls it before building kernels so the closures see current data.
 func (e *Engine) pack(pos []vec.Vec3) error {
 	if e.alloy != nil && len(e.species) != len(pos) {
 		return fmt.Errorf("force: %d species for %d atoms", len(e.species), len(pos))
 	}
 	e.soa.Pack(pos)
+	e.img = e.Box.Image()
 	return nil
 }
 

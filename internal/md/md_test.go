@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"encoding/csv"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"sdcmd/internal/box"
 	"sdcmd/internal/core"
+	"sdcmd/internal/force"
 	"sdcmd/internal/lattice"
+	"sdcmd/internal/neighbor"
 	"sdcmd/internal/potential"
 	"sdcmd/internal/strategy"
 	"sdcmd/internal/vec"
@@ -375,6 +378,68 @@ func TestApplyStrainChangesBoxAndSurvives(t *testing.T) {
 	}
 	if sim.List() == nil || sim.Reducer() == nil {
 		t.Error("accessors returned nil")
+	}
+}
+
+// TestStrainRefreshesImageAndList guards the state a strain must
+// refresh. After a tensile strain, which lowers the pair count, and
+// then a compressive one, which raises it: the Serial simulator's
+// forces are bit-identical to a fresh engine's on the strained box, so
+// the engine's cached periodic image cannot be the pre-strain one; and
+// List(), rebuilt into the arrays of the outgoing list, is slice-equal
+// to a fresh Build on both a Serial and a 2-thread SDC simulator.
+func TestStrainRefreshesImageAndList(t *testing.T) {
+	for _, kind := range []strategy.Kind{strategy.Serial, strategy.SDC} {
+		sys := feSystem(t, 7, 300)
+		cfg := DefaultConfig()
+		cfg.Strategy = kind
+		cfg.Threads = 2
+		sim, err := NewSimulator(sys, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sim.Close()
+		b := neighbor.Builder{Cutoff: cfg.Pot.Cutoff(), Skin: cfg.Skin, Half: true}
+		pairs := sim.List().Pairs()
+		for _, eps := range []float64{0.03, -0.05} {
+			if err := sim.ApplyStrain(vec.Splat(eps)); err != nil {
+				t.Fatal(err)
+			}
+			want, err := b.Build(sys.Box, sys.Pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := sim.List()
+			if !slices.Equal(got.Index, want.Index) || !slices.Equal(got.Len, want.Len) || !slices.Equal(got.Neigh, want.Neigh) {
+				t.Fatalf("%v, strain %g: List() differs from a fresh Build", kind, eps)
+			}
+			if grew := got.Pairs() > pairs; grew != (eps < 0) {
+				t.Errorf("%v, strain %g: pairs %d -> %d", kind, eps, pairs, got.Pairs())
+			}
+			pairs = got.Pairs()
+			if kind != strategy.Serial {
+				continue
+			}
+			eng, err := force.NewEngine(cfg.Pot, sys.Box)
+			if err != nil {
+				t.Fatal(err)
+			}
+			red, err := strategy.New(strategy.Config{Kind: strategy.Serial, List: want})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := make([]vec.Vec3, sys.N())
+			if _, err := eng.Compute(red, sys.Pos, ref); err != nil {
+				t.Fatal(err)
+			}
+			for i := range ref {
+				for a := range ref[i] {
+					if math.Float64bits(sys.Force[i][a]) != math.Float64bits(ref[i][a]) {
+						t.Fatalf("strain %g: F[%d] = %v, fresh engine %v", eps, i, sys.Force[i], ref[i])
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -283,13 +283,15 @@ func (s *Simulator) rebuild() error {
 	}
 	// The list build borrows the simulator's pool. The serial strategy
 	// has none and passes an untyped nil: a nil *Pool stored in the
-	// interface is not == nil, so BuildParallel would call it.
+	// interface is not == nil, so the build would call it. The outgoing
+	// list is dead once its reducer is replaced, so the build reuses its
+	// arrays.
 	var pool neighbor.Parallelizer
 	if s.pool != nil {
 		pool = s.pool
 	}
 	list, err := neighbor.Builder{Cutoff: s.eng.Cutoff(), Skin: s.cfg.Skin, Half: true}.
-		BuildParallel(s.Sys.Box, s.Sys.Pos, pool)
+		Rebuild(s.list, s.Sys.Box, s.Sys.Pos, pool)
 	if err != nil {
 		return err
 	}
@@ -472,7 +474,8 @@ func (s *Simulator) Rebuilds() int { return s.rebuilds }
 // when telemetry is disabled).
 func (s *Simulator) Telemetry() *telemetry.Recorder { return s.cfg.Telemetry }
 
-// List exposes the current neighbor list (read-only use).
+// List exposes the current neighbor list (read-only use; aliased, and
+// valid until the next rebuild, which reuses its arrays).
 func (s *Simulator) List() *neighbor.List { return s.list }
 
 // Decomposition exposes the spatial decomposition of the SDC strategy

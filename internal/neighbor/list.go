@@ -236,16 +236,46 @@ func (b Builder) Build(bx box.Box, pos []vec.Vec3) (*List, error) {
 }
 
 // BuildParallel is Build with the candidate search split over a worker
-// pool. The count pass and the fill pass are both per-atom-independent,
-// so no synchronization is needed beyond the pool barriers, and the
-// list is identical to Build's. The pool is only borrowed; nil runs
-// both passes on the calling goroutine.
+// pool. The list is identical to Build's. The pool is only borrowed;
+// nil searches on the calling goroutine.
 func (b Builder) BuildParallel(bx box.Box, pos []vec.Vec3, pool Parallelizer) (*List, error) {
+	return b.Rebuild(nil, bx, pos, pool)
+}
+
+// Rebuild is BuildParallel reusing the arrays of old, a list the
+// caller no longer reads (nil allocates afresh). Use the returned list:
+// it is old unless the small-box fallback ran. On error old is left
+// untouched.
+//
+// The search is one pass over the atoms with the periodic image applied
+// once per stencil cell, not once per pair: core.Grid.ForNeighbors
+// reports each neighbor cell's shift s, and a candidate j of atom i
+// costs one test |(pᵢ − pⱼ) − s|² < reach². Cells at least reach wide
+// and at least 3 per axis make s exactly MinImage's L·round(d/L) for
+// every pair within reach, so the test is BuildBruteForce's bit for
+// bit. That holds only for positions in the primary cell; any other
+// input is searched through a wrapped copy. Each worker appends its
+// sorted rows to its own buffer, and the buffers are joined in chunk
+// order, which is atom order.
+func (b Builder) Rebuild(old *List, bx box.Box, pos []vec.Vec3, pool Parallelizer) (*List, error) {
 	if err := b.validate(bx); err != nil {
 		return nil, err
 	}
 	if pool == nil {
 		pool = inline{}
+	}
+	if !inPrimaryCell(bx, pos) {
+		pos = append([]vec.Vec3(nil), pos...)
+		for i, p := range pos {
+			// Wrap can round a point at Hi to just below Lo.
+			p = bx.Wrap(p)
+			for a := range p {
+				if bx.Periodic[a] {
+					p[a] = max(p[a], bx.Lo[a])
+				}
+			}
+			pos[i] = p
+		}
 	}
 	reach := b.Cutoff + b.Skin
 	grid, err := NewCellGrid(bx, pos, reach)
@@ -257,57 +287,75 @@ func (b Builder) BuildParallel(bx box.Box, pos []vec.Vec3, pool Parallelizer) (*
 	}
 	n := len(pos)
 	reach2 := reach * reach
-	l := &List{
-		Half:   b.Half,
-		Cutoff: b.Cutoff,
-		Skin:   b.Skin,
-		Index:  make([]int32, n),
-		Len:    make([]int32, n),
+	l := old
+	if l == nil {
+		l = &List{}
 	}
-	candidates := func(i int, out []int32) []int32 {
-		out = out[:0]
-		pi := pos[i]
-		grid.ForNeighbors(grid.CellOfAtom(i), func(flat int) {
-			for _, j32 := range grid.Atoms(flat) {
-				j := int(j32)
-				if j == i || (b.Half && j < i) {
-					continue
-				}
-				if bx.Distance2(pi, pos[j]) < reach2 {
-					out = append(out, j32)
-				}
-			}
-		})
-		return out
-	}
-	// Two passes: count then fill, so Neigh is exactly sized and the
-	// CSR arrays are contiguous in atom order (the "regular array" form
-	// §II.D's reordering produces).
-	counts := make([]int32, n)
-	pool.ParallelFor(n, func(start, end, _ int) {
-		scratch := make([]int32, 0, 64)
-		for i := start; i < end; i++ {
-			scratch = candidates(i, scratch)
-			counts[i] = int32(len(scratch))
+	*l = List{Half: b.Half, Cutoff: b.Cutoff, Skin: b.Skin,
+		Index: resize(l.Index, n), Len: resize(l.Len, n), Neigh: l.Neigh[:0]}
+	// Worker 0 fills the outgoing Neigh array in place; the others
+	// start with room for an even share of it.
+	rows := make([][]int32, pool.Threads())
+	for t := range rows {
+		rows[t] = l.Neigh
+		if t > 0 {
+			rows[t] = make([]int32, 0, cap(l.Neigh)/len(rows))
 		}
+	}
+	pool.ParallelFor(n, func(start, end, tid int) {
+		row := rows[tid]
+		for i := start; i < end; i++ {
+			first := len(row)
+			pi := pos[i]
+			grid.ForNeighbors(grid.CellOfAtom(i), func(c int, s vec.Vec3) {
+				for _, j := range grid.Atoms(c) {
+					if int(j) == i || (b.Half && int(j) < i) {
+						continue
+					}
+					pj := pos[j]
+					dx, dy, dz := pi[0]-pj[0]-s[0], pi[1]-pj[1]-s[1], pi[2]-pj[2]-s[2]
+					if dx*dx+dy*dy+dz*dz < reach2 {
+						row = append(row, j)
+					}
+				}
+			})
+			slices.Sort(row[first:])
+			l.Len[i] = int32(len(row) - first)
+		}
+		rows[tid] = row
 	})
 	var total int32
-	for i := 0; i < n; i++ {
+	for i, k := range l.Len {
 		l.Index[i] = total
-		total += counts[i]
+		total += k
 	}
-	l.Neigh = make([]int32, total)
-	pool.ParallelFor(n, func(start, end, _ int) {
-		scratch := make([]int32, 0, 64)
-		for i := start; i < end; i++ {
-			scratch = candidates(i, scratch)
-			slices.Sort(scratch)
-			//lint:ignore sdc-shared-write rows are disjoint by construction: Index is an exclusive prefix sum over counts, so [Index[i], Index[i]+counts[i]) never overlaps across i
-			copy(l.Neigh[l.Index[i]:], scratch)
-			l.Len[i] = int32(len(scratch))
-		}
-	})
+	l.Neigh = rows[0]
+	for _, row := range rows[1:] {
+		l.Neigh = append(l.Neigh, row...)
+	}
 	return l, nil
+}
+
+// resize returns s with length n, reusing its array when it is long
+// enough; the contents are not cleared.
+func resize(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
+}
+
+// inPrimaryCell reports whether every position lies in [Lo, Hi) on
+// every periodic axis of bx.
+func inPrimaryCell(bx box.Box, pos []vec.Vec3) bool {
+	for _, p := range pos {
+		for a := range p {
+			if bx.Periodic[a] && (p[a] < bx.Lo[a] || p[a] >= bx.Hi[a]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // validate rejects a cutoff, skin or box no list can be built for.
@@ -365,11 +413,16 @@ func (b Builder) BuildBruteForce(bx box.Box, pos []vec.Vec3) (*List, error) {
 
 // MaxDisplacement2 returns the largest squared minimum-image
 // displacement between two position snapshots; the MD driver rebuilds
-// the list when this exceeds (Skin/2)².
+// the list when this exceeds (Skin/2)². It applies the image of
+// box.Image, which rounds an atom's displacement as Box.MinImage does
+// unless the atom moved about L/2, far past any skin.
 func MaxDisplacement2(bx box.Box, old, cur []vec.Vec3) float64 {
+	im := bx.Image()
+	old = old[:len(cur)]
 	worst := 0.0
-	for i := range cur {
-		if d2 := bx.Distance2(cur[i], old[i]); d2 > worst {
+	for i, c := range cur {
+		o := old[i]
+		if d2 := im.Min(c[0]-o[0], c[1]-o[1], c[2]-o[2]).Norm2(); d2 > worst {
 			worst = d2
 		}
 	}
@@ -378,9 +431,12 @@ func MaxDisplacement2(bx box.Box, old, cur []vec.Vec3) float64 {
 
 // Parallelizer is the worker-pool capability BuildParallel needs; the
 // strategy.Pool satisfies it (declared here to avoid a dependency
-// cycle).
+// cycle). ParallelFor must hand out contiguous chunks of [0, n) in tid
+// order, tid in [0, Threads()), as the pool's static split does: the
+// build joins its per-worker rows in tid order.
 type Parallelizer interface {
 	ParallelFor(n int, body func(start, end, tid int))
+	Threads() int
 }
 
 // inline is the Parallelizer of a build without a pool: one chunk on
@@ -388,3 +444,5 @@ type Parallelizer interface {
 type inline struct{}
 
 func (inline) ParallelFor(n int, body func(start, end, tid int)) { body(0, n, 0) }
+
+func (inline) Threads() int { return 1 }

@@ -110,22 +110,47 @@ func TestFlattenUnflattenRoundTrip(t *testing.T) {
 func TestForNeighborCellsCount(t *testing.T) {
 	g := cellGrid(t, box.MustNew(vec.Zero, vec.Splat(10)), 2.0, [3]int{5, 5, 5}) // periodic
 	count := 0
-	g.ForNeighbors(g.Flatten([3]int{2, 2, 2}), func(int) { count++ })
+	g.ForNeighbors(g.Flatten([3]int{2, 2, 2}), func(_ int, s vec.Vec3) {
+		count++
+		if s != vec.Zero {
+			t.Errorf("interior neighbor shifted by %v", s)
+		}
+	})
 	if count != 27 {
 		t.Errorf("interior neighborhood = %d cells, want 27", count)
 	}
-	// Periodic wrap at the corner still yields 27 distinct cells.
-	seen := map[int]bool{}
-	g.ForNeighbors(g.Flatten([3]int{0, 0, 0}), func(f int) { seen[f] = true })
-	if len(seen) != 27 {
-		t.Errorf("corner neighborhood = %d distinct cells, want 27", len(seen))
+	// Periodic wrap at the corners still yields 27 distinct cells. A
+	// wrapped cell's image sits one edge (10) beyond the face it was
+	// reached across: the lowest corner sees cell 4 at -10, the
+	// highest sees cell 0 at +10.
+	for _, corner := range []int{0, 4} {
+		seen := map[int]bool{}
+		g.ForNeighbors(g.Flatten([3]int{corner, corner, corner}), func(f int, s vec.Vec3) {
+			seen[f] = true
+			co := g.Unflatten(f)
+			for a := range co {
+				want := 0.0
+				if co[a] == 4-corner {
+					want = 10
+					if corner == 0 {
+						want = -10
+					}
+				}
+				if s[a] != want {
+					t.Errorf("corner %d: cell %v axis %d shifted by %g, want %g", corner, co, a, s[a], want)
+				}
+			}
+		})
+		if len(seen) != 27 {
+			t.Errorf("corner %d neighborhood = %d distinct cells, want 27", corner, len(seen))
+		}
 	}
 }
 
 func TestForNeighborCellsSmallGridNoDuplicates(t *testing.T) {
 	g := cellGrid(t, box.MustNew(vec.Zero, vec.New(4, 4, 20)), 2.0, [3]int{2, 2, 10})
 	visits := map[int]int{}
-	g.ForNeighbors(g.Flatten([3]int{0, 0, 5}), func(f int) { visits[f]++ })
+	g.ForNeighbors(g.Flatten([3]int{0, 0, 5}), func(f int, _ vec.Vec3) { visits[f]++ })
 	for c, n := range visits {
 		if n > 1 {
 			t.Errorf("cell %d visited %d times", c, n)
@@ -142,7 +167,12 @@ func TestForNeighborCellsOpenBoundary(t *testing.T) {
 	bx.Periodic = [3]bool{false, true, true}
 	g := cellGrid(t, bx, 2.0, [3]int{5, 5, 5})
 	count := 0
-	g.ForNeighbors(g.Flatten([3]int{0, 2, 2}), func(int) { count++ })
+	g.ForNeighbors(g.Flatten([3]int{0, 2, 2}), func(_ int, s vec.Vec3) {
+		count++
+		if s[0] != 0 {
+			t.Errorf("open x axis shifted by %g", s[0])
+		}
+	})
 	if count != 18 { // 2×3×3: no wrap across the open x face
 		t.Errorf("open-boundary neighborhood = %d, want 18", count)
 	}
@@ -537,6 +567,8 @@ func TestNeighborsSorted(t *testing.T) {
 // fakePool implements Parallelizer with plain goroutines.
 type fakePool struct{ threads int }
 
+func (p fakePool) Threads() int { return p.threads }
+
 func (p fakePool) ParallelFor(n int, body func(start, end, tid int)) {
 	var wg sync.WaitGroup
 	chunk := (n + p.threads - 1) / p.threads
@@ -571,10 +603,15 @@ func TestBuildParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(got.Index, want.Index) || !slices.Equal(got.Len, want.Len) || !slices.Equal(got.Neigh, want.Neigh) {
+		if !sameCSR(got, want) {
 			t.Fatalf("half=%v: pool-built CSR arrays differ from the no-pool build", half)
 		}
 	}
+}
+
+// sameCSR reports whether two lists have slice-equal CSR arrays.
+func sameCSR(a, b *List) bool {
+	return slices.Equal(a.Index, b.Index) && slices.Equal(a.Len, b.Len) && slices.Equal(a.Neigh, b.Neigh)
 }
 
 func TestBuildParallelNilPoolFallsBack(t *testing.T) {
@@ -585,8 +622,11 @@ func TestBuildParallelNilPoolFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := b.Build(bx, pos)
-	if got.Pairs() != want.Pairs() {
+	want, err := b.Build(bx, pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameCSR(got, want) {
 		t.Error("nil-pool fallback differs")
 	}
 }
@@ -611,8 +651,88 @@ func TestBuildParallelValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := (Builder{Cutoff: 2, Half: true}).BuildBruteForce(small, spos)
-	if got.Pairs() != want.Pairs() {
+	want, err := (Builder{Cutoff: 2, Half: true}).BuildBruteForce(small, spos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameCSR(got, want) {
 		t.Error("small-box fallback differs")
+	}
+}
+
+// TestRebuildErrorLeavesListUntouched: every input Rebuild rejects is
+// rejected before the outgoing list's arrays are written.
+func TestRebuildErrorLeavesListUntouched(t *testing.T) {
+	bx := box.MustNew(vec.Zero, vec.Splat(12))
+	pos := randomPositions(300, bx, 3)
+	old, err := Builder{Cutoff: 2, Half: true}.Build(bx, pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := *old
+	snap.Index, snap.Len, snap.Neigh = slices.Clone(old.Index), slices.Clone(old.Len), slices.Clone(old.Neigh)
+	moved := randomPositions(300, bx, 4)
+	for _, b := range []Builder{{Cutoff: 0}, {Cutoff: 2, Skin: -1}, {Cutoff: 7}} {
+		if _, err := b.Rebuild(old, bx, moved, fakePool{threads: 2}); err == nil {
+			t.Fatalf("%+v accepted", b)
+		}
+		if old.Half != snap.Half || old.Cutoff != snap.Cutoff || old.Skin != snap.Skin || !sameCSR(old, &snap) {
+			t.Fatalf("%+v: rejected rebuild wrote the outgoing list", b)
+		}
+	}
+}
+
+// TestBuildAtUpperFace: on a box whose Lo is not 0, Box.Wrap can round
+// a coordinate within an ulp of Hi down to about Lo, and a coordinate
+// at Hi to just below Lo, which a second Wrap sends back to just below
+// Hi. The build must still list such an atom's neighbors at their true
+// image, as BuildBruteForce does: the grid bins an atom inside the cell
+// by its own coordinate, and the wrapped copy of an out-of-cell input
+// lies inside the cell.
+func TestBuildAtUpperFace(t *testing.T) {
+	wrapX := func(bx box.Box, x float64) float64 { return bx.Wrap(vec.Splat(x))[0] }
+	for _, c := range []struct {
+		name string
+		face func(bx box.Box) float64 // x of the face atom
+		bad  func(bx box.Box, x float64) bool
+	}{
+		{"inside, an ulp below Hi",
+			func(bx box.Box) float64 { return math.Nextafter(bx.Hi[0], math.Inf(-1)) },
+			func(bx box.Box, x float64) bool { return wrapX(bx, x) < bx.Hi[0]-1 }},
+		{"outside, at Hi",
+			func(bx box.Box) float64 { return bx.Hi[0] },
+			func(bx box.Box, x float64) bool {
+				w := wrapX(bx, x)
+				return w < bx.Lo[0] && wrapX(bx, w) > bx.Hi[0]-1
+			}},
+	} {
+		var bx box.Box
+		found := false
+		for k := 1; k < 100000 && !found; k++ {
+			lo := 0.37*float64(k%400) - 60
+			bx = box.MustNew(vec.Splat(lo), vec.Splat(lo+20+0.013*float64(k/400)))
+			found = c.bad(bx, c.face(bx))
+		}
+		if !found {
+			t.Fatalf("%s: no box found where Wrap misplaces the face atom", c.name)
+		}
+		pos := randomPositions(120, bx, 9)
+		mid := bx.Center()
+		pos[0] = vec.New(c.face(bx), mid[1], mid[2])
+		pos[1] = vec.New(bx.Hi[0]-1, mid[1], mid[2])
+		wrapped := append([]vec.Vec3(nil), pos...)
+		bx.WrapAll(wrapped)
+		b := Builder{Cutoff: 2.5, Half: true}
+		want, err := b.BuildBruteForce(bx, wrapped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.Build(bx, pos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameCSR(got, want) {
+			t.Errorf("%s, %v: %d pairs, BuildBruteForce %d", c.name, bx, got.Pairs(), want.Pairs())
+		}
 	}
 }
