@@ -32,27 +32,40 @@ func NewAlloyEngine(pot potential.AlloyEAM, bx box.Box, species []int32) (*Engin
 }
 
 var alloyTerms = terms{
-	density: (*Engine).alloyDensityVisit,
+	density: (*Engine).alloyDensityTerms,
 	embed:   (*Engine).alloyEmbedTerm,
-	force:   (*Engine).alloyForceVisit,
-	pair:    (*Engine).alloyPairVisit,
+	force:   (*Engine).alloyForceTerms,
+	pair:    (*Engine).alloyPairTerms,
 }
 
-// alloyDensityVisit is the species-resolved phase-1 kernel: ρ_i gains
+// alloyDensityTerms is the species-resolved phase-1 kernel: ρ_i gains
 // the density donated by j's species and vice versa
-// (direction-consistent, as the strategy contract requires).
-func (e *Engine) alloyDensityVisit() strategy.Visit[float64] {
+// (direction-consistent, as the strategy contract requires). A
+// same-species pair evaluates the donation once: both directions are
+// the same call.
+func (e *Engine) alloyDensityTerms() strategy.Terms[float64] {
 	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
 	im, sp, cut := e.img, e.species, e.cutoff
-	return func(i, j int32, oi, oj *float64) {
-		r := im.Min(x[i]-x[j], y[i]-y[j], z[i]-z[j]).Norm()
-		if r <= 0 || r >= cut {
-			return
+	return func(i int32, js []int32, ci, cj []float64) {
+		ci, cj = ci[:len(js)], cj[:len(js)]
+		xi, yi, zi, si := x[i], y[i], z[i], sp[i]
+		for k, j := range js {
+			ci[k] = im.Min(xi-x[j], yi-y[j], zi-z[j]).Norm()
 		}
-		phiFromJ, _ := e.alloy.DensityOf(int(sp[j]), r)
-		phiFromI, _ := e.alloy.DensityOf(int(sp[i]), r)
-		*oi += phiFromJ
-		*oj += phiFromI
+		for k, j := range js {
+			r := ci[k]
+			if r <= 0 || r >= cut {
+				ci[k], cj[k] = 0, 0
+				continue
+			}
+			sj := sp[j]
+			phiFromJ, _ := e.alloy.DensityOf(int(sj), r)
+			phiFromI := phiFromJ
+			if sj != si {
+				phiFromI, _ = e.alloy.DensityOf(int(si), r)
+			}
+			ci[k], cj[k] = phiFromJ, phiFromI
+		}
 	}
 }
 
@@ -61,40 +74,59 @@ func (e *Engine) alloyEmbedTerm(i int, rho float64) (float64, float64) {
 	return e.alloy.EmbedOf(int(e.species[i]), rho)
 }
 
-// alloyForceVisit is the species-resolved phase-3 kernel. The embedding
+// alloyForceTerms is the species-resolved phase-3 kernel. The embedding
 // coupling pairs F'(ρ_i) with the *partner's* density derivative:
-// eq. (2) generalized to species.
-func (e *Engine) alloyForceVisit() strategy.Visit[vec.Vec3] {
+// eq. (2) generalized to species. Like alloyDensityTerms, it evaluates
+// a same-species pair's density derivative once.
+func (e *Engine) alloyForceTerms() strategy.Terms[vec.Vec3] {
 	fp := e.fp
 	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
 	im, sp, cut := e.img, e.species, e.cutoff
-	return func(i, j int32, oi, oj *vec.Vec3) {
-		d := im.Min(x[i]-x[j], y[i]-y[j], z[i]-z[j])
-		r := d.Norm()
-		if r <= 0 || r >= cut {
-			return
+	return func(i int32, js []int32, ci, _ []vec.Vec3) {
+		ci = ci[:len(js)]
+		xi, yi, zi, si, fpi := x[i], y[i], z[i], sp[i], fp[i]
+		for k, j := range js {
+			ci[k] = im.Min(xi-x[j], yi-y[j], zi-z[j])
 		}
-		si, sj := int(sp[i]), int(sp[j])
-		_, dv := e.alloy.PairEnergy(si, sj, r)
-		_, dphiJ := e.alloy.DensityOf(sj, r) // j's donation to i
-		_, dphiI := e.alloy.DensityOf(si, r) // i's donation to j
-		coeff := dv + fp[i]*dphiJ + fp[j]*dphiI
-		addPair(oi, oj, d.Scale(-coeff/r))
+		for k, j := range js {
+			d := ci[k]
+			r := d.Norm()
+			if r <= 0 || r >= cut {
+				ci[k] = vec.Vec3{}
+				continue
+			}
+			sj := sp[j]
+			_, dv := e.alloy.PairEnergy(int(si), int(sj), r)
+			_, dphiJ := e.alloy.DensityOf(int(sj), r) // j's donation to i
+			dphiI := dphiJ                            // i's donation to j
+			if sj != si {
+				_, dphiI = e.alloy.DensityOf(int(si), r)
+			}
+			coeff := dv + fpi*dphiJ + fp[j]*dphiI
+			ci[k] = d.Scale(-coeff / r)
+		}
 	}
 }
 
-// alloyPairVisit is the species-resolved pair-energy kernel.
-func (e *Engine) alloyPairVisit() strategy.Visit[float64] {
+// alloyPairTerms is the species-resolved pair-energy kernel.
+func (e *Engine) alloyPairTerms() strategy.Terms[float64] {
 	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
 	im, sp, cut := e.img, e.species, e.cutoff
-	return func(i, j int32, oi, oj *float64) {
-		r := im.Min(x[i]-x[j], y[i]-y[j], z[i]-z[j]).Norm()
-		if r <= 0 || r >= cut {
-			return
+	return func(i int32, js []int32, ci, cj []float64) {
+		ci, cj = ci[:len(js)], cj[:len(js)]
+		xi, yi, zi, si := x[i], y[i], z[i], sp[i]
+		for k, j := range js {
+			ci[k] = im.Min(xi-x[j], yi-y[j], zi-z[j]).Norm()
 		}
-		v, _ := e.alloy.PairEnergy(int(sp[i]), int(sp[j]), r)
-		*oi += v / 2
-		*oj += v / 2
+		for k, j := range js {
+			r := ci[k]
+			if r <= 0 || r >= cut {
+				ci[k], cj[k] = 0, 0
+				continue
+			}
+			v, _ := e.alloy.PairEnergy(int(si), int(sp[j]), r)
+			ci[k], cj[k] = v/2, v/2
+		}
 	}
 }
 

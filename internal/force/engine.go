@@ -63,17 +63,17 @@ type Engine struct {
 // the per-pair calls out of line (about 10% slower on the 54 000-atom
 // alloy force call).
 type terms struct {
-	density func(*Engine) strategy.Visit[float64]               // phase 1: ρ each atom of a pair gains
+	density func(*Engine) strategy.Terms[float64]               // phase 1: ρ each atom of a pair gains
 	embed   func(e *Engine, i int, rho float64) (f, df float64) // phase 2: F(ρ_i) and F'(ρ_i)
-	force   func(*Engine) strategy.Visit[vec.Vec3]              // phase 3: the pair force of eq. (2)
-	pair    func(*Engine) strategy.Visit[float64]               // V(r), half to each atom
+	force   func(*Engine) strategy.Terms[vec.Vec3]              // phase 3: the pair force of eq. (2)
+	pair    func(*Engine) strategy.Terms[float64]               // V(r), half to each atom
 }
 
 var singleTerms = terms{
-	density: (*Engine).densityVisit,
+	density: (*Engine).densityTerms,
 	embed:   (*Engine).embedTerm,
-	force:   (*Engine).forceVisit,
-	pair:    (*Engine).pairVisit,
+	force:   (*Engine).forceTerms,
+	pair:    (*Engine).pairTerms,
 }
 
 // NewEngine validates and builds a single-species engine.
@@ -111,68 +111,84 @@ func (e *Engine) FPrime() []float64 { return e.fp }
 // Compute (§III.A's decomposition); nil detaches.
 func (e *Engine) SetTelemetry(rec *telemetry.Recorder) { e.tel = rec }
 
-// densityVisit is the single-species phase-1 kernel: φ(r) flows both
+// Every kernel below fills one chunk of atom i's row in two loops: the
+// first writes the chunk's minimum-image distances (or displacements)
+// into ci, the second evaluates the radial functions over them. The
+// pairs of the second loop are independent, so consecutive exps
+// overlap instead of each waiting for the last. Atom i's coordinates
+// are hoisted out of both loops, and the scratch is resliced to
+// len(js) so the compiler drops the per-pair bounds checks. The
+// kernels read the SoA-packed positions and the image of the latest
+// pack() — three dense component streams instead of an AoS Vec3 gather
+// — with arithmetic bit-identical to Box.Distance on the original
+// vectors for every pair closer than L/2.
+
+// densityTerms is the single-species phase-1 kernel: φ(r) flows both
 // ways (this is also §II.D.1's optimization — i's contribution to j is
-// computed in the same visit). It reads the SoA-packed positions and
-// the image of the latest pack() — three dense component streams
-// instead of an AoS Vec3 gather — with arithmetic bit-identical to
-// Box.Distance on the original vectors for every pair closer than L/2.
-func (e *Engine) densityVisit() strategy.Visit[float64] {
+// computed with j's to i).
+func (e *Engine) densityTerms() strategy.Terms[float64] {
 	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
 	im := e.img
-	return func(i, j int32, oi, oj *float64) {
-		r := im.Min(x[i]-x[j], y[i]-y[j], z[i]-z[j]).Norm()
-		phi, _ := e.pot.Density(r)
-		*oi += phi
-		*oj += phi
+	return func(i int32, js []int32, ci, cj []float64) {
+		ci, cj = ci[:len(js)], cj[:len(js)]
+		xi, yi, zi := x[i], y[i], z[i]
+		for k, j := range js {
+			ci[k] = im.Min(xi-x[j], yi-y[j], zi-z[j]).Norm()
+		}
+		for k, r := range ci {
+			phi, _ := e.pot.Density(r)
+			ci[k], cj[k] = phi, phi
+		}
 	}
 }
 
 // embedTerm is the single-species phase-2 term.
 func (e *Engine) embedTerm(_ int, rho float64) (float64, float64) { return e.pot.Embed(rho) }
 
-// forceVisit is the single-species phase-3 kernel implementing the
+// forceTerms is the single-species phase-3 kernel implementing the
 // paper's eq. (2): the pair force magnitude is V'(r) + (F'(ρ_i)+F'(ρ_j))·φ'(r),
-// directed along the minimum-image separation. It is antisymmetric, as
-// the strategy contract requires.
-func (e *Engine) forceVisit() strategy.Visit[vec.Vec3] {
+// directed along the minimum-image separation. It fills ci with the
+// force on atom i; the strategy applies −ci to atom j. A pair outside
+// the cutoff gets a zero force.
+func (e *Engine) forceTerms() strategy.Terms[vec.Vec3] {
 	fp := e.fp
 	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
 	im, cut := e.img, e.cutoff
-	return func(i, j int32, oi, oj *vec.Vec3) {
-		d := im.Min(x[i]-x[j], y[i]-y[j], z[i]-z[j])
-		r := d.Norm()
-		if r <= 0 || r >= cut {
-			return
+	return func(i int32, js []int32, ci, _ []vec.Vec3) {
+		ci = ci[:len(js)]
+		xi, yi, zi, fpi := x[i], y[i], z[i], fp[i]
+		for k, j := range js {
+			ci[k] = im.Min(xi-x[j], yi-y[j], zi-z[j])
 		}
-		_, dv := e.pot.Energy(r)
-		_, dphi := e.pot.Density(r)
-		coeff := dv + (fp[i]+fp[j])*dphi
-		addPair(oi, oj, d.Scale(-coeff/r))
+		for k, j := range js {
+			d := ci[k]
+			r := d.Norm()
+			if r <= 0 || r >= cut {
+				ci[k] = vec.Vec3{}
+				continue
+			}
+			_, dv := e.pot.Energy(r)
+			_, dphi := e.pot.Density(r)
+			coeff := dv + (fpi+fp[j])*dphi
+			ci[k] = d.Scale(-coeff / r)
+		}
 	}
 }
 
-// addPair adds the pair force f on atom i to i's slot, then −f to j's
-// (Newton's third law, §II.D.2), one component at a time. It is the
-// single place the force kernels write.
-func addPair(oi, oj *vec.Vec3, f vec.Vec3) {
-	oi[0] += f[0]
-	oi[1] += f[1]
-	oi[2] += f[2]
-	oj[0] -= f[0]
-	oj[1] -= f[1]
-	oj[2] -= f[2]
-}
-
-// pairVisit is the single-species pair-energy kernel.
-func (e *Engine) pairVisit() strategy.Visit[float64] {
+// pairTerms is the single-species pair-energy kernel.
+func (e *Engine) pairTerms() strategy.Terms[float64] {
 	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
 	im := e.img
-	return func(i, j int32, oi, oj *float64) {
-		r := im.Min(x[i]-x[j], y[i]-y[j], z[i]-z[j]).Norm()
-		v, _ := e.pot.Energy(r)
-		*oi += v / 2
-		*oj += v / 2
+	return func(i int32, js []int32, ci, cj []float64) {
+		ci, cj = ci[:len(js)], cj[:len(js)]
+		xi, yi, zi := x[i], y[i], z[i]
+		for k, j := range js {
+			ci[k] = im.Min(xi-x[j], yi-y[j], zi-z[j]).Norm()
+		}
+		for k, r := range ci {
+			v, _ := e.pot.Energy(r)
+			ci[k], cj[k] = v/2, v/2
+		}
 	}
 }
 

@@ -199,11 +199,14 @@ func (al *BinaryAlloy) EmbedOf(s int, rho float64) (float64, float64) {
 	return -p.A * sq, -p.A / (2 * sq)
 }
 
-func (al *BinaryAlloy) species(s int) SpeciesParams {
+// species returns species s's parameters by pointer: DensityOf and
+// EmbedOf run once per pair or atom, and a copy of the struct per call
+// is measurable.
+func (al *BinaryAlloy) species(s int) *SpeciesParams {
 	if s == 0 {
-		return al.a
+		return &al.a
 	}
-	return al.b
+	return &al.b
 }
 
 var _ AlloyEAM = (*BinaryAlloy)(nil)

@@ -9,30 +9,31 @@ import (
 	"sdcmd/internal/vec"
 )
 
-// WriteShape declares which reduction-array slots one visit call writes,
-// and under what protection — the information the dynamic race check
-// needs to interpret a sweep. Under the Visit contract the strategy
-// picks the slots it hands each visit, so the shape describes that
-// choice. Shapes are declared by each reducer (via WriteShaper); a
+// WriteShape declares which reduction-array slots a strategy writes for
+// each pair, and under what protection — the information the dynamic
+// race check needs to interpret a sweep. Under the Terms contract the
+// kernels write only the strategy's scratch and every write to the
+// reduction array is the strategy's own, so the shape describes those
+// writes. Shapes are declared by each reducer (via WriteShaper); a
 // wrapper that finds no declaration assumes the most conservative shape.
 type WriteShape int
 
 const (
-	// WriteSharedPair: visit(i, j) receives out[i] and out[j]
-	// themselves and adds to them with no synchronization. Safe only if
-	// no two concurrent workers ever touch the same slot in the same
-	// phase — the SDC §II.B claim.
+	// WriteSharedPair: the strategy adds pair (i, j) into out[i] and
+	// out[j] themselves with no synchronization. Safe only if no two
+	// concurrent workers ever touch the same slot in the same phase —
+	// the SDC §II.B claim.
 	WriteSharedPair WriteShape = iota
-	// WriteSyncedPair: visit(i, j) adds into worker locals, which the
-	// strategy adds into out[i] and out[j] under a mutex or atomic CAS,
-	// so overlapping writes are legal (CS family).
+	// WriteSyncedPair: the strategy adds pair (i, j) into out[i] and
+	// out[j] under a mutex or atomic CAS, so overlapping writes are
+	// legal (CS family).
 	WriteSyncedPair
-	// WritePrivatePair: visit(i, j) receives slots i and j of a
-	// thread-private copy; the merge is separately synchronized (SAP).
+	// WritePrivatePair: the strategy adds pair (i, j) into slots i and
+	// j of a thread-private copy; the merge is separately synchronized
+	// (SAP).
 	WritePrivatePair
-	// WriteOwnerOnly: visit(i, j) receives out[i] and a worker-private
-	// discard slot for j, and each i belongs to exactly one worker's
-	// block (RC).
+	// WriteOwnerOnly: the strategy adds pair (i, j) into out[i] only,
+	// and each i belongs to exactly one worker's block (RC).
 	WriteOwnerOnly
 )
 
@@ -88,7 +89,7 @@ func (c RaceConflict) String() string {
 }
 
 // CheckedReducer decorates a Reducer with a dynamic write-set check: it
-// observes every visit call of the real sweeps and records which worker
+// observes every pair the real sweeps evaluate and records which worker
 // wrote which reduction slot in which phase. For shapes that synchronize
 // (synced-pair) or privatize (private-pair) their writes the check
 // passes vacuously; for shared-pair and owner-only shapes any cross-
@@ -96,7 +97,7 @@ func (c RaceConflict) String() string {
 //
 // It is the dynamic counterpart of AuditSDCSchedule: the audit replays
 // the static schedule, the checker watches the actual execution —
-// including visit-order and scheduling effects the replay cannot see.
+// including pair-order and scheduling effects the replay cannot see.
 // The sweeps still compute their normal results; checking only adds
 // bookkeeping (a mutex around the recording maps), so it is meant for
 // verification runs, not timed ones.
@@ -121,7 +122,7 @@ type conflictKey struct {
 
 // NewCheckedReducer wraps inner. The shape comes from inner's
 // WriteShaper declaration, defaulting to shared-pair (the conservative
-// reading: every visit writes both slots unprotected).
+// reading: every pair is written to both slots unprotected).
 func NewCheckedReducer(inner Reducer) *CheckedReducer {
 	shape := WriteSharedPair
 	if ws, ok := inner.(WriteShaper); ok {
@@ -152,34 +153,36 @@ func (c *CheckedReducer) ParallelForAtoms(body func(start, end, tid int)) {
 // Shape returns the write shape the check runs under.
 func (c *CheckedReducer) Shape() WriteShape { return c.shape }
 
-// recording reports whether this shape needs per-visit observation.
+// recording reports whether this shape needs per-pair observation.
 func (c *CheckedReducer) recording() bool {
 	return c.shape == WriteSharedPair || c.shape == WriteOwnerOnly
 }
 
 // SweepScalar runs the wrapped scalar sweep, observing writes.
-func (c *CheckedReducer) SweepScalar(out []float64, visit Visit[float64]) {
-	checkedSweep(c, "scalar", c.inner.SweepScalar, out, visit)
+func (c *CheckedReducer) SweepScalar(out []float64, terms Terms[float64]) {
+	checkedSweep(c, "scalar", c.inner.SweepScalar, out, terms)
 }
 
 // SweepVector runs the wrapped vector sweep, observing writes.
-func (c *CheckedReducer) SweepVector(out []vec.Vec3, visit Visit[vec.Vec3]) {
-	checkedSweep(c, "vector", c.inner.SweepVector, out, visit)
+func (c *CheckedReducer) SweepVector(out []vec.Vec3, terms Terms[vec.Vec3]) {
+	checkedSweep(c, "vector", c.inner.SweepVector, out, terms)
 }
 
 // checkedSweep runs one wrapped sweep. Under a recording shape every
-// visit first notes the slots it writes, then adds to whatever slots
-// the wrapped strategy handed it.
-func checkedSweep[T Elem](c *CheckedReducer, kind string, sweep func([]T, Visit[T]), out []T, visit Visit[T]) {
+// chunk first notes the slots its pairs write, on the worker that will
+// write them, then fills the wrapped strategy's scratch.
+func checkedSweep[T Elem](c *CheckedReducer, kind string, sweep func([]T, Terms[T]), out []T, terms Terms[T]) {
 	if !c.recording() {
-		sweep(out, visit)
+		sweep(out, terms)
 		c.bumpSweep()
 		return
 	}
 	c.beginSweep(kind)
-	sweep(out, func(i, j int32, oi, oj *T) {
-		c.record(i, j)
-		visit(i, j, oi, oj)
+	sweep(out, func(i int32, js []int32, ci, cj []T) {
+		for _, j := range js {
+			c.record(i, j)
+		}
+		terms(i, js, ci, cj)
 	})
 }
 
@@ -209,8 +212,8 @@ func (c *CheckedReducer) advancePhase() {
 	c.mu.Unlock()
 }
 
-// record notes that the calling worker wrote the slots one visit call
-// touches under the declared shape.
+// record notes that the calling worker writes the slots of pair (i, j)
+// under the declared shape.
 func (c *CheckedReducer) record(i, j int32) {
 	g := goid()
 	c.mu.Lock()

@@ -20,6 +20,7 @@ type uncoloredReducer struct {
 	list *neighbor.List
 	pool *Pool
 	mu   sync.Mutex
+	bufs rowBufs
 }
 
 func (r *uncoloredReducer) Kind() Kind             { return SDC }
@@ -27,22 +28,20 @@ func (r *uncoloredReducer) Threads() int           { return r.pool.Threads() }
 func (r *uncoloredReducer) PairWork() int          { return r.list.Pairs() }
 func (r *uncoloredReducer) WriteShape() WriteShape { return WriteSharedPair }
 
-func (r *uncoloredReducer) SweepScalar(out []float64, visit Visit[float64]) {
-	uncoloredSweep(r, out, visit)
+func (r *uncoloredReducer) SweepScalar(out []float64, terms Terms[float64]) {
+	uncoloredSweep(r, out, terms, r.bufs.scalar)
 }
 
-func (r *uncoloredReducer) SweepVector(out []vec.Vec3, visit Visit[vec.Vec3]) {
-	uncoloredSweep(r, out, visit)
+func (r *uncoloredReducer) SweepVector(out []vec.Vec3, terms Terms[vec.Vec3]) {
+	uncoloredSweep(r, out, terms, r.bufs.vector)
 }
 
-func uncoloredSweep[T Elem](r *uncoloredReducer, out []T, visit Visit[T]) {
-	r.pool.ParallelFor(r.list.N(), func(start, end, _ int) {
+func uncoloredSweep[T Elem](r *uncoloredReducer, out []T, terms Terms[T], bufs []rowBuf[T]) {
+	r.pool.ParallelFor(r.list.N(), func(start, end, tid int) {
 		for i := start; i < end; i++ {
-			for _, j := range r.list.Neighbors(i) {
-				r.mu.Lock()
-				visit(int32(i), j, &out[i], &out[j])
-				r.mu.Unlock()
-			}
+			r.mu.Lock()
+			pairRow(r.list, int32(i), out, terms, &bufs[tid])
+			r.mu.Unlock()
 		}
 	})
 }
@@ -55,16 +54,16 @@ func TestCheckedReducerDetectsSeededRace(t *testing.T) {
 	s := newTestSystem(t, 6, 4.0)
 	pool := MustNewPool(4)
 	defer pool.Close()
-	bad := &uncoloredReducer{list: s.list, pool: pool}
+	bad := &uncoloredReducer{list: s.list, pool: pool, bufs: newRowBufs(pool.Threads())}
 	chk := NewCheckedReducer(bad)
 	if chk.Shape() != WriteSharedPair {
 		t.Fatalf("shape %v, want shared-pair", chk.Shape())
 	}
-	sc, vc := s.visits()
+	sc, vc := s.terms()
 
 	// The sweep must still compute the right answer while being checked.
 	want := make([]float64, s.list.N())
-	(&serialReducer{list: s.list}).SweepScalar(want, sc)
+	(&serialReducer{list: s.list, bufs: newRowBufs(1)}).SweepScalar(want, sc)
 	got := make([]float64, s.list.N())
 	chk.SweepScalar(got, sc)
 	for i := range want {
@@ -116,11 +115,11 @@ func TestCheckedReducerDetectsSeededRace(t *testing.T) {
 // false positives.
 func TestCheckedReducerCleanStrategies(t *testing.T) {
 	s := newTestSystem(t, 6, 4.0)
-	sc, vc := s.visits()
+	sc, vc := s.terms()
 	wantS := make([]float64, s.list.N())
-	(&serialReducer{list: s.list}).SweepScalar(wantS, sc)
+	(&serialReducer{list: s.list, bufs: newRowBufs(1)}).SweepScalar(wantS, sc)
 	wantV := make([]vec.Vec3, s.list.N())
-	(&serialReducer{list: s.list}).SweepVector(wantV, vc)
+	(&serialReducer{list: s.list, bufs: newRowBufs(1)}).SweepVector(wantV, vc)
 
 	wantShape := map[Kind]WriteShape{
 		Serial:   WriteSharedPair,

@@ -19,39 +19,43 @@ type csReducer struct {
 	list *neighbor.List
 	pool *Pool
 	mu   sync.Mutex
+	bufs rowBufs
 }
 
 func (r *csReducer) Kind() Kind    { return CS }
 func (r *csReducer) Threads() int  { return r.pool.Threads() }
 func (r *csReducer) PairWork() int { return r.list.Pairs() }
 
-// WriteShape implements WriteShaper: every pair write happens inside
-// the critical section, so overlapping slots are legal by construction.
+// WriteShape implements WriteShaper: every pair is added into out[i] and
+// out[j] inside the critical section, so overlapping slots are legal by
+// construction.
 func (r *csReducer) WriteShape() WriteShape { return WriteSyncedPair }
 
-func (r *csReducer) SweepScalar(out []float64, visit Visit[float64]) {
-	csSweep(r, out, visit)
+func (r *csReducer) SweepScalar(out []float64, terms Terms[float64]) {
+	csSweep(r, out, terms, r.bufs.scalar)
 }
 
-func (r *csReducer) SweepVector(out []vec.Vec3, visit Visit[vec.Vec3]) {
-	csSweep(r, out, visit)
+func (r *csReducer) SweepVector(out []vec.Vec3, terms Terms[vec.Vec3]) {
+	csSweep(r, out, terms, r.bufs.vector)
 }
 
-// csSweep hands each visit two worker locals and adds them into out
-// inside the critical section, so only the writes are serialized, not
-// the pair arithmetic. The locals are declared once per worker: passed
-// to visit, they live on the heap.
-func csSweep[T Elem](r *csReducer, out []T, visit Visit[T]) {
-	r.pool.ParallelFor(r.list.N(), func(start, end, _ int) {
-		var oi, oj, zero T
+// csSweep evaluates each row chunk into the worker's scratch and adds it
+// into out one pair per critical section, so only the writes are
+// serialized, not the pair arithmetic, and the lock is taken once per
+// pair as in the paper.
+func csSweep[T Elem](r *csReducer, out []T, terms Terms[T], bufs []rowBuf[T]) {
+	r.pool.ParallelFor(r.list.N(), func(start, end, tid int) {
+		buf := &bufs[tid]
 		for i := start; i < end; i++ {
-			for _, j := range r.list.Neighbors(i) {
-				oi, oj = zero, zero
-				visit(int32(i), j, &oi, &oj)
-				r.mu.Lock()
-				add(&out[i], &oi)
-				add(&out[j], &oj)
-				r.mu.Unlock()
+			row := r.list.Neighbors(i)
+			for len(row) > 0 {
+				js, ci, cj := buf.fill(terms, int32(i), row)
+				row = row[len(js):]
+				for k := range js {
+					r.mu.Lock()
+					addRow(out, int32(i), js[k:k+1], ci[k:k+1], cj[k:k+1])
+					r.mu.Unlock()
+				}
 			}
 		}
 	})
@@ -68,6 +72,7 @@ func (r *csReducer) ParallelForAtoms(body func(start, end, tid int)) {
 type atomicReducer struct {
 	list *neighbor.List
 	pool *Pool
+	bufs rowBufs
 }
 
 func (r *atomicReducer) Kind() Kind    { return AtomicCS }
@@ -90,33 +95,46 @@ func atomicAddFloat64(addr *float64, v float64) {
 	}
 }
 
-// atomicAdd adds *v into *dst with one CAS loop per component.
-func atomicAdd[T Elem](dst, v *T) {
-	d := floats(dst)
-	for k, x := range floats(v) {
-		atomicAddFloat64(&d[k], x)
+// atomicAddRow is addRow with one CAS loop per component of every
+// update.
+func atomicAddRow[T Elem](out []T, i int32, js []int32, ci, cj []T) {
+	switch o := any(out).(type) {
+	case []float64:
+		ci, cj := any(ci).([]float64)[:len(js)], any(cj).([]float64)[:len(js)]
+		for k, j := range js {
+			atomicAddFloat64(&o[i], ci[k])
+			atomicAddFloat64(&o[j], cj[k])
+		}
+	case []vec.Vec3:
+		ci := any(ci).([]vec.Vec3)[:len(js)]
+		for k, j := range js {
+			for c, x := range ci[k] {
+				atomicAddFloat64(&o[i][c], x)
+				atomicAddFloat64(&o[j][c], -x)
+			}
+		}
 	}
 }
 
-func (r *atomicReducer) SweepScalar(out []float64, visit Visit[float64]) {
-	atomicSweep(r, out, visit)
+func (r *atomicReducer) SweepScalar(out []float64, terms Terms[float64]) {
+	atomicSweep(r, out, terms, r.bufs.scalar)
 }
 
-func (r *atomicReducer) SweepVector(out []vec.Vec3, visit Visit[vec.Vec3]) {
-	atomicSweep(r, out, visit)
+func (r *atomicReducer) SweepVector(out []vec.Vec3, terms Terms[vec.Vec3]) {
+	atomicSweep(r, out, terms, r.bufs.vector)
 }
 
 // atomicSweep is csSweep with the mutex replaced by per-component CAS
-// adds of the worker locals.
-func atomicSweep[T Elem](r *atomicReducer, out []T, visit Visit[T]) {
-	r.pool.ParallelFor(r.list.N(), func(start, end, _ int) {
-		var oi, oj, zero T
+// adds.
+func atomicSweep[T Elem](r *atomicReducer, out []T, terms Terms[T], bufs []rowBuf[T]) {
+	r.pool.ParallelFor(r.list.N(), func(start, end, tid int) {
+		buf := &bufs[tid]
 		for i := start; i < end; i++ {
-			for _, j := range r.list.Neighbors(i) {
-				oi, oj = zero, zero
-				visit(int32(i), j, &oi, &oj)
-				atomicAdd(&out[i], &oi)
-				atomicAdd(&out[j], &oj)
+			row := r.list.Neighbors(i)
+			for len(row) > 0 {
+				js, ci, cj := buf.fill(terms, int32(i), row)
+				row = row[len(js):]
+				atomicAddRow(out, int32(i), js, ci, cj)
 			}
 		}
 	})

@@ -201,10 +201,3 @@ func chunk(n, threads, tid int) (start, end int) {
 	}
 	return start, start + size
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -15,6 +15,7 @@ type rcReducer struct {
 	half *neighbor.List
 	full *neighbor.List
 	pool *Pool
+	bufs rowBufs
 }
 
 func (r *rcReducer) Kind() Kind   { return RC }
@@ -23,9 +24,8 @@ func (r *rcReducer) Threads() int { return r.pool.Threads() }
 // PairWork is the doubled pair count: RC's defining cost.
 func (r *rcReducer) PairWork() int { return r.full.Pairs() }
 
-// WriteShape implements WriteShaper: each visit writes only out[i] (its
-// j slot is a worker-private discard), and the ParallelFor blocks
-// partition i across workers.
+// WriteShape implements WriteShaper: each pair is added into out[i]
+// only, and the ParallelFor blocks partition i across workers.
 func (r *rcReducer) WriteShape() WriteShape { return WriteOwnerOnly }
 
 // FullListBytes reports the extra neighbor-list storage RC carries
@@ -34,25 +34,27 @@ func (r *rcReducer) FullListBytes() int {
 	return (r.full.Pairs() - r.half.Pairs()) * 4
 }
 
-func (r *rcReducer) SweepScalar(out []float64, visit Visit[float64]) {
-	rcSweep(r, out, visit)
+func (r *rcReducer) SweepScalar(out []float64, terms Terms[float64]) {
+	rcSweep(r, out, terms, r.bufs.scalar)
 }
 
-func (r *rcReducer) SweepVector(out []vec.Vec3, visit Visit[vec.Vec3]) {
-	rcSweep(r, out, visit)
+func (r *rcReducer) SweepVector(out []vec.Vec3, terms Terms[vec.Vec3]) {
+	rcSweep(r, out, terms, r.bufs.vector)
 }
 
-// rcSweep walks each worker's block of full-list rows, adding atom i's
-// side of every pair straight into out[i]; j's side goes to a worker
-// discard slot that is never read. Declared once per worker, the slot
-// lives on the heap because visit receives its address.
-func rcSweep[T Elem](r *rcReducer, out []T, visit Visit[T]) {
-	r.pool.ParallelFor(r.full.N(), func(start, end, _ int) {
-		var discard T
+// rcSweep walks each worker's block of full-list rows and adds atom i's
+// side of every pair, ci, into out[i]; j's side is never read.
+func rcSweep[T Elem](r *rcReducer, out []T, terms Terms[T], bufs []rowBuf[T]) {
+	r.pool.ParallelFor(r.full.N(), func(start, end, tid int) {
+		buf := &bufs[tid]
 		for i := start; i < end; i++ {
-			oi := &out[i]
-			for _, j := range r.full.Neighbors(i) {
-				visit(int32(i), j, oi, &discard)
+			oi, row := &out[i], r.full.Neighbors(i)
+			for len(row) > 0 {
+				js, ci, _ := buf.fill(terms, int32(i), row)
+				row = row[len(js):]
+				for k := range ci {
+					add(oi, &ci[k])
+				}
 			}
 		}
 	})

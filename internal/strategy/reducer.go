@@ -69,20 +69,24 @@ var Kinds = []Kind{Serial, SDC, CS, AtomicCS, SAP, RC}
 // pair-energy sweeps, vec.Vec3 for the force sweep.
 type Elem interface{ float64 | vec.Vec3 }
 
-// Visit adds the contributions of pair (i, j) into two reduction slots:
-// atom i's into *oi and atom j's into *oj. The strategy alone decides
-// where the slots live — the shared output array (Serial, SDC), a
-// thread-private copy (SAP), worker locals it merges under a mutex or
-// CAS (CS, AtomicCS), or, for j, a worker's discard slot (RC) — so a
-// visit must only add to them: what a slot already holds is the
-// strategy's business and must not change what is added. Strategies
-// call it concurrently, so apart from the slots it must be a pure
-// function of (i, j), and direction-consistent: visit(j, i) adds to
-// *oi what visit(i, j) adds to *oj, because RC evaluates each pair from
-// both ends and keeps only atom i's side. The force visit adds +f to
-// atom i and −f to atom j (Newton's third law, the §II.D.2
-// optimization).
-type Visit[T Elem] func(i, j int32, oi, oj *T)
+// Terms fills the contributions of the pairs (i, js[k]) of one chunk of
+// atom i's neighbor row into scratch the strategy owns: atom i's share
+// into ci[k] and, for a scalar, atom js[k]'s share into cj[k]. It writes
+// nothing else; a vector kernel may use cj as scratch. len(ci) and
+// len(cj) equal len(js).
+//
+// The strategy alone writes the reduction array: it adds each chunk into
+// the slots it picks, in row order — the shared array (Serial, SDC), a
+// thread-private copy (SAP), the shared array under a mutex or CAS once
+// per pair (CS, AtomicCS), or atom i's slot only (RC). A scalar adds
+// ci[k] to atom i and cj[k] to atom js[k]; a vector adds ci[k] to atom i
+// and subtracts it from atom js[k] (Newton's third law, the §II.D.2
+// optimization). Strategies call terms concurrently on distinct
+// scratch, so apart from the scratch it must be a pure function of
+// (i, js), and direction-consistent: terms(j, [i]) puts into ci what
+// terms(i, [j]) gives atom j, because RC evaluates each pair from both
+// ends and keeps only atom i's side.
+type Terms[T Elem] func(i int32, js []int32, ci, cj []T)
 
 // Reducer executes the two irregular-reduction sweeps of the EAM force
 // calculation under one scheduling/synchronization policy.
@@ -91,18 +95,18 @@ type Reducer interface {
 	Kind() Kind
 	// Threads returns the worker count (1 for Serial).
 	Threads() int
-	// SweepScalar accumulates visit over all pairs into out
+	// SweepScalar accumulates terms over all pairs into out
 	// (the electron-density loop of Figs. 1/7). out is NOT zeroed.
-	SweepScalar(out []float64, visit Visit[float64])
-	// SweepVector accumulates visit over all pairs into out
+	SweepScalar(out []float64, terms Terms[float64])
+	// SweepVector accumulates terms over all pairs into out
 	// (the force loop of Figs. 2/8). out is NOT zeroed.
-	SweepVector(out []vec.Vec3, visit Visit[vec.Vec3])
+	SweepVector(out []vec.Vec3, terms Terms[vec.Vec3])
 	// ParallelForAtoms runs body over [0, N) — the embedding phase,
 	// which has no cross-iteration dependence (§II.C phase 2).
 	ParallelForAtoms(body func(start, end, tid int))
-	// PairWork returns the number of visit calls one scalar sweep
-	// makes — the work-accounting input of the perf model (RC does
-	// twice the pair work, §IV).
+	// PairWork returns the number of pairs one scalar sweep evaluates
+	// — the work-accounting input of the perf model (RC does twice the
+	// pair work, §IV).
 	PairWork() int
 }
 
@@ -131,27 +135,32 @@ func New(cfg Config) (Reducer, error) {
 	if !cfg.List.Half {
 		return nil, fmt.Errorf("strategy: reducers require a half neighbor list")
 	}
+	threads := 1
 	if cfg.Kind != Serial {
 		if cfg.Pool == nil {
 			return nil, fmt.Errorf("strategy: %v requires a worker pool", cfg.Kind)
 		}
+		threads = cfg.Pool.Threads()
 	}
+	bufs := newRowBufs(threads)
 	switch cfg.Kind {
 	case Serial:
-		return &serialReducer{list: cfg.List}, nil
+		return &serialReducer{list: cfg.List, bufs: bufs}, nil
 	case SDC:
 		if err := validateDecomp(cfg); err != nil {
 			return nil, err
 		}
-		return &sdcReducer{list: cfg.List, pool: cfg.Pool, dec: cfg.Decomp, tel: cfg.Telemetry}, nil
+		return &sdcReducer{list: cfg.List, pool: cfg.Pool, dec: cfg.Decomp, tel: cfg.Telemetry,
+			bufs: bufs}, nil
 	case CS:
-		return &csReducer{list: cfg.List, pool: cfg.Pool}, nil
+		return &csReducer{list: cfg.List, pool: cfg.Pool, bufs: bufs}, nil
 	case AtomicCS:
-		return &atomicReducer{list: cfg.List, pool: cfg.Pool}, nil
+		return &atomicReducer{list: cfg.List, pool: cfg.Pool, bufs: bufs}, nil
 	case SAP:
-		return &sapReducer{list: cfg.List, pool: cfg.Pool}, nil
+		return &sapReducer{list: cfg.List, pool: cfg.Pool, bufs: bufs}, nil
 	case RC:
-		return &rcReducer{half: cfg.List, full: cfg.List.ToFull(), pool: cfg.Pool}, nil
+		return &rcReducer{half: cfg.List, full: cfg.List.ToFull(), pool: cfg.Pool,
+			bufs: bufs}, nil
 	default:
 		return nil, fmt.Errorf("strategy: unknown kind %v", cfg.Kind)
 	}

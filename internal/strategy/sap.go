@@ -24,14 +24,16 @@ type sapReducer struct {
 	// array) is visible to the memory accounting rather than the GC.
 	privScalar [][]float64
 	privVector [][]vec.Vec3
+	bufs       rowBufs
 }
 
 func (r *sapReducer) Kind() Kind    { return SAP }
 func (r *sapReducer) Threads() int  { return r.pool.Threads() }
 func (r *sapReducer) PairWork() int { return r.list.Pairs() }
 
-// WriteShape implements WriteShaper: visits write thread-private
-// copies; the merge into the shared array is under the mutex.
+// WriteShape implements WriteShaper: each worker adds its pairs into
+// its thread-private copy; the merge into the shared array is under the
+// mutex.
 func (r *sapReducer) WriteShape() WriteShape { return WritePrivatePair }
 
 // PrivateBytes reports the extra memory SAP holds for privatized
@@ -60,25 +62,25 @@ func buffers[T Elem](priv *[][]T, threads, n int) [][]T {
 	return *priv
 }
 
-func (r *sapReducer) SweepScalar(out []float64, visit Visit[float64]) {
-	sapSweep(r, &r.privScalar, out, visit)
+func (r *sapReducer) SweepScalar(out []float64, terms Terms[float64]) {
+	sapSweep(r, &r.privScalar, out, terms, r.bufs.scalar)
 }
 
-func (r *sapReducer) SweepVector(out []vec.Vec3, visit Visit[vec.Vec3]) {
-	sapSweep(r, &r.privVector, out, visit)
+func (r *sapReducer) SweepVector(out []vec.Vec3, terms Terms[vec.Vec3]) {
+	sapSweep(r, &r.privVector, out, terms, r.bufs.vector)
 }
 
 // sapSweep has each worker zero its private copy, walk its block of
 // rows into it, and merge the copy into out.
-func sapSweep[T Elem](r *sapReducer, priv *[][]T, out []T, visit Visit[T]) {
+func sapSweep[T Elem](r *sapReducer, priv *[][]T, out []T, terms Terms[T], rows []rowBuf[T]) {
 	n := r.list.N()
 	bufs := buffers(priv, r.pool.Threads(), n)
 	r.pool.Run(func(tid int) {
-		p := bufs[tid]
+		p, buf := bufs[tid], &rows[tid]
 		clear(p)
 		start, end := chunk(n, r.pool.Threads(), tid)
 		for i := start; i < end; i++ {
-			pairRow(r.list, int32(i), p, visit)
+			pairRow(r.list, int32(i), p, terms, buf)
 		}
 		// Merge under the critical section, as the paper describes:
 		// "updating shared array must be done in a critical section".

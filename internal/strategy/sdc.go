@@ -26,15 +26,16 @@ type sdcReducer struct {
 	// phaseHook, when set (by CheckedReducer), runs serially after each
 	// color's pool barrier.
 	phaseHook func()
+	bufs      rowBufs
 }
 
 func (r *sdcReducer) Kind() Kind    { return SDC }
 func (r *sdcReducer) Threads() int  { return r.pool.Threads() }
 func (r *sdcReducer) PairWork() int { return r.list.Pairs() }
 
-// WriteShape implements WriteShaper: SDC workers write out[i] and
-// out[j] with no synchronization — the coloring is the only guarantee,
-// which is exactly what the dynamic check verifies.
+// WriteShape implements WriteShaper: SDC workers add each pair into
+// out[i] and out[j] with no synchronization — the coloring is the only
+// guarantee, which is exactly what the dynamic check verifies.
 func (r *sdcReducer) WriteShape() WriteShape { return WriteSharedPair }
 
 func (r *sdcReducer) setPhaseHook(h func()) { r.phaseHook = h }
@@ -46,23 +47,24 @@ func (r *sdcReducer) barrier() {
 	}
 }
 
-func (r *sdcReducer) SweepScalar(out []float64, visit Visit[float64]) {
-	sdcSweep(r, out, visit)
+func (r *sdcReducer) SweepScalar(out []float64, terms Terms[float64]) {
+	sdcSweep(r, out, terms, r.bufs.scalar)
 }
 
-func (r *sdcReducer) SweepVector(out []vec.Vec3, visit Visit[vec.Vec3]) {
-	sdcSweep(r, out, visit)
+func (r *sdcReducer) SweepVector(out []vec.Vec3, terms Terms[vec.Vec3]) {
+	sdcSweep(r, out, terms, r.bufs.vector)
 }
 
 // sdcSweep runs the color loop: each color's subdomains are strided
 // over the workers, which walk their atoms' rows writing out directly.
-func sdcSweep[T Elem](r *sdcReducer, out []T, visit Visit[T]) {
+func sdcSweep[T Elem](r *sdcReducer, out []T, terms Terms[T], bufs []rowBuf[T]) {
 	for c := 0; c < r.dec.NumColors(); c++ {
 		sp := r.tel.Span()
 		subs := r.dec.ByColor[c]
-		r.pool.ParallelForStrided(len(subs), func(k, _ int) {
+		r.pool.ParallelForStrided(len(subs), func(k, tid int) {
+			buf := &bufs[tid]
 			for _, i := range r.dec.Atoms(int(subs[k])) {
-				pairRow(r.list, i, out, visit)
+				pairRow(r.list, i, out, terms, buf)
 			}
 		})
 		// Pool barrier here: the next color starts only when every

@@ -11,29 +11,31 @@ import (
 // Fig. 9 are measured against this code path.
 type serialReducer struct {
 	list *neighbor.List
+	bufs rowBufs
 }
 
 func (r *serialReducer) Kind() Kind    { return Serial }
 func (r *serialReducer) Threads() int  { return 1 }
 func (r *serialReducer) PairWork() int { return r.list.Pairs() }
 
-// WriteShape implements WriteShaper: the sequential sweep writes both
-// slots unsynchronized; with one worker no overlap can ever conflict.
+// WriteShape implements WriteShaper: the sequential sweep adds each pair
+// into out[i] and out[j] unsynchronized; with one worker no overlap can
+// ever conflict.
 func (r *serialReducer) WriteShape() WriteShape { return WriteSharedPair }
 
-func (r *serialReducer) SweepScalar(out []float64, visit Visit[float64]) {
-	serialSweep(r, out, visit)
+func (r *serialReducer) SweepScalar(out []float64, terms Terms[float64]) {
+	serialSweep(r, out, terms, &r.bufs.scalar[0])
 }
 
-func (r *serialReducer) SweepVector(out []vec.Vec3, visit Visit[vec.Vec3]) {
-	serialSweep(r, out, visit)
+func (r *serialReducer) SweepVector(out []vec.Vec3, terms Terms[vec.Vec3]) {
+	serialSweep(r, out, terms, &r.bufs.vector[0])
 }
 
 // serialSweep walks every row in atom order, writing out directly.
-func serialSweep[T Elem](r *serialReducer, out []T, visit Visit[T]) {
+func serialSweep[T Elem](r *serialReducer, out []T, terms Terms[T], buf *rowBuf[T]) {
 	n := r.list.N()
 	for i := 0; i < n; i++ {
-		pairRow(r.list, int32(i), out, visit)
+		pairRow(r.list, int32(i), out, terms, buf)
 	}
 }
 

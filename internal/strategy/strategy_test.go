@@ -36,23 +36,21 @@ func newTestSystem(t *testing.T, cells int, reach float64) *testSystem {
 	return &testSystem{bx: cfg.Box, pos: cfg.Pos, list: list, dec: dec}
 }
 
-// visits returns geometry-derived test kernels: a scalar "density-like"
+// terms returns geometry-derived test kernels: a scalar "density-like"
 // pair term and an antisymmetric vector term, both real functions of
 // the minimum-image distance so mistakes in pair handling change sums.
-func (s *testSystem) visits() (Visit[float64], Visit[vec.Vec3]) {
-	sc := func(i, j int32, oi, oj *float64) {
-		d := s.bx.MinImage(s.pos[i], s.pos[j])
-		r := d.Norm()
-		v := math.Exp(-r)
-		*oi += v
-		*oj += v
+func (s *testSystem) terms() (Terms[float64], Terms[vec.Vec3]) {
+	sc := func(i int32, js []int32, ci, cj []float64) {
+		for k, j := range js {
+			v := math.Exp(-s.bx.MinImage(s.pos[i], s.pos[j]).Norm())
+			ci[k], cj[k] = v, v
+		}
 	}
-	vc := func(i, j int32, oi, oj *vec.Vec3) {
-		d := s.bx.MinImage(s.pos[i], s.pos[j])
-		r2 := d.Norm2()
-		f := d.Scale(1 / (1 + r2))
-		*oi = oi.Add(f)
-		*oj = oj.Sub(f)
+	vc := func(i int32, js []int32, ci, _ []vec.Vec3) {
+		for k, j := range js {
+			d := s.bx.MinImage(s.pos[i], s.pos[j])
+			ci[k] = d.Scale(1 / (1 + d.Norm2()))
+		}
 	}
 	return sc, vc
 }
@@ -137,7 +135,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestAllStrategiesMatchSerial(t *testing.T) {
 	s := newTestSystem(t, 6, 4.0)
-	sc, vc := s.visits()
+	sc, vc := s.terms()
 	n := s.list.N()
 
 	ref, _ := buildReducer(t, s, Serial, 1)
@@ -170,10 +168,10 @@ func TestAllStrategiesMatchSerial(t *testing.T) {
 
 func TestSweepsAccumulate(t *testing.T) {
 	// Sweeps must add into out, not overwrite it, wherever the strategy
-	// points the visit's slots: out itself (Serial, SDC, and RC for atom
-	// i), worker locals (CS, AtomicCS) or private copies (SAP).
+	// adds the scratch: out itself (Serial, SDC, and RC for atom i),
+	// under a mutex or CAS (CS, AtomicCS) or via private copies (SAP).
 	s := newTestSystem(t, 6, 4.0)
-	sc, vc := s.visits()
+	sc, vc := s.terms()
 	for _, k := range Kinds {
 		r, pool := buildReducer(t, s, k, 3)
 		checkAccumulates(t, k.String()+"/scalar", r.SweepScalar, sc, s.list.N())
@@ -187,10 +185,10 @@ func TestSweepsAccumulate(t *testing.T) {
 // checkAccumulates runs sweep twice into a non-zero out and checks that
 // every component ends at its start value plus twice what one sweep
 // into zeros contributes.
-func checkAccumulates[T Elem](t *testing.T, name string, sweep func([]T, Visit[T]), visit Visit[T], n int) {
+func checkAccumulates[T Elem](t *testing.T, name string, sweep func([]T, Terms[T]), terms Terms[T], n int) {
 	t.Helper()
 	once := make([]T, n)
-	sweep(once, visit)
+	sweep(once, terms)
 	start := make([]T, n)
 	for i := range start {
 		for c := range floats(&start[i]) {
@@ -198,8 +196,8 @@ func checkAccumulates[T Elem](t *testing.T, name string, sweep func([]T, Visit[T
 		}
 	}
 	out := append([]T(nil), start...)
-	sweep(out, visit)
-	sweep(out, visit)
+	sweep(out, terms)
+	sweep(out, terms)
 	for i := range out {
 		got, s0, o := floats(&out[i]), floats(&start[i]), floats(&once[i])
 		for c := range got {
@@ -244,9 +242,11 @@ func TestSDCColorsCoverAllPairs(t *testing.T) {
 	var visited int64
 	var mu = make(chan struct{}, 1)
 	mu <- struct{}{}
-	count := func(i, j int32, _, _ *float64) {
+	count := func(_ int32, js []int32, ci, cj []float64) {
+		clear(ci)
+		clear(cj)
 		<-mu
-		visited++
+		visited += int64(len(js))
 		mu <- struct{}{}
 	}
 	out := make([]float64, s.list.N())
@@ -290,7 +290,7 @@ func TestPairWorkAccounting(t *testing.T) {
 
 func TestSAPPrivateBytesGrowWithThreads(t *testing.T) {
 	s := newTestSystem(t, 6, 4.0)
-	sc, vc := s.visits()
+	sc, vc := s.terms()
 	sizes := map[int]int{}
 	for _, threads := range []int{2, 4} {
 		pool := MustNewPool(threads)
@@ -497,9 +497,10 @@ func TestStressConcurrentSweeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := func(i, j int32, oi, oj *float64) {
-		*oi++
-		*oj++
+	sc := func(_ int32, _ []int32, ci, cj []float64) {
+		for k := range ci {
+			ci[k], cj[k] = 1, 1
+		}
 	}
 	serial, err := New(Config{Kind: Serial, List: list})
 	if err != nil {

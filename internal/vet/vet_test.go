@@ -137,20 +137,31 @@ func (r *uncoloredVetReducer) Threads() int                    { return r.pool.T
 func (r *uncoloredVetReducer) PairWork() int                   { return r.list.Pairs() }
 func (r *uncoloredVetReducer) WriteShape() strategy.WriteShape { return strategy.WriteSharedPair }
 
-func (r *uncoloredVetReducer) SweepScalar(out []float64, visit strategy.Visit[float64]) {
-	uncoloredVetSweep(r, out, visit)
+func (r *uncoloredVetReducer) SweepScalar(out []float64, terms strategy.Terms[float64]) {
+	uncoloredVetSweep(r, terms, func(i, j int32, ci, cj float64) {
+		out[i] += ci
+		out[j] += cj
+	})
 }
 
-func (r *uncoloredVetReducer) SweepVector(out []vec.Vec3, visit strategy.Visit[vec.Vec3]) {
-	uncoloredVetSweep(r, out, visit)
+func (r *uncoloredVetReducer) SweepVector(out []vec.Vec3, terms strategy.Terms[vec.Vec3]) {
+	uncoloredVetSweep(r, terms, func(i, j int32, ci, _ vec.Vec3) {
+		out[i] = out[i].Add(ci)
+		out[j] = out[j].Sub(ci)
+	})
 }
 
-func uncoloredVetSweep[T strategy.Elem](r *uncoloredVetReducer, out []T, visit strategy.Visit[T]) {
+// uncoloredVetSweep evaluates one pair at a time and hands its two
+// contributions to add, which writes both slots of the shared array.
+func uncoloredVetSweep[T strategy.Elem](r *uncoloredVetReducer, terms strategy.Terms[T], add func(i, j int32, ci, cj T)) {
 	r.pool.ParallelFor(r.list.N(), func(start, end, _ int) {
+		var ci, cj [1]T
 		for i := start; i < end; i++ {
-			for _, j := range r.list.Neighbors(i) {
+			row := r.list.Neighbors(i)
+			for k := range row {
 				r.mu.Lock()
-				visit(int32(i), j, &out[i], &out[j])
+				terms(int32(i), row[k:k+1], ci[:], cj[:])
+				add(int32(i), row[k], ci[0], cj[0])
 				r.mu.Unlock()
 			}
 		}
@@ -177,13 +188,15 @@ func TestStaticSupersetOfDynamic(t *testing.T) {
 	pool := strategy.MustNewPool(4)
 	defer pool.Close()
 	chk := strategy.NewCheckedReducer(&uncoloredVetReducer{list: list, pool: pool})
-	chk.SweepScalar(make([]float64, list.N()), func(i, j int32, oi, oj *float64) {
-		*oi++
-		*oj++
+	chk.SweepScalar(make([]float64, list.N()), func(_ int32, _ []int32, ci, cj []float64) {
+		for k := range ci {
+			ci[k], cj[k] = 1, 1
+		}
 	})
-	chk.SweepVector(make([]vec.Vec3, list.N()), func(i, j int32, oi, oj *vec.Vec3) {
-		oi[0]++
-		oj[0]--
+	chk.SweepVector(make([]vec.Vec3, list.N()), func(_ int32, _ []int32, ci, _ []vec.Vec3) {
+		for k := range ci {
+			ci[k] = vec.Vec3{1, 0, 0}
+		}
 	})
 
 	dynamicKinds := map[string]bool{}
