@@ -3,20 +3,15 @@
 // sdc-shared-write (worker-body writes to shared reduction arrays must
 // be provably confined or flow through an approved strategy.Reducer)
 // and hot-loop (no allocation, defer or map iteration inside loops of
-// functions reachable from Compute or the force sweeps) — the four
+// functions reachable from Compute or the force sweeps) — and the four
 // sdcflow concurrency-lifecycle passes: goroutine-leak (every go
 // statement needs provable join/stop evidence), lock-order (the mutex
 // acquisition graph must be acyclic with no re-acquisition),
 // ctx-propagation (blocking operations reachable from ctx-accepting
 // entry points must be cancellable), and nondet-order (map iteration
 // order must not flow into float accumulation, serialization, or
-// unsorted results) — and the three sdcatomic memory-model passes:
-// mixed-access (no plain access to data also accessed via sync/atomic
-// unless one lock dominates both), publication-safety (data published
-// through an atomic store must be fully written before the store and
-// re-loaded through the atomic before use), and cas-loop (CAS retry
-// loops must re-load their target and not recompute from mutable
-// non-atomic state).
+// unsorted results). Every pass must catch a bug planted at a live site
+// of the tree (the mutation test in this package).
 //
 //	sdcvet ./...             # analyze the whole tree, exit 1 on findings
 //	sdcvet -json ./...       # one JSON finding per line, for tooling
@@ -52,7 +47,6 @@ import (
 
 	"sdcmd/internal/flow"
 	"sdcmd/internal/lint"
-	"sdcmd/internal/mem"
 	"sdcmd/internal/vet"
 )
 
@@ -62,8 +56,7 @@ func main() {
 
 func passes() []lint.Pass {
 	all := append(lint.AsPasses(lint.DefaultRules()), vet.Passes()...)
-	all = append(all, flow.Passes()...)
-	return append(all, mem.Passes()...)
+	return append(all, flow.Passes()...)
 }
 
 func run(args []string, stdout, stderr io.Writer) int {

@@ -148,7 +148,6 @@ func TestRunRulesListsAllPasses(t *testing.T) {
 		"unchecked-error", "kernel-determinism", "no-panic",
 		"sdc-shared-write", "hot-loop",
 		"goroutine-leak", "lock-order", "ctx-propagation", "nondet-order",
-		"mixed-access", "publication-safety", "cas-loop",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("-rules missing %s:\n%s", want, s)
@@ -170,27 +169,6 @@ func TestRunFlowFixtureFindings(t *testing.T) {
 		"goroutine-leak", "lock-order", "ctx-propagation", "nondet-order",
 		"internal/leak/leak.go", "internal/locks/locks.go",
 		"internal/ctxprop/ctx.go", "internal/nondet/nondet.go",
-	} {
-		if !strings.Contains(s, want) {
-			t.Errorf("output missing %q:\n%s", want, s)
-		}
-	}
-}
-
-// TestRunMemFixtureFindings drives the three sdcatomic passes through
-// the command over their own broken fixture.
-func TestRunMemFixtureFindings(t *testing.T) {
-	chdirTo(t, "internal/mem/testdata/src")
-	var out, errb bytes.Buffer
-	code := run([]string{"./..."}, &out, &errb)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1; stderr: %s", code, errb.String())
-	}
-	s := out.String()
-	for _, want := range []string{
-		"mixed-access", "publication-safety", "cas-loop",
-		"internal/mixed/bad.go", "internal/brokendeque/deque.go",
-		"internal/casloop/bad.go",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("output missing %q:\n%s", want, s)

@@ -240,11 +240,6 @@ type lockScan struct {
 	g    *lockGraph
 	out  *[]lint.Finding
 	rule string
-
-	// observe, when set, is called once per visited statement with the
-	// held set at its entry — the hook HeldSpans uses to export lock
-	// domination to other analyzers (sdcatomic's mixed-access pass).
-	observe func(pos, end token.Pos, held map[string]token.Pos)
 }
 
 func (s *lockScan) stmts(list []ast.Stmt, held map[string]token.Pos) {
@@ -254,9 +249,6 @@ func (s *lockScan) stmts(list []ast.Stmt, held map[string]token.Pos) {
 }
 
 func (s *lockScan) stmt(st ast.Stmt, held map[string]token.Pos) {
-	if s.observe != nil && st != nil {
-		s.observe(st.Pos(), st.End(), held)
-	}
 	switch st := st.(type) {
 	case nil:
 	case *ast.DeferStmt:

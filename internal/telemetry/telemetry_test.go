@@ -84,6 +84,20 @@ func TestRecorderAccumulates(t *testing.T) {
 
 func TestRecorderConcurrentUse(t *testing.T) {
 	r := NewRecorder()
+	// A reader snapshots while the writers run, so the race detector
+	// sees every Snapshot load against the writers' updates.
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			r.Snapshot()
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -98,6 +112,8 @@ func TestRecorderConcurrentUse(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	close(stop)
+	<-done
 	m := r.Snapshot()
 	if m.Density.Calls != 8*200 {
 		t.Errorf("density calls = %d, want %d", m.Density.Calls, 8*200)

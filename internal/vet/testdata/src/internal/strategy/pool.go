@@ -32,10 +32,3 @@ func (p *Pool) ParallelForStrided(n int, body func(k, tid int)) {
 		body(k, 0)
 	}
 }
-
-// ParallelForDynamic hands out single indices from a shared counter.
-func (p *Pool) ParallelForDynamic(n int, body func(k, tid int)) {
-	for k := 0; k < n; k++ {
-		body(k, 0)
-	}
-}

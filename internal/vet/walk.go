@@ -125,7 +125,6 @@ var dispatchMethods = map[string]bool{
 	"Run":                true,
 	"ParallelFor":        true,
 	"ParallelForStrided": true,
-	"ParallelForDynamic": true,
 	"ParallelForAtoms":   true,
 }
 

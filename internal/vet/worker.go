@@ -33,15 +33,14 @@ type convention struct {
 //	Run(fn(tid))                          — tid is param 0
 //	ParallelFor/ParallelForAtoms(body(start, end, tid))
 //	                                      — tid is param 2, block is [p0, p1)
-//	ParallelForStrided/ParallelForDynamic(body(k, tid))
-//	                                      — both k and tid confine
+//	ParallelForStrided(body(k, tid))      — both k and tid confine
 func conventionFor(method string) convention {
 	switch method {
 	case "Run":
 		return convention{confined: map[int]bool{0: true}, loopLo: -1, loopHi: -1}
 	case "ParallelFor", "ParallelForAtoms":
 		return convention{confined: map[int]bool{2: true}, loopLo: 0, loopHi: 1}
-	case "ParallelForStrided", "ParallelForDynamic":
+	case "ParallelForStrided":
 		return convention{confined: map[int]bool{0: true, 1: true}, loopLo: -1, loopHi: -1}
 	}
 	return convention{confined: map[int]bool{}, loopLo: -1, loopHi: -1}
