@@ -31,11 +31,12 @@
 // The kernel-budget mode is a different kind of gate: instead of AST
 // passes it replays the compiler's own escape-analysis and
 // bounds-check diagnostics for the kernel packages (internal/force,
-// internal/strategy, and the grid and neighbor search of internal/core
-// and internal/neighbor that run at every rebuild) and diffs per-file
-// counts against the committed LINT_kernel.json, failing on any
-// increase — heap escapes and retained bounds checks in the sweep
-// loops regress silently otherwise. See DESIGN.md, "Correctness
+// internal/strategy, the integrator of internal/md and the wrap of
+// internal/box that run every step, and the grid and neighbor search of
+// internal/core and internal/neighbor that run at every rebuild) and
+// diffs per-file counts against the committed LINT_kernel.json,
+// failing on any increase — heap escapes and retained bounds checks in
+// the sweep loops regress silently otherwise. See DESIGN.md, "Correctness
 // tooling".
 package main
 

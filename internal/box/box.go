@@ -81,10 +81,18 @@ func (b Box) Contains(p vec.Vec3) bool {
 // Wrap maps p into the primary cell on every periodic axis. Coordinates
 // on non-periodic axes are returned unchanged. Wrap is safe for points
 // arbitrarily far outside the cell.
+//
+// An axis where x = p − Lo satisfies 0 < x < L is left as it is, with
+// the same bits the full formula gives: floor(x/L) is +0 there, so
+// p − L·0 is p, and x < L implies p < Hi because rounding is monotone.
+// x = ±0 takes the full formula, which turns a −0 at Lo = 0 into +0.
 func (b Box) Wrap(p vec.Vec3) vec.Vec3 {
 	l := b.Lengths()
 	for d := 0; d < 3; d++ {
 		if !b.Periodic[d] {
+			continue
+		}
+		if x := p[d] - b.Lo[d]; x > 0 && x < l[d] {
 			continue
 		}
 		p[d] -= l[d] * math.Floor((p[d]-b.Lo[d])/l[d])

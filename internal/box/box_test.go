@@ -287,3 +287,96 @@ func TestString(t *testing.T) {
 		t.Error("empty String()")
 	}
 }
+
+// fullWrap is Wrap without its in-cell fast path: the divide and floor
+// on every periodic axis.
+func fullWrap(b Box, p vec.Vec3) vec.Vec3 {
+	l := b.Lengths()
+	for d := 0; d < 3; d++ {
+		if !b.Periodic[d] {
+			continue
+		}
+		p[d] -= l[d] * math.Floor((p[d]-b.Lo[d])/l[d])
+		if p[d] >= b.Hi[d] {
+			p[d] = b.Lo[d]
+		}
+	}
+	return p
+}
+
+// sameBits reports whether a and b agree bit for bit on every axis.
+func sameBits(a, b vec.Vec3) bool {
+	for d := range a {
+		if math.Float64bits(a[d]) != math.Float64bits(b[d]) {
+			return false
+		}
+	}
+	return true
+}
+
+// ulps steps x by k units in the last place (down for negative k).
+func ulps(x float64, k int) float64 {
+	dir := math.Inf(1)
+	if k < 0 {
+		dir, k = math.Inf(-1), -k
+	}
+	for ; k > 0; k-- {
+		x = math.Nextafter(x, dir)
+	}
+	return x
+}
+
+// TestWrapFastPathMatchesFullFormula checks Wrap, which skips the
+// divide and floor on an axis already inside the cell, against the
+// full formula bit for bit, at and around the faces, at −0, past an
+// ulp where p − Lo rounds up to L, far outside, at NaN and on an open
+// axis.
+func TestWrapFastPathMatchesFullFormula(t *testing.T) {
+	check := func(b Box, p vec.Vec3) {
+		t.Helper()
+		if got, want := b.Wrap(p), fullWrap(b, p); !sameBits(got, want) {
+			t.Fatalf("%v: Wrap(%v) = %v, full formula %v", b, p, got, want)
+		}
+	}
+	b := MustNew(vec.Zero, vec.Splat(17.199))
+	mid := b.Center()
+	for _, x := range []float64{
+		ulps(b.Hi[0], -1), b.Hi[0], b.Lo[0], ulps(b.Lo[0], -1), math.Copysign(0, -1),
+		5 * 17.199, -3 * 17.199, 1e6*17.199 + 2.5, -1e6*17.199 - 2.5, math.NaN(), math.Inf(1),
+	} {
+		p := mid
+		p[0] = x
+		check(b, p)
+	}
+	if w := b.Wrap(vec.New(math.Copysign(0, -1), 1, 1)); math.Signbit(w[0]) {
+		t.Errorf("Wrap kept −0 at Lo = 0: %v", w)
+	}
+	open := b
+	open.Periodic[1] = false
+	check(open, vec.New(-4, 40, 17.199))
+
+	// Boxes with a nonzero Lo: points within a few ulps of each face,
+	// some of them below Hi with p − Lo rounding up to L.
+	rng := rand.New(rand.NewSource(21))
+	roundsUp := 0
+	for n := 0; n < 100000; n++ {
+		lo := vec.New(rng.Float64()*200-100, rng.Float64()*200-100, rng.Float64()*200-100)
+		bx := MustNew(lo, lo.Add(vec.New(1+rng.Float64()*50, 1+rng.Float64()*50, 1+rng.Float64()*50)))
+		l := bx.Lengths()
+		var p vec.Vec3
+		for d := range p {
+			face := bx.Lo[d]
+			if rng.Intn(2) == 0 {
+				face = bx.Hi[d]
+			}
+			p[d] = ulps(face, rng.Intn(9)-4)
+			if p[d] < bx.Hi[d] && p[d]-bx.Lo[d] == l[d] {
+				roundsUp++
+			}
+		}
+		check(bx, p)
+	}
+	if roundsUp == 0 {
+		t.Error("no point below Hi had p − Lo round up to L; the slow-path case went untested")
+	}
+}

@@ -120,16 +120,29 @@ func (g *Grid) AtomCount(c int) int {
 // its atoms in ascending index order. The paper rebins together with
 // the neighbor-list updates (§II.B). The buffers are reused across
 // calls.
-func (g *Grid) Rebin(pos []vec.Vec3) {
+func (g *Grid) Rebin(pos []vec.Vec3) { g.RebinParallel(pos, nil) }
+
+// RebinParallel is Rebin with the CellOf pass split over a worker pool
+// (nil bins on the calling goroutine). The pool only fills cell[]; the
+// counts, the prefix sum and the stable scatter stay serial, so the
+// result is Rebin's whatever the pool.
+func (g *Grid) RebinParallel(pos []vec.Vec3, pool Parallelizer) {
+	if pool == nil {
+		pool = Inline{}
+	}
 	nc := g.NumCells()
 	g.PStart = resize(g.PStart, nc+1)
 	clear(g.PStart)
 	g.PartIndex = resize(g.PartIndex, len(pos))
 	g.cell = resize(g.cell, len(pos))
 	g.cursor = resize(g.cursor, nc)
-	for i, p := range pos {
-		c := g.CellOf(p)
-		g.cell[i] = int32(c)
+	pool.ParallelFor(len(pos), func(start, end, _ int) {
+		cell := g.cell[:len(pos)]
+		for i := start; i < end; i++ {
+			cell[i] = int32(g.CellOf(pos[i]))
+		}
+	})
+	for _, c := range g.cell {
 		g.PStart[c+1]++
 	}
 	for c := 0; c < nc; c++ {
@@ -141,6 +154,45 @@ func (g *Grid) Rebin(pos []vec.Vec3) {
 		g.cursor[c]++
 	}
 }
+
+// Renumber records the binning of atoms just permuted into the grid's
+// own order, new atom n being old atom PartIndex[n] (the permutation
+// reorder.SpatialOrder returns): PartIndex becomes the identity, and
+// atom n's cell is the c with PStart[c] <= n < PStart[c+1]. That is
+// exactly what Rebin of the permuted positions computes, in O(N)
+// without CellOf: CellOf is a pure function of position, so the counts
+// and PStart are unchanged, and the stable scatter lists each cell's
+// atoms, now consecutive, in ascending order.
+func (g *Grid) Renumber() {
+	n := int32(0)
+	for c, end := range g.PStart[1:] {
+		for ; n < end; n++ {
+			g.PartIndex[n] = n
+			g.cell[n] = int32(c)
+		}
+	}
+}
+
+// Parallelizer is the worker-pool capability the binning and the
+// neighbor search borrow; strategy.Pool satisfies it (declared here to
+// avoid a dependency cycle). ParallelFor must hand out contiguous
+// chunks of [0, n) in tid order, tid in [0, Threads()), as the pool's
+// static split does: the neighbor build joins its per-worker rows in
+// tid order.
+type Parallelizer interface {
+	ParallelFor(n int, body func(start, end, tid int))
+	Threads() int
+}
+
+// Inline is the Parallelizer without a pool: one chunk on the calling
+// goroutine.
+type Inline struct{}
+
+// ParallelFor runs body(0, n, 0).
+func (Inline) ParallelFor(n int, body func(start, end, tid int)) { body(0, n, 0) }
+
+// Threads returns 1.
+func (Inline) Threads() int { return 1 }
 
 // resize returns s with length n, reallocating only when its capacity
 // is short; the contents are not cleared.

@@ -2,7 +2,10 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"sdcmd/internal/box"
@@ -93,6 +96,72 @@ func TestGridBinning(t *testing.T) {
 				t.Error("Rebin reallocated PStart for an unchanged grid")
 			}
 		})
+	}
+}
+
+// goPool is a Parallelizer over plain goroutines, with the contiguous
+// chunks in tid order that a pool hands out.
+type goPool int
+
+func (p goPool) Threads() int { return int(p) }
+
+func (p goPool) ParallelFor(n int, body func(start, end, tid int)) {
+	var wg sync.WaitGroup
+	for tid := 0; tid < int(p); tid++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body(tid*n/int(p), (tid+1)*n/int(p), tid)
+		}()
+	}
+	wg.Wait()
+}
+
+// TestRebinParallelMatchesInline bins the same positions inline and on
+// 1–4 workers, with coordinates at Lo, at Hi, an ulp below Hi, out of
+// the cell on periodic axes, and past an open face: PStart, PartIndex
+// and every atom's cell must agree.
+func TestRebinParallelMatchesInline(t *testing.T) {
+	bx := box.MustNew(vec.New(-3, 1, 0.5), vec.New(9, 9, 4.5))
+	bx.Periodic[2] = false
+	l := bx.Lengths()
+	rng := rand.New(rand.NewSource(12))
+	pos := randomPositions(500, bx, 4)
+	for i := range pos {
+		for a := range pos[i] {
+			switch rng.Intn(8) {
+			case 0:
+				pos[i][a] = bx.Lo[a]
+			case 1:
+				pos[i][a] = bx.Hi[a]
+			case 2:
+				pos[i][a] = math.Nextafter(bx.Hi[a], bx.Lo[a])
+			case 3:
+				pos[i][a] += float64(rng.Intn(5)-2) * l[a]
+			}
+		}
+	}
+	counts := [3]int{6, 4, 3}
+	want, err := NewGrid(bx, counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Rebin(pos)
+	checkBinning(t, want, pos)
+	for workers := 1; workers <= 4; workers++ {
+		g, err := NewGrid(bx, counts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.RebinParallel(pos, goPool(workers))
+		if !slices.Equal(g.PStart, want.PStart) || !slices.Equal(g.PartIndex, want.PartIndex) {
+			t.Fatalf("%d workers: PStart/PartIndex differ from the inline rebin", workers)
+		}
+		for i := range pos {
+			if g.CellOfAtom(i) != want.CellOfAtom(i) {
+				t.Fatalf("%d workers: atom %d in cell %d, inline %d", workers, i, g.CellOfAtom(i), want.CellOfAtom(i))
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"sdcmd/internal/box"
@@ -53,11 +54,21 @@ func TestSoA3ResizeReusesCapacity(t *testing.T) {
 // TestBlockReorderRebinsToIdentity pins the property the block reorder
 // relies on: applying PartIndex as a NewToOld permutation and rebinning
 // yields the identity partition, so every subdomain's Atoms(s) is the
-// dense range [PStart[s], PStart[s+1]).
+// dense range [PStart[s], PStart[s+1]). Renumber, which the reorder
+// calls instead of that rebin, must leave PStart, PartIndex and every
+// atom's cell exactly as the rebin does, atoms outside the cell
+// included.
 func TestBlockReorderRebinsToIdentity(t *testing.T) {
 	bx := box.MustNew(vec.Zero, vec.Splat(40))
 	pos := randomPositions(400, bx, 7)
+	for i := 0; i < len(pos); i += 9 {
+		pos[i][i%3] += float64(i%5-2) * 40
+	}
 	dec, err := Decompose(bx, pos, Dim2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	renum, err := Decompose(bx, pos, Dim2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,6 +80,7 @@ func TestBlockReorderRebinsToIdentity(t *testing.T) {
 		reordered[k] = pos[old]
 	}
 	dec.Rebin(reordered)
+	renum.Renumber()
 	for k, i := range dec.PartIndex {
 		if int(i) != k {
 			t.Fatalf("PartIndex[%d] = %d after reorder", k, i)
@@ -76,5 +88,13 @@ func TestBlockReorderRebinsToIdentity(t *testing.T) {
 	}
 	if err := dec.Verify(reordered); err != nil {
 		t.Fatalf("Verify after reorder: %v", err)
+	}
+	if !slices.Equal(renum.PStart, dec.PStart) || !slices.Equal(renum.PartIndex, dec.PartIndex) {
+		t.Fatal("Renumber's PStart/PartIndex differ from a rebin of the reordered positions")
+	}
+	for i := range reordered {
+		if renum.CellOfAtom(i) != dec.CellOfAtom(i) {
+			t.Fatalf("atom %d: Renumber put it in cell %d, the rebin in %d", i, renum.CellOfAtom(i), dec.CellOfAtom(i))
+		}
 	}
 }

@@ -210,6 +210,13 @@ type Simulator struct {
 	pool       *strategy.Pool
 	posAtBuild []vec.Vec3
 
+	// slots holds one result per worker of the integrator's passes
+	// over the atoms (one slot without a pool). drift, scan and kick
+	// are those passes, bound once as pool regions so that a step
+	// allocates nothing.
+	slots             []workerSlot
+	drift, scan, kick func(tid int)
+
 	step        int
 	rebuilds    int
 	embedEnergy float64
@@ -240,6 +247,7 @@ func NewSimulator(sys *System, cfg Config) (*Simulator, error) {
 	}
 	sim := &Simulator{Sys: sys, cfg: cfg, eng: eng}
 	eng.SetTelemetry(cfg.Telemetry)
+	threads := 1
 	if cfg.Strategy != strategy.Serial {
 		pool, err := strategy.NewPool(cfg.Threads)
 		if err != nil {
@@ -247,7 +255,10 @@ func NewSimulator(sys *System, cfg Config) (*Simulator, error) {
 		}
 		pool.SetTelemetry(cfg.Telemetry)
 		sim.pool = pool
+		threads = cfg.Threads
 	}
+	sim.slots = make([]workerSlot, threads)
+	sim.drift, sim.scan, sim.kick = sim.driftPass, sim.scanPass, sim.kickPass
 	if err := sim.rebuild(); err != nil {
 		sim.Close()
 		return nil, err
@@ -264,6 +275,13 @@ func NewSimulator(sys *System, cfg Config) (*Simulator, error) {
 // reorder, which permutes positions) comes first so the neighbor list
 // is built from the final atom numbering.
 func (s *Simulator) rebuild() error {
+	// The rebin and the list build borrow the simulator's pool. The
+	// serial strategy has none and passes an untyped nil: a nil *Pool
+	// stored in the interface is not == nil, so they would call it.
+	var pool core.Parallelizer
+	if s.pool != nil {
+		pool = s.pool
+	}
 	reach := s.eng.Cutoff() + s.cfg.Skin
 	if s.cfg.Strategy == strategy.SDC {
 		if s.dec == nil || s.dec.Box != s.Sys.Box {
@@ -273,7 +291,7 @@ func (s *Simulator) rebuild() error {
 			}
 			s.dec = dec
 		} else {
-			s.dec.Rebin(s.Sys.Pos)
+			s.dec.RebinParallel(s.Sys.Pos, pool)
 		}
 		if s.cfg.BlockReorder {
 			if err := s.blockReorder(); err != nil {
@@ -281,15 +299,8 @@ func (s *Simulator) rebuild() error {
 			}
 		}
 	}
-	// The list build borrows the simulator's pool. The serial strategy
-	// has none and passes an untyped nil: a nil *Pool stored in the
-	// interface is not == nil, so the build would call it. The outgoing
-	// list is dead once its reducer is replaced, so the build reuses its
-	// arrays.
-	var pool neighbor.Parallelizer
-	if s.pool != nil {
-		pool = s.pool
-	}
+	// The outgoing list is dead once its reducer is replaced, so the
+	// build reuses its arrays.
 	list, err := neighbor.Builder{Cutoff: s.eng.Cutoff(), Skin: s.cfg.Skin, Half: true}.
 		Rebuild(s.list, s.Sys.Box, s.Sys.Pos, pool)
 	if err != nil {
@@ -314,18 +325,19 @@ func (s *Simulator) rebuild() error {
 
 // blockReorder permutes the system into the decomposition's block
 // order — reorder.SpatialOrder over the decomposition's own grid — and
-// rebins, after which PartIndex is the identity: the SDC sweeps' Fig.
-// 7/8 loop over Atoms(s) then walks each subdomain as one dense index
-// range.
+// renumbers the grid to match, after which PartIndex is the identity:
+// the SDC sweeps' Fig. 7/8 loop over Atoms(s) then walks each
+// subdomain as one dense index range.
 func (s *Simulator) blockReorder() error {
 	if err := s.Sys.Permute(reorder.SpatialOrder(&s.dec.Grid)); err != nil {
 		return err
 	}
-	s.dec.Rebin(s.Sys.Pos)
+	s.dec.Renumber()
 	return nil
 }
 
-// needsRebuild applies the Verlet-skin criterion.
+// needsRebuild applies the Verlet-skin criterion for Minimize; a step
+// takes the same maximum inside its drift pass.
 func (s *Simulator) needsRebuild() bool {
 	if s.cfg.Skin <= 0 {
 		return true // no slack: every step needs a fresh list
@@ -349,13 +361,123 @@ func (s *Simulator) computeForces() error {
 	if math.IsNaN(res.EmbedEnergy) || math.IsInf(res.EmbedEnergy, 0) {
 		return fmt.Errorf("md: non-finite embedding energy at step %d (unstable integration?)", s.step)
 	}
-	for i, f := range s.Sys.Force {
-		if !f.IsFinite() {
-			return fmt.Errorf("md: non-finite force on atom %d at step %d (dt too large or atoms overlapping)", i, s.step)
-		}
+	if err := s.checkForces(); err != nil {
+		return err
 	}
 	s.embedEnergy = res.EmbedEnergy
 	return nil
+}
+
+// checkForces scans the forces for a non-finite component in one
+// pooled pass and names the lowest atom that has one.
+func (s *Simulator) checkForces() error {
+	s.run(s.scan)
+	if i := s.firstBad(); i >= 0 {
+		return fmt.Errorf("md: non-finite force on atom %d at step %d (dt too large or atoms overlapping)", i, s.step)
+	}
+	return nil
+}
+
+// workerSlot is one worker's result of an integrator pass. Worker tid
+// writes slots[tid] only, and the pool's join orders that write before
+// the step reads it.
+type workerSlot struct {
+	// bad is the lowest atom of the worker's chunk that failed the
+	// pass's check, or -1.
+	bad int
+	// maxD2 is the drift pass's largest squared displacement since
+	// the list was built.
+	maxD2 float64
+}
+
+// run runs one integrator pass as a pool region. Without a pool it
+// runs inline as worker 0 of 1, over every atom.
+func (s *Simulator) run(region func(tid int)) {
+	if s.pool == nil {
+		region(0)
+		return
+	}
+	s.pool.Run(region)
+}
+
+// chunk returns worker tid's atoms [start, end). The chunks are
+// contiguous and in tid order, so the first slot that flags an atom
+// holds the lowest flagged atom of all.
+func (s *Simulator) chunk(tid int) (start, end int) {
+	n, t := s.Sys.N(), len(s.slots)
+	return tid * n / t, (tid + 1) * n / t
+}
+
+// firstBad returns the lowest atom the latest pass flagged, or -1 when
+// it flagged none.
+func (s *Simulator) firstBad() int {
+	for _, w := range s.slots {
+		if w.bad >= 0 {
+			return w.bad
+		}
+	}
+	return -1
+}
+
+// driftPass is a step's first pass, fused per atom of worker tid's
+// chunk: the half-kick, the move check, the drift and wrap, and the
+// squared displacement since the list was built, whose maximum decides
+// the rebuild as neighbor.MaxDisplacement2 would (a maximum does not
+// depend on the order it is taken in). The chunk stops at its first
+// atom that fails the move check, kicked but not moved, so its move is
+// its velocity times dt.
+func (s *Simulator) driftPass(tid int) {
+	start, end := s.chunk(tid)
+	sys, dt := s.Sys, s.cfg.Dt
+	bx := sys.Box
+	im := bx.Image()
+	// An atom moving a substantial fraction of the cell in one step has
+	// outrun the minimum-image convention: the integration has blown up
+	// (timestep too large for the current temperature).
+	maxStep := bx.Lengths().MinComponent() / 4
+	vel, frc := sys.Vel[start:end], sys.Force[start:end]
+	pos, old := sys.Pos[start:end], s.posAtBuild[start:end]
+	w := workerSlot{bad: -1}
+	for k := range vel {
+		v := vel[k].AddScaled(0.5*dt/sys.MassOf(start+k), frc[k])
+		vel[k] = v
+		move := v.Scale(dt)
+		if !move.IsFinite() || move.Norm() > maxStep {
+			w.bad = start + k
+			break
+		}
+		p := bx.Wrap(pos[k].Add(move))
+		pos[k] = p
+		o := old[k]
+		if d2 := im.Min(p[0]-o[0], p[1]-o[1], p[2]-o[2]).Norm2(); d2 > w.maxD2 {
+			w.maxD2 = d2
+		}
+	}
+	s.slots[tid] = w
+}
+
+// scanPass flags the first atom of worker tid's chunk with a
+// non-finite force.
+func (s *Simulator) scanPass(tid int) {
+	start, end := s.chunk(tid)
+	bad := -1
+	for k, f := range s.Sys.Force[start:end] {
+		if !f.IsFinite() {
+			bad = start + k
+			break
+		}
+	}
+	s.slots[tid].bad = bad
+}
+
+// kickPass is a step's second half-kick over worker tid's chunk.
+func (s *Simulator) kickPass(tid int) {
+	start, end := s.chunk(tid)
+	sys, dt := s.Sys, s.cfg.Dt
+	vel, frc := sys.Vel[start:end], sys.Force[start:end]
+	for k := range vel {
+		vel[k] = vel[k].AddScaled(0.5*dt/sys.MassOf(start+k), frc[k])
+	}
 }
 
 // ErrCanceled is the errors.Is sentinel for a run stopped by context
@@ -381,29 +503,32 @@ func (s *Simulator) Step(n int) error { return s.StepCtx(context.Background(), n
 // step boundary: a canceled context stops the run before the next step
 // starts and returns an error wrapping ErrCanceled, with the system
 // left in the consistent state of the last completed step.
+//
+// Each step runs its O(N) work as pool passes over contiguous atom
+// chunks: one fused pass kicks, checks, drifts and wraps every atom and
+// takes the skin displacement; after the forces, one pass scans them
+// for non-finite values and another applies the second half-kick. A
+// failed check names the lowest bad atom, as a serial loop would. After
+// an unstable-move error, though, atoms in other workers' chunks may
+// already have moved: the state is unusable then, as it was before,
+// and guard restores from its checkpoint ring. A non-finite force
+// leaves the velocities unkicked.
 func (s *Simulator) StepCtx(ctx context.Context, n int) error {
 	if s.closed {
 		return errors.New("md: simulator is closed")
 	}
-	dt := s.cfg.Dt
-	// An atom moving a substantial fraction of the cell in one step has
-	// outrun the minimum-image convention: the integration has blown up
-	// (timestep too large for the current temperature).
-	maxStep := s.Sys.Box.Lengths().MinComponent() / 4
+	dt, half := s.cfg.Dt, s.cfg.Skin/2
 	for k := 0; k < n; k++ {
 		if err := ctx.Err(); err != nil {
 			return cancelError(s.step, err)
 		}
-		for i := range s.Sys.Pos {
-			s.Sys.Vel[i] = s.Sys.Vel[i].AddScaled(0.5*dt/s.Sys.MassOf(i), s.Sys.Force[i])
-			move := s.Sys.Vel[i].Scale(dt)
-			if !move.IsFinite() || move.Norm() > maxStep {
-				return fmt.Errorf("md: atom %d moved %g Å in one step at step %d — unstable integration (reduce dt)",
-					i, move.Norm(), s.step)
-			}
-			s.Sys.Pos[i] = s.Sys.Box.Wrap(s.Sys.Pos[i].Add(move))
+		s.run(s.drift)
+		if i := s.firstBad(); i >= 0 {
+			return fmt.Errorf("md: atom %d moved %g Å in one step at step %d — unstable integration (reduce dt)",
+				i, s.Sys.Vel[i].Scale(dt).Norm(), s.step)
 		}
-		if s.needsRebuild() {
+		// No skin means no slack: every step needs a fresh list.
+		if s.cfg.Skin <= 0 || s.maxDisplacement2() > half*half {
 			if err := s.rebuild(); err != nil {
 				return fmt.Errorf("md: step %d: %w", s.step, err)
 			}
@@ -411,15 +536,23 @@ func (s *Simulator) StepCtx(ctx context.Context, n int) error {
 		if err := s.computeForces(); err != nil {
 			return fmt.Errorf("md: step %d: %w", s.step, err)
 		}
-		for i := range s.Sys.Vel {
-			s.Sys.Vel[i] = s.Sys.Vel[i].AddScaled(0.5*dt/s.Sys.MassOf(i), s.Sys.Force[i])
-		}
+		s.run(s.kick)
 		if th := s.cfg.Thermostat; th != nil {
 			th.Apply(s.Sys, dt)
 		}
 		s.step++
 	}
 	return nil
+}
+
+// maxDisplacement2 returns the largest squared displacement since the
+// list was built, over the slots of the latest drift pass.
+func (s *Simulator) maxDisplacement2() float64 {
+	worst := 0.0
+	for _, w := range s.slots {
+		worst = max(worst, w.maxD2)
+	}
+	return worst
 }
 
 // Rebuild forces a neighbor-list/decomposition rebuild and a force

@@ -201,6 +201,12 @@ type Builder struct {
 // cells still hold every neighbor, so a tiny reach or a sparse system
 // only costs extra candidates.
 func NewCellGrid(bx box.Box, pos []vec.Vec3, reach float64) (*core.Grid, error) {
+	return newCellGrid(bx, pos, reach, nil)
+}
+
+// newCellGrid is NewCellGrid binning the atoms on pool (nil bins on the
+// calling goroutine).
+func newCellGrid(bx box.Box, pos []vec.Vec3, reach float64, pool core.Parallelizer) (*core.Grid, error) {
 	if !(reach > 0) {
 		return nil, fmt.Errorf("neighbor: cell reach %g must be positive", reach)
 	}
@@ -223,7 +229,7 @@ func NewCellGrid(bx box.Box, pos []vec.Vec3, reach float64) (*core.Grid, error) 
 	if err != nil {
 		return nil, err
 	}
-	g.Rebin(pos)
+	g.RebinParallel(pos, pool)
 	return g, nil
 }
 
@@ -238,14 +244,14 @@ func (b Builder) Build(bx box.Box, pos []vec.Vec3) (*List, error) {
 // BuildParallel is Build with the candidate search split over a worker
 // pool. The list is identical to Build's. The pool is only borrowed;
 // nil searches on the calling goroutine.
-func (b Builder) BuildParallel(bx box.Box, pos []vec.Vec3, pool Parallelizer) (*List, error) {
+func (b Builder) BuildParallel(bx box.Box, pos []vec.Vec3, pool core.Parallelizer) (*List, error) {
 	return b.Rebuild(nil, bx, pos, pool)
 }
 
 // Rebuild is BuildParallel reusing the arrays of old, a list the
 // caller no longer reads (nil allocates afresh). Use the returned list:
 // it is old unless the small-box fallback ran. On error old is left
-// untouched.
+// untouched. The cell grid bins the atoms on the same pool.
 //
 // The search is one pass over the atoms with the periodic image applied
 // once per stencil cell, not once per pair: core.Grid.ForNeighbors
@@ -257,12 +263,12 @@ func (b Builder) BuildParallel(bx box.Box, pos []vec.Vec3, pool Parallelizer) (*
 // input is searched through a wrapped copy. Each worker appends its
 // sorted rows to its own buffer, and the buffers are joined in chunk
 // order, which is atom order.
-func (b Builder) Rebuild(old *List, bx box.Box, pos []vec.Vec3, pool Parallelizer) (*List, error) {
+func (b Builder) Rebuild(old *List, bx box.Box, pos []vec.Vec3, pool core.Parallelizer) (*List, error) {
 	if err := b.validate(bx); err != nil {
 		return nil, err
 	}
 	if pool == nil {
-		pool = inline{}
+		pool = core.Inline{}
 	}
 	if !inPrimaryCell(bx, pos) {
 		pos = append([]vec.Vec3(nil), pos...)
@@ -278,7 +284,7 @@ func (b Builder) Rebuild(old *List, bx box.Box, pos []vec.Vec3, pool Parallelize
 		}
 	}
 	reach := b.Cutoff + b.Skin
-	grid, err := NewCellGrid(bx, pos, reach)
+	grid, err := newCellGrid(bx, pos, reach, pool)
 	if err != nil {
 		return nil, err
 	}
@@ -412,8 +418,9 @@ func (b Builder) BuildBruteForce(bx box.Box, pos []vec.Vec3) (*List, error) {
 }
 
 // MaxDisplacement2 returns the largest squared minimum-image
-// displacement between two position snapshots; the MD driver rebuilds
-// the list when this exceeds (Skin/2)². It applies the image of
+// displacement between two position snapshots; a list built at old is
+// stale once this exceeds (Skin/2)². md's integrator takes the same
+// per-atom term inside its drift pass. It applies the image of
 // box.Image, which rounds an atom's displacement as Box.MinImage does
 // unless the atom moved about L/2, far past any skin.
 func MaxDisplacement2(bx box.Box, old, cur []vec.Vec3) float64 {
@@ -428,21 +435,3 @@ func MaxDisplacement2(bx box.Box, old, cur []vec.Vec3) float64 {
 	}
 	return worst
 }
-
-// Parallelizer is the worker-pool capability BuildParallel needs; the
-// strategy.Pool satisfies it (declared here to avoid a dependency
-// cycle). ParallelFor must hand out contiguous chunks of [0, n) in tid
-// order, tid in [0, Threads()), as the pool's static split does: the
-// build joins its per-worker rows in tid order.
-type Parallelizer interface {
-	ParallelFor(n int, body func(start, end, tid int))
-	Threads() int
-}
-
-// inline is the Parallelizer of a build without a pool: one chunk on
-// the calling goroutine.
-type inline struct{}
-
-func (inline) ParallelFor(n int, body func(start, end, tid int)) { body(0, n, 0) }
-
-func (inline) Threads() int { return 1 }

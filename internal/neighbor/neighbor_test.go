@@ -564,7 +564,7 @@ func TestNeighborsSorted(t *testing.T) {
 	}
 }
 
-// fakePool implements Parallelizer with plain goroutines.
+// fakePool implements core.Parallelizer with plain goroutines.
 type fakePool struct{ threads int }
 
 func (p fakePool) Threads() int { return p.threads }

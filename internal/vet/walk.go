@@ -129,10 +129,10 @@ var dispatchMethods = map[string]bool{
 }
 
 // poolPackage reports whether a package path hosts worker-dispatch
-// types (strategy.Pool / strategy.Reducer / neighbor.Parallelizer).
+// types (strategy.Pool / strategy.Reducer / core.Parallelizer).
 func poolPackage(path string) bool {
 	return path == "internal/strategy" || strings.HasSuffix(path, "/internal/strategy") ||
-		path == "internal/neighbor" || strings.HasSuffix(path, "/internal/neighbor")
+		path == "internal/core" || strings.HasSuffix(path, "/internal/core")
 }
 
 // call processes one call expression: resolves the callee, records the
