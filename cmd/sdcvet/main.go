@@ -1,17 +1,20 @@
 // Command sdcvet runs the full static-analysis suite: the six
-// source-discipline rules of internal/lint, the interprocedural passes —
+// source-discipline rules of internal/lint and the six whole-program
+// passes of internal/flow. Five of those read one program index, built
+// once per run, whose call resolver follows functions, methods,
+// interface calls, func-typed struct fields and closures:
 // sdc-shared-write (worker-body writes to shared reduction arrays must
-// be provably confined or flow through an approved strategy.Reducer)
-// and hot-loop (no allocation, defer or map iteration inside loops of
-// functions reachable from Compute or the force sweeps) — and the four
-// sdcflow concurrency-lifecycle passes: goroutine-leak (every go
-// statement needs provable join/stop evidence), lock-order (the mutex
-// acquisition graph must be acyclic with no re-acquisition),
-// ctx-propagation (blocking operations reachable from ctx-accepting
-// entry points must be cancellable), and nondet-order (map iteration
-// order must not flow into float accumulation, serialization, or
-// unsorted results). Every pass must catch a bug planted at a live site
-// of the tree (the mutation test in this package).
+// be provably confined or flow through an approved strategy.Reducer),
+// hot-loop (no allocation, defer or map iteration inside loops of
+// functions reachable from Compute or the force sweeps, the pair
+// kernels included), goroutine-leak (every go statement needs provable
+// join/stop evidence), lock-order (the mutex acquisition graph must be
+// acyclic with no re-acquisition) and ctx-propagation (blocking
+// operations reachable from ctx-accepting entry points must be
+// cancellable); nondet-order (map iteration order must not flow into
+// float accumulation, serialization, or unsorted results) reads each
+// function on its own. Every pass must catch a bug planted at a live
+// site of the tree (the mutation test in this package).
 //
 //	sdcvet ./...             # analyze the whole tree, exit 1 on findings
 //	sdcvet -json ./...       # one JSON finding per line, for tooling
@@ -48,7 +51,6 @@ import (
 
 	"sdcmd/internal/flow"
 	"sdcmd/internal/lint"
-	"sdcmd/internal/vet"
 )
 
 func main() {
@@ -56,8 +58,7 @@ func main() {
 }
 
 func passes() []lint.Pass {
-	all := append(lint.AsPasses(lint.DefaultRules()), vet.Passes()...)
-	return append(all, flow.Passes()...)
+	return append(lint.AsPasses(lint.DefaultRules()), flow.Passes()...)
 }
 
 func run(args []string, stdout, stderr io.Writer) int {

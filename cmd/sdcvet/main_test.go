@@ -28,7 +28,7 @@ func chdirTo(t *testing.T, dir string) {
 }
 
 func TestRunFixtureFindings(t *testing.T) {
-	chdirTo(t, "internal/vet/testdata/src")
+	chdirTo(t, "internal/flow/testdata/writeset")
 	var out, errb bytes.Buffer
 	code := run([]string{"./..."}, &out, &errb)
 	if code != 1 {
@@ -67,7 +67,7 @@ func TestRunRealRepoClean(t *testing.T) {
 }
 
 func TestRunJSON(t *testing.T) {
-	chdirTo(t, "internal/vet/testdata/src")
+	chdirTo(t, "internal/flow/testdata/writeset")
 	var out, errb bytes.Buffer
 	if code := run([]string{"-json", "./..."}, &out, &errb); code != 1 {
 		t.Fatalf("exit %d, want 1; stderr: %s", code, errb.String())
@@ -88,7 +88,7 @@ func TestRunJSON(t *testing.T) {
 }
 
 func TestRunSARIF(t *testing.T) {
-	chdirTo(t, "internal/vet/testdata/src")
+	chdirTo(t, "internal/flow/testdata/writeset")
 	var out, errb bytes.Buffer
 	if code := run([]string{"-sarif", "./..."}, &out, &errb); code != 1 {
 		t.Fatalf("exit %d, want 1; stderr: %s", code, errb.String())
@@ -155,7 +155,7 @@ func TestRunRulesListsAllPasses(t *testing.T) {
 	}
 }
 
-// TestRunFlowFixtureFindings drives the four sdcflow passes through the
+// TestRunFlowFixtureFindings drives the four lifecycle passes through the
 // command over their own broken fixture.
 func TestRunFlowFixtureFindings(t *testing.T) {
 	chdirTo(t, "internal/flow/testdata/src")
@@ -307,7 +307,7 @@ func TestJSONAndSARIFExclusive(t *testing.T) {
 }
 
 func TestRunMissingDir(t *testing.T) {
-	chdirTo(t, "internal/vet/testdata/src")
+	chdirTo(t, "internal/flow/testdata/writeset")
 	var out, errb bytes.Buffer
 	if code := run([]string{"./no-such-dir/..."}, &out, &errb); code != 2 {
 		t.Fatalf("exit %d, want 2", code)

@@ -60,6 +60,9 @@ var mutations = []mutation{
 	{rule: "hot-loop", file: "internal/strategy/row.go",
 		site: "func addRow[",
 		old:  "oi += ci[k]", new: "_ = make([]float64, len(js))\n\t\t\toi += ci[k]"},
+	{rule: "hot-loop", file: "internal/force/engine.go",
+		site: "func (e *Engine) densityTerms(",
+		old:  "phi, _ := e.pot.Density(r)", new: "_ = make([]float64, len(js))\n\t\t\tphi, _ := e.pot.Density(r)"},
 	{rule: "goroutine-leak", file: "internal/serve/scheduler.go",
 		site: "func (s *Scheduler) worker() {",
 		old:  "\tdefer s.wg.Done()\n", new: "",

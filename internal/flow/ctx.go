@@ -32,38 +32,20 @@ func (p *ctxPass) Doc() string {
 
 func (p *ctxPass) Analyze(pkgs []*lint.Package) []lint.Finding {
 	pr := p.sh.programFor(pkgs)
-
-	// BFS from every ctx-accepting function over non-go edges,
-	// remembering the entry that first reached each node as the
-	// witness named in messages.
-	entryOf := map[*node]string{}
-	var queue []*node
+	// Each reachable node names the entry that first reached it as the
+	// witness in messages.
+	var entries []*node
 	for _, n := range pr.all {
 		if n.ctx {
-			entryOf[n] = n.display
-			queue = append(queue, n)
+			entries = append(entries, n)
 		}
 	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, e := range n.calls {
-			for _, t := range pr.callees(e, true) {
-				if _, ok := entryOf[t]; !ok {
-					entryOf[t] = entryOf[n]
-					queue = append(queue, t)
-				}
-			}
-		}
-	}
-
+	entryOf := pr.reach(entries, true)
 	var out []lint.Finding
 	for _, n := range pr.all {
-		entry, ok := entryOf[n]
-		if !ok {
-			continue
+		if entry, ok := entryOf[n]; ok {
+			scanBlocking(pr, n, entry.display, &out, p.Name())
 		}
-		scanBlocking(pr, n, entry, &out, p.Name())
 	}
 	return sortFindings(out)
 }
@@ -150,23 +132,7 @@ func selectEscapes(info *types.Info, x *ast.SelectStmt) bool {
 		if cc.Comm == nil {
 			return true // default clause
 		}
-		var ch ast.Expr
-		switch s := cc.Comm.(type) {
-		case *ast.ExprStmt:
-			if u, ok := s.X.(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-				ch = u.X
-			}
-		case *ast.AssignStmt:
-			if len(s.Rhs) == 1 {
-				if u, ok := s.Rhs[0].(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-					ch = u.X
-				}
-			}
-		}
-		if ch == nil {
-			continue
-		}
-		if isTimeChan(typeOf(info, ch)) || isCtxDone(info, ch) {
+		if ch := recvChan(cc.Comm); ch != nil && (isTimeChan(typeOf(info, ch)) || isCtxDone(info, ch)) {
 			return true
 		}
 	}

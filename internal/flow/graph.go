@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -11,17 +12,18 @@ import (
 	"sdcmd/internal/lint"
 )
 
-// program is the whole-program index the flow passes share: one node
-// per function declaration and function literal in the non-test files,
-// call edges between them, every `go` statement, and a concrete-method
-// index for bridging interface calls.
+// program is the one whole-program index every call-graph pass reads,
+// built once per load: a node per function declaration and function
+// literal in the non-test files, each node's call edges and write-set
+// summary, every `go` statement, and every worker body handed to a pool.
 type program struct {
-	pkgs  []*lint.Package
 	fset  *token.FileSet
-	nodes map[string]*node // FuncDecl nodes by types.Func FullName
-	all   []*node          // every node, decls then hatched literals, in source order
-	sites []goSite         // every `go` statement in non-test files
+	nodes map[string]*node // declarations by types.Func FullName
+	all   []*node          // declarations in source order, then literals as the walk hatches them
 	relOf map[string]string
+
+	sites    []goSite
+	dispatch []dispatchSite
 
 	// methodsByName indexes concrete (non-interface receiver) methods
 	// by method name for interface bridging.
@@ -29,44 +31,68 @@ type program struct {
 	// methodSet maps a concrete receiver key (pkgPath.TypeName) to the
 	// names of all its methods declared in the program.
 	methodSet map[string]map[string]bool
+	// fields maps a func-typed struct field, by the position of its
+	// declaration (which every type-check of its package shares), to
+	// the functions the program stores in it.
+	fields map[token.Pos][]fieldFunc
+	// lits and funcVars map a variable to the literal bound to it, or
+	// to the func-typed field it was read from, so calls through the
+	// variable resolve.
+	lits     map[*types.Var]*node
+	funcVars map[*types.Var]token.Pos
 }
 
-// node is one function body under analysis.
+// node is one function body: a declaration or a function literal.
 type node struct {
-	name    string // FullName for decls, synthetic for literals
-	display string // human-readable name for messages
+	display string // qualified name for messages: "md.Simulator.StepCtx", "func literal at f.go:12"
+	short   string // the enclosing declaration's bare name: "Compute"
 	pkg     *lint.Package
 	file    *lint.SourceFile
+	fn      ast.Node // *ast.FuncDecl or *ast.FuncLit
 	body    *ast.BlockStmt
-	ctx     bool   // has a context.Context parameter
-	recvKey string // pkgPath.TypeName for methods, "" otherwise
+	params  []*types.Var // receiver first; nil for an unnamed parameter
+	ctx     bool         // has a context.Context parameter
 	calls   []edge
+
+	// The write-set summary: what the node may write, in terms of its
+	// parameters, captured variables and globals (see summary.go), and
+	// the alias environment of its locals.
+	effects []effect
+	keys    map[effectKey]bool
+	env     map[*types.Var]*origin
 }
 
-// edge is one call site inside a node. Exactly one of callee, lit and
-// iface is set; unresolvable calls (func values from containers,
-// externally-imported functions) carry none and are not followed.
+// edge is one resolved call site, or a literal folded into the node
+// that creates it (call nil): a closure handed on, returned or stored
+// may run wherever it goes, so its creator answers for it.
 type edge struct {
-	callee string    // FullName of a statically resolved function
-	lit    *node     // directly called or bound-and-called literal
-	iface  *ifaceRef // interface method call, bridged at query time
-	pos    token.Pos
-	viaGo  bool // the call is the operand of a `go` statement
+	to    []target
+	call  *ast.CallExpr
+	viaGo bool // the call is the operand of a `go` statement
 }
 
-// ifaceRef identifies an interface method call for bridging.
-type ifaceRef struct {
-	iface    *types.Interface
-	method   string
-	nparams  int
-	nresults int
+// target is one node an edge may run, with the caller-frame origins of
+// the receiver and arguments lined up with its parameters; nil args
+// substitute every parameter to unknown. folded counts the target's
+// effects the write-set fixpoint has already substituted.
+type target struct {
+	n      *node
+	args   []*origin
+	folded int
 }
 
 // goSite is one `go` statement.
 type goSite struct {
 	launcher *node
-	body     *node // resolved goroutine body, nil when unresolvable
+	body     *node // the one body the call resolves to, nil otherwise
 	pos      token.Pos
+}
+
+// dispatchSite is one worker-body literal handed to a Pool method.
+type dispatchSite struct {
+	method string
+	body   *node
+	file   *lint.SourceFile
 }
 
 // methodInfo is one concrete method declaration, for bridging.
@@ -77,25 +103,36 @@ type methodInfo struct {
 	node     *node
 }
 
+// fieldFunc is one function stored in a func-typed field; bound marks
+// a method value, whose receiver the call does not pass.
+type fieldFunc struct {
+	name  string
+	bound bool
+}
+
 func buildProgram(pkgs []*lint.Package) *program {
 	pr := &program{
-		pkgs:          pkgs,
 		nodes:         map[string]*node{},
 		relOf:         map[string]string{},
 		methodsByName: map[string][]methodInfo{},
 		methodSet:     map[string]map[string]bool{},
+		fields:        map[token.Pos][]fieldFunc{},
+		lits:          map[*types.Var]*node{},
+		funcVars:      map[*types.Var]token.Pos{},
 	}
 	if len(pkgs) > 0 {
 		pr.fset = pkgs[0].Fset
 	}
-	// Phase 1: a node per FuncDecl, so `go pkg.F()` and `go x.m()`
-	// resolve to bodies no matter the declaration order.
+	// Phase 1: a node per declaration, the method index and the field
+	// stores, so every call in phase 2 resolves whatever the order of
+	// declarations.
 	for _, p := range pkgs {
 		for _, f := range p.Files {
 			if f.Test {
-				continue
+				continue // test files carry no type info (see lint.Load)
 			}
 			pr.relOf[f.Path] = f.Rel
+			pr.storeFuncs(p.Info, f.AST)
 			for _, d := range f.AST.Decls {
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
@@ -105,16 +142,10 @@ func buildProgram(pkgs []*lint.Package) *program {
 				if fn == nil {
 					continue // tolerant typecheck lost this decl
 				}
-				n := &node{
-					name:    fn.FullName(),
-					display: displayOf(fn.FullName()),
-					pkg:     p,
-					file:    f,
-					body:    fd.Body,
-					ctx:     hasCtxParam(fn.Type()),
-				}
+				n := newNode(p, f, fd, fd.Body, fd.Recv, fd.Type.Params)
+				n.display, n.short = displayOf(fn.FullName()), fd.Name.Name
+				n.ctx = hasCtxParam(fn.Type())
 				if key, np, nr := recvInfo(fn.Type()); key != "" {
-					n.recvKey = key
 					mi := methodInfo{recvKey: key, nparams: np, nresults: nr, node: n}
 					pr.methodsByName[fd.Name.Name] = append(pr.methodsByName[fd.Name.Name], mi)
 					set := pr.methodSet[key]
@@ -124,267 +155,160 @@ func buildProgram(pkgs []*lint.Package) *program {
 					}
 					set[fd.Name.Name] = true
 				}
-				pr.nodes[n.name] = n
+				pr.nodes[fn.FullName()] = n
 				pr.all = append(pr.all, n)
 			}
 		}
 	}
-	// Phase 2: walk every decl body, recording call edges, hatching
-	// literals and collecting `go` sites.
+	// Phase 2: walk every declaration, hatching its literals, then
+	// propagate the write sets over the edges.
 	for _, n := range pr.all[:len(pr.all):len(pr.all)] {
-		w := &walker{pr: pr, n: n, lits: map[types.Object]*node{}}
-		w.stmts(n.body.List)
+		(&walker{pr: pr, n: n}).block(n.body)
 	}
+	pr.fixpoint()
 	return pr
 }
 
-// walker records the call edges of one node. Literals hatched inside
-// the node become their own nodes, walked with a child walker that
-// shares the literal-binding table (so `h := func(){}; go h()`
-// resolves).
-type walker struct {
-	pr   *program
-	n    *node
-	lits map[types.Object]*node
-}
-
-func (w *walker) stmts(list []ast.Stmt) {
-	for _, s := range list {
-		w.stmt(s)
+func newNode(p *lint.Package, f *lint.SourceFile, fn ast.Node, body *ast.BlockStmt, recv, params *ast.FieldList) *node {
+	return &node{
+		pkg:    p,
+		file:   f,
+		fn:     fn,
+		body:   body,
+		params: append(paramVars(p.Info, recv), paramVars(p.Info, params)...),
+		keys:   map[effectKey]bool{},
+		env:    map[*types.Var]*origin{},
 	}
 }
 
-func (w *walker) stmt(s ast.Stmt) {
-	switch s := s.(type) {
-	case nil:
-	case *ast.GoStmt:
-		w.goStmt(s)
-	case *ast.DeferStmt:
-		w.call(s.Call, false)
-	case *ast.ExprStmt:
-		w.expr(s.X)
-	case *ast.AssignStmt:
-		w.assign(s)
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.expr(e)
-		}
-	case *ast.IfStmt:
-		w.stmt(s.Init)
-		w.expr(s.Cond)
-		w.stmts(s.Body.List)
-		w.stmt(s.Else)
-	case *ast.ForStmt:
-		w.stmt(s.Init)
-		w.expr(s.Cond)
-		w.stmt(s.Post)
-		w.stmts(s.Body.List)
-	case *ast.RangeStmt:
-		w.expr(s.X)
-		w.stmts(s.Body.List)
-	case *ast.SwitchStmt:
-		w.stmt(s.Init)
-		w.expr(s.Tag)
-		w.stmts(s.Body.List)
-	case *ast.TypeSwitchStmt:
-		w.stmt(s.Init)
-		w.stmt(s.Assign)
-		w.stmts(s.Body.List)
-	case *ast.SelectStmt:
-		w.stmts(s.Body.List)
-	case *ast.CaseClause:
-		for _, e := range s.List {
-			w.expr(e)
-		}
-		w.stmts(s.Body)
-	case *ast.CommClause:
-		w.stmt(s.Comm)
-		w.stmts(s.Body)
-	case *ast.BlockStmt:
-		w.stmts(s.List)
-	case *ast.LabeledStmt:
-		w.stmt(s.Stmt)
-	case *ast.SendStmt:
-		w.expr(s.Chan)
-		w.expr(s.Value)
-	case *ast.IncDecStmt:
-		w.expr(s.X)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					w.valueSpec(vs)
-				}
-			}
-		}
-	}
-}
-
-func (w *walker) expr(e ast.Expr) {
-	switch e := e.(type) {
-	case nil:
-	case *ast.CallExpr:
-		w.call(e, false)
-	case *ast.FuncLit:
-		w.hatch(e)
-	case *ast.UnaryExpr:
-		w.expr(e.X)
-	case *ast.BinaryExpr:
-		w.expr(e.X)
-		w.expr(e.Y)
-	case *ast.ParenExpr:
-		w.expr(e.X)
-	case *ast.StarExpr:
-		w.expr(e.X)
-	case *ast.SelectorExpr:
-		w.expr(e.X)
-	case *ast.IndexExpr:
-		w.expr(e.X)
-		w.expr(e.Index)
-	case *ast.SliceExpr:
-		w.expr(e.X)
-		w.expr(e.Low)
-		w.expr(e.High)
-		w.expr(e.Max)
-	case *ast.TypeAssertExpr:
-		w.expr(e.X)
-	case *ast.CompositeLit:
-		for _, el := range e.Elts {
-			w.expr(el)
-		}
-	case *ast.KeyValueExpr:
-		w.expr(e.Key)
-		w.expr(e.Value)
-	}
-}
-
-// assign walks an assignment and records literal bindings
-// (`h := func(){...}`) so later `h()` / `go h()` calls resolve.
-func (w *walker) assign(s *ast.AssignStmt) {
-	for i, rhs := range s.Rhs {
-		if lit, ok := rhs.(*ast.FuncLit); ok && i < len(s.Lhs) {
-			if id, ok := s.Lhs[i].(*ast.Ident); ok {
-				if obj := w.objOf(id); obj != nil {
-					w.lits[obj] = w.hatch(lit)
-					continue
-				}
-			}
-		}
-		w.expr(rhs)
-	}
-	for _, lhs := range s.Lhs {
-		w.expr(lhs)
-	}
-}
-
-func (w *walker) valueSpec(vs *ast.ValueSpec) {
-	for i, rhs := range vs.Values {
-		if lit, ok := rhs.(*ast.FuncLit); ok && i < len(vs.Names) {
-			if obj, _ := w.n.pkg.Info.Defs[vs.Names[i]]; obj != nil {
-				w.lits[obj] = w.hatch(lit)
-				continue
-			}
-		}
-		w.expr(rhs)
-	}
-}
-
-// hatch makes a node for a function literal, records the fold edge
-// from the enclosing node, and walks the literal body.
-func (w *walker) hatch(lit *ast.FuncLit) *node {
-	pos := w.pr.fset.Position(lit.Pos())
-	ln := &node{
-		name:    w.n.name + "·lit",
-		display: "func literal at " + w.pr.relOf[pos.Filename] + ":" + strconv.Itoa(pos.Line),
-		pkg:     w.n.pkg,
-		file:    w.n.file,
-		body:    lit.Body,
-		ctx:     hasCtxParamExpr(w.n.pkg.Info, lit),
-	}
-	w.pr.all = append(w.pr.all, ln)
-	w.n.calls = append(w.n.calls, edge{lit: ln, pos: lit.Pos()})
-	cw := &walker{pr: w.pr, n: ln, lits: w.lits}
-	cw.stmts(lit.Body.List)
-	return ln
-}
-
-// goStmt records the launch site and resolves the goroutine body.
-func (w *walker) goStmt(s *ast.GoStmt) {
-	e := w.call(s.Call, true)
-	site := goSite{launcher: w.n, pos: s.Pos()}
-	if e != nil {
-		switch {
-		case e.lit != nil:
-			site.body = e.lit
-		case e.callee != "":
-			site.body = w.pr.nodes[e.callee]
-		}
-	}
-	w.pr.sites = append(w.pr.sites, site)
-}
-
-// call resolves one call expression to an edge and walks its operands.
-// It returns the recorded edge (nil for builtins and conversions).
-func (w *walker) call(c *ast.CallExpr, viaGo bool) *edge {
-	for _, a := range c.Args {
-		w.expr(a)
-	}
-	var e *edge
-	switch fun := lint.CallTarget(w.n.pkg.Info, c.Fun).(type) {
-	case *ast.FuncLit:
-		ln := w.hatch(fun)
-		// hatch records a fold edge; retag it as the call itself.
-		last := &w.n.calls[len(w.n.calls)-1]
-		last.viaGo = viaGo
-		last.pos = c.Pos()
-		_ = ln
-		return last
-	case *ast.Ident:
-		obj := w.objOf(fun)
-		switch obj := obj.(type) {
-		case *types.Func:
-			e = &edge{callee: obj.Origin().FullName(), pos: c.Pos(), viaGo: viaGo}
-		case *types.Var:
-			if ln := w.lits[obj]; ln != nil {
-				e = &edge{lit: ln, pos: c.Pos(), viaGo: viaGo}
-			}
-		}
-	case *ast.SelectorExpr:
-		w.expr(fun.X)
-		fn, _ := w.objOf(fun.Sel).(*types.Func)
-		if fn == nil {
-			break
-		}
-		sig, _ := fn.Type().(*types.Signature)
-		if sig != nil && sig.Recv() != nil {
-			if it, ok := sig.Recv().Type().Underlying().(*types.Interface); ok {
-				e = &edge{
-					iface: &ifaceRef{
-						iface:    it,
-						method:   fn.Name(),
-						nparams:  sig.Params().Len(),
-						nresults: sig.Results().Len(),
-					},
-					pos:   c.Pos(),
-					viaGo: viaGo,
-				}
-				break
-			}
-		}
-		e = &edge{callee: fn.Origin().FullName(), pos: c.Pos(), viaGo: viaGo}
-	}
-	if e == nil {
+// paramVars lists a field list's variables in order, with nil for an
+// unnamed parameter so indices line up with call arguments.
+func paramVars(info *types.Info, fl *ast.FieldList) []*types.Var {
+	if fl == nil {
 		return nil
 	}
-	w.n.calls = append(w.n.calls, *e)
-	return &w.n.calls[len(w.n.calls)-1]
+	var out []*types.Var
+	for _, f := range fl.List {
+		if len(f.Names) == 0 {
+			out = append(out, nil)
+			continue
+		}
+		for _, nm := range f.Names {
+			v, _ := info.Defs[nm].(*types.Var)
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
-func (w *walker) objOf(id *ast.Ident) types.Object {
-	if o := w.n.pkg.Info.Uses[id]; o != nil {
-		return o
+// storeFuncs records every declared function, method expression and
+// method value one file stores in a func-typed field: as a composite
+// literal element (package-level initializers included) or by
+// assignment to the field.
+func (pr *program) storeFuncs(info *types.Info, f *ast.File) {
+	store := func(field types.Object, v ast.Expr) {
+		fv, _ := field.(*types.Var)
+		k := fieldKey(fv)
+		fn, bound := funcValue(info, v)
+		if !k.IsValid() || fn == nil {
+			return
+		}
+		if ff := (fieldFunc{fn.Origin().FullName(), bound}); !slices.Contains(pr.fields[k], ff) {
+			pr.fields[k] = append(pr.fields[k], ff)
+		}
 	}
-	return w.n.pkg.Info.Defs[id]
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			var st *types.Struct
+			if t := typeOf(info, n); t != nil {
+				st, _ = deref(t).Underlying().(*types.Struct)
+			}
+			for i, el := range n.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						store(info.Uses[id], kv.Value)
+					}
+				} else if st != nil && i < st.NumFields() {
+					store(st.Field(i), el)
+				}
+			}
+		case *ast.AssignStmt:
+			for i, lh := range n.Lhs {
+				if sel, ok := ast.Unparen(lh).(*ast.SelectorExpr); ok && len(n.Lhs) == len(n.Rhs) {
+					store(info.Uses[sel.Sel], n.Rhs[i])
+				}
+			}
+		}
+		return true
+	})
+}
+
+// fieldKey identifies a func-typed struct field, or is NoPos for any
+// other variable.
+func fieldKey(v *types.Var) token.Pos {
+	if v == nil || !v.IsField() {
+		return token.NoPos
+	}
+	if _, ok := v.Type().Underlying().(*types.Signature); !ok {
+		return token.NoPos
+	}
+	return v.Origin().Pos()
+}
+
+// funcValue names the function a func-valued expression denotes: a
+// declared function, a method expression T.m, or a method value x.m,
+// for which bound is set. Anything else is nil.
+func funcValue(info *types.Info, v ast.Expr) (fn *types.Func, bound bool) {
+	switch v := lint.CallTarget(info, v).(type) {
+	case *ast.Ident:
+		fn, _ = info.Uses[v].(*types.Func)
+	case *ast.SelectorExpr:
+		fn, _ = info.Uses[v.Sel].(*types.Func)
+		bound = boundRecv(info, v) != nil
+	}
+	return fn, bound
+}
+
+// boundRecv returns the receiver a function selector binds: x for a
+// method call or value x.m, nil for pkg.F and for a method expression
+// T.m, whose receiver is its first argument.
+func boundRecv(info *types.Info, sel *ast.SelectorExpr) ast.Expr {
+	if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
+		if _, isPkg := info.Uses[id].(*types.PkgName); isPkg {
+			return nil
+		}
+	}
+	if tv, ok := info.Types[sel.X]; ok && tv.IsType() {
+		return nil
+	}
+	return sel.X
+}
+
+// declared resolves a call of a declared function or concrete method,
+// by its generic origin's FullName.
+func (pr *program) declared(fn *types.Func, args []*origin) []target {
+	if n := pr.nodes[fn.Origin().FullName()]; n != nil {
+		return []target{{n: n, args: args}}
+	}
+	return nil
+}
+
+// stored resolves a call of a func-typed field to every function the
+// program stores in it. A method value carries its own receiver, so
+// the call's arguments do not line up with its parameters.
+func (pr *program) stored(field token.Pos, args []*origin) []target {
+	var out []target
+	for _, ff := range pr.fields[field] {
+		if n := pr.nodes[ff.name]; n != nil {
+			a := args
+			if ff.bound {
+				a = nil
+			}
+			out = append(out, target{n: n, args: a})
+		}
+	}
+	return out
 }
 
 // bridge resolves an interface method call to the program's concrete
@@ -396,59 +320,79 @@ func (w *walker) objOf(id *ast.Ident) types.Object {
 // would spuriously fail; covering the full method-name set keeps
 // single-method accidental matches rare. Externally-implemented
 // interfaces have no program methods and bridge to nothing.
-func (pr *program) bridge(ref *ifaceRef) []*node {
-	want := make([]string, 0, ref.iface.NumMethods())
-	for i := 0; i < ref.iface.NumMethods(); i++ {
-		want = append(want, ref.iface.Method(i).Name())
-	}
-	var out []*node
-	for _, mi := range pr.methodsByName[ref.method] {
-		if mi.nparams != ref.nparams || mi.nresults != ref.nresults {
+func (pr *program) bridge(it *types.Interface, fn *types.Func, args []*origin) []target {
+	sig := fn.Type().(*types.Signature)
+	var out []target
+	for _, mi := range pr.methodsByName[fn.Name()] {
+		if mi.nparams != sig.Params().Len() || mi.nresults != sig.Results().Len() {
 			continue
 		}
 		set := pr.methodSet[mi.recvKey]
 		ok := true
-		for _, name := range want {
-			if !set[name] {
-				ok = false
-				break
-			}
+		for i := 0; i < it.NumMethods() && ok; i++ {
+			ok = set[it.Method(i).Name()]
 		}
 		if ok {
-			out = append(out, mi.node)
+			out = append(out, target{n: mi.node, args: args})
 		}
 	}
 	return out
 }
 
-// callees expands one edge to its target nodes, excluding `go` edges
-// when joinOnly is set (goroutine bodies run outside the caller's
-// blocking path and lock scope).
-func (pr *program) callees(e edge, skipGo bool) []*node {
+// callees returns an edge's targets, none for a `go` edge when skipGo
+// is set: a goroutine body runs outside its launcher's blocking path
+// and lock scope.
+func callees(e edge, skipGo bool) []target {
 	if skipGo && e.viaGo {
 		return nil
 	}
-	switch {
-	case e.lit != nil:
-		return []*node{e.lit}
-	case e.callee != "":
-		if n := pr.nodes[e.callee]; n != nil {
-			return []*node{n}
+	return e.to
+}
+
+// reach walks the call graph breadth-first from roots and maps every
+// node it reaches, roots included, to the root that reached it first.
+func (pr *program) reach(roots []*node, skipGo bool) map[*node]*node {
+	from := map[*node]*node{}
+	var queue []*node
+	for _, r := range roots {
+		if from[r] == nil {
+			from[r] = r
+			queue = append(queue, r)
 		}
-	case e.iface != nil:
-		return pr.bridge(e.iface)
 	}
-	return nil
+	for len(queue) > 0 {
+		n := queue[0]
+		queue = queue[1:]
+		for _, e := range n.calls {
+			for _, t := range callees(e, skipGo) {
+				if from[t.n] == nil {
+					from[t.n] = from[n]
+					queue = append(queue, t.n)
+				}
+			}
+		}
+	}
+	return from
+}
+
+// rel maps a file name to its path relative to the linted root.
+func (pr *program) rel(filename string) string {
+	if r, ok := pr.relOf[filename]; ok {
+		return r
+	}
+	return filename
+}
+
+// at renders pos as "file:line" for messages.
+func (pr *program) at(pos token.Pos) string {
+	p := pr.fset.Position(pos)
+	return pr.rel(p.Filename) + ":" + strconv.Itoa(p.Line)
 }
 
 // finding builds a lint.Finding at pos for rule with message.
 func (pr *program) finding(rule string, pos token.Pos, msg string) lint.Finding {
 	p := pr.fset.Position(pos)
-	file := pr.relOf[p.Filename]
-	if file == "" {
-		file = p.Filename
-	}
-	return lint.Finding{File: file, Line: p.Line, Col: p.Column, Rule: rule, Message: msg}
+	return lint.Finding{File: pr.rel(p.Filename), Line: p.Line, Col: p.Column, Rule: rule, Message: msg}
 }
 
 // sortFindings orders findings by position for deterministic output.
@@ -468,6 +412,53 @@ func sortFindings(fs []lint.Finding) []lint.Finding {
 
 // --- small type helpers -------------------------------------------------
 
+// inPackage reports whether an import path ends in one of dirs, so
+// "internal/strategy" matches both "sdcmd/internal/strategy" and a
+// fixture module's copy.
+func inPackage(path string, dirs ...string) bool {
+	for _, d := range dirs {
+		if path == d || strings.HasSuffix(path, "/"+d) {
+			return true
+		}
+	}
+	return false
+}
+
+// builtinName returns the builtin a call invokes, "" for anything else
+// (a shadowing declaration included).
+func builtinName(info *types.Info, call *ast.CallExpr) string {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+		if b, ok := info.Uses[id].(*types.Builtin); ok {
+			return b.Name()
+		}
+	}
+	return ""
+}
+
+// isConversion reports whether call is a type conversion.
+func isConversion(info *types.Info, call *ast.CallExpr) bool {
+	tv, ok := info.Types[call.Fun]
+	return ok && tv.IsType()
+}
+
+func typeOf(info *types.Info, e ast.Expr) types.Type {
+	if tv, ok := info.Types[e]; ok {
+		return tv.Type
+	}
+	return nil
+}
+
+// ifaceOf returns the interface a method is declared on, nil for a
+// concrete method or a plain function.
+func ifaceOf(fn *types.Func) *types.Interface {
+	sig, _ := fn.Type().(*types.Signature)
+	if sig == nil || sig.Recv() == nil {
+		return nil
+	}
+	it, _ := sig.Recv().Type().Underlying().(*types.Interface)
+	return it
+}
+
 func hasCtxParam(t types.Type) bool {
 	sig, _ := t.(*types.Signature)
 	if sig == nil {
@@ -477,13 +468,6 @@ func hasCtxParam(t types.Type) bool {
 		if isContext(sig.Params().At(i).Type()) {
 			return true
 		}
-	}
-	return false
-}
-
-func hasCtxParamExpr(info *types.Info, lit *ast.FuncLit) bool {
-	if tv, ok := info.Types[lit]; ok {
-		return hasCtxParam(tv.Type)
 	}
 	return false
 }

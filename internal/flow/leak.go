@@ -40,14 +40,8 @@ func (p *leakPass) Analyze(pkgs []*lint.Package) []lint.Finding {
 		}
 		ok := false
 		for _, e := range site.body.calls {
-			for _, c := range pr.callees(e, true) {
-				if joinEvidence(pr, c, site.launcher) {
-					ok = true
-					break
-				}
-			}
-			if ok {
-				break
+			for _, t := range callees(e, true) {
+				ok = ok || joinEvidence(pr, t.n, site.launcher)
 			}
 		}
 		if !ok {
@@ -70,13 +64,9 @@ func joinEvidence(pr *program, g *node, launcher *node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			// close(ch): the goroutine signals completion.
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "close" {
-				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin && len(n.Args) == 1 {
-					if isChan(typeOf(info, n.Args[0])) {
-						found = true
-						return false
-					}
-				}
+			if builtinName(info, n) == "close" && len(n.Args) == 1 && isChan(typeOf(info, n.Args[0])) {
+				found = true
+				return false
 			}
 			// wg.Done(): the launcher can wg.Wait().
 			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Done" {
@@ -89,7 +79,7 @@ func joinEvidence(pr *program, g *node, launcher *node) bool {
 			// A select with a receive case that returns: a stop channel.
 			for _, cl := range n.Body.List {
 				cc, ok := cl.(*ast.CommClause)
-				if !ok || !isRecvComm(cc.Comm) {
+				if !ok || recvChan(cc.Comm) == nil {
 					continue
 				}
 				if containsReturn(cc.Body) {
@@ -162,27 +152,22 @@ func chanVar(info *types.Info, e ast.Expr) *types.Var {
 	return nil
 }
 
-func typeOf(info *types.Info, e ast.Expr) types.Type {
-	if tv, ok := info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
-}
-
-// isRecvComm reports a select comm that receives (with or without
-// assignment).
-func isRecvComm(s ast.Stmt) bool {
+// recvChan returns the channel a select comm receives from (with or
+// without assignment), nil for a send or anything else.
+func recvChan(s ast.Stmt) ast.Expr {
+	var e ast.Expr
 	switch s := s.(type) {
 	case *ast.ExprStmt:
-		u, ok := s.X.(*ast.UnaryExpr)
-		return ok && u.Op == token.ARROW
+		e = s.X
 	case *ast.AssignStmt:
 		if len(s.Rhs) == 1 {
-			u, ok := s.Rhs[0].(*ast.UnaryExpr)
-			return ok && u.Op == token.ARROW
+			e = s.Rhs[0]
 		}
 	}
-	return false
+	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.ARROW {
+		return u.X
+	}
+	return nil
 }
 
 // containsReturn reports a return statement anywhere in stmts, not

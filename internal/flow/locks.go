@@ -43,8 +43,8 @@ func (p *lockPass) Analyze(pkgs []*lint.Package) []lint.Finding {
 		changed = false
 		for _, n := range pr.all {
 			for _, e := range n.calls {
-				for _, t := range pr.callees(e, true) {
-					for c := range may[t] {
+				for _, t := range callees(e, true) {
+					for c := range may[t.n] {
 						if !may[n][c] {
 							may[n][c] = true
 							changed = true
@@ -58,7 +58,13 @@ func (p *lockPass) Analyze(pkgs []*lint.Package) []lint.Finding {
 	g := &lockGraph{edges: map[string]map[string]edgeWitness{}}
 	var out []lint.Finding
 	for _, n := range pr.all {
-		s := &lockScan{pr: pr, n: n, may: may, g: g, out: &out, rule: p.Name()}
+		s := &lockScan{pr: pr, n: n, may: may, g: g, out: &out, rule: p.Name(),
+			at: map[*ast.CallExpr][]target{}}
+		for _, e := range n.calls {
+			if e.call != nil && !e.viaGo {
+				s.at[e.call] = e.to
+			}
+		}
 		s.stmts(n.body.List, map[string]token.Pos{})
 	}
 	out = append(out, g.cycles(pr, p.Name())...)
@@ -69,25 +75,11 @@ func (p *lockPass) Analyze(pkgs []*lint.Package) []lint.Finding {
 // (nested literals excluded — they are their own nodes).
 func directAcquires(n *node) map[string]bool {
 	out := map[string]bool{}
-	info := n.pkg.Info
 	inspectSkipLits(n.body, func(nd ast.Node) bool {
-		c, ok := nd.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if sel.Sel.Name != "Lock" && sel.Sel.Name != "RLock" {
-			return true
-		}
-		t := deref(typeOf(info, sel.X))
-		if !isNamed(t, "sync", "Mutex") && !isNamed(t, "sync", "RWMutex") {
-			return true
-		}
-		if class := lockClass(info, sel.X); class != "" {
-			out[class] = true
+		if c, ok := nd.(*ast.CallExpr); ok {
+			if class, acq, ok := lockOp(n.pkg.Info, c); ok && acq {
+				out[class] = true
+			}
 		}
 		return true
 	})
@@ -222,9 +214,8 @@ func (g *lockGraph) cycles(pr *program, rule string) []lint.Finding {
 			if i > 0 {
 				msg += "; "
 			}
-			p := pr.fset.Position(w.w.pos)
-			msg += fmt.Sprintf("%s → %s (%s:%d, in %s)",
-				shortClass(w.from), shortClass(w.to), pr.relOf[p.Filename], p.Line, shortClass(w.w.fn))
+			msg += fmt.Sprintf("%s → %s (%s, in %s)",
+				shortClass(w.from), shortClass(w.to), pr.at(w.w.pos), shortClass(w.w.fn))
 		}
 		msg += " — acquire these mutexes in one global order"
 		out = append(out, pr.finding(rule, ws[0].w.pos, msg))
@@ -240,6 +231,7 @@ type lockScan struct {
 	g    *lockGraph
 	out  *[]lint.Finding
 	rule string
+	at   map[*ast.CallExpr][]target // the node's call edges by call site
 }
 
 func (s *lockScan) stmts(list []ast.Stmt, held map[string]token.Pos) {
@@ -252,7 +244,7 @@ func (s *lockScan) stmt(st ast.Stmt, held map[string]token.Pos) {
 	switch st := st.(type) {
 	case nil:
 	case *ast.DeferStmt:
-		if class, acq, ok := s.lockOp(st.Call); ok {
+		if class, acq, ok := lockOp(s.n.pkg.Info, st.Call); ok {
 			// A deferred unlock releases at return: the class stays
 			// held for the rest of the body, which is exactly what the
 			// held set models. A deferred lock is treated as immediate
@@ -337,7 +329,7 @@ func (s *lockScan) callsIn(root ast.Node, held map[string]token.Pos) {
 }
 
 func (s *lockScan) handleCall(c *ast.CallExpr, held map[string]token.Pos) {
-	if class, acq, ok := s.lockOp(c); ok {
+	if class, acq, ok := lockOp(s.n.pkg.Info, c); ok {
 		if acq {
 			s.acquire(class, c.Pos(), held)
 		} else {
@@ -348,13 +340,12 @@ func (s *lockScan) handleCall(c *ast.CallExpr, held map[string]token.Pos) {
 	if len(held) == 0 {
 		return
 	}
-	for _, t := range s.pr.callees(s.edgeFor(c), true) {
-		for _, to := range sortedKeySlice(s.may[t]) {
+	for _, t := range s.at[c] {
+		for _, to := range sortedKeySlice(s.may[t.n]) {
 			if prev, ok := held[to]; ok {
-				p := s.pr.fset.Position(prev)
 				*s.out = append(*s.out, s.pr.finding(s.rule, c.Pos(), fmt.Sprintf(
-					"call to %s may re-acquire %s, already held since %s:%d — release first or split the critical section",
-					shortClass(t.display), shortClass(to), s.pr.relOf[p.Filename], p.Line)))
+					"call to %s may re-acquire %s, already held since %s — release first or split the critical section",
+					shortClass(t.n.display), shortClass(to), s.pr.at(prev))))
 				continue
 			}
 			for h := range held {
@@ -364,42 +355,11 @@ func (s *lockScan) handleCall(c *ast.CallExpr, held map[string]token.Pos) {
 	}
 }
 
-// edgeFor re-resolves a call expression to an edge shape for callee
-// expansion (the walker's edges are not indexed by position).
-func (s *lockScan) edgeFor(c *ast.CallExpr) edge {
-	info := s.n.pkg.Info
-	switch fun := lint.CallTarget(info, c.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return edge{callee: fn.Origin().FullName(), pos: c.Pos()}
-		}
-	case *ast.SelectorExpr:
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
-		if fn == nil {
-			break
-		}
-		sig, _ := fn.Type().(*types.Signature)
-		if sig != nil && sig.Recv() != nil {
-			if it, ok := sig.Recv().Type().Underlying().(*types.Interface); ok {
-				return edge{iface: &ifaceRef{
-					iface:    it,
-					method:   fn.Name(),
-					nparams:  sig.Params().Len(),
-					nresults: sig.Results().Len(),
-				}, pos: c.Pos()}
-			}
-		}
-		return edge{callee: fn.Origin().FullName(), pos: c.Pos()}
-	}
-	return edge{}
-}
-
 func (s *lockScan) acquire(class string, pos token.Pos, held map[string]token.Pos) {
 	if prev, ok := held[class]; ok {
-		p := s.pr.fset.Position(prev)
 		*s.out = append(*s.out, s.pr.finding(s.rule, pos, fmt.Sprintf(
-			"%s re-acquired while already held since %s:%d — self-deadlock",
-			shortClass(class), s.pr.relOf[p.Filename], p.Line)))
+			"%s re-acquired while already held since %s — self-deadlock",
+			shortClass(class), s.pr.at(prev))))
 		return
 	}
 	for h := range held {
@@ -411,7 +371,7 @@ func (s *lockScan) acquire(class string, pos token.Pos, held map[string]token.Po
 // lockOp classifies a call as a mutex acquire/release on a nameable
 // lock class; ok is false for everything else (including local
 // mutexes, which cannot participate in cross-function order).
-func (s *lockScan) lockOp(c *ast.CallExpr) (class string, acquire, ok bool) {
+func lockOp(info *types.Info, c *ast.CallExpr) (class string, acquire, ok bool) {
 	sel, isSel := ast.Unparen(c.Fun).(*ast.SelectorExpr)
 	if !isSel {
 		return "", false, false
@@ -423,7 +383,6 @@ func (s *lockScan) lockOp(c *ast.CallExpr) (class string, acquire, ok bool) {
 	default:
 		return "", false, false
 	}
-	info := s.n.pkg.Info
 	t := deref(typeOf(info, sel.X))
 	if !isNamed(t, "sync", "Mutex") && !isNamed(t, "sync", "RWMutex") {
 		return "", false, false

@@ -59,3 +59,25 @@ func (b blockyRunner) Go() {
 func Drive(ctx context.Context, r runner) {
 	r.Go()
 }
+
+// waiter blocks on a bare receive; Hooked reaches it only through the
+// func-typed field of a package-level table set from a method
+// expression.
+type waiter struct {
+	ch chan int
+}
+
+func (w *waiter) block() {
+	<-w.ch
+}
+
+type hooks struct {
+	wait func(*waiter)
+}
+
+var waitHooks = hooks{wait: (*waiter).block}
+
+// Hooked is the ctx entry that calls through the field.
+func Hooked(ctx context.Context, w *waiter) {
+	waitHooks.wait(w)
+}

@@ -64,7 +64,7 @@ type Loader struct {
 	// exactly once per Load, no matter how many packages import it: the
 	// directory walk and the intra-module importer share the cache (one
 	// parse of the repo instead of N — the shared-driver contract the
-	// parse-once test in internal/vet pins down).
+	// parse-once test in internal/flow pins down).
 	asts map[string]*ast.File
 	// parseHook, when set, observes every actual parser.ParseFile call
 	// (cache hits do not fire it).

@@ -65,6 +65,12 @@ type JobSpec struct {
 	ThermostatTau float64 `json:"thermostat_tau,omitempty"`
 }
 
+// maxCells bounds Cells at the paper's largest case, 120³ bcc cells
+// (3 456 000 atoms). A larger lattice cannot be a sensible job on one
+// host and would fail only inside the run (an out-of-range make panics
+// the server), so admission rejects it.
+const maxCells = 120
+
 // normalized applies defaults, validates, and clamps Threads to the
 // per-shard CPU share (cpu/shards, at least 1) so no combination of
 // concurrent jobs oversubscribes the budget. The returned spec is fully
@@ -81,6 +87,9 @@ func (sp JobSpec) normalized(cpu, shards int) (JobSpec, error) {
 	}
 	if sp.Cells < 1 {
 		return sp, fmt.Errorf("serve: cells %d must be >= 1", sp.Cells)
+	}
+	if sp.Cells > maxCells {
+		return sp, fmt.Errorf("serve: cells %d exceeds the maximum %d", sp.Cells, maxCells)
 	}
 	if sp.Temperature == 0 {
 		sp.Temperature = 300
@@ -121,11 +130,17 @@ func (sp JobSpec) normalized(cpu, shards int) (JobSpec, error) {
 	if sp.Skin == 0 {
 		sp.Skin = 0.5
 	}
+	if sp.Skin < 0 {
+		return sp, fmt.Errorf("serve: skin %g must be >= 0", sp.Skin)
+	}
 	if sp.Steps <= 0 {
 		return sp, fmt.Errorf("serve: steps %d must be > 0", sp.Steps)
 	}
 	if sp.Jitter < 0 {
 		return sp, fmt.Errorf("serve: jitter %g must be >= 0", sp.Jitter)
+	}
+	if sp.Thermostat > 0 && sp.ThermostatTau < 0 {
+		return sp, fmt.Errorf("serve: thermostat_tau %g must be > 0", sp.ThermostatTau)
 	}
 	if sp.Thermostat > 0 && sp.ThermostatTau == 0 {
 		sp.ThermostatTau = 0.01

@@ -118,15 +118,22 @@ func TestNormalizeDefaultsAndClamp(t *testing.T) {
 		t.Errorf("defaults not applied: %+v", sp)
 	}
 	for _, bad := range []JobSpec{
-		{},                             // steps missing
-		{Steps: 10, Strategy: "magic"}, // unknown strategy
-		{Steps: 10, Dim: 4},            // dim out of range
-		{Steps: 10, Potential: "lj"},   // unsupported potential
-		{Steps: 10, Cells: -1},         // bad lattice
+		{},                              // steps missing
+		{Steps: 10, Strategy: "magic"},  // unknown strategy
+		{Steps: 10, Dim: 4},             // dim out of range
+		{Steps: 10, Potential: "lj"},    // unsupported potential
+		{Steps: 10, Cells: -1},          // bad lattice
+		{Steps: 1, Cells: 1 << 20},      // lattice too large to allocate
+		{Steps: 1, Cells: maxCells + 1}, // past the paper's largest case
+		{Steps: 10, Skin: -0.1},         // negative skin
+		{Steps: 10, Thermostat: 300, ThermostatTau: -0.01}, // negative thermostat time constant
 	} {
 		if _, err := bad.normalized(4, 2); err == nil {
 			t.Errorf("spec %+v accepted", bad)
 		}
+	}
+	if _, err := (JobSpec{Steps: 1, Cells: maxCells}).normalized(4, 2); err != nil {
+		t.Errorf("the paper's largest case was rejected: %v", err)
 	}
 }
 
