@@ -9,7 +9,7 @@ import (
 )
 
 // runKernelBudget implements -kernel-budget and -write-kernel-budget:
-// compute the compiler escape/bounds-check counts for the kernel
+// compute the compiler escape/bounds-check/inlining counts for the kernel
 // packages and either record them or diff them against the committed
 // baseline. Regressions fail the gate; improvements are reported with
 // a hint to re-record the baseline.
@@ -27,8 +27,8 @@ func runKernelBudget(root string, patterns []string, baselinePath, writePath str
 			_, _ = fmt.Fprintln(stderr, "sdcvet:", err)
 			return 2
 		}
-		_, _ = fmt.Fprintf(stderr, "sdcvet: wrote kernel budget (%d escapes, %d bounds checks across %d files) to %s\n",
-			cur.Total.Escapes, cur.Total.Bounds, len(cur.Files), writePath)
+		_, _ = fmt.Fprintf(stderr, "sdcvet: wrote kernel budget (%d escapes, %d bounds checks, %d inlined calls across %d files) to %s\n",
+			cur.Total.Escapes, cur.Total.Bounds, cur.Total.Inlined, len(cur.Files), writePath)
 		return 0
 	}
 	base, err := budget.ReadFile(baselinePath)

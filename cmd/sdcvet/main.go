@@ -32,15 +32,16 @@
 // mandatory.
 //
 // The kernel-budget mode is a different kind of gate: instead of AST
-// passes it replays the compiler's own escape-analysis and
-// bounds-check diagnostics for the kernel packages (internal/force,
-// internal/strategy, the integrator of internal/md and the wrap of
-// internal/box that run every step, and the grid and neighbor search of
-// internal/core and internal/neighbor that run at every rebuild) and
-// diffs per-file counts against the committed LINT_kernel.json,
-// failing on any increase — heap escapes and retained bounds checks in
-// the sweep loops regress silently otherwise. See DESIGN.md, "Correctness
-// tooling".
+// passes it replays the compiler's own escape-analysis, bounds-check
+// and inlining diagnostics for the kernel packages (internal/force, the
+// radial terms of internal/potential, internal/strategy, the integrator
+// of internal/md and the wrap of internal/box that run every step, and
+// the grid and neighbor search of internal/core and internal/neighbor
+// that run at every rebuild) and diffs per-file counts against the
+// committed LINT_kernel.json, failing when escapes or bounds checks
+// rise or inlined calls fall — a heap escape, a retained bounds check
+// or a pair-loop helper pushed out of line regresses silently
+// otherwise. See DESIGN.md, "Correctness tooling".
 package main
 
 import (
@@ -68,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	asSARIF := fs.Bool("sarif", false, "emit one SARIF 2.1.0 document")
 	listRules := fs.Bool("rules", false, "list the rules and passes, then exit")
 	fix := fs.Bool("fix", false, "rewrite source to remove stale //lint:ignore rules, then re-run")
-	kernelBudget := fs.Bool("kernel-budget", false, "diff compiler escape/bounds-check diagnostics against the kernel budget baseline instead of running the passes")
+	kernelBudget := fs.Bool("kernel-budget", false, "diff compiler escape/bounds-check/inlining diagnostics against the kernel budget baseline instead of running the passes")
 	kernelBaseline := fs.String("kernel-baseline", "LINT_kernel.json", "kernel budget baseline file for -kernel-budget")
 	writeKernelBudget := fs.String("write-kernel-budget", "", "record the current kernel budget to this file and exit 0")
 	if err := fs.Parse(args); err != nil {

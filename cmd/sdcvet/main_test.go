@@ -179,7 +179,8 @@ func TestRunFlowFixtureFindings(t *testing.T) {
 // TestKernelBudgetGate pins the -write-kernel-budget / -kernel-budget
 // cycle on a scratch module: a recorded budget gates its own tree at
 // exit 0, a baseline recorded too low fails the gate, and one recorded
-// too high passes with an improvement note.
+// too high passes with an improvement note; an inlined count works the
+// other way round, so a baseline that claims more inlined calls fails.
 func TestKernelBudgetGate(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module scratch\n\ngo 1.22\n"), 0o644); err != nil {
@@ -195,6 +196,10 @@ func Escape() *int {
 func Index(xs []float64, i int) float64 {
 	return xs[i]
 }
+
+func half(x float64) float64 { return x / 2 }
+
+func Quarter(x float64) float64 { return half(x) / 2 }
 `
 	if err := os.WriteFile(filepath.Join(dir, "k.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
@@ -253,6 +258,24 @@ func Index(xs []float64, i int) float64 {
 	}
 	if !strings.Contains(errb.String(), "improvement") {
 		t.Errorf("improvement note missing:\n%s", errb.String())
+	}
+
+	// A baseline that claims more inlined calls than the tree makes:
+	// the gate must fail and name the metric.
+	uninlined := strings.Replace(string(data), `"inlined": 1`, `"inlined": 2`, 1)
+	if uninlined == string(data) {
+		t.Fatalf("baseline had no inlined count to tamper with:\n%s", data)
+	}
+	if err := os.WriteFile(base, []byte(uninlined), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	errb.Reset()
+	if code := run([]string{"-kernel-budget", "-kernel-baseline", base, "."}, &out, &errb); code != 1 {
+		t.Fatalf("uninlined gate exit %d, want 1\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
+	}
+	if !strings.Contains(out.String(), "inlined 2 -> 1") {
+		t.Errorf("regression output missing the inlined count:\n%s", out.String())
 	}
 }
 

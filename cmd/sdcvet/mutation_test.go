@@ -42,8 +42,8 @@ var mutations = []mutation{
 	{rule: "cs-only-atomics", file: "internal/strategy/sap.go",
 		site: "import (",
 		old:  "\"sync\"\n", new: "\"sync\"\n\t_ \"sync/atomic\"\n"},
-	{rule: "float-compare", file: "internal/force/engine.go",
-		site: "func (e *Engine) forceTerms(",
+	{rule: "float-compare", file: "internal/force/analytic.go",
+		site: "func (e *Engine) feForceTerms(",
 		old:  "r >= cut", new: "r == cut"},
 	{rule: "unchecked-error", file: "internal/md/simulator.go",
 		site: "func (s *Simulator) Rebuild(",
@@ -60,9 +60,9 @@ var mutations = []mutation{
 	{rule: "hot-loop", file: "internal/strategy/row.go",
 		site: "func addRow[",
 		old:  "oi += ci[k]", new: "_ = make([]float64, len(js))\n\t\t\toi += ci[k]"},
-	{rule: "hot-loop", file: "internal/force/engine.go",
-		site: "func (e *Engine) densityTerms(",
-		old:  "phi, _ := e.pot.Density(r)", new: "_ = make([]float64, len(js))\n\t\t\tphi, _ := e.pot.Density(r)"},
+	{rule: "hot-loop", file: "internal/force/analytic.go",
+		site: "func (e *Engine) feDensityTerms(",
+		old:  "phi, _ := dens.Eval(r)", new: "_ = make([]float64, len(js))\n\t\t\tphi, _ := dens.Eval(r)"},
 	{rule: "goroutine-leak", file: "internal/serve/scheduler.go",
 		site: "func (s *Scheduler) worker() {",
 		old:  "\tdefer s.wg.Done()\n", new: "",

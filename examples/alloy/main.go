@@ -23,7 +23,7 @@ import (
 	"sdcmd/internal/strategy"
 )
 
-func energyPerAtom(al potential.AlloyEAM, cfg *lattice.Config, species []int32,
+func energyPerAtom(al *potential.BinaryAlloy, cfg *lattice.Config, species []int32,
 	red strategy.Reducer) float64 {
 	eng, err := force.NewAlloyEngine(al, cfg.Box, species)
 	if err != nil {

@@ -154,11 +154,15 @@ func (b Box) Image() Image {
 // other component equals MinImage's bit for bit. An open axis
 // subtracts a zero (only a −0 component comes back as +0).
 func (im Image) Min(dx, dy, dz float64) vec.Vec3 {
-	return vec.Vec3{
-		dx - im.L[0]*math.Round(dx*im.Inv[0]),
-		dy - im.L[1]*math.Round(dy*im.Inv[1]),
-		dz - im.L[2]*math.Round(dz*im.Inv[2]),
-	}
+	return vec.Vec3{im.MinAxis(0, dx), im.MinAxis(1, dy), im.MinAxis(2, dz)}
+}
+
+// MinAxis is Min on axis a alone: d − L·round(d·(1/L)). Min is too
+// large for the inliner, and this is not, so a pair loop that calls it
+// once per axis pays no call per pair. The pointer receiver spares the
+// inlined body a copy of the Image.
+func (im *Image) MinAxis(a int, d float64) float64 {
+	return d - im.L[a]*math.Round(d*im.Inv[a])
 }
 
 // Distance2 returns the squared minimum-image distance between pi and pj.

@@ -2,6 +2,7 @@ package force
 
 import (
 	"fmt"
+	"math"
 
 	"sdcmd/internal/box"
 	"sdcmd/internal/potential"
@@ -9,13 +10,14 @@ import (
 	"sdcmd/internal/vec"
 )
 
-// NewAlloyEngine builds an engine for a multi-species system: the same
+// NewAlloyEngine builds an engine for a two-species system: the same
 // three EAM phases with species-resolved pair, density and embedding
-// terms. The SDC coloring argument is purely geometric and
-// species-blind, so every strategy.Reducer applies unchanged.
-// species[i] is atom i's species index, validated against the
-// potential; every evaluation needs one position per species entry.
-func NewAlloyEngine(pot potential.AlloyEAM, bx box.Box, species []int32) (*Engine, error) {
+// terms, whose radial parts its kernels call statically. The SDC
+// coloring argument is purely geometric and species-blind, so every
+// strategy.Reducer applies unchanged. species[i] is atom i's species
+// index, validated against the potential; every evaluation needs one
+// position per species entry.
+func NewAlloyEngine(pot *potential.BinaryAlloy, bx box.Box, species []int32) (*Engine, error) {
 	if pot == nil {
 		return nil, fmt.Errorf("force: nil alloy potential")
 	}
@@ -28,7 +30,15 @@ func NewAlloyEngine(pot potential.AlloyEAM, bx box.Box, species []int32) (*Engin
 			return nil, fmt.Errorf("force: atom %d has species %d, potential knows %d", i, s, ns)
 		}
 	}
-	return &Engine{Box: bx, alloy: pot, species: species, cutoff: pot.Cutoff(), terms: alloyTerms}, nil
+	e := &Engine{Box: bx, alloy: pot, species: species, cutoff: pot.Cutoff(), terms: alloyTerms}
+	for si := range e.rad.pair {
+		e.rad.dens[si] = pot.ExpDensity(si)
+		for sj := range e.rad.pair[si] {
+			e.rad.pair[si][sj] = pot.Morse(si, sj)
+		}
+	}
+	e.rad.smooth = pot.Smoother()
+	return e, nil
 }
 
 var alloyTerms = terms{
@@ -41,17 +51,13 @@ var alloyTerms = terms{
 // alloyDensityTerms is the species-resolved phase-1 kernel: ρ_i gains
 // the density donated by j's species and vice versa
 // (direction-consistent, as the strategy contract requires). A
-// same-species pair evaluates the donation once: both directions are
-// the same call.
+// same-species pair evaluates the donation once.
 func (e *Engine) alloyDensityTerms() strategy.Terms[float64] {
-	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
-	im, sp, cut := e.img, e.species, e.cutoff
+	rad, sp, cut := &e.rad, e.species, e.cutoff
 	return func(i int32, js []int32, ci, cj []float64) {
 		ci, cj = ci[:len(js)], cj[:len(js)]
-		xi, yi, zi, si := x[i], y[i], z[i], sp[i]
-		for k, j := range js {
-			ci[k] = im.Min(xi-x[j], yi-y[j], zi-z[j]).Norm()
-		}
+		e.dists(i, js, ci)
+		si := sp[i]
 		for k, j := range js {
 			r := ci[k]
 			if r <= 0 || r >= cut {
@@ -59,12 +65,13 @@ func (e *Engine) alloyDensityTerms() strategy.Terms[float64] {
 				continue
 			}
 			sj := sp[j]
-			phiFromJ, _ := e.alloy.DensityOf(int(sj), r)
+			phiFromJ, _ := rad.dens[sj].Eval(r)
 			phiFromI := phiFromJ
 			if sj != si {
-				phiFromI, _ = e.alloy.DensityOf(int(si), r)
+				phiFromI, _ = rad.dens[si].Eval(r)
 			}
-			ci[k], cj[k] = phiFromJ, phiFromI
+			s, _ := rad.smooth.Eval(r)
+			ci[k], cj[k] = phiFromJ*s, phiFromI*s
 		}
 	}
 }
@@ -77,62 +84,59 @@ func (e *Engine) alloyEmbedTerm(i int, rho float64) (float64, float64) {
 // alloyForceTerms is the species-resolved phase-3 kernel. The embedding
 // coupling pairs F'(ρ_i) with the *partner's* density derivative:
 // eq. (2) generalized to species. Like alloyDensityTerms, it evaluates
-// a same-species pair's density derivative once.
+// a same-species pair's density once.
 func (e *Engine) alloyForceTerms() strategy.Terms[vec.Vec3] {
 	fp := e.fp
-	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
-	im, sp, cut := e.img, e.species, e.cutoff
+	rad, sp, cut := &e.rad, e.species, e.cutoff
 	return func(i int32, js []int32, ci, _ []vec.Vec3) {
 		ci = ci[:len(js)]
-		xi, yi, zi, si, fpi := x[i], y[i], z[i], sp[i], fp[i]
+		e.disps(i, js, ci)
+		si, fpi := sp[i], fp[i]
 		for k, j := range js {
-			ci[k] = im.Min(xi-x[j], yi-y[j], zi-z[j])
-		}
-		for k, j := range js {
-			d := ci[k]
-			r := d.Norm()
+			d := &ci[k]
+			r := math.Sqrt(d[0]*d[0] + d[1]*d[1] + d[2]*d[2])
 			if r <= 0 || r >= cut {
-				ci[k] = vec.Vec3{}
+				*d = vec.Vec3{}
 				continue
 			}
 			sj := sp[j]
-			_, dv := e.alloy.PairEnergy(int(si), int(sj), r)
-			_, dphiJ := e.alloy.DensityOf(int(sj), r) // j's donation to i
-			dphiI := dphiJ                            // i's donation to j
+			v, dv := rad.pair[si][sj].Eval(r)
+			phiJ, dphiJ := rad.dens[sj].Eval(r) // j's donation to i
+			phiI, dphiI := phiJ, dphiJ          // i's donation to j
 			if sj != si {
-				_, dphiI = e.alloy.DensityOf(int(si), r)
+				phiI, dphiI = rad.dens[si].Eval(r)
 			}
-			coeff := dv + fpi*dphiJ + fp[j]*dphiI
-			ci[k] = d.Scale(-coeff / r)
+			s, ds := rad.smooth.Eval(r)
+			coeff := slope(v, dv, s, ds) + fpi*slope(phiJ, dphiJ, s, ds) + fp[j]*slope(phiI, dphiI, s, ds)
+			f := -coeff / r
+			d[0], d[1], d[2] = f*d[0], f*d[1], f*d[2]
 		}
 	}
 }
 
 // alloyPairTerms is the species-resolved pair-energy kernel.
 func (e *Engine) alloyPairTerms() strategy.Terms[float64] {
-	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
-	im, sp, cut := e.img, e.species, e.cutoff
+	rad, sp, cut := &e.rad, e.species, e.cutoff
 	return func(i int32, js []int32, ci, cj []float64) {
 		ci, cj = ci[:len(js)], cj[:len(js)]
-		xi, yi, zi, si := x[i], y[i], z[i], sp[i]
-		for k, j := range js {
-			ci[k] = im.Min(xi-x[j], yi-y[j], zi-z[j]).Norm()
-		}
+		e.dists(i, js, ci)
+		si := sp[i]
 		for k, j := range js {
 			r := ci[k]
 			if r <= 0 || r >= cut {
 				ci[k], cj[k] = 0, 0
 				continue
 			}
-			v, _ := e.alloy.PairEnergy(int(si), int(sp[j]), r)
-			ci[k], cj[k] = v/2, v/2
+			v, _ := rad.pair[si][sp[j]].Eval(r)
+			s, _ := rad.smooth.Eval(r)
+			ci[k], cj[k] = v*s/2, v*s/2
 		}
 	}
 }
 
 // AlloyReference computes alloy energies and forces by direct O(N²)
 // summation — the correctness oracle for NewAlloyEngine's engine.
-func AlloyReference(pot potential.AlloyEAM, bx box.Box, species []int32, pos []vec.Vec3) (f []vec.Vec3, total float64) {
+func AlloyReference(pot *potential.BinaryAlloy, bx box.Box, species []int32, pos []vec.Vec3) (f []vec.Vec3, total float64) {
 	n := len(pos)
 	f = make([]vec.Vec3, n)
 	rho := make([]float64, n)

@@ -165,7 +165,8 @@ func TestAlloyForceMatchesNumericalGradient(t *testing.T) {
 }
 
 func TestSingleSpeciesAlloyMatchesPlainEngine(t *testing.T) {
-	// SingleAsAlloy over the plain Fe EAM must reproduce Engine exactly.
+	// A binary alloy whose two species both carry the Fe parameters
+	// must reproduce the plain Fe engine.
 	cfg := lattice.MustBuild(lattice.BCC, 5, 5, 5, 2.8665)
 	cfg.Jitter(0.1, 7)
 	pot := potential.DefaultFe()
@@ -183,7 +184,13 @@ func TestSingleSpeciesAlloyMatchesPlainEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alloy, err := NewAlloyEngine(potential.SingleAsAlloy{E: pot}, cfg.Box, make([]int32, cfg.N()))
+	p := pot.Params()
+	fe := potential.SpeciesParams{Element: "Fe", Re: p.Re, D: p.D, Alpha: p.Alpha, Fe0: p.Fe0, Beta: p.Beta, A: p.A}
+	feFe, err := potential.NewBinaryAlloy(fe, fe, p.SmoothOn, p.Cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloy, err := NewAlloyEngine(feFe, cfg.Box, make([]int32, cfg.N()))
 	if err != nil {
 		t.Fatal(err)
 	}

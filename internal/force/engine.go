@@ -21,7 +21,7 @@ import (
 
 // Engine evaluates EAM energies and forces for one system of "metals
 // and alloys" (§II.C): NewEngine builds it for a single species,
-// NewAlloyEngine for several. It owns the per-atom scratch arrays (rho
+// NewAlloyEngine for two. It owns the per-atom scratch arrays (rho
 // and F'(rho)), so one Engine must not be used from multiple goroutines
 // at once; internal parallelism comes from the reducer.
 type Engine struct {
@@ -29,14 +29,22 @@ type Engine struct {
 	// re-reads it, so a caller may replace it between calls.
 	Box box.Box
 
-	pot     potential.EAM      // single-species potential (NewEngine)
-	alloy   potential.AlloyEAM // multi-species potential (NewAlloyEngine)
-	species []int32            // species[i] is atom i's species (alloy only)
+	pot     potential.EAM          // single-species potential (NewEngine)
+	alloy   *potential.BinaryAlloy // two-species potential (NewAlloyEngine)
+	species []int32                // species[i] is atom i's species (alloy only)
 	cutoff  float64
 	terms   terms
+	// rad holds the radial terms of an analytic potential for the
+	// kernels that call them statically; see radial.
+	rad radial
 
 	rho []float64 // electron densities ρ_i (phase 1 output)
 	fp  []float64 // embedding derivatives F'(ρ_i) (phase 2 output)
+
+	// partial, minR and maxR are phase 2's per-worker sums and ρ
+	// ranges, one slot per reducer thread, kept so that no evaluation
+	// allocates them.
+	partial, minR, maxR []float64
 
 	// soa holds the positions of the current evaluation repacked into
 	// structure-of-arrays component streams. The pair kernels read X/Y/Z
@@ -55,8 +63,8 @@ type Engine struct {
 }
 
 // terms are the potential-specific parts of the three phases. The
-// constructor picks the single-species or the species-resolved set
-// once, so no per-pair code tests which kind of system it evaluates.
+// constructor picks one set from the potential's type once, so no
+// per-pair code tests which kind of system it evaluates.
 // The kernel builders read the SoA positions of the latest pack. They
 // are method expressions, not method values: a method value's wrapper
 // inlines the builder, and the clone of its closure is compiled with
@@ -69,14 +77,20 @@ type terms struct {
 	pair    func(*Engine) strategy.Terms[float64]               // V(r), half to each atom
 }
 
-var singleTerms = terms{
+// eamTerms evaluate any potential.EAM through its interface, one
+// dynamic call per radial function and pair. Tabulated and PairOnly
+// have no other path; a *potential.FeEAM takes feTerms.
+var eamTerms = terms{
 	density: (*Engine).densityTerms,
 	embed:   (*Engine).embedTerm,
 	force:   (*Engine).forceTerms,
 	pair:    (*Engine).pairTerms,
 }
 
-// NewEngine validates and builds a single-species engine.
+// NewEngine validates and builds a single-species engine. The
+// potential's type picks the kernels: a *potential.FeEAM gets feTerms,
+// which call its radial terms statically, and any other potential the
+// interface kernels of eamTerms.
 func NewEngine(pot potential.EAM, bx box.Box) (*Engine, error) {
 	if pot == nil {
 		return nil, fmt.Errorf("force: nil potential")
@@ -84,7 +98,12 @@ func NewEngine(pot potential.EAM, bx box.Box) (*Engine, error) {
 	if !(pot.Cutoff() > 0) {
 		return nil, fmt.Errorf("force: potential cutoff %g must be positive", pot.Cutoff())
 	}
-	return &Engine{Box: bx, pot: pot, cutoff: pot.Cutoff(), terms: singleTerms}, nil
+	e := &Engine{Box: bx, pot: pot, cutoff: pot.Cutoff(), terms: eamTerms}
+	if fe, ok := pot.(*potential.FeEAM); ok {
+		e.terms = feTerms
+		e.rad.pair[0][0], e.rad.dens[0], e.rad.smooth = fe.Morse(), fe.ExpDensity(), fe.Smoother()
+	}
+	return e, nil
 }
 
 // Result reports one force evaluation.
@@ -111,30 +130,53 @@ func (e *Engine) FPrime() []float64 { return e.fp }
 // Compute (§III.A's decomposition); nil detaches.
 func (e *Engine) SetTelemetry(rec *telemetry.Recorder) { e.tel = rec }
 
-// Every kernel below fills one chunk of atom i's row in two loops: the
-// first writes the chunk's minimum-image distances (or displacements)
-// into ci, the second evaluates the radial functions over them. The
-// pairs of the second loop are independent, so consecutive exps
-// overlap instead of each waiting for the last. Atom i's coordinates
-// are hoisted out of both loops, and the scratch is resliced to
-// len(js) so the compiler drops the per-pair bounds checks. The
-// kernels read the SoA-packed positions and the image of the latest
+// Every kernel below fills one chunk of atom i's row in two loops:
+// dists or disps writes the chunk's minimum-image distances (or
+// displacements) into ci, and a second loop evaluates the radial
+// functions over them. The pairs of the second loop are independent,
+// so consecutive exps overlap instead of each waiting for the last.
+// The scratch is resliced to len(js) so the compiler drops the
+// per-pair bounds checks. Both loops handle a displacement one
+// component at a time, with vec.Vec3's Norm and Scale arithmetic: Go
+// keeps a [3]float64 in memory, and a Vec3 built by three scalar
+// stores and then copied whole waits for store forwarding, which cost
+// the distance loop more than half its time in a profile.
+
+// dists writes the minimum-image distance of each pair (i, js[k]) into
+// r[k]. It reads the SoA-packed positions and the image of the latest
 // pack() — three dense component streams instead of an AoS Vec3 gather
 // — with arithmetic bit-identical to Box.Distance on the original
-// vectors for every pair closer than L/2.
+// vectors for every pair closer than L/2. Atom i's coordinates are
+// hoisted out of the loop, and the per-axis image inlines, so the loop
+// makes no call; the kernels call dists once per chunk.
+func (e *Engine) dists(i int32, js []int32, r []float64) {
+	x, y, z, im := e.soa.X, e.soa.Y, e.soa.Z, &e.img
+	r = r[:len(js)]
+	xi, yi, zi := x[i], y[i], z[i]
+	for k, j := range js {
+		dx, dy, dz := im.MinAxis(0, xi-x[j]), im.MinAxis(1, yi-y[j]), im.MinAxis(2, zi-z[j])
+		r[k] = math.Sqrt(dx*dx + dy*dy + dz*dz)
+	}
+}
 
-// densityTerms is the single-species phase-1 kernel: φ(r) flows both
-// ways (this is also §II.D.1's optimization — i's contribution to j is
+// disps is dists for the displacements pᵢ − pⱼ themselves.
+func (e *Engine) disps(i int32, js []int32, d []vec.Vec3) {
+	x, y, z, im := e.soa.X, e.soa.Y, e.soa.Z, &e.img
+	d = d[:len(js)]
+	xi, yi, zi := x[i], y[i], z[i]
+	for k, j := range js {
+		dk := &d[k]
+		dk[0], dk[1], dk[2] = im.MinAxis(0, xi-x[j]), im.MinAxis(1, yi-y[j]), im.MinAxis(2, zi-z[j])
+	}
+}
+
+// densityTerms is the interface phase-1 kernel: φ(r) flows both ways
+// (this is also §II.D.1's optimization — i's contribution to j is
 // computed with j's to i).
 func (e *Engine) densityTerms() strategy.Terms[float64] {
-	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
-	im := e.img
 	return func(i int32, js []int32, ci, cj []float64) {
 		ci, cj = ci[:len(js)], cj[:len(js)]
-		xi, yi, zi := x[i], y[i], z[i]
-		for k, j := range js {
-			ci[k] = im.Min(xi-x[j], yi-y[j], zi-z[j]).Norm()
-		}
+		e.dists(i, js, ci)
 		for k, r := range ci {
 			phi, _ := e.pot.Density(r)
 			ci[k], cj[k] = phi, phi
@@ -145,46 +187,38 @@ func (e *Engine) densityTerms() strategy.Terms[float64] {
 // embedTerm is the single-species phase-2 term.
 func (e *Engine) embedTerm(_ int, rho float64) (float64, float64) { return e.pot.Embed(rho) }
 
-// forceTerms is the single-species phase-3 kernel implementing the
-// paper's eq. (2): the pair force magnitude is V'(r) + (F'(ρ_i)+F'(ρ_j))·φ'(r),
+// forceTerms is the interface phase-3 kernel implementing the paper's
+// eq. (2): the pair force magnitude is V'(r) + (F'(ρ_i)+F'(ρ_j))·φ'(r),
 // directed along the minimum-image separation. It fills ci with the
 // force on atom i; the strategy applies −ci to atom j. A pair outside
 // the cutoff gets a zero force.
 func (e *Engine) forceTerms() strategy.Terms[vec.Vec3] {
-	fp := e.fp
-	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
-	im, cut := e.img, e.cutoff
+	fp, cut := e.fp, e.cutoff
 	return func(i int32, js []int32, ci, _ []vec.Vec3) {
 		ci = ci[:len(js)]
-		xi, yi, zi, fpi := x[i], y[i], z[i], fp[i]
+		e.disps(i, js, ci)
+		fpi := fp[i]
 		for k, j := range js {
-			ci[k] = im.Min(xi-x[j], yi-y[j], zi-z[j])
-		}
-		for k, j := range js {
-			d := ci[k]
-			r := d.Norm()
+			d := &ci[k]
+			r := math.Sqrt(d[0]*d[0] + d[1]*d[1] + d[2]*d[2])
 			if r <= 0 || r >= cut {
-				ci[k] = vec.Vec3{}
+				*d = vec.Vec3{}
 				continue
 			}
 			_, dv := e.pot.Energy(r)
 			_, dphi := e.pot.Density(r)
 			coeff := dv + (fpi+fp[j])*dphi
-			ci[k] = d.Scale(-coeff / r)
+			f := -coeff / r
+			d[0], d[1], d[2] = f*d[0], f*d[1], f*d[2]
 		}
 	}
 }
 
 // pairTerms is the single-species pair-energy kernel.
 func (e *Engine) pairTerms() strategy.Terms[float64] {
-	x, y, z := e.soa.X, e.soa.Y, e.soa.Z
-	im := e.img
 	return func(i int32, js []int32, ci, cj []float64) {
 		ci, cj = ci[:len(js)], cj[:len(js)]
-		xi, yi, zi := x[i], y[i], z[i]
-		for k, j := range js {
-			ci[k] = im.Min(xi-x[j], yi-y[j], zi-z[j]).Norm()
-		}
+		e.dists(i, js, ci)
 		for k, r := range ci {
 			v, _ := e.pot.Energy(r)
 			ci[k], cj[k] = v/2, v/2
@@ -224,10 +258,14 @@ func (e *Engine) densities(red strategy.Reducer) {
 // Σ F(ρ_i) and the ρ range over the workers.
 func (e *Engine) embedding(red strategy.Reducer) Result {
 	threads := red.Threads()
-	partial := make([]float64, threads)
-	minR := make([]float64, threads)
-	maxR := make([]float64, threads)
-	for t := range minR {
+	if len(e.partial) != threads {
+		e.partial = make([]float64, threads)
+		e.minR = make([]float64, threads)
+		e.maxR = make([]float64, threads)
+	}
+	partial, minR, maxR := e.partial, e.minR, e.maxR
+	for t := range partial {
+		partial[t] = 0
 		minR[t] = math.Inf(1)
 		maxR[t] = math.Inf(-1)
 	}
@@ -250,7 +288,7 @@ func (e *Engine) embedding(red strategy.Reducer) Result {
 		minR[tid], maxR[tid] = lo, hi
 	})
 	res := Result{MinRho: math.Inf(1), MaxRho: math.Inf(-1)}
-	for t := 0; t < threads; t++ {
+	for t := range partial {
 		res.EmbedEnergy += partial[t]
 		if minR[t] < res.MinRho {
 			res.MinRho = minR[t]

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"sdcmd/internal/core"
@@ -22,7 +23,11 @@ import (
 //   - core.Decompose returns a decomposition whose Verify passes, or an
 //     error wrapping ErrTooFewSubdomains or ErrTooManyCells;
 //   - every strategy's forces match Serial's within 1e-9·scale, and
-//     |ΣF| ≤ 1e-12·N·scale.
+//     |ΣF| ≤ 1e-12·N·scale;
+//   - for Fe, Serial through the EAM-interface kernels (the potential
+//     behind a wrapper that hides its type from NewEngine) gives the
+//     analytic kernels' forces bit for bit, on amd64, where Go fuses no
+//     x*y+z on its own (see TestEngineOutputBitsPinned).
 //
 // scale is max|F| of the Serial forces, floored at 1 eV/Å: on an
 // unjittered lattice every force is rounding residue of order 1e-15
@@ -75,7 +80,7 @@ func FuzzStrategiesAgree(f *testing.F) {
 
 		pool := strategy.MustNewPool(workers)
 		defer pool.Close()
-		compute := func(k strategy.Kind) []vec.Vec3 {
+		compute := func(eng *Engine, k strategy.Kind) []vec.Vec3 {
 			red, err := strategy.New(strategy.Config{Kind: k, List: list, Pool: pool, Decomp: dec})
 			if err != nil {
 				t.Fatalf("%v: %v", k, err)
@@ -86,13 +91,27 @@ func FuzzStrategiesAgree(f *testing.F) {
 			}
 			return forces
 		}
-		want := compute(strategy.Serial)
+		want := compute(eng, strategy.Serial)
+		if !alloy && runtime.GOARCH == "amd64" {
+			iface, err := NewEngine(struct{ potential.EAM }{potential.DefaultFe()}, cfg.Box)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := compute(iface, strategy.Serial)
+			for i := range got {
+				for a := 0; a < 3; a++ {
+					if math.Float64bits(got[i][a]) != math.Float64bits(want[i][a]) {
+						t.Fatalf("interface kernels: F[%d] = %v, analytic kernels %v", i, got[i], want[i])
+					}
+				}
+			}
+		}
 		scale := max(vec.MaxNorm(want), 1)
 		for _, k := range strategy.Kinds {
 			if k == strategy.SDC && dec == nil {
 				continue
 			}
-			got := compute(k)
+			got := compute(eng, k)
 			for i := range got {
 				if !got[i].ApproxEqual(want[i], 1e-9*scale) {
 					t.Fatalf("%v, %d workers: F[%d] = %v, Serial %v", k, workers, i, got[i], want[i])

@@ -53,7 +53,10 @@ func outputBits(t *testing.T, compute computeFunc, red strategy.Reducer, pos []v
 // reorder, and a random Fe0.9Cr0.1 alloy under Serial and SDC. The
 // per-pair arithmetic and the summation order are what bit-for-bit
 // resume and the blocked≡scattered physics tests rely on, so a kernel
-// or sweep refactor must leave every hash unchanged.
+// or sweep refactor must leave every hash unchanged. Fe also runs
+// under Serial through the EAM-interface kernels, behind a wrapper
+// that hides its type from NewEngine: the interface path that
+// Tabulated and PairOnly take must hash to the analytic kernels' value.
 func TestEngineOutputBitsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("output bits are pinned on amd64 only: Go fuses x*y+z into one rounding on %s "+
@@ -107,6 +110,10 @@ func TestEngineOutputBitsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ifaceEng, err := NewEngine(struct{ potential.EAM }{fe}, cfg.Box)
+	if err != nil {
+		t.Fatal(err)
+	}
 	alEng, err := NewAlloyEngine(al, cfg.Box, species)
 	if err != nil {
 		t.Fatal(err)
@@ -119,6 +126,7 @@ func TestEngineOutputBitsPinned(t *testing.T) {
 		want    uint64
 	}{
 		{"fe/serial", feEng.Compute, reducer(strategy.Serial, fe.Cutoff(), cfg.Pos, nil), cfg.Pos, 0xd37a4d6d0ee90e04},
+		{"fe/serial-interface", ifaceEng.Compute, reducer(strategy.Serial, fe.Cutoff(), cfg.Pos, nil), cfg.Pos, 0xd37a4d6d0ee90e04},
 		{"fe/sdc-scattered", feEng.Compute, reducer(strategy.SDC, fe.Cutoff(), cfg.Pos, scattered), cfg.Pos, 0x3c7735db235fcddb},
 		{"fe/sdc-blocked", feEng.Compute, reducer(strategy.SDC, fe.Cutoff(), blocked, blockedDec), blocked, 0xd06b483d406578ac},
 		{"alloy/serial", alEng.Compute, reducer(strategy.Serial, al.Cutoff(), cfg.Pos, nil), cfg.Pos, 0x6bb9f30e11df344f},

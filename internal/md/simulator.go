@@ -46,7 +46,7 @@ type Config struct {
 	// Alloy, with Species, replaces Pot for multi-species systems:
 	// the simulator then builds its engine with force.NewAlloyEngine.
 	// Exactly one of Pot/Alloy must be set.
-	Alloy   potential.AlloyEAM
+	Alloy   *potential.BinaryAlloy
 	Species []int32
 	// Telemetry, when non-nil, receives per-phase force timers,
 	// per-color sweep times, per-worker utilization and the rebuild

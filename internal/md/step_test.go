@@ -176,8 +176,8 @@ func TestStepAllocations(t *testing.T) {
 		threads int
 		limit   float64
 	}{
-		{"serial", strategy.Serial, 1, 6},
-		{"sdc-2w", strategy.SDC, 2, 23},
+		{"serial", strategy.Serial, 1, 3},
+		{"sdc-2w", strategy.SDC, 2, 20},
 	} {
 		cfg := DefaultConfig()
 		cfg.Strategy, cfg.Threads = c.strat, c.threads

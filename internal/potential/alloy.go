@@ -5,53 +5,6 @@ import (
 	"math"
 )
 
-// AlloyEAM is a multi-species embedded-atom potential — the paper's
-// intro scopes EAM to "metals and alloys", and a real MD release must
-// handle the alloy case. Species are dense indices 0..Species()-1.
-//
-// Implementations must be pure and safe for concurrent use.
-type AlloyEAM interface {
-	// Name identifies the parameterization.
-	Name() string
-	// Species returns the species count.
-	Species() int
-	// Cutoff is the global interaction cutoff.
-	Cutoff() float64
-	// PairEnergy returns V_{si,sj}(r) and dV/dr; it must be symmetric
-	// under species exchange.
-	PairEnergy(si, sj int, r float64) (v, dv float64)
-	// DensityOf returns the electron density an atom of species sDonor
-	// donates at distance r, and its derivative.
-	DensityOf(sDonor int, r float64) (phi, dphi float64)
-	// EmbedOf returns F_s(ρ) and dF/dρ for a host atom of species s.
-	EmbedOf(s int, rho float64) (f, df float64)
-}
-
-// SingleAsAlloy lifts a single-species EAM to the alloy interface.
-type SingleAsAlloy struct {
-	E EAM
-}
-
-// Name implements AlloyEAM.
-func (a SingleAsAlloy) Name() string { return "alloy:" + a.E.Name() }
-
-// Species implements AlloyEAM.
-func (a SingleAsAlloy) Species() int { return 1 }
-
-// Cutoff implements AlloyEAM.
-func (a SingleAsAlloy) Cutoff() float64 { return a.E.Cutoff() }
-
-// PairEnergy implements AlloyEAM.
-func (a SingleAsAlloy) PairEnergy(_, _ int, r float64) (float64, float64) { return a.E.Energy(r) }
-
-// DensityOf implements AlloyEAM.
-func (a SingleAsAlloy) DensityOf(_ int, r float64) (float64, float64) { return a.E.Density(r) }
-
-// EmbedOf implements AlloyEAM.
-func (a SingleAsAlloy) EmbedOf(_ int, rho float64) (float64, float64) { return a.E.Embed(rho) }
-
-var _ AlloyEAM = SingleAsAlloy{}
-
 // SpeciesParams parameterizes one species of a binary analytic alloy:
 // the same functional forms as FeParams (Morse pair, exponential
 // density, FS or Johnson embedding).
@@ -83,15 +36,19 @@ func (p SpeciesParams) validate() error {
 	return nil
 }
 
-// BinaryAlloy is a two-species analytic EAM. Cross pair interactions
-// use Lorentz-Berthelot-style mixing: D_AB = √(D_A·D_B),
-// α_AB = (α_A+α_B)/2, Re_AB = (Re_A+Re_B)/2.
+// BinaryAlloy is a two-species analytic EAM — the paper's intro scopes
+// EAM to "metals and alloys". Species are the indices 0 and 1. Cross
+// pair interactions use Lorentz-Berthelot-style mixing:
+// D_AB = √(D_A·D_B), α_AB = (α_A+α_B)/2, Re_AB = (Re_A+Re_B)/2.
+// Its methods are pure and safe for concurrent use.
 type BinaryAlloy struct {
 	a, b   SpeciesParams
 	smooth CutoffSmoother
 	cut    float64
-	// pair[si][sj] Morse parameters after mixing.
-	pairD, pairAlpha, pairRe [2][2]float64
+	// pair[si][sj] is the Morse term after mixing; density[s] is what
+	// species s donates.
+	pair    [2][2]Morse
+	density [2]ExpDensity
 }
 
 // NewBinaryAlloy validates and builds the alloy with the given cutoff
@@ -110,10 +67,13 @@ func NewBinaryAlloy(a, b SpeciesParams, smoothOn, cut float64) (*BinaryAlloy, er
 	al := &BinaryAlloy{a: a, b: b, smooth: sm, cut: cut}
 	sp := [2]SpeciesParams{a, b}
 	for i := 0; i < 2; i++ {
+		al.density[i] = ExpDensity{F0: sp[i].Fe0, Beta: sp[i].Beta, Re: sp[i].Re}
 		for j := 0; j < 2; j++ {
-			al.pairD[i][j] = math.Sqrt(sp[i].D * sp[j].D)
-			al.pairAlpha[i][j] = (sp[i].Alpha + sp[j].Alpha) / 2
-			al.pairRe[i][j] = (sp[i].Re + sp[j].Re) / 2
+			al.pair[i][j] = Morse{
+				D:     math.Sqrt(sp[i].D * sp[j].D),
+				Alpha: (sp[i].Alpha + sp[j].Alpha) / 2,
+				Re:    (sp[i].Re + sp[j].Re) / 2,
+			}
 		}
 	}
 	return al, nil
@@ -147,41 +107,47 @@ func DefaultFeCr() *BinaryAlloy {
 	return MustNewBinaryAlloy(fe, cr, 3.0, 3.5)
 }
 
-// Name implements AlloyEAM.
+// Name identifies the parameterization.
 func (al *BinaryAlloy) Name() string {
 	return fmt.Sprintf("eam/alloy:%s-%s", al.a.Element, al.b.Element)
 }
 
-// Species implements AlloyEAM.
+// Species returns the species count.
 func (al *BinaryAlloy) Species() int { return 2 }
 
-// Cutoff implements AlloyEAM.
+// Cutoff is the global interaction cutoff.
 func (al *BinaryAlloy) Cutoff() float64 { return al.cut }
 
-// PairEnergy implements AlloyEAM.
+// Morse returns the unsmoothed pair term of species si and sj.
+func (al *BinaryAlloy) Morse(si, sj int) Morse { return al.pair[si][sj] }
+
+// ExpDensity returns the unsmoothed density species s donates.
+func (al *BinaryAlloy) ExpDensity(s int) ExpDensity { return al.density[s] }
+
+// Smoother returns the cutoff smoother of every radial term.
+func (al *BinaryAlloy) Smoother() CutoffSmoother { return al.smooth }
+
+// PairEnergy returns V_{si,sj}(r) and dV/dr; it is symmetric under
+// species exchange.
 func (al *BinaryAlloy) PairEnergy(si, sj int, r float64) (float64, float64) {
 	if r >= al.cut || r <= 0 {
 		return 0, 0
 	}
-	d, alpha, re := al.pairD[si][sj], al.pairAlpha[si][sj], al.pairRe[si][sj]
-	x := math.Exp(-alpha * (r - re))
-	v := d * (x*x - 2*x)
-	dv := d * alpha * (-2*x*x + 2*x)
+	v, dv := al.pair[si][sj].Eval(r)
 	return al.smooth.Apply(r, v, dv)
 }
 
-// DensityOf implements AlloyEAM.
+// DensityOf returns the electron density an atom of species sDonor
+// donates at distance r, and its derivative.
 func (al *BinaryAlloy) DensityOf(sDonor int, r float64) (float64, float64) {
 	if r >= al.cut || r <= 0 {
 		return 0, 0
 	}
-	p := al.species(sDonor)
-	phi := p.Fe0 * math.Exp(-p.Beta*(r/p.Re-1))
-	dphi := -p.Beta / p.Re * phi
+	phi, dphi := al.density[sDonor].Eval(r)
 	return al.smooth.Apply(r, phi, dphi)
 }
 
-// EmbedOf implements AlloyEAM.
+// EmbedOf returns F_s(ρ) and dF/dρ for a host atom of species s.
 func (al *BinaryAlloy) EmbedOf(s int, rho float64) (float64, float64) {
 	if rho <= 0 {
 		return 0, 0
@@ -199,14 +165,11 @@ func (al *BinaryAlloy) EmbedOf(s int, rho float64) (float64, float64) {
 	return -p.A * sq, -p.A / (2 * sq)
 }
 
-// species returns species s's parameters by pointer: DensityOf and
-// EmbedOf run once per pair or atom, and a copy of the struct per call
-// is measurable.
+// species returns species s's parameters by pointer: EmbedOf runs once
+// per atom, and a copy of the struct per call is measurable.
 func (al *BinaryAlloy) species(s int) *SpeciesParams {
 	if s == 0 {
 		return &al.a
 	}
 	return &al.b
 }
-
-var _ AlloyEAM = (*BinaryAlloy)(nil)

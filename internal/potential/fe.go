@@ -89,8 +89,10 @@ func (p FeParams) Validate() error {
 // FeEAM is the analytic iron EAM. The zero value is unusable; construct
 // with NewFeEAM.
 type FeEAM struct {
-	p      FeParams
-	smooth CutoffSmoother
+	p       FeParams
+	pair    Morse
+	density ExpDensity
+	smooth  CutoffSmoother
 }
 
 // NewFeEAM validates p and builds the potential.
@@ -102,7 +104,12 @@ func NewFeEAM(p FeParams) (*FeEAM, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FeEAM{p: p, smooth: sm}, nil
+	return &FeEAM{
+		p:       p,
+		pair:    Morse{D: p.D, Alpha: p.Alpha, Re: p.Re},
+		density: ExpDensity{F0: p.Fe0, Beta: p.Beta, Re: p.Re},
+		smooth:  sm,
+	}, nil
 }
 
 // MustNewFeEAM panics on invalid parameters (for fixed literals).
@@ -131,14 +138,21 @@ func (e *FeEAM) Cutoff() float64 { return e.p.Cut }
 // Params returns a copy of the parameter set.
 func (e *FeEAM) Params() FeParams { return e.p }
 
+// Morse returns the unsmoothed pair term.
+func (e *FeEAM) Morse() Morse { return e.pair }
+
+// ExpDensity returns the unsmoothed density term.
+func (e *FeEAM) ExpDensity() ExpDensity { return e.density }
+
+// Smoother returns the cutoff smoother of both radial terms.
+func (e *FeEAM) Smoother() CutoffSmoother { return e.smooth }
+
 // Energy returns the smoothed Morse pair energy and dV/dr.
 func (e *FeEAM) Energy(r float64) (float64, float64) {
 	if r >= e.p.Cut || r <= 0 {
 		return 0, 0
 	}
-	x := math.Exp(-e.p.Alpha * (r - e.p.Re))
-	v := e.p.D * (x*x - 2*x)
-	dv := e.p.D * e.p.Alpha * (-2*x*x + 2*x)
+	v, dv := e.pair.Eval(r)
 	return e.smooth.Apply(r, v, dv)
 }
 
@@ -147,8 +161,7 @@ func (e *FeEAM) Density(r float64) (float64, float64) {
 	if r >= e.p.Cut || r <= 0 {
 		return 0, 0
 	}
-	phi := e.p.Fe0 * math.Exp(-e.p.Beta*(r/e.p.Re-1))
-	dphi := -e.p.Beta / e.p.Re * phi
+	phi, dphi := e.density.Eval(r)
 	return e.smooth.Apply(r, phi, dphi)
 }
 

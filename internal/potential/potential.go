@@ -70,18 +70,24 @@ func NewCutoffSmoother(on, cut float64) (CutoffSmoother, error) {
 	return CutoffSmoother{On: on, Cut: cut}, nil
 }
 
-// Eval returns s(r) and ds/dr.
+// Eval returns s(r) and ds/dr. It inlines: the r <= On branch, where
+// most pairs of a crystal sit, costs a compare, and the taper beyond it
+// is a call.
 func (c CutoffSmoother) Eval(r float64) (s, ds float64) {
-	switch {
-	case r <= c.On:
+	if r <= c.On {
 		return 1, 0
-	case r >= c.Cut:
-		return 0, 0
-	default:
-		w := math.Pi / (c.Cut - c.On)
-		x := (r - c.On) * w
-		return 0.5 * (1 + math.Cos(x)), -0.5 * w * math.Sin(x)
 	}
+	return c.taper(r)
+}
+
+// taper is Eval beyond On.
+func (c CutoffSmoother) taper(r float64) (s, ds float64) {
+	if r >= c.Cut {
+		return 0, 0
+	}
+	w := math.Pi / (c.Cut - c.On)
+	x := (r - c.On) * w
+	return 0.5 * (1 + math.Cos(x)), -0.5 * w * math.Sin(x)
 }
 
 // Apply smooths a raw (value, derivative) pair at radius r:

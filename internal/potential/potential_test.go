@@ -396,28 +396,45 @@ func TestAlloyDerivatives(t *testing.T) {
 	}
 }
 
-func TestSingleAsAlloyDelegates(t *testing.T) {
-	e := DefaultFe()
-	a := SingleAsAlloy{E: e}
-	if a.Species() != 1 || a.Cutoff() != e.Cutoff() {
-		t.Error("identity wrong")
+// TestEAMsBuildOnRadialForms pins what the force engine's analytic
+// kernels rely on: FeEAM's and BinaryAlloy's interface-style methods are
+// their Morse and ExpDensity forms through their smoother, bit for bit,
+// and zero outside (0, cut).
+func TestEAMsBuildOnRadialForms(t *testing.T) {
+	fe, al := DefaultFe(), DefaultFeCr()
+	smoothed := func(sm CutoffSmoother, r float64, eval func(float64) (float64, float64)) (float64, float64) {
+		f, df := eval(r)
+		return sm.Apply(r, f, df)
 	}
-	v1, d1 := a.PairEnergy(0, 0, 2.5)
-	v2, d2 := e.Energy(2.5)
-	if v1 != v2 || d1 != d2 {
-		t.Error("pair not delegated")
+	same := func(what string, r, a, da, b, db float64) {
+		if math.Float64bits(a) != math.Float64bits(b) || math.Float64bits(da) != math.Float64bits(db) {
+			t.Errorf("%s(%g) = (%v, %v), radial form gives (%v, %v)", what, r, a, da, b, db)
+		}
 	}
-	p1, _ := a.DensityOf(0, 2.5)
-	p2, _ := e.Density(2.5)
-	if p1 != p2 {
-		t.Error("density not delegated")
+	for r := 1.9; r < fe.Cutoff(); r += 0.07 {
+		v, dv := fe.Energy(r)
+		wv, wdv := smoothed(fe.Smoother(), r, fe.Morse().Eval)
+		same("FeEAM.Energy", r, v, dv, wv, wdv)
+		p, dp := fe.Density(r)
+		wp, wdp := smoothed(fe.Smoother(), r, fe.ExpDensity().Eval)
+		same("FeEAM.Density", r, p, dp, wp, wdp)
+		for si := 0; si < 2; si++ {
+			p, dp := al.DensityOf(si, r)
+			wp, wdp := smoothed(al.Smoother(), r, al.ExpDensity(si).Eval)
+			same("BinaryAlloy.DensityOf", r, p, dp, wp, wdp)
+			for sj := 0; sj < 2; sj++ {
+				v, dv := al.PairEnergy(si, sj, r)
+				wv, wdv := smoothed(al.Smoother(), r, al.Morse(si, sj).Eval)
+				same("BinaryAlloy.PairEnergy", r, v, dv, wv, wdv)
+			}
+		}
 	}
-	f1, _ := a.EmbedOf(0, 5)
-	f2, _ := e.Embed(5)
-	if f1 != f2 {
-		t.Error("embed not delegated")
-	}
-	if a.Name() != "alloy:eam/fe-fs" {
-		t.Errorf("name %q", a.Name())
+	for _, r := range []float64{0, -1, fe.Cutoff(), fe.Cutoff() + 1} {
+		if v, dv := fe.Energy(r); v != 0 || dv != 0 {
+			t.Errorf("FeEAM.Energy(%g) = (%v, %v), want 0", r, v, dv)
+		}
+		if p, dp := fe.Density(r); p != 0 || dp != 0 {
+			t.Errorf("FeEAM.Density(%g) = (%v, %v), want 0", r, p, dp)
+		}
 	}
 }
