@@ -62,7 +62,7 @@ var mutations = []mutation{
 		old:  "oi += ci[k]", new: "_ = make([]float64, len(js))\n\t\t\toi += ci[k]"},
 	{rule: "hot-loop", file: "internal/force/analytic.go",
 		site: "func (e *Engine) feDensityTerms(",
-		old:  "phi, _ := dens.Eval(r)", new: "_ = make([]float64, len(js))\n\t\t\tphi, _ := dens.Eval(r)"},
+		old:  "phi, _ := dens.FromExp(cj[k])", new: "_ = make([]float64, len(js))\n\t\t\tphi, _ := dens.FromExp(cj[k])"},
 	{rule: "goroutine-leak", file: "internal/serve/scheduler.go",
 		site: "func (s *Scheduler) worker() {",
 		old:  "\tdefer s.wg.Done()\n", new: "",

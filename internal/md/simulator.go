@@ -426,35 +426,58 @@ func (s *Simulator) firstBad() int {
 // depend on the order it is taken in). The chunk stops at its first
 // atom that fails the move check, kicked but not moved, so its move is
 // its velocity times dt.
+//
+// The loop works on scalar components with the arithmetic of
+// vec.Vec3's AddScaled, Scale, Norm and Add, of Box.Wrap and of
+// box.Image.Min, in their order, so every bit is theirs: a Vec3 temporary
+// would be stored and reloaded whole, which stalls on store forwarding.
+// The box's corner, edges and periodic axes are read once, and only an
+// atom that left the cell on an axis makes a call, Box.WrapAxis.
 func (s *Simulator) driftPass(tid int) {
 	start, end := s.chunk(tid)
 	sys, dt := s.Sys, s.cfg.Dt
-	bx := sys.Box
-	im := bx.Image()
+	bx := &sys.Box
+	im, l := bx.Image(), bx.Lengths()
+	lo, per := bx.Lo, bx.Periodic
 	// An atom moving a substantial fraction of the cell in one step has
 	// outrun the minimum-image convention: the integration has blown up
 	// (timestep too large for the current temperature).
-	maxStep := bx.Lengths().MinComponent() / 4
+	maxStep := l.MinComponent() / 4
 	vel, frc := sys.Vel[start:end], sys.Force[start:end]
 	pos, old := sys.Pos[start:end], s.posAtBuild[start:end]
 	w := workerSlot{bad: -1}
 	for k := range vel {
-		v := vel[k].AddScaled(0.5*dt/sys.MassOf(start+k), frc[k])
-		vel[k] = v
-		move := v.Scale(dt)
-		if !move.IsFinite() || move.Norm() > maxStep {
+		v, f, p, o := &vel[k], &frc[k], &pos[k], &old[k]
+		h := 0.5 * dt / sys.MassOf(start+k)
+		vx, vy, vz := v[0]+h*f[0], v[1]+h*f[1], v[2]+h*f[2]
+		v[0], v[1], v[2] = vx, vy, vz
+		mx, my, mz := dt*vx, dt*vy, dt*vz
+		if !finite(mx) || !finite(my) || !finite(mz) || math.Sqrt(mx*mx+my*my+mz*mz) > maxStep {
 			w.bad = start + k
 			break
 		}
-		p := bx.Wrap(pos[k].Add(move))
-		pos[k] = p
-		o := old[k]
-		if d2 := im.Min(p[0]-o[0], p[1]-o[1], p[2]-o[2]).Norm2(); d2 > w.maxD2 {
+		px, py, pz := p[0]+mx, p[1]+my, p[2]+mz
+		if x := px - lo[0]; per[0] && !(x > 0 && x < l[0]) {
+			px = bx.WrapAxis(0, px)
+		}
+		if y := py - lo[1]; per[1] && !(y > 0 && y < l[1]) {
+			py = bx.WrapAxis(1, py)
+		}
+		if z := pz - lo[2]; per[2] && !(z > 0 && z < l[2]) {
+			pz = bx.WrapAxis(2, pz)
+		}
+		p[0], p[1], p[2] = px, py, pz
+		dx, dy, dz := im.MinAxis(0, px-o[0]), im.MinAxis(1, py-o[1]), im.MinAxis(2, pz-o[2])
+		if d2 := dx*dx + dy*dy + dz*dz; d2 > w.maxD2 {
 			w.maxD2 = d2
 		}
 	}
 	s.slots[tid] = w
 }
+
+// finite reports whether x is neither NaN nor infinite, as
+// vec.Vec3.IsFinite asks of each component.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // scanPass flags the first atom of worker tid's chunk with a
 // non-finite force.

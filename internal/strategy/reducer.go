@@ -73,7 +73,7 @@ type Elem interface{ float64 | vec.Vec3 }
 // atom i's neighbor row into scratch the strategy owns: atom i's share
 // into ci[k] and, for a scalar, atom js[k]'s share into cj[k]. It writes
 // nothing else; a vector kernel may use cj as scratch. len(ci) and
-// len(cj) equal len(js).
+// len(cj) equal len(js), which is at most ChunkPairs.
 //
 // The strategy alone writes the reduction array: it adds each chunk into
 // the slots it picks, in row order — the shared array (Serial, SDC), a

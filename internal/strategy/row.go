@@ -7,22 +7,22 @@ import (
 	"sdcmd/internal/vec"
 )
 
-// chunkPairs bounds the pairs one Terms call fills. A row longer than
+// ChunkPairs bounds the pairs one Terms call fills. A row longer than
 // that is handed over a chunk at a time. Within a chunk the kernels
-// evaluate the radial functions back to back, so the exp latencies of
-// consecutive pairs overlap instead of each waiting for the last.
-const chunkPairs = 64
+// evaluate the radial functions back to back, and a kernel may size
+// fixed scratch by it.
+const ChunkPairs = 64
 
 // rowBuf is one worker's Terms scratch for one element type.
 type rowBuf[T Elem] struct {
-	ci, cj [chunkPairs]T
+	ci, cj [ChunkPairs]T
 }
 
 // fill hands terms the next chunk of atom i's row, its first at most
-// chunkPairs pairs, and returns the chunk with the contributions terms
+// ChunkPairs pairs, and returns the chunk with the contributions terms
 // wrote for it.
 func (b *rowBuf[T]) fill(terms Terms[T], i int32, row []int32) (js []int32, ci, cj []T) {
-	n := min(len(row), chunkPairs)
+	n := min(len(row), ChunkPairs)
 	js, ci, cj = row[:n], b.ci[:n], b.cj[:n]
 	terms(i, js, ci, cj)
 	return js, ci, cj
