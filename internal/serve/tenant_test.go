@@ -163,11 +163,15 @@ func TestFairShareMaxRunningSkipsTenant(t *testing.T) {
 
 // TestFairShareEndToEndRatio is the live half: one shard, two tenants
 // at 3:1 weights with both queues saturated; the completed-job split
-// observed mid-run must be within 20% of 3:1.
+// observed mid-run must be within 20% of 3:1. A third tenant's job
+// holds the shard until every job is queued: a shard free during the
+// submissions would run whichever tenant had a job queued, and the
+// faster the jobs, the more of them would run before both queues fill.
 func TestFairShareEndToEndRatio(t *testing.T) {
 	tenants, err := NewTenantSet([]Tenant{
 		{Name: "gold", Key: "kg", Weight: 3},
 		{Name: "bronze", Key: "kb", Weight: 1},
+		{Name: "hold", Key: "kh", Weight: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -177,6 +181,11 @@ func TestFairShareEndToEndRatio(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = sched.Drain() }()
+	hold, _, err := sched.SubmitAs(tenants.ByName("hold"), JobSpec{Cells: 3, Steps: 1 << 30, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJobState(t, sched, hold.ID, StateRunning)
 	gold, bronze := tenants.ByName("gold"), tenants.ByName("bronze")
 	for i := 0; i < 40; i++ {
 		if _, code, err := sched.SubmitAs(gold, JobSpec{Cells: 3, Steps: 30, Seed: int64(1000 + i)}); err != nil || code != SubmitCreated {
@@ -185,6 +194,9 @@ func TestFairShareEndToEndRatio(t *testing.T) {
 		if _, code, err := sched.SubmitAs(bronze, JobSpec{Cells: 3, Steps: 30, Seed: int64(2000 + i)}); err != nil || code != SubmitCreated {
 			t.Fatalf("bronze submit %d: code %v err %v", i, code, err)
 		}
+	}
+	if _, ok := sched.Cancel(hold.ID); !ok {
+		t.Fatalf("cancel %s: job unknown", hold.ID)
 	}
 	deadline := time.Now().Add(60 * time.Second)
 	for {
