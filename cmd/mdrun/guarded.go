@@ -5,29 +5,18 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"time"
 
 	"sdcmd"
 )
 
-// guardedArgs carries the parsed flags into the supervised code path.
+// guardedArgs carries the supervised loop's own flags; the run and its
+// supervisor policy arrive as one sdcmd.GuardOptions.
 type guardedArgs struct {
-	cells, steps               int
-	temp, dt                   float64
-	strat                      string
-	threads, dim               int
-	seed                       int64
-	johnson                    bool
-	thermostat, jitter         float64
-	every                      int
-	xyzPath, logPath, ckptPath string
-	ckptEvery                  int
-	resume                     bool
-	maxRetries, checkEvery     int
-	deadline                   time.Duration
-	guardLog                   string
-	restorePath                string
-	metrics                    metricsArgs
+	steps, every          int
+	xyzPath, logPath      string
+	resume                bool
+	guardLog, restorePath string
+	metrics               metricsArgs
 }
 
 // runGuarded drives a simulation under the fault-tolerant supervisor.
@@ -36,40 +25,20 @@ type guardedArgs struct {
 // that was never interrupted. A canceled ctx (SIGINT/SIGTERM) stops the
 // run within one MD step, writes a final checkpoint where one was
 // configured, flushes the event/metrics sinks and exits nonzero.
-func runGuarded(ctx context.Context, a guardedArgs) (retErr error) {
+func runGuarded(ctx context.Context, opts sdcmd.GuardOptions, a guardedArgs) (retErr error) {
 	if a.restorePath != "" {
 		return fmt.Errorf("-restore is the unguarded resume; with -guard use -resume -checkpoint <path>")
 	}
-	if a.ckptEvery > 0 && a.ckptPath == "" {
+	if opts.CheckpointEvery > 0 && opts.CheckpointPath == "" {
 		return fmt.Errorf("-checkpoint-every needs -checkpoint <path>")
 	}
-	if a.resume && a.ckptPath == "" {
+	if a.resume && opts.CheckpointPath == "" {
 		return fmt.Errorf("-resume needs -checkpoint <path>")
 	}
 	if a.logPath != "" {
 		return fmt.Errorf("-log is not supported under -guard (use -guard-log for the event stream)")
 	}
 
-	opts := sdcmd.GuardOptions{
-		SimOptions: sdcmd.SimOptions{
-			Cells:            a.cells,
-			Temperature:      a.temp,
-			Seed:             a.seed,
-			Strategy:         a.strat,
-			Threads:          a.threads,
-			Dim:              a.dim,
-			Dt:               a.dt,
-			Johnson:          a.johnson,
-			ThermostatTarget: a.thermostat,
-			Jitter:           a.jitter,
-			Telemetry:        a.metrics.enabled(),
-		},
-		CheckEvery:      a.checkEvery,
-		MaxRetries:      a.maxRetries,
-		CheckpointPath:  a.ckptPath,
-		CheckpointEvery: a.ckptEvery,
-		StepDeadline:    a.deadline,
-	}
 	if a.guardLog != "" {
 		f, err := os.Create(a.guardLog)
 		if err != nil {
@@ -82,11 +51,11 @@ func runGuarded(ctx context.Context, a guardedArgs) (retErr error) {
 	var sim *sdcmd.GuardedSimulation
 	var err error
 	if a.resume {
-		sim, err = sdcmd.ResumeGuardedSimulation(a.ckptPath, opts)
+		sim, err = sdcmd.ResumeGuardedSimulation(opts.CheckpointPath, opts)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("resumed from %s at step %d\n", a.ckptPath, sim.StepCount())
+		fmt.Printf("resumed from %s at step %d\n", opts.CheckpointPath, sim.StepCount())
 	} else if sim, err = sdcmd.NewGuardedSimulation(opts); err != nil {
 		return err
 	}
@@ -111,7 +80,7 @@ func runGuarded(ctx context.Context, a guardedArgs) (retErr error) {
 	}
 
 	fmt.Printf("mdrun: %d atoms, strategy=%s threads=%d dt=%g ps (guarded)\n",
-		sim.N(), a.strat, a.threads, a.dt)
+		sim.N(), opts.Strategy, opts.Threads, opts.Dt)
 	report := func() error {
 		fmt.Printf("step %6d  T=%8.2f K  KE=%12.4f eV  PE=%14.4f eV  E=%14.4f eV\n",
 			sim.StepCount(), sim.Temperature(), sim.KineticEnergy(), sim.PotentialEnergy(), sim.TotalEnergy())
@@ -141,11 +110,11 @@ func runGuarded(ctx context.Context, a guardedArgs) (retErr error) {
 			return err
 		}
 	}
-	if a.ckptPath != "" {
+	if opts.CheckpointPath != "" {
 		if err := sim.Checkpoint(); err != nil {
 			return err
 		}
-		fmt.Printf("checkpoint written to %s\n", a.ckptPath)
+		fmt.Printf("checkpoint written to %s\n", opts.CheckpointPath)
 	}
 	if r := sim.Retries(); r > 0 {
 		fmt.Printf("recovered from %d fault(s); event log:\n", r)

@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"sdcmd"
+	"sdcmd/internal/md"
 )
 
 func main() {
@@ -73,15 +74,16 @@ func run(args []string) (retErr error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	d := md.DefaultJob()
 	fs := flag.NewFlagSet("mdrun", flag.ContinueOnError)
-	cells := fs.Int("cells", 8, "bcc supercells per side (atoms = 2*cells^3)")
+	cells := fs.Int("cells", d.Cells, "bcc supercells per side (atoms = 2*cells^3)")
 	steps := fs.Int("steps", 100, "timesteps to run")
-	temp := fs.Float64("temp", 300, "initial temperature (K)")
-	strat := fs.String("strategy", "serial", "reduction strategy: serial|sdc|cs|atomic|sap|rc")
-	threads := fs.Int("threads", 1, "worker threads for parallel strategies")
-	dim := fs.Int("dim", 2, "SDC decomposition dimensionality (1-3)")
-	dt := fs.Float64("dt", 1e-3, "timestep (ps)")
-	seed := fs.Int64("seed", 1, "random seed")
+	temp := fs.Float64("temp", d.Temperature, "initial temperature (K)")
+	strat := fs.String("strategy", d.Strategy, "reduction strategy: serial|sdc|cs|atomic|sap|rc")
+	threads := fs.Int("threads", d.Threads, "worker threads for parallel strategies")
+	dim := fs.Int("dim", d.Dim, "SDC decomposition dimensionality (1-3)")
+	dt := fs.Float64("dt", d.Dt, "timestep (ps)")
+	seed := fs.Int64("seed", d.Seed, "random seed")
 	johnson := fs.Bool("johnson", false, "use Johnson universal embedding")
 	thermostat := fs.Float64("thermostat", 0, "Berendsen target temperature (K), 0 = NVE")
 	jitter := fs.Float64("jitter", 0, "initial lattice jitter amplitude (Å)")
@@ -107,20 +109,6 @@ func run(args []string) (retErr error) {
 		return fmt.Errorf("steps must be >= 0 and every >= 1")
 	}
 	metrics := metricsArgs{addr: *metricsAddr, logPath: *metricsLog, every: *metricsEvery}
-	if *guardOn || *ckptEvery > 0 || *resume {
-		return runGuarded(ctx, guardedArgs{
-			cells: *cells, steps: *steps, temp: *temp, strat: *strat,
-			threads: *threads, dim: *dim, dt: *dt, seed: *seed,
-			johnson: *johnson, thermostat: *thermostat, jitter: *jitter,
-			every: *every, xyzPath: *xyzPath, logPath: *logPath,
-			ckptPath: *ckptPath, ckptEvery: *ckptEvery, resume: *resume,
-			maxRetries: *maxRetries, checkEvery: *checkEvery,
-			deadline: *deadline, guardLog: *guardLog,
-			restorePath: *restorePath,
-			metrics:     metrics,
-		})
-	}
-
 	simOpts := sdcmd.SimOptions{
 		Cells:            *cells,
 		Temperature:      *temp,
@@ -134,6 +122,21 @@ func run(args []string) (retErr error) {
 		Jitter:           *jitter,
 		Telemetry:        metrics.enabled(),
 	}
+	if *guardOn || *ckptEvery > 0 || *resume {
+		return runGuarded(ctx, sdcmd.GuardOptions{
+			SimOptions:      simOpts,
+			CheckEvery:      *checkEvery,
+			MaxRetries:      *maxRetries,
+			CheckpointPath:  *ckptPath,
+			CheckpointEvery: *ckptEvery,
+			StepDeadline:    *deadline,
+		}, guardedArgs{
+			steps: *steps, every: *every, xyzPath: *xyzPath, logPath: *logPath,
+			resume: *resume, guardLog: *guardLog, restorePath: *restorePath,
+			metrics: metrics,
+		})
+	}
+
 	var sim *sdcmd.Simulation
 	if *restorePath != "" {
 		f, err := os.Open(*restorePath)

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"sdcmd"
+	"sdcmd/internal/harness"
 	"sdcmd/internal/serve"
 )
 
@@ -37,18 +38,19 @@ func main() {
 	}
 }
 
-// allExperiments is the single source of truth for what -experiment
-// all runs — every experiment the command knows, in render order. The
-// usage string promises "everything", so skipping one here is a bug
-// (the flag-coverage test in main_test.go pins the set).
-var allExperiments = []string{"table1", "fig9", "reorder", "numa", "cluster", "load"}
+// allExperiments is what -experiment all runs: harness's experiment
+// table in render order, then the job-service load run. The usage
+// string promises "everything" (the flag-coverage test in main_test.go
+// pins the set).
+var allExperiments = append(harness.ExperimentNames(), "load")
 
 func run(args []string) error {
+	d := harness.DefaultOptions()
 	fs := flag.NewFlagSet("sdcbench", flag.ContinueOnError)
 	exp := fs.String("experiment", "all", strings.Join(allExperiments, "|")+"|all")
 	mode := fs.String("mode", "model", "model (predict paper testbed) | measured (time this host)")
-	cells := fs.Int("cells", 8, "measured mode: replica cells per side")
-	steps := fs.Int("steps", 10, "measured mode: timed force evaluations")
+	cells := fs.Int("cells", d.MeasuredCells, "measured mode: replica cells per side")
+	steps := fs.Int("steps", d.MeasuredSteps, "measured mode: timed force evaluations")
 	threads := fs.String("threads", "", "comma-separated thread counts (default 2,3,4,8,12,16)")
 	csvOut := fs.Bool("csv", false, "emit machine-readable CSV instead of tables")
 	check := fs.Bool("check", false, "verify all strategies with the dynamic write-set check first; measured sweeps run checked")

@@ -41,11 +41,6 @@ func New(lo, hi vec.Vec3) (Box, error) {
 	return b, nil
 }
 
-// NewCube returns a periodic cube [0,L)³.
-func NewCube(l float64) (Box, error) {
-	return New(vec.Zero, vec.Splat(l))
-}
-
 // MustNew is New but panics on error; intended for literals in tests and
 // examples where the dimensions are compile-time constants.
 func MustNew(lo, hi vec.Vec3) Box {

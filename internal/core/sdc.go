@@ -196,16 +196,6 @@ func (d *Decomposition) color() {
 	}
 }
 
-// ColorAtomCounts returns the total atoms per color — the load-balance
-// figure the paper's uniform-density argument relies on.
-func (d *Decomposition) ColorAtomCounts() []int {
-	out := make([]int, d.NumColors())
-	for s := 0; s < d.NumSubdomains(); s++ {
-		out[d.ColorOf[s]] += d.AtomCount(s)
-	}
-	return out
-}
-
 // Verify checks the SDC invariants; tests and debug builds call it
 // after construction and after every Rebin.
 //

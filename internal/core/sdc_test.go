@@ -246,7 +246,10 @@ func TestColorAtomCountsBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := dec.ColorAtomCounts()
+	counts := make([]int, dec.NumColors())
+	for s := 0; s < dec.NumSubdomains(); s++ {
+		counts[dec.ColorOf[s]] += dec.AtomCount(s)
+	}
 	mean := float64(cfg.N()) / float64(len(counts))
 	for c, n := range counts {
 		if float64(n) < 0.8*mean || float64(n) > 1.2*mean {

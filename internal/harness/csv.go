@@ -2,7 +2,6 @@ package harness
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -128,40 +127,4 @@ func (n *NUMA) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// CSVWriter is satisfied by every experiment result.
-type CSVWriter interface {
-	WriteCSV(w io.Writer) error
-}
-
-var (
-	_ CSVWriter = (*Table1)(nil)
-	_ CSVWriter = (*Fig9)(nil)
-	_ CSVWriter = (*Reorder)(nil)
-	_ CSVWriter = (*NUMA)(nil)
-)
-
-// RunCSV runs the named experiment and writes its CSV to w.
-func RunCSV(name string, opts Options, w io.Writer) error {
-	var res CSVWriter
-	var err error
-	switch name {
-	case "table1":
-		res, err = RunTable1(opts)
-	case "fig9":
-		res, err = RunFig9(opts)
-	case "reorder":
-		res, err = RunReorder(opts)
-	case "numa":
-		res, err = RunNUMA(opts)
-	case "cluster":
-		res, err = RunCluster(opts)
-	default:
-		return fmt.Errorf("harness: unknown experiment %q", name)
-	}
-	if err != nil {
-		return err
-	}
-	return res.WriteCSV(w)
 }

@@ -41,7 +41,8 @@ func RunFig9(opts Options) (*Fig9, error) {
 	}
 	switch opts.Mode {
 	case ModeModel:
-		ppa, err := perfmodel.MeasurePairsPerAtom(8, opts.Cutoff, opts.Skin)
+		_, cutoff, skin := reach()
+		ppa, err := perfmodel.MeasurePairsPerAtom(8, cutoff, skin)
 		if err != nil {
 			return nil, err
 		}

@@ -18,7 +18,9 @@ import (
 	"time"
 
 	"sdcmd/internal/lattice"
+	"sdcmd/internal/md"
 	"sdcmd/internal/perfmodel"
+	"sdcmd/internal/potential"
 )
 
 // Mode selects prediction vs measurement.
@@ -64,12 +66,9 @@ type Options struct {
 	// Cases are the paper cases to cover (default all four in model
 	// mode; measured mode replaces their sizes with scaled replicas).
 	Cases []lattice.Case
-	// Cutoff and Skin configure the potential reach (defaults 3.5/0.5 Å,
-	// the values the whole reproduction uses).
-	Cutoff, Skin float64
 	// MeasuredCells is the replica size (cells per side) for measured
-	// mode; kept small so a laptop can run the suite (default 8 → 1024
-	// atoms).
+	// mode; kept small so a laptop can run the suite (default
+	// md.DefaultJob's 8 → 1024 atoms).
 	MeasuredCells int
 	// MeasuredSteps is the number of timed force evaluations per
 	// configuration in measured mode (default 10).
@@ -83,6 +82,16 @@ type Options struct {
 	Check bool
 }
 
+// DefaultOptions returns the value every unset Options field takes.
+func DefaultOptions() Options { return Options{}.withDefaults() }
+
+// reach is the pair reach every experiment lists and decomposes with:
+// the default Fe potential's cutoff and md.DefaultConfig's skin.
+func reach() (pot potential.EAM, cutoff, skin float64) {
+	cfg := md.DefaultConfig()
+	return cfg.Pot, cfg.Pot.Cutoff(), cfg.Skin
+}
+
 // withDefaults fills unset fields.
 func (o Options) withDefaults() Options {
 	if len(o.Threads) == 0 {
@@ -91,14 +100,8 @@ func (o Options) withDefaults() Options {
 	if len(o.Cases) == 0 {
 		o.Cases = lattice.Cases
 	}
-	if o.Cutoff == 0 {
-		o.Cutoff = 3.5
-	}
-	if o.Skin == 0 {
-		o.Skin = 0.5
-	}
 	if o.MeasuredCells == 0 {
-		o.MeasuredCells = 8
+		o.MeasuredCells = md.DefaultJob().Cells
 	}
 	if o.MeasuredSteps == 0 {
 		o.MeasuredSteps = 10
@@ -115,9 +118,6 @@ func (o Options) validate() error {
 		if t < 1 {
 			return fmt.Errorf("harness: thread count %d must be >= 1", t)
 		}
-	}
-	if !(o.Cutoff > 0) || o.Skin < 0 {
-		return fmt.Errorf("harness: bad cutoff %g / skin %g", o.Cutoff, o.Skin)
 	}
 	if o.MeasuredCells < 4 {
 		return fmt.Errorf("harness: measured replica needs >= 4 cells, got %d", o.MeasuredCells)

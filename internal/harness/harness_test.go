@@ -3,6 +3,8 @@ package harness
 import (
 	"bytes"
 	"encoding/csv"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -29,8 +31,6 @@ func TestModeParse(t *testing.T) {
 func TestOptionsValidation(t *testing.T) {
 	bad := []Options{
 		{Threads: []int{0}},
-		{Cutoff: -1},
-		{Skin: -1, Cutoff: 3},
 		{MeasuredCells: 2},
 		{MeasuredSteps: -1},
 	}
@@ -239,11 +239,24 @@ func TestRunNUMAModel(t *testing.T) {
 	}
 }
 
+// runCSV runs the named experiment from the table and writes its CSV.
+func runCSV(name string, opts Options, w io.Writer) error {
+	exp, ok := LookupExperiment(name)
+	if !ok {
+		return fmt.Errorf("unknown experiment %q", name)
+	}
+	res, err := exp.Run(opts)
+	if err != nil {
+		return err
+	}
+	return res.WriteCSV(w)
+}
+
 func TestCSVOutputs(t *testing.T) {
 	opts := Options{Mode: ModeModel, Threads: []int{2, 16}}
 	for _, name := range []string{"table1", "fig9", "numa"} {
 		var buf bytes.Buffer
-		if err := RunCSV(name, opts, &buf); err != nil {
+		if err := runCSV(name, opts, &buf); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		recs, err := csv.NewReader(&buf).ReadAll()
@@ -258,16 +271,16 @@ func TestCSVOutputs(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := RunCSV("reorder", Options{Mode: ModeModel, MeasuredCells: 6, MeasuredSteps: 1}, &buf); err != nil {
+	if err := runCSV("reorder", Options{Mode: ModeModel, MeasuredCells: 6, MeasuredSteps: 1}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "serial_improvement_pct") {
 		t.Error("reorder CSV missing improvement row")
 	}
-	if err := RunCSV("bogus", opts, &buf); err == nil {
+	if err := runCSV("bogus", opts, &buf); err == nil {
 		t.Error("unknown experiment accepted")
 	}
-	if err := RunCSV("table1", Options{Threads: []int{-1}}, &buf); err == nil {
+	if err := runCSV("table1", Options{Threads: []int{-1}}, &buf); err == nil {
 		t.Error("bad options accepted")
 	}
 }

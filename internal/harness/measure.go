@@ -9,7 +9,6 @@ import (
 	"sdcmd/internal/force"
 	"sdcmd/internal/lattice"
 	"sdcmd/internal/neighbor"
-	"sdcmd/internal/potential"
 	"sdcmd/internal/reorder"
 	"sdcmd/internal/strategy"
 	"sdcmd/internal/telemetry"
@@ -66,20 +65,8 @@ func measureForceTime(opts Options, spec measureSpec) (measured, error) {
 		pos = perm.ApplyVec3(pos)
 	}
 
-	pot := potential.DefaultFe()
-	//lint:ignore float-compare exact config equality: both sides are the same unrounded option value, not computed sums
-	if pot.Cutoff() != opts.Cutoff {
-		p := potential.DefaultFeParams()
-		p.Cut = opts.Cutoff
-		if p.SmoothOn >= p.Cut {
-			p.SmoothOn = p.Cut * 0.85
-		}
-		pot, err = potential.NewFeEAM(p)
-		if err != nil {
-			return none, err
-		}
-	}
-	list, err := neighbor.Builder{Cutoff: opts.Cutoff, Skin: opts.Skin, Half: true}.Build(cfg.Box, pos)
+	pot, cutoff, skin := reach()
+	list, err := neighbor.Builder{Cutoff: cutoff, Skin: skin, Half: true}.Build(cfg.Box, pos)
 	if err != nil {
 		return none, err
 	}
@@ -94,7 +81,7 @@ func measureForceTime(opts Options, spec measureSpec) (measured, error) {
 		defer pool.Close()
 	}
 	if spec.kind == strategy.SDC {
-		dec, err = core.Decompose(cfg.Box, pos, spec.dim, opts.Cutoff+opts.Skin)
+		dec, err = core.Decompose(cfg.Box, pos, spec.dim, cutoff+skin)
 		if err != nil {
 			return none, err
 		}

@@ -33,7 +33,8 @@ func RunNUMA(opts Options) (*NUMA, error) {
 	if len(opts.Cases) == 1 {
 		c = opts.Cases[0]
 	}
-	ppa, err := perfmodel.MeasurePairsPerAtom(8, opts.Cutoff, opts.Skin)
+	_, cutoff, skin := reach()
+	ppa, err := perfmodel.MeasurePairsPerAtom(8, cutoff, skin)
 	if err != nil {
 		return nil, err
 	}

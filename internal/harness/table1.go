@@ -52,7 +52,8 @@ func RunTable1(opts Options) (*Table1, error) {
 }
 
 func (t *Table1) runModel(opts Options) error {
-	ppa, err := perfmodel.MeasurePairsPerAtom(8, opts.Cutoff, opts.Skin)
+	_, cutoff, skin := reach()
+	ppa, err := perfmodel.MeasurePairsPerAtom(8, cutoff, skin)
 	if err != nil {
 		return err
 	}

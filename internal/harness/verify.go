@@ -8,7 +8,6 @@ import (
 	"sdcmd/internal/force"
 	"sdcmd/internal/lattice"
 	"sdcmd/internal/neighbor"
-	"sdcmd/internal/potential"
 	"sdcmd/internal/strategy"
 	"sdcmd/internal/vec"
 )
@@ -71,12 +70,12 @@ func VerifyStrategies(opts Options) (*Verification, error) {
 		return nil, err
 	}
 	cfg.Jitter(0.05, 1234)
-	pot := potential.DefaultFe()
-	list, err := neighbor.Builder{Cutoff: pot.Cutoff(), Skin: opts.Skin, Half: true}.Build(cfg.Box, cfg.Pos)
+	pot, cutoff, skin := reach()
+	list, err := neighbor.Builder{Cutoff: cutoff, Skin: skin, Half: true}.Build(cfg.Box, cfg.Pos)
 	if err != nil {
 		return nil, err
 	}
-	dec, err := core.Decompose(cfg.Box, cfg.Pos, core.Dim2, pot.Cutoff()+opts.Skin)
+	dec, err := core.Decompose(cfg.Box, cfg.Pos, core.Dim2, cutoff+skin)
 	if err != nil {
 		return nil, err
 	}

@@ -50,15 +50,17 @@ type Config struct {
 	CheckEvery int
 }
 
-// DefaultConfig mirrors md.DefaultConfig for the hybrid engine.
+// DefaultConfig is md.DefaultConfig's potential, strategy, threads,
+// skin and timestep on two ranks of iron.
 func DefaultConfig() Config {
+	d := md.DefaultConfig()
 	return Config{
-		Pot:            potential.DefaultFe(),
+		Pot:            d.Pot,
 		Ranks:          2,
-		Strategy:       strategy.Serial,
-		ThreadsPerRank: 1,
-		Skin:           0.5,
-		Dt:             1e-3,
+		Strategy:       d.Strategy,
+		ThreadsPerRank: d.Threads,
+		Skin:           d.Skin,
+		Dt:             d.Dt,
 		Mass:           md.FeMass,
 	}
 }

@@ -190,16 +190,6 @@ func (c Case) Atoms() int {
 	return 2 * n * n * n
 }
 
-// BuildCase materializes a paper test case at the iron lattice constant.
-// Beware the memory footprint: case (4) holds 3.456 M atoms.
-func BuildCase(c Case) (*Config, error) {
-	n := c.CellsPerSide()
-	if n == 0 {
-		return nil, fmt.Errorf("lattice: unknown case %v", c)
-	}
-	return Build(BCC, n, n, n, FeLatticeConstant)
-}
-
 // ScaledCase builds a geometrically similar (same bcc Fe crystal,
 // same density) but smaller replica with cellsPerSide cells. The
 // experiment harness uses this in measured mode so runs fit the host

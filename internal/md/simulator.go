@@ -56,8 +56,9 @@ type Config struct {
 	Telemetry *telemetry.Recorder
 }
 
-// DefaultConfig returns serviceable defaults: serial strategy, the
-// standard Fe potential, a 0.5 Å skin and a 1 fs timestep.
+// DefaultConfig returns serviceable defaults, which DefaultJob shares:
+// the standard Fe potential, the serial strategy on one thread, 2D SDC,
+// a 0.5 Å skin and a 1 fs timestep.
 func DefaultConfig() Config {
 	return Config{
 		Pot:      potential.DefaultFe(),
@@ -217,10 +218,9 @@ type Simulator struct {
 	slots             []workerSlot
 	drift, scan, kick func(tid int)
 
-	step        int
-	rebuilds    int
-	embedEnergy float64
-	closed      bool
+	step     int
+	rebuilds int
+	closed   bool
 }
 
 // NewSimulator validates cfg, builds the initial neighbor list,
@@ -361,11 +361,7 @@ func (s *Simulator) computeForces() error {
 	if math.IsNaN(res.EmbedEnergy) || math.IsInf(res.EmbedEnergy, 0) {
 		return fmt.Errorf("md: non-finite embedding energy at step %d (unstable integration?)", s.step)
 	}
-	if err := s.checkForces(); err != nil {
-		return err
-	}
-	s.embedEnergy = res.EmbedEnergy
-	return nil
+	return s.checkForces()
 }
 
 // checkForces scans the forces for a non-finite component in one
@@ -616,9 +612,6 @@ func (s *Simulator) PotentialEnergy() float64 {
 func (s *Simulator) TotalEnergy() float64 {
 	return s.Sys.KineticEnergy() + s.PotentialEnergy()
 }
-
-// EmbedEnergy returns Σ F(ρ) from the latest force evaluation.
-func (s *Simulator) EmbedEnergy() float64 { return s.embedEnergy }
 
 // StepCount returns the number of completed steps.
 func (s *Simulator) StepCount() int { return s.step }

@@ -236,13 +236,3 @@ func (m Machine) Speedup(k strategy.Kind, dim core.Dim, threads int, in Input) (
 	}
 	return ser / par, nil
 }
-
-// Feasible1D reports whether the paper would run 1D SDC at this thread
-// count (Table 1 blanks otherwise).
-func (m Machine) Feasible1D(in Input, threads int) (bool, error) {
-	spc, err := m.subPerColor(in, core.Dim1)
-	if err != nil {
-		return false, err
-	}
-	return spc > threads, nil
-}

@@ -257,22 +257,32 @@ func TestScalabilityWithSize(t *testing.T) {
 	}
 }
 
+// TestFeasible1D pins Speedup's 1D rule, which gives Table 1 its
+// blanks: 1D SDC needs more subdomains per color than threads.
 func TestFeasible1D(t *testing.T) {
 	m := XeonE7320()
 	ins := modelInputs(t)
+	feasible := func(c lattice.Case, threads int) bool {
+		t.Helper()
+		_, err := m.Speedup(strategy.SDC, core.Dim1, threads, ins[c])
+		if err != nil && !errors.Is(err, ErrInsufficientParallelism) {
+			t.Fatalf("%v @%d: %v", c, threads, err)
+		}
+		return err == nil
+	}
 	// Small case: feasible at 8, not at 12/16 (Table 1 blanks).
-	if ok, err := m.Feasible1D(ins[lattice.Small], 8); err != nil || !ok {
-		t.Errorf("small @8 = (%v, %v), want feasible", ok, err)
+	if !feasible(lattice.Small, 8) {
+		t.Error("small @8 should be feasible for 1D")
 	}
 	for _, p := range []int{12, 16} {
-		if ok, _ := m.Feasible1D(ins[lattice.Small], p); ok {
+		if feasible(lattice.Small, p) {
 			t.Errorf("small @%d should be infeasible for 1D", p)
 		}
 	}
-	if ok, _ := m.Feasible1D(ins[lattice.Medium], 16); ok {
+	if feasible(lattice.Medium, 16) {
 		t.Error("medium @16 should be infeasible for 1D")
 	}
-	if ok, _ := m.Feasible1D(ins[lattice.Large3], 16); !ok {
+	if !feasible(lattice.Large3, 16) {
 		t.Error("large3 @16 should be feasible for 1D")
 	}
 }

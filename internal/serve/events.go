@@ -41,7 +41,7 @@ type eventLog struct {
 	events []Event // ring contents, oldest first
 	nextID int64   // ID the next published event receives
 	closed bool
-	wake   chan struct{} // closed-and-replaced on every append/close
+	wake   chan struct{} // closed-and-replaced on every append, closed on close
 }
 
 func newEventLog() *eventLog {
@@ -66,7 +66,8 @@ func (l *eventLog) publish(kind string, data []byte) {
 }
 
 // closeLog marks the log terminal and wakes subscribers one last time.
-// Idempotent.
+// The closed wake channel stays: since reports the log closed, so no
+// subscriber waits on it again. Idempotent.
 func (l *eventLog) closeLog() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -75,7 +76,6 @@ func (l *eventLog) closeLog() {
 	}
 	l.closed = true
 	close(l.wake)
-	l.wake = make(chan struct{})
 }
 
 // since returns a copy of every retained event with ID > after, the

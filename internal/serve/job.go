@@ -18,49 +18,46 @@ import (
 	"fmt"
 	"time"
 
-	"sdcmd/internal/core"
-	"sdcmd/internal/lattice"
 	"sdcmd/internal/md"
-	"sdcmd/internal/potential"
-	"sdcmd/internal/strategy"
 	"sdcmd/internal/telemetry"
 )
 
-// JobSpec is the client-facing simulation configuration. The zero value
-// of each field selects the same default as the sdcmd facade, so a
-// minimal POST body like {"steps": 100} is a valid job. Specs are
-// normalized (defaults applied, thread count clamped to the scheduler's
-// per-shard CPU share) before hashing, so the content-addressed cache
-// key reflects the configuration that actually executes.
+// JobSpec is the client-facing simulation configuration: an md.Job
+// plus the step count, under JSON names. The zero value of each field
+// selects md.DefaultJob's, so a minimal POST body like {"steps": 100}
+// is a valid job. Specs are normalized (defaults applied, thread count
+// clamped to the scheduler's per-shard CPU share) before hashing, so
+// the content-addressed cache key reflects the configuration that
+// actually executes. The fields, their order and their JSON names are
+// frozen: they are the bytes the key hashes, so stored results and
+// drain manifests stay findable across releases.
 type JobSpec struct {
 	// Potential selects the EAM parametrization: "eam-fs"
 	// (Finnis–Sinclair, the default) or "eam-johnson".
 	Potential string `json:"potential,omitempty"`
-	// Cells is the bcc supercell count per side (default 8).
+	// Cells is the bcc supercell count per side.
 	Cells int `json:"cells,omitempty"`
-	// Temperature is the initial Maxwell-Boltzmann temperature in K
-	// (default 300).
+	// Temperature is the initial Maxwell-Boltzmann temperature in K.
 	Temperature float64 `json:"temperature,omitempty"`
-	// Seed makes runs reproducible (default 1).
+	// Seed makes runs reproducible.
 	Seed int64 `json:"seed,omitempty"`
-	// Strategy is one of serial|sdc|cs|atomic|sap|rc (default serial).
+	// Strategy is one of serial|sdc|cs|atomic|sap|rc.
 	Strategy string `json:"strategy,omitempty"`
 	// Threads is the requested worker count; the scheduler clamps it to
-	// its per-shard share of the CPU budget (default 1).
+	// its per-shard share of the CPU budget.
 	Threads int `json:"threads,omitempty"`
-	// Dim is the SDC decomposition dimensionality 1-3 (default 2).
+	// Dim is the SDC decomposition dimensionality 1-3.
 	Dim int `json:"dim,omitempty"`
-	// Dt is the timestep in ps (default 1e-3).
+	// Dt is the timestep in ps.
 	Dt float64 `json:"dt,omitempty"`
-	// Skin is the Verlet skin in Å (default 0.5).
+	// Skin is the Verlet skin in Å.
 	Skin float64 `json:"skin,omitempty"`
 	// Steps is the number of timesteps to run (required, > 0).
 	Steps int `json:"steps"`
 	// Jitter displaces the initial lattice by this amplitude in Å.
 	Jitter float64 `json:"jitter,omitempty"`
 	// Thermostat, when > 0, enables a Berendsen thermostat with target
-	// temperature Thermostat (K) and time constant ThermostatTau
-	// (default 0.01 ps).
+	// temperature Thermostat (K) and time constant ThermostatTau (ps).
 	Thermostat    float64 `json:"thermostat,omitempty"`
 	ThermostatTau float64 `json:"thermostat_tau,omitempty"`
 }
@@ -71,84 +68,39 @@ type JobSpec struct {
 // the server), so admission rejects it.
 const maxCells = 120
 
-// normalized applies defaults, validates, and clamps Threads to the
+// job is the run the spec describes.
+func (sp JobSpec) job() md.Job {
+	return md.Job{
+		Potential: sp.Potential, Cells: sp.Cells, Temperature: sp.Temperature, Seed: sp.Seed,
+		Strategy: sp.Strategy, Threads: sp.Threads, Dim: sp.Dim, Dt: sp.Dt, Skin: sp.Skin,
+		Jitter: sp.Jitter, Thermostat: sp.Thermostat, ThermostatTau: sp.ThermostatTau,
+	}
+}
+
+// normalized applies md.Job's defaults and checks, adds the service's
+// own (steps > 0, at most maxCells), and clamps Threads to the
 // per-shard CPU share (cpu/shards, at least 1) so no combination of
 // concurrent jobs oversubscribes the budget. The returned spec is fully
 // explicit: hashing it yields the content-addressed cache key.
 func (sp JobSpec) normalized(cpu, shards int) (JobSpec, error) {
-	if sp.Potential == "" {
-		sp.Potential = "eam-fs"
+	j := sp.job().WithDefaults()
+	if err := j.Validate(); err != nil {
+		return sp, fmt.Errorf("serve: %w", err)
 	}
-	if sp.Potential != "eam-fs" && sp.Potential != "eam-johnson" {
-		return sp, fmt.Errorf("serve: unknown potential %q (eam-fs|eam-johnson)", sp.Potential)
-	}
-	if sp.Cells == 0 {
-		sp.Cells = 8
-	}
-	if sp.Cells < 1 {
-		return sp, fmt.Errorf("serve: cells %d must be >= 1", sp.Cells)
-	}
-	if sp.Cells > maxCells {
-		return sp, fmt.Errorf("serve: cells %d exceeds the maximum %d", sp.Cells, maxCells)
-	}
-	if sp.Temperature == 0 {
-		sp.Temperature = 300
-	}
-	if sp.Temperature < 0 {
-		return sp, fmt.Errorf("serve: temperature %g must be >= 0", sp.Temperature)
-	}
-	if sp.Seed == 0 {
-		sp.Seed = 1
-	}
-	if sp.Strategy == "" {
-		sp.Strategy = "serial"
-	}
-	if _, err := strategy.ParseKind(sp.Strategy); err != nil {
-		return sp, err
-	}
-	if sp.Threads == 0 {
-		sp.Threads = 1
-	}
-	if sp.Threads < 1 {
-		return sp, fmt.Errorf("serve: threads %d must be >= 1", sp.Threads)
-	}
-	if share := perShardThreads(cpu, shards); sp.Threads > share {
-		sp.Threads = share
-	}
-	if sp.Dim == 0 {
-		sp.Dim = 2
-	}
-	if sp.Dim < 1 || sp.Dim > 3 {
-		return sp, fmt.Errorf("serve: dim %d must be 1, 2 or 3", sp.Dim)
-	}
-	if sp.Dt == 0 {
-		sp.Dt = 1e-3
-	}
-	if sp.Dt < 0 {
-		return sp, fmt.Errorf("serve: dt %g must be > 0", sp.Dt)
-	}
-	if sp.Skin == 0 {
-		sp.Skin = 0.5
-	}
-	if sp.Skin < 0 {
-		return sp, fmt.Errorf("serve: skin %g must be >= 0", sp.Skin)
+	if j.Cells > maxCells {
+		return sp, fmt.Errorf("serve: cells %d exceeds the maximum %d", j.Cells, maxCells)
 	}
 	if sp.Steps <= 0 {
 		return sp, fmt.Errorf("serve: steps %d must be > 0", sp.Steps)
 	}
-	if sp.Jitter < 0 {
-		return sp, fmt.Errorf("serve: jitter %g must be >= 0", sp.Jitter)
+	if share := perShardThreads(cpu, shards); j.Threads > share {
+		j.Threads = share
 	}
-	if sp.Thermostat > 0 && sp.ThermostatTau < 0 {
-		return sp, fmt.Errorf("serve: thermostat_tau %g must be > 0", sp.ThermostatTau)
-	}
-	if sp.Thermostat > 0 && sp.ThermostatTau == 0 {
-		sp.ThermostatTau = 0.01
-	}
-	if sp.Thermostat <= 0 {
-		sp.ThermostatTau = 0
-	}
-	return sp, nil
+	return JobSpec{
+		Potential: j.Potential, Cells: j.Cells, Temperature: j.Temperature, Seed: j.Seed,
+		Strategy: j.Strategy, Threads: j.Threads, Dim: j.Dim, Dt: j.Dt, Skin: j.Skin,
+		Steps: sp.Steps, Jitter: j.Jitter, Thermostat: j.Thermostat, ThermostatTau: j.ThermostatTau,
+	}, nil
 }
 
 // perShardThreads is each shard's slice of the CPU budget: an even
@@ -176,51 +128,11 @@ func (sp JobSpec) hash() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// mdConfig translates the structural half of the spec into an
-// md.Config, mirroring the sdcmd facade's mapping.
+// mdConfig maps a normalized spec to the md.Config its run uses.
 func (sp JobSpec) mdConfig(rec *telemetry.Recorder) (md.Config, error) {
-	kind, err := strategy.ParseKind(sp.Strategy)
-	if err != nil {
-		return md.Config{}, err
-	}
-	params := potential.DefaultFeParams()
-	if sp.Potential == "eam-johnson" {
-		params = potential.JohnsonFeParams()
-	}
-	pot, err := potential.NewFeEAM(params)
-	if err != nil {
-		return md.Config{}, err
-	}
-	cfg := md.Config{
-		Pot:       pot,
-		Strategy:  kind,
-		Threads:   sp.Threads,
-		Dim:       core.Dim(sp.Dim),
-		Skin:      sp.Skin,
-		Dt:        sp.Dt,
-		Telemetry: rec,
-	}
-	if sp.Thermostat > 0 {
-		cfg.Thermostat = &md.Berendsen{Target: sp.Thermostat, Tau: sp.ThermostatTau}
-	}
-	return cfg, nil
-}
-
-// buildSystem translates the state half of the spec into an
-// initialized bcc-Fe system.
-func (sp JobSpec) buildSystem() (*md.System, error) {
-	cfg, err := lattice.Build(lattice.BCC, sp.Cells, sp.Cells, sp.Cells, lattice.FeLatticeConstant)
-	if err != nil {
-		return nil, err
-	}
-	if sp.Jitter > 0 {
-		cfg.Jitter(sp.Jitter, sp.Seed)
-	}
-	sys := md.FromLattice(cfg)
-	if err := sys.InitVelocities(sp.Temperature, sp.Seed); err != nil {
-		return nil, err
-	}
-	return sys, nil
+	cfg, err := sp.job().Config()
+	cfg.Telemetry = rec
+	return cfg, err
 }
 
 // Job states, as reported in Status.State.
@@ -298,7 +210,7 @@ type Job struct {
 	events *eventLog
 
 	// cancel stops the running job with a cause (client cancel or
-	// drain); nil until the job starts.
+	// drain); nil until the job starts and again once it ends.
 	cancel func(error)
 	// skip marks a queued job that must not start (canceled while
 	// queued, or persisted for restart during drain).

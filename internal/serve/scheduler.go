@@ -733,6 +733,10 @@ func (s *Scheduler) runJob(ctx context.Context, cancel context.CancelCauseFunc, 
 	}
 	ts := s.tenantStateLocked(j.tenant)
 	ts.counters.Running--
+	// The job leaves StateRunning below, and Cancel and Drain call
+	// cancel only on running jobs: drop the spent func and its context
+	// (the deferred cancel above still releases them).
+	j.cancel = nil
 	switch {
 	case runErr == nil:
 		j.state = StateDone
@@ -824,7 +828,7 @@ func (s *Scheduler) execute(ctx context.Context, j *Job, spec JobSpec, resume st
 		sup, err = guard.Resume(resume, cfg, pol)
 	} else {
 		var sys *md.System
-		if sys, err = spec.buildSystem(); err != nil {
+		if sys, err = spec.job().System(); err != nil {
 			return nil, nil, err
 		}
 		sup, err = guard.New(sys, cfg, pol)

@@ -2,16 +2,13 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"sdcmd/internal/store"
@@ -43,15 +40,12 @@ import (
 // With a tenants file loaded, the /jobs and /arrays endpoints require
 // `Authorization: Bearer <key>` (or `X-API-Key: <key>`); /metrics,
 // /store and /healthz stay open for scrapers and probes.
-type Server struct {
-	sched *Scheduler
-	srv   *http.Server
-	addr  string
-
-	mu   sync.Mutex
-	serr error // first non-shutdown Serve error
-	done chan struct{}
-}
+//
+// Close stops the listener gracefully and reports the first serve
+// failure. It does NOT drain the scheduler — call Scheduler.Drain
+// BEFORE Close so attached SSE streams receive their terminal events
+// and end on their own instead of being cut off by the teardown.
+type Server = telemetry.Server
 
 // api binds the handlers to their scheduler so response-write failures
 // can be accounted against its counters (client abort vs server error).
@@ -526,55 +520,11 @@ func (a *api) writeError(w http.ResponseWriter, code int, msg string) {
 }
 
 // Start listens on addr (host:port; port 0 picks a free port) and
-// serves the job API until Close. The accept loop runs on its own
-// goroutine — HTTP control plane, outside the pool by design.
+// serves the job API until Close.
 func Start(addr string, sched *Scheduler) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
+	s, err := telemetry.Listen(addr, NewMux(sched))
 	if err != nil {
-		return nil, fmt.Errorf("serve: listen %s: %w", addr, err)
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	s := &Server{
-		sched: sched,
-		srv:   &http.Server{Handler: NewMux(sched)},
-		addr:  ln.Addr().String(),
-		done:  make(chan struct{}),
-	}
-	go func() {
-		defer close(s.done)
-		if err := s.srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			s.mu.Lock()
-			s.serr = err
-			s.mu.Unlock()
-		}
-	}()
 	return s, nil
-}
-
-// Addr returns the bound listen address (useful with port 0).
-func (s *Server) Addr() string { return s.addr }
-
-// closeGrace bounds how long Close waits for in-flight requests.
-const closeGrace = 2 * time.Second
-
-// Close stops the HTTP listener gracefully (in-flight requests get up
-// to closeGrace, then the remaining connections are hard-closed) and
-// reports the first serve failure, if any. It does NOT drain the
-// scheduler — call Scheduler.Drain BEFORE Close so attached SSE
-// streams receive their terminal events and end on their own instead
-// of being cut off by the connection teardown.
-func (s *Server) Close() error {
-	ctx, cancel := context.WithTimeout(context.Background(), closeGrace)
-	defer cancel()
-	err := s.srv.Shutdown(ctx)
-	if err != nil {
-		err = s.srv.Close()
-	}
-	//lint:ignore ctx-propagation the serve loop is guaranteed to exit once Shutdown/Close above returns, so this join is bounded by closeGrace
-	<-s.done
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.serr != nil {
-		return s.serr
-	}
-	return err
 }

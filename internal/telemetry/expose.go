@@ -146,7 +146,8 @@ func NewServeMux(snapshot func() Metrics) *http.ServeMux {
 	return mux
 }
 
-// Server is a running diagnostics listener (metrics + pprof).
+// Server is a running HTTP listener: a run's diagnostics endpoint
+// (Serve) or the sdcserve job API (Listen under serve.Start).
 type Server struct {
 	srv  *http.Server
 	addr string
@@ -156,16 +157,25 @@ type Server struct {
 	done chan struct{}
 }
 
-// Serve listens on addr (host:port; port 0 picks a free port) and
-// serves NewServeMux(snapshot) until Close. The accept loop runs on its
-// own goroutine — control plane, outside the pool by design.
+// Serve listens on addr and serves NewServeMux(snapshot) until Close.
 func Serve(addr string, snapshot func() Metrics) (*Server, error) {
+	s, err := Listen(addr, NewServeMux(snapshot))
+	if err != nil {
+		return nil, fmt.Errorf("telemetry: %w", err)
+	}
+	return s, nil
+}
+
+// Listen listens on addr (host:port; port 0 picks a free port) and
+// serves h until Close. The accept loop runs on its own goroutine —
+// control plane, outside the pool by design.
+func Listen(addr string, h http.Handler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
+		return nil, fmt.Errorf("listen %s: %w", addr, err)
 	}
 	s := &Server{
-		srv:  &http.Server{Handler: NewServeMux(snapshot)},
+		srv:  &http.Server{Handler: h},
 		addr: ln.Addr().String(),
 		done: make(chan struct{}),
 	}
@@ -183,13 +193,13 @@ func Serve(addr string, snapshot func() Metrics) (*Server, error) {
 // Addr returns the bound listen address (useful with port 0).
 func (s *Server) Addr() string { return s.addr }
 
-// closeGrace bounds how long Close waits for in-flight scrapes: long
+// closeGrace bounds how long Close waits for in-flight requests: long
 // enough for a slow Prometheus scrape to finish rendering, short enough
 // that a wedged client cannot hold a finished run hostage.
 const closeGrace = 2 * time.Second
 
-// Close stops the listener gracefully — in-flight /metrics scrapes get
-// up to closeGrace to complete before the remaining connections are
+// Close stops the listener gracefully — in-flight requests get up to
+// closeGrace to complete before the remaining connections are
 // hard-closed — and reports the first serve failure, if any. A
 // hard-close after the grace period is not itself an error: the run's
 // data is intact, only a stuck client's response was cut short.

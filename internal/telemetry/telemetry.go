@@ -121,9 +121,6 @@ func (s Span) Elapsed() time.Duration {
 	return time.Since(s.t0)
 }
 
-// Live reports whether the span records anything.
-func (s Span) Live() bool { return s.live }
-
 // AddPhase accumulates one timed interval of phase p.
 func (r *Recorder) AddPhase(p Phase, d time.Duration) {
 	if r == nil || p < 0 || p >= numPhases {

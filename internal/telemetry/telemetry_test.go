@@ -16,7 +16,7 @@ import (
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	sp := r.Span()
-	if sp.Live() {
+	if sp.live {
 		t.Error("nil recorder produced a live span")
 	}
 	if sp.Elapsed() != 0 {

@@ -55,13 +55,6 @@ func (v Vec3) Sub(w Vec3) Vec3 { return Vec3{v[0] - w[0], v[1] - w[1], v[2] - w[
 // Scale returns s*v.
 func (v Vec3) Scale(s float64) Vec3 { return Vec3{s * v[0], s * v[1], s * v[2]} }
 
-// Mul returns the component-wise product v∘w.
-func (v Vec3) Mul(w Vec3) Vec3 { return Vec3{v[0] * w[0], v[1] * w[1], v[2] * w[2]} }
-
-// Div returns the component-wise quotient v/w. It panics on a zero
-// component of w, like ordinary float division it yields ±Inf instead.
-func (v Vec3) Div(w Vec3) Vec3 { return Vec3{v[0] / w[0], v[1] / w[1], v[2] / w[2]} }
-
 // Neg returns -v.
 func (v Vec3) Neg() Vec3 { return Vec3{-v[0], -v[1], -v[2]} }
 
@@ -110,9 +103,6 @@ func (v Vec3) Max(w Vec3) Vec3 {
 
 // MinComponent returns the smallest of the three components.
 func (v Vec3) MinComponent() float64 { return math.Min(v[0], math.Min(v[1], v[2])) }
-
-// MaxComponent returns the largest of the three components.
-func (v Vec3) MaxComponent() float64 { return math.Max(v[0], math.Max(v[1], v[2])) }
 
 // Abs returns the component-wise absolute value.
 func (v Vec3) Abs() Vec3 {

@@ -110,17 +110,27 @@ func errNoTelemetry() error {
 	return fmt.Errorf("sdcmd: telemetry is disabled (set SimOptions.Telemetry)")
 }
 
-// Metrics snapshots the simulation's telemetry. The zero Metrics is
-// returned when telemetry is disabled.
-func (s *Simulation) Metrics() Metrics { return fromTelemetry(s.tel.Snapshot()) }
+// recorder gives Simulation and GuardedSimulation their one set of
+// Metrics, ServeMetrics and StreamMetrics methods over the run's
+// telemetry recorder (nil when SimOptions.Telemetry is off).
+type recorder struct {
+	tel *telemetry.Recorder
+}
+
+// Metrics snapshots the run's telemetry; the zero Metrics when
+// telemetry is disabled. A guarded run's recorder survives rollbacks
+// (the supervisor rebuilds simulators from the same configuration), so
+// its fault, rollback and checkpoint counters keep accumulating across
+// recoveries.
+func (r recorder) Metrics() Metrics { return fromTelemetry(r.tel.Snapshot()) }
 
 // ServeMetrics starts an HTTP listener on addr (e.g. ":9090" or
 // "127.0.0.1:0") exposing /metrics and /debug/pprof/.
-func (s *Simulation) ServeMetrics(addr string) (*MetricsServer, error) {
-	if s.tel == nil {
+func (r recorder) ServeMetrics(addr string) (*MetricsServer, error) {
+	if r.tel == nil {
 		return nil, errNoTelemetry()
 	}
-	srv, err := telemetry.Serve(addr, s.tel.Snapshot)
+	srv, err := telemetry.Serve(addr, r.tel.Snapshot)
 	if err != nil {
 		return nil, err
 	}
@@ -129,43 +139,11 @@ func (s *Simulation) ServeMetrics(addr string) (*MetricsServer, error) {
 
 // StreamMetrics appends one JSON metrics record per line to w every
 // interval until the returned stream is closed.
-func (s *Simulation) StreamMetrics(w io.Writer, every time.Duration) (*MetricsStream, error) {
-	if s.tel == nil {
+func (r recorder) StreamMetrics(w io.Writer, every time.Duration) (*MetricsStream, error) {
+	if r.tel == nil {
 		return nil, errNoTelemetry()
 	}
-	str, err := telemetry.StartStream(w, every, s.tel.Snapshot)
-	if err != nil {
-		return nil, err
-	}
-	return &MetricsStream{str: str}, nil
-}
-
-// Metrics snapshots the guarded simulation's telemetry, including the
-// fault/rollback/checkpoint counters. The recorder survives rollbacks:
-// the supervisor rebuilds simulators from the same configuration, so
-// the counters keep accumulating across recoveries.
-func (g *GuardedSimulation) Metrics() Metrics { return fromTelemetry(g.tel.Snapshot()) }
-
-// ServeMetrics starts an HTTP listener on addr exposing /metrics and
-// /debug/pprof/ for the guarded run.
-func (g *GuardedSimulation) ServeMetrics(addr string) (*MetricsServer, error) {
-	if g.tel == nil {
-		return nil, errNoTelemetry()
-	}
-	srv, err := telemetry.Serve(addr, g.tel.Snapshot)
-	if err != nil {
-		return nil, err
-	}
-	return &MetricsServer{srv: srv}, nil
-}
-
-// StreamMetrics appends one JSON metrics record per line to w every
-// interval until the returned stream is closed.
-func (g *GuardedSimulation) StreamMetrics(w io.Writer, every time.Duration) (*MetricsStream, error) {
-	if g.tel == nil {
-		return nil, errNoTelemetry()
-	}
-	str, err := telemetry.StartStream(w, every, g.tel.Snapshot)
+	str, err := telemetry.StartStream(w, every, r.tel.Snapshot)
 	if err != nil {
 		return nil, err
 	}

@@ -29,12 +29,10 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strings"
 
-	"sdcmd/internal/core"
 	"sdcmd/internal/harness"
-	"sdcmd/internal/lattice"
 	"sdcmd/internal/md"
-	"sdcmd/internal/potential"
 	"sdcmd/internal/strategy"
 	"sdcmd/internal/telemetry"
 	"sdcmd/internal/vec"
@@ -42,7 +40,8 @@ import (
 )
 
 // SimOptions configures NewSimulation. The zero value of each field
-// selects a sensible default.
+// selects the default of the internal md.DefaultJob, the one run
+// description mdrun and the sdcserve job service share.
 type SimOptions struct {
 	// Cells is the bcc supercell count per side (default 8 → 1024
 	// atoms of iron at the experimental lattice constant).
@@ -100,108 +99,47 @@ type Simulation struct {
 	sim    *md.Simulator
 	sys    *md.System
 	thermo *md.ThermoLogger
-	tel    *telemetry.Recorder
+	recorder
 }
 
-// mdConfig translates the structural options (everything except the
-// initial state) into an md.Config, applying defaults.
-func (o SimOptions) mdConfig() (md.Config, error) {
-	if o.Strategy == "" {
-		o.Strategy = "serial"
-	}
-	if o.Threads == 0 {
-		o.Threads = 1
-	}
-	if o.Dim == 0 {
-		o.Dim = 2
-	}
-	if o.Dt == 0 {
-		o.Dt = 1e-3
-	}
-	if o.Skin == 0 {
-		o.Skin = 0.5
-	}
-	kind, err := strategy.ParseKind(o.Strategy)
-	if err != nil {
-		return md.Config{}, err
-	}
-	if o.Dim < 1 || o.Dim > 3 {
-		return md.Config{}, fmt.Errorf("sdcmd: dim %d must be 1, 2 or 3", o.Dim)
-	}
-	params := potential.DefaultFeParams()
+// config maps o to the run it describes and that run's md.Config:
+// md.Job's defaults, checks and mapping, then the facade's own
+// Telemetry and BlockReorder options.
+func (o SimOptions) config() (md.Job, md.Config, error) {
+	pot := ""
 	if o.Johnson {
-		params = potential.JohnsonFeParams()
+		pot = "eam-johnson"
 	}
-	pot, err := potential.NewFeEAM(params)
+	j := md.Job{
+		Potential: pot, Cells: o.Cells, Temperature: o.Temperature, Seed: o.Seed,
+		Strategy: o.Strategy, Threads: o.Threads, Dim: o.Dim, Dt: o.Dt, Skin: o.Skin,
+		Jitter: o.Jitter, Thermostat: o.ThermostatTarget, ThermostatTau: o.ThermostatTau,
+	}.WithDefaults()
+	if err := j.Validate(); err != nil {
+		return j, md.Config{}, fmt.Errorf("sdcmd: %w", err)
+	}
+	mcfg, err := j.Config()
 	if err != nil {
-		return md.Config{}, err
+		return j, mcfg, err
 	}
-	mcfg := md.Config{
-		Pot:          pot,
-		Strategy:     kind,
-		Threads:      o.Threads,
-		Dim:          core.Dim(o.Dim),
-		Skin:         o.Skin,
-		Dt:           o.Dt,
-		BlockReorder: o.BlockReorder,
-	}
-	if o.ThermostatTarget > 0 {
-		tau := o.ThermostatTau
-		if tau == 0 {
-			tau = 0.01
-		}
-		mcfg.Thermostat = &md.Berendsen{Target: o.ThermostatTarget, Tau: tau}
-	}
+	mcfg.BlockReorder = o.BlockReorder
 	if o.Telemetry {
 		mcfg.Telemetry = telemetry.NewRecorder()
 	}
-	return mcfg, nil
-}
-
-// buildSystem translates the state options (Cells, Temperature, Seed,
-// Jitter) into an initialized bcc-Fe system, applying defaults.
-func (o SimOptions) buildSystem() (*md.System, error) {
-	if o.Cells == 0 {
-		o.Cells = 8
-	}
-	if o.Cells < 1 {
-		return nil, fmt.Errorf("sdcmd: cells %d must be >= 1", o.Cells)
-	}
-	if o.Temperature == 0 {
-		o.Temperature = 300
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	cfg, err := lattice.Build(lattice.BCC, o.Cells, o.Cells, o.Cells, lattice.FeLatticeConstant)
-	if err != nil {
-		return nil, err
-	}
-	if o.Jitter > 0 {
-		cfg.Jitter(o.Jitter, o.Seed)
-	}
-	sys := md.FromLattice(cfg)
-	if err := sys.InitVelocities(o.Temperature, o.Seed); err != nil {
-		return nil, err
-	}
-	return sys, nil
+	return j, mcfg, nil
 }
 
 // NewSimulation builds a bcc-Fe system and its simulator.
 func NewSimulation(o SimOptions) (*Simulation, error) {
-	sys, err := o.buildSystem()
+	j, mcfg, err := o.config()
 	if err != nil {
 		return nil, err
 	}
-	mcfg, err := o.mdConfig()
+	sys, err := j.System()
 	if err != nil {
 		return nil, err
 	}
-	sim, err := md.NewSimulator(sys, mcfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Simulation{sim: sim, sys: sys, tel: mcfg.Telemetry}, nil
+	return newSimulation(sys, mcfg)
 }
 
 // RestoreSimulation resumes a run from a checkpoint written by
@@ -218,15 +156,19 @@ func RestoreSimulation(r io.Reader, o SimOptions) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	mcfg, err := o.mdConfig()
+	_, mcfg, err := o.config()
 	if err != nil {
 		return nil, err
 	}
+	return newSimulation(sys, mcfg)
+}
+
+func newSimulation(sys *md.System, mcfg md.Config) (*Simulation, error) {
 	sim, err := md.NewSimulator(sys, mcfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Simulation{sim: sim, sys: sys, tel: mcfg.Telemetry}, nil
+	return &Simulation{sim: sim, sys: sys, recorder: recorder{mcfg.Telemetry}}, nil
 }
 
 // Run advances n timesteps.
@@ -320,6 +262,10 @@ func RunExperiment(name string, o ExperimentOptions) error {
 	if o.Out == nil {
 		return fmt.Errorf("sdcmd: ExperimentOptions.Out is required")
 	}
+	exp, ok := harness.LookupExperiment(name)
+	if !ok {
+		return fmt.Errorf("sdcmd: unknown experiment %q (want %s)", name, strings.Join(harness.ExperimentNames(), ", "))
+	}
 	mode := harness.ModeModel
 	if o.Mode != "" {
 		m, err := harness.ParseMode(o.Mode)
@@ -350,43 +296,14 @@ func RunExperiment(name string, o ExperimentOptions) error {
 			return err
 		}
 	}
+	res, err := exp.Run(opts)
+	if err != nil {
+		return err
+	}
 	if o.CSV {
-		return harness.RunCSV(name, opts, o.Out)
+		return res.WriteCSV(o.Out)
 	}
-	switch name {
-	case "table1":
-		res, err := harness.RunTable1(opts)
-		if err != nil {
-			return err
-		}
-		return res.Render(o.Out)
-	case "fig9":
-		res, err := harness.RunFig9(opts)
-		if err != nil {
-			return err
-		}
-		return res.Render(o.Out)
-	case "reorder":
-		res, err := harness.RunReorder(opts)
-		if err != nil {
-			return err
-		}
-		return res.Render(o.Out)
-	case "numa":
-		res, err := harness.RunNUMA(opts)
-		if err != nil {
-			return err
-		}
-		return res.Render(o.Out)
-	case "cluster":
-		res, err := harness.RunCluster(opts)
-		if err != nil {
-			return err
-		}
-		return res.Render(o.Out)
-	default:
-		return fmt.Errorf("sdcmd: unknown experiment %q (want table1, fig9, reorder, numa or cluster)", name)
-	}
+	return res.Render(o.Out)
 }
 
 // Strategies lists the supported strategy names.

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"sdcmd/internal/guard"
-	"sdcmd/internal/telemetry"
 	"sdcmd/internal/xyz"
 )
 
@@ -80,17 +79,17 @@ func (o GuardOptions) policy() guard.Policy {
 // checkpoints are written atomically for exact resume.
 type GuardedSimulation struct {
 	sup *guard.Supervisor
-	tel *telemetry.Recorder
+	recorder
 }
 
 // NewGuardedSimulation builds a bcc-Fe system and runs it under the
 // supervisor policy in o.
 func NewGuardedSimulation(o GuardOptions) (*GuardedSimulation, error) {
-	sys, err := o.buildSystem()
+	j, mcfg, err := o.config()
 	if err != nil {
 		return nil, err
 	}
-	mcfg, err := o.mdConfig()
+	sys, err := j.System()
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +97,7 @@ func NewGuardedSimulation(o GuardOptions) (*GuardedSimulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &GuardedSimulation{sup: sup, tel: mcfg.Telemetry}, nil
+	return &GuardedSimulation{sup: sup, recorder: recorder{mcfg.Telemetry}}, nil
 }
 
 // ResumeGuardedSimulation continues a run from the atomic checkpoint at
@@ -107,7 +106,7 @@ func NewGuardedSimulation(o GuardOptions) (*GuardedSimulation, error) {
 // structural options assumed). State options (Cells, Temperature, Seed,
 // Jitter) are ignored.
 func ResumeGuardedSimulation(path string, o GuardOptions) (*GuardedSimulation, error) {
-	mcfg, err := o.mdConfig()
+	_, mcfg, err := o.config()
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +114,7 @@ func ResumeGuardedSimulation(path string, o GuardOptions) (*GuardedSimulation, e
 	if err != nil {
 		return nil, err
 	}
-	return &GuardedSimulation{sup: sup, tel: mcfg.Telemetry}, nil
+	return &GuardedSimulation{sup: sup, recorder: recorder{mcfg.Telemetry}}, nil
 }
 
 // Run advances n timesteps under supervision. Recoverable faults are
