@@ -14,7 +14,7 @@ package sdcmd
 // On this container the wall-clock speedups are bounded by the host
 // core count; the model mode of cmd/sdcbench supplies the paper-scale
 // curves. Component microbenchmarks at the bottom cover the substrate
-// costs (neighbor build, decomposition, spline evaluation, MD step).
+// costs (neighbor build, decomposition, potential evaluation, MD step).
 
 import (
 	"fmt"
@@ -230,19 +230,6 @@ func BenchmarkPotentialEval(b *testing.B) {
 			_, _ = pot.Energy(r)
 			_, _ = pot.Density(r)
 			_, _ = pot.Embed(6.0)
-		}
-	})
-	b.Run("tabulated", func(b *testing.B) {
-		tab, err := potential.Tabulate(potential.DefaultFe(), 1000, 1000, 30)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r := 2.6
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_, _ = tab.Energy(r)
-			_, _ = tab.Density(r)
-			_, _ = tab.Embed(6.0)
 		}
 	})
 }

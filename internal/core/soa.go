@@ -46,11 +46,3 @@ func (s *SoA3) Pack(src []vec.Vec3) {
 
 // At gathers element i back into a Vec3.
 func (s *SoA3) At(i int) vec.Vec3 { return vec.Vec3{s.X[i], s.Y[i], s.Z[i]} }
-
-// Unpack writes the stored vectors into dst, which must have Len()
-// elements. It is the inverse of Pack.
-func (s *SoA3) Unpack(dst []vec.Vec3) {
-	for i := range dst {
-		dst[i] = vec.Vec3{s.X[i], s.Y[i], s.Z[i]}
-	}
-}

@@ -25,13 +25,6 @@ func TestSoA3PackAtUnpack(t *testing.T) {
 			t.Errorf("At(%d) = %v, want %v", i, s.At(i), v)
 		}
 	}
-	dst := make([]vec.Vec3, len(src))
-	s.Unpack(dst)
-	for i := range src {
-		if dst[i] != src[i] {
-			t.Errorf("Unpack[%d] = %v, want %v", i, dst[i], src[i])
-		}
-	}
 }
 
 func TestSoA3ResizeReusesCapacity(t *testing.T) {

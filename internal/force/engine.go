@@ -78,8 +78,8 @@ type terms struct {
 }
 
 // eamTerms evaluate any potential.EAM through its interface, one
-// dynamic call per radial function and pair. Tabulated and PairOnly
-// have no other path; a *potential.FeEAM takes feTerms.
+// dynamic call per radial function and pair. PairOnly has no other
+// path; a *potential.FeEAM takes feTerms.
 var eamTerms = terms{
 	density: (*Engine).densityTerms,
 	embed:   (*Engine).embedTerm,

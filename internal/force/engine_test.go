@@ -236,31 +236,6 @@ func TestPairOnlyPotentialThroughEngine(t *testing.T) {
 	}
 }
 
-func TestTabulatedPotentialThroughEngine(t *testing.T) {
-	// The spline-tabulated EAM must land close to the analytic one.
-	s := newSys(t, 4, 0.1)
-	tab, err := potential.Tabulate(s.pot, 4000, 4000, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	red := s.serial(t)
-	engA, _ := NewEngine(s.pot, s.bx)
-	engT, _ := NewEngine(tab, s.bx)
-	fa := make([]vec.Vec3, len(s.pos))
-	ft := make([]vec.Vec3, len(s.pos))
-	if _, err := engA.Compute(red, s.pos, fa); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := engT.Compute(red, s.pos, ft); err != nil {
-		t.Fatal(err)
-	}
-	for i := range fa {
-		if !fa[i].ApproxEqual(ft[i], 1e-3*(1+fa[i].Norm())) {
-			t.Fatalf("tabulated force[%d] = %v, analytic %v", i, ft[i], fa[i])
-		}
-	}
-}
-
 func TestEmptySystem(t *testing.T) {
 	bx := box.MustNew(vec.Zero, vec.Splat(10))
 	list, err := neighbor.Builder{Cutoff: 3.5, Half: true}.Build(bx, nil)

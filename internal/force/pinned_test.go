@@ -55,8 +55,8 @@ func outputBits(t *testing.T, compute computeFunc, red strategy.Reducer, pos []v
 // resume and the blocked≡scattered physics tests rely on, so a kernel
 // or sweep refactor must leave every hash unchanged. Fe also runs
 // under Serial through the EAM-interface kernels, behind a wrapper
-// that hides its type from NewEngine: the interface path that
-// Tabulated and PairOnly take must hash to the analytic kernels' value.
+// that hides its type from NewEngine: the interface path that PairOnly
+// takes must hash to the analytic kernels' value.
 func TestEngineOutputBitsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("output bits are pinned on amd64 only: Go fuses x*y+z into one rounding on %s "+

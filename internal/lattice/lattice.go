@@ -35,20 +35,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// AtomsPerCell returns the number of basis atoms in the conventional
-// cubic cell.
-func (k Kind) AtomsPerCell() int {
-	switch k {
-	case SC:
-		return 1
-	case BCC:
-		return 2
-	case FCC:
-		return 4
-	}
-	return 0
-}
-
 // basis returns the fractional basis of the conventional cell.
 func (k Kind) basis() []vec.Vec3 {
 	switch k {

@@ -94,26 +94,3 @@ func TestStepCtxDeadlineWrapsErrCanceled(t *testing.T) {
 		t.Errorf("deadline error %v, want ErrCanceled wrapping DeadlineExceeded", err)
 	}
 }
-
-func TestMinimizeCtxCanceled(t *testing.T) {
-	cfg, err := lattice.Build(lattice.BCC, 3, 3, 3, lattice.FeLatticeConstant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Jitter(0.05, 3) // off-lattice start so there is something to relax
-	sys := FromLattice(cfg)
-	sim, err := NewSimulator(sys, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sim.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res, err := sim.MinimizeCtx(ctx, 100, 1e-8)
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("canceled minimize returned %v, want ErrCanceled", err)
-	}
-	if res.Converged {
-		t.Error("canceled minimize reported convergence")
-	}
-}

@@ -498,130 +498,6 @@ func TestBlowupDetection(t *testing.T) {
 	}
 }
 
-func TestMinimizeValidation(t *testing.T) {
-	sys := feSystem(t, 3, 0)
-	sim, err := NewSimulator(sys, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Minimize(0, 1e-3); err == nil {
-		t.Error("maxSteps=0 accepted")
-	}
-	if _, err := sim.Minimize(10, 0); err == nil {
-		t.Error("fTol=0 accepted")
-	}
-	sim.Close()
-	if _, err := sim.Minimize(10, 1e-3); err == nil {
-		t.Error("Minimize after Close accepted")
-	}
-}
-
-func TestMinimizeRelaxesJitteredCrystal(t *testing.T) {
-	cfg0 := lattice.MustBuild(lattice.BCC, 4, 4, 4, 2.8665)
-	cfg0.Jitter(0.15, 9)
-	sys := FromLattice(cfg0)
-	sim, err := NewSimulator(sys, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sim.Close()
-	e0 := sim.PotentialEnergy()
-	res, err := sim.Minimize(2000, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("FIRE did not converge: %+v", res)
-	}
-	if res.Energy >= e0 {
-		t.Errorf("relaxation raised energy: %g -> %g", e0, res.Energy)
-	}
-	if res.FMax > 1e-6 {
-		t.Errorf("FMax = %g", res.FMax)
-	}
-	// The jittered crystal must relax back to (essentially) the perfect
-	// lattice energy.
-	perfect := FromLattice(lattice.MustBuild(lattice.BCC, 4, 4, 4, 2.8665))
-	simP, err := NewSimulator(perfect, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer simP.Close()
-	eP := simP.PotentialEnergy()
-	if math.Abs(res.Energy-eP) > 1e-4*math.Abs(eP) {
-		t.Errorf("relaxed energy %g vs perfect lattice %g", res.Energy, eP)
-	}
-	// Velocities are zeroed on return.
-	if sys.KineticEnergy() != 0 {
-		t.Error("Minimize left kinetic energy behind")
-	}
-}
-
-func TestMinimizeAlreadyRelaxed(t *testing.T) {
-	sys := feSystem(t, 3, 0)
-	sim, err := NewSimulator(sys, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sim.Close()
-	res, err := sim.Minimize(50, 1e-8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged || res.Steps > 2 {
-		t.Errorf("perfect crystal should converge immediately: %+v", res)
-	}
-}
-
-func TestLangevinThermostat(t *testing.T) {
-	// Langevin heats a crystal from absolute rest to the target.
-	sys := feSystem(t, 4, 0)
-	cfg := DefaultConfig()
-	cfg.Thermostat = &Langevin{Target: 300, Gamma: 50, Seed: 5}
-	sim, err := NewSimulator(sys, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sim.Close()
-	if err := sim.Step(400); err != nil {
-		t.Fatal(err)
-	}
-	got := sys.Temperature()
-	if got < 150 || got > 480 {
-		t.Errorf("Langevin T = %g, want fluctuation around 300", got)
-	}
-	// Bad params rejected.
-	bad := DefaultConfig()
-	bad.Thermostat = &Langevin{Target: -1, Gamma: 1}
-	if _, err := NewSimulator(feSystem(t, 3, 0), bad); err == nil {
-		t.Error("negative target accepted")
-	}
-	bad.Thermostat = &Langevin{Target: 100, Gamma: 0}
-	if _, err := NewSimulator(feSystem(t, 3, 0), bad); err == nil {
-		t.Error("zero friction accepted")
-	}
-}
-
-func TestLangevinDeterministicSeed(t *testing.T) {
-	run := func() float64 {
-		sys := feSystem(t, 3, 0)
-		cfg := DefaultConfig()
-		cfg.Thermostat = &Langevin{Target: 200, Gamma: 20, Seed: 9}
-		sim, err := NewSimulator(sys, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sim.Close()
-		if err := sim.Step(30); err != nil {
-			t.Fatal(err)
-		}
-		return sys.KineticEnergy()
-	}
-	if a, b := run(), run(); a != b {
-		t.Errorf("same seed produced different trajectories: %g vs %g", a, b)
-	}
-}
-
 func TestThermoLogger(t *testing.T) {
 	sys := feSystem(t, 3, 100)
 	sim, err := NewSimulator(sys, DefaultConfig())

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"sdcmd/internal/core"
 	"sdcmd/internal/force"
@@ -42,7 +41,7 @@ type Config struct {
 	// Dt is the timestep in ps.
 	Dt float64
 	// Thermostat, when non-nil, is applied after every step.
-	Thermostat Thermostat
+	Thermostat *Berendsen
 	// Alloy, with Species, replaces Pot for multi-species systems:
 	// the simulator then builds its engine with force.NewAlloyEngine.
 	// Exactly one of Pot/Alloy must be set.
@@ -109,16 +108,6 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// Thermostat adjusts velocities after each step to regulate
-// temperature. Implementations are stateful and not concurrency-safe;
-// one instance belongs to one simulator.
-type Thermostat interface {
-	// Apply rescales/perturbs velocities for one step of length dt.
-	Apply(sys *System, dt float64)
-	// Validate rejects unusable parameters.
-	Validate() error
-}
-
 // Berendsen is the weak-coupling thermostat: each step velocities are
 // scaled by λ = sqrt(1 + Δt/τ (T₀/T − 1)).
 type Berendsen struct {
@@ -128,7 +117,7 @@ type Berendsen struct {
 	Tau float64
 }
 
-// Validate implements Thermostat.
+// Validate rejects unusable parameters.
 func (b *Berendsen) Validate() error {
 	if !(b.Target >= 0) || !(b.Tau > 0) {
 		return fmt.Errorf("md: bad Berendsen thermostat %+v", *b)
@@ -136,7 +125,7 @@ func (b *Berendsen) Validate() error {
 	return nil
 }
 
-// Apply implements Thermostat.
+// Apply rescales the velocities for one step of length dt.
 func (b *Berendsen) Apply(sys *System, dt float64) {
 	scale := b.Lambda(sys.Temperature(), dt)
 	for i := range sys.Vel {
@@ -155,46 +144,6 @@ func (b *Berendsen) Lambda(cur, dt float64) float64 {
 		lambda2 = 0.25 // clamp: avoid catastrophic rescales on cold starts
 	}
 	return math.Sqrt(lambda2)
-}
-
-// Langevin is the stochastic thermostat: each step applies the exact
-// Ornstein-Uhlenbeck update v ← c₁·v + c₂·σ·ξ with c₁ = e^{−γΔt},
-// c₂ = √(1−c₁²), σ = √(k_B T/m). Unlike Berendsen it produces a true
-// canonical ensemble and can heat a crystal from absolute rest.
-type Langevin struct {
-	// Target is the temperature in K.
-	Target float64
-	// Gamma is the friction in 1/ps.
-	Gamma float64
-	// Seed makes the noise reproducible.
-	Seed int64
-
-	rng *rand.Rand
-}
-
-// Validate implements Thermostat.
-func (l *Langevin) Validate() error {
-	if !(l.Target >= 0) || !(l.Gamma > 0) {
-		return fmt.Errorf("md: bad Langevin thermostat %+v", *l)
-	}
-	return nil
-}
-
-// Apply implements Thermostat.
-func (l *Langevin) Apply(sys *System, dt float64) {
-	if l.rng == nil {
-		l.rng = rand.New(rand.NewSource(l.Seed))
-	}
-	c1 := math.Exp(-l.Gamma * dt)
-	c2 := math.Sqrt(1 - c1*c1)
-	for i := range sys.Vel {
-		sigma := math.Sqrt(KB * l.Target / sys.MassOf(i))
-		sys.Vel[i] = sys.Vel[i].Scale(c1).Add(vec.New(
-			c2*sigma*l.rng.NormFloat64(),
-			c2*sigma*l.rng.NormFloat64(),
-			c2*sigma*l.rng.NormFloat64(),
-		))
-	}
 }
 
 // Simulator advances a System with velocity-Verlet under a chosen
@@ -334,16 +283,6 @@ func (s *Simulator) blockReorder() error {
 	}
 	s.dec.Renumber()
 	return nil
-}
-
-// needsRebuild applies the Verlet-skin criterion for Minimize; a step
-// takes the same maximum inside its drift pass.
-func (s *Simulator) needsRebuild() bool {
-	if s.cfg.Skin <= 0 {
-		return true // no slack: every step needs a fresh list
-	}
-	half := s.cfg.Skin / 2
-	return neighbor.MaxDisplacement2(s.Sys.Box, s.posAtBuild, s.Sys.Pos) > half*half
 }
 
 // computeForces runs the three-phase EAM evaluation; with telemetry on,
@@ -500,11 +439,11 @@ func (s *Simulator) kickPass(tid int) {
 }
 
 // ErrCanceled is the errors.Is sentinel for a run stopped by context
-// cancellation. Every cancellation error returned by StepCtx,
-// MinimizeCtx and the supervisors wraps both ErrCanceled and the
-// context's own error (context.Canceled or context.DeadlineExceeded),
-// so callers can distinguish an intentional stop from a physics fault
-// with errors.Is(err, ErrCanceled). A canceled run always stops at a
+// cancellation. Every cancellation error returned by StepCtx and the
+// supervisors wraps both ErrCanceled and the context's own error
+// (context.Canceled or context.DeadlineExceeded), so callers can
+// distinguish an intentional stop from a physics fault with
+// errors.Is(err, ErrCanceled). A canceled run always stops at a
 // step boundary: positions, velocities and forces are those of the last
 // completed step, so the state remains checkpointable.
 var ErrCanceled = errors.New("run canceled")
@@ -618,10 +557,6 @@ func (s *Simulator) StepCount() int { return s.step }
 
 // Rebuilds returns how many times the neighbor list was (re)built.
 func (s *Simulator) Rebuilds() int { return s.rebuilds }
-
-// Telemetry returns the recorder the simulator was configured with (nil
-// when telemetry is disabled).
-func (s *Simulator) Telemetry() *telemetry.Recorder { return s.cfg.Telemetry }
 
 // List exposes the current neighbor list (read-only use; aliased, and
 // valid until the next rebuild, which reuses its arrays).

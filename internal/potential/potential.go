@@ -1,9 +1,7 @@
 // Package potential implements the interatomic potentials of the
 // simulator: the Embedded-Atom Method (EAM) of Daw & Baskes that the
-// paper's force loops evaluate, a Lennard-Jones pair potential as the
-// "pair-wise potential" the paper contrasts EAM against (§I), and
-// cubic-spline tabulated potentials in the setfl style used by real MD
-// codes (XMD, LAMMPS).
+// paper's force loops evaluate, and a Lennard-Jones pair potential as
+// the "pair-wise potential" the paper contrasts EAM against (§I).
 //
 // EAM total energy:
 //
@@ -23,7 +21,7 @@ import (
 // Pair is a radial pair interaction. Implementations must be pure
 // functions of r, safe for concurrent use.
 type Pair interface {
-	// Name identifies the potential in logs and table files.
+	// Name identifies the potential in logs.
 	Name() string
 	// Cutoff returns r_c; Energy must return (0, 0) for r >= Cutoff.
 	Cutoff() float64
@@ -98,8 +96,8 @@ func (c CutoffSmoother) Apply(r, f, df float64) (sf, sdf float64) {
 }
 
 // NumericalDeriv estimates df/dr of a scalar function by central
-// difference. It exists for tests and table validation; production code
-// uses the analytic derivatives.
+// difference. It exists for tests; production code uses the analytic
+// derivatives.
 func NumericalDeriv(f func(float64) float64, r, h float64) float64 {
 	return (f(r+h) - f(r-h)) / (2 * h)
 }

@@ -227,36 +227,3 @@ func LocalityScore(l *neighbor.List) float64 {
 	}
 	return sum / float64(l.Pairs())
 }
-
-// SampledLocalityScore estimates LocalityScore from a uniform sample of
-// `samples` atoms drawn from an explicit source, for lists too large to
-// scan in full inside a measurement loop. The rng is a parameter, not
-// package state: a fixed seed gives a bit-identical estimate on every
-// run, so perf baselines that record the score stay diffable. samples
-// >= l.N() degrades to the exact full scan (and draws nothing).
-func SampledLocalityScore(l *neighbor.List, samples int, rng *rand.Rand) float64 {
-	n := l.N()
-	if samples >= n {
-		return LocalityScore(l)
-	}
-	if samples <= 0 || l.Pairs() == 0 {
-		return 0
-	}
-	var sum float64
-	var pairs int
-	for k := 0; k < samples; k++ {
-		i := rng.Intn(n)
-		for _, j := range l.Neighbors(i) {
-			d := int(j) - i
-			if d < 0 {
-				d = -d
-			}
-			sum += float64(d)
-			pairs++
-		}
-	}
-	if pairs == 0 {
-		return 0
-	}
-	return sum / float64(pairs)
-}

@@ -102,33 +102,6 @@ func TestScrambleGolden(t *testing.T) {
 	}
 }
 
-func TestSampledLocalityScore(t *testing.T) {
-	_, _, l := buildTestSystem(t)
-
-	// samples >= N degrades to the exact score.
-	exact := LocalityScore(l)
-	if got := SampledLocalityScore(l, l.N()+10, rand.New(rand.NewSource(1))); got != exact {
-		t.Errorf("oversampled score %g != exact %g", got, exact)
-	}
-
-	// A fixed seed gives a bit-identical estimate on every run.
-	est1 := SampledLocalityScore(l, 40, rand.New(rand.NewSource(9)))
-	est2 := SampledLocalityScore(l, 40, rand.New(rand.NewSource(9)))
-	if est1 != est2 {
-		t.Errorf("sampled score not deterministic for a fixed seed: %g vs %g", est1, est2)
-	}
-
-	// The estimate is in the ballpark of the exact value (same order of
-	// magnitude; it is a mean over a uniform atom sample).
-	if est1 < exact/4 || est1 > exact*4 {
-		t.Errorf("sampled score %g implausibly far from exact %g", est1, exact)
-	}
-
-	if got := SampledLocalityScore(l, 0, rand.New(rand.NewSource(1))); got != 0 {
-		t.Errorf("zero samples gave %g, want 0", got)
-	}
-}
-
 func TestApplyUnapplyRoundTrip(t *testing.T) {
 	p := Scramble(50, 7)
 	rng := rand.New(rand.NewSource(1))

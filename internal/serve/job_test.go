@@ -58,6 +58,61 @@ func TestJobSpecEncodingPinned(t *testing.T) {
 	}
 }
 
+// FuzzJobSpecNormalize decodes arbitrary bytes the way POST /jobs does
+// and normalizes them under a small CPU budget and shard count. Every
+// admitted spec must be a fixed point of normalization, keep its store
+// key through its own JSON encoding, and map to an md.Config that
+// NewSimulator accepts; nothing may panic.
+func FuzzJobSpecNormalize(f *testing.F) {
+	for _, body := range []string{
+		`{"steps":1}`,
+		`{"cells":10,"temperature":600,"seed":7,"strategy":"sdc","threads":4,"dim":3,"dt":0.0005,"skin":0.3,"steps":200,"jitter":0.02}`,
+		`{"potential":"eam-johnson","cells":6,"steps":50,"thermostat":900}`,
+		`{"cells":121,"steps":1}`,
+	} {
+		f.Add([]byte(body), uint8(4), uint8(2))
+	}
+	f.Fuzz(func(t *testing.T, body []byte, cpu, shards uint8) {
+		c, n := int(cpu%17), int(shards%9)
+		var spec JobSpec
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&spec) != nil {
+			return
+		}
+		norm, err := spec.normalized(c, n)
+		if err != nil {
+			return
+		}
+		again, err := norm.normalized(c, n)
+		if err != nil || again != norm {
+			t.Fatalf("normalizing %+v again gives %+v, %v", norm, again, err)
+		}
+		h, err := norm.hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(norm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stored JobSpec
+		if err := json.Unmarshal(b, &stored); err != nil {
+			t.Fatalf("normalized spec %s does not decode: %v", b, err)
+		}
+		if h2, err := stored.hash(); err != nil || h2 != h {
+			t.Fatalf("%s hashes to %s after a round trip, %s before (%v)", b, h2, h, err)
+		}
+		cfg, err := norm.mdConfig(nil)
+		if err != nil {
+			t.Fatalf("admitted spec %+v has no md.Config: %v", norm, err)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("admitted spec %+v maps to an invalid md.Config: %v", norm, err)
+		}
+	})
+}
+
 // TestFacadeAndServiceBuildTheSameRun states one run through the sdcmd
 // facade's SimOptions and through a JobSpec: both must map to the same
 // md.Config values and the bit-identical initial lattice and
@@ -86,7 +141,7 @@ func TestFacadeAndServiceBuildTheSameRun(t *testing.T) {
 		cfg.Dt != opts.Dt || cfg.Skin != opts.Skin {
 		t.Errorf("service config %+v does not state the facade's run %+v", cfg, opts)
 	}
-	if b, ok := cfg.Thermostat.(*md.Berendsen); !ok || *b != (md.Berendsen{Target: opts.ThermostatTarget, Tau: md.DefaultThermostatTau}) {
+	if b := cfg.Thermostat; b == nil || *b != (md.Berendsen{Target: opts.ThermostatTarget, Tau: md.DefaultThermostatTau}) {
 		t.Errorf("thermostat %+v, want Berendsen at %g K with the default time constant", cfg.Thermostat, opts.ThermostatTarget)
 	}
 	sys, err := norm.job().System()

@@ -12,7 +12,6 @@ import (
 // full list doubles the neighbor-list memory, which is why Fig. 9 shows
 // RC scaling near-linearly yet sitting ≈1.7× below SDC.
 type rcReducer struct {
-	half *neighbor.List
 	full *neighbor.List
 	pool *Pool
 	bufs rowBufs
@@ -27,12 +26,6 @@ func (r *rcReducer) PairWork() int { return r.full.Pairs() }
 // WriteShape implements WriteShaper: each pair is added into out[i]
 // only, and the ParallelFor blocks partition i across workers.
 func (r *rcReducer) WriteShape() WriteShape { return WriteOwnerOnly }
-
-// FullListBytes reports the extra neighbor-list storage RC carries
-// beyond the half list.
-func (r *rcReducer) FullListBytes() int {
-	return (r.full.Pairs() - r.half.Pairs()) * 4
-}
 
 func (r *rcReducer) SweepScalar(out []float64, terms Terms[float64]) {
 	rcSweep(r, out, terms, r.bufs.scalar)

@@ -159,8 +159,7 @@ func New(cfg Config) (Reducer, error) {
 	case SAP:
 		return &sapReducer{list: cfg.List, pool: cfg.Pool, bufs: bufs}, nil
 	case RC:
-		return &rcReducer{half: cfg.List, full: cfg.List.ToFull(), pool: cfg.Pool,
-			bufs: bufs}, nil
+		return &rcReducer{full: cfg.List.ToFull(), pool: cfg.Pool, bufs: bufs}, nil
 	default:
 		return nil, fmt.Errorf("strategy: unknown kind %v", cfg.Kind)
 	}

@@ -36,19 +36,6 @@ func (r *sapReducer) PairWork() int { return r.list.Pairs() }
 // mutex.
 func (r *sapReducer) WriteShape() WriteShape { return WritePrivatePair }
 
-// PrivateBytes reports the extra memory SAP holds for privatized
-// copies; grows linearly with threads (§I class-2 disadvantage).
-func (r *sapReducer) PrivateBytes() int {
-	total := 0
-	for _, s := range r.privScalar {
-		total += len(s) * 8
-	}
-	for _, v := range r.privVector {
-		total += len(v) * 24
-	}
-	return total
-}
-
 // buffers returns one private copy of the reduction array per worker,
 // reusing *priv unless the thread or atom count changed.
 func buffers[T Elem](priv *[][]T, threads, n int) [][]T {

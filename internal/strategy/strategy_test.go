@@ -288,46 +288,6 @@ func TestPairWorkAccounting(t *testing.T) {
 	}
 }
 
-func TestSAPPrivateBytesGrowWithThreads(t *testing.T) {
-	s := newTestSystem(t, 6, 4.0)
-	sc, vc := s.terms()
-	sizes := map[int]int{}
-	for _, threads := range []int{2, 4} {
-		pool := MustNewPool(threads)
-		r, err := New(Config{Kind: SAP, List: s.list, Pool: pool})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]float64, s.list.N())
-		r.SweepScalar(out, sc)
-		vout := make([]vec.Vec3, s.list.N())
-		r.SweepVector(vout, vc)
-		sizes[threads] = r.(*sapReducer).PrivateBytes()
-		pool.Close()
-	}
-	if sizes[4] != 2*sizes[2] {
-		t.Errorf("SAP private memory: %d bytes at 2 threads, %d at 4 — want linear growth", sizes[2], sizes[4])
-	}
-	wantPer := s.list.N() * (8 + 24)
-	if sizes[2] != 2*wantPer {
-		t.Errorf("SAP private bytes = %d, want %d", sizes[2], 2*wantPer)
-	}
-}
-
-func TestRCFullListBytes(t *testing.T) {
-	s := newTestSystem(t, 6, 4.0)
-	pool := MustNewPool(2)
-	defer pool.Close()
-	r, err := New(Config{Kind: RC, List: s.list, Pool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := s.list.Pairs() * 4 // full list has 2×pairs entries
-	if got := r.(*rcReducer).FullListBytes(); got != want {
-		t.Errorf("RC extra bytes = %d, want %d", got, want)
-	}
-}
-
 func TestParallelForAtomsCoversRange(t *testing.T) {
 	s := newTestSystem(t, 6, 4.0)
 	for _, k := range Kinds {

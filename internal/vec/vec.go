@@ -61,30 +61,12 @@ func (v Vec3) Neg() Vec3 { return Vec3{-v[0], -v[1], -v[2]} }
 // Dot returns the inner product v·w.
 func (v Vec3) Dot(w Vec3) float64 { return v[0]*w[0] + v[1]*w[1] + v[2]*w[2] }
 
-// Cross returns the cross product v×w.
-func (v Vec3) Cross(w Vec3) Vec3 {
-	return Vec3{
-		v[1]*w[2] - v[2]*w[1],
-		v[2]*w[0] - v[0]*w[2],
-		v[0]*w[1] - v[1]*w[0],
-	}
-}
-
 // Norm2 returns |v|² (avoids the sqrt when only comparisons are needed,
 // e.g. the cutoff test in the neighbor-list inner loop).
 func (v Vec3) Norm2() float64 { return v.Dot(v) }
 
 // Norm returns the Euclidean length |v|.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Norm2()) }
-
-// Normalized returns v/|v|. The zero vector is returned unchanged.
-func (v Vec3) Normalized() Vec3 {
-	n := v.Norm()
-	if n == 0 {
-		return v
-	}
-	return v.Scale(1 / n)
-}
 
 // AddScaled returns v + s*w, the fused form used by integrators.
 func (v Vec3) AddScaled(s float64, w Vec3) Vec3 {
@@ -103,16 +85,6 @@ func (v Vec3) Max(w Vec3) Vec3 {
 
 // MinComponent returns the smallest of the three components.
 func (v Vec3) MinComponent() float64 { return math.Min(v[0], math.Min(v[1], v[2])) }
-
-// Abs returns the component-wise absolute value.
-func (v Vec3) Abs() Vec3 {
-	return Vec3{math.Abs(v[0]), math.Abs(v[1]), math.Abs(v[2])}
-}
-
-// Floor returns the component-wise floor.
-func (v Vec3) Floor() Vec3 {
-	return Vec3{math.Floor(v[0]), math.Floor(v[1]), math.Floor(v[2])}
-}
 
 // IsFinite reports whether all components are finite (no NaN/Inf).
 func (v Vec3) IsFinite() bool {
@@ -158,20 +130,6 @@ func MaxNorm(vs []Vec3) float64 {
 		}
 	}
 	return max
-}
-
-// AXPY computes dst[i] += s*src[i] for all i. dst and src must have the
-// same length; it panics otherwise (programmer error).
-func AXPY(dst []Vec3, s float64, src []Vec3) {
-	if len(dst) != len(src) {
-		//lint:ignore no-panic length-mismatch precondition: programmer error, documented contract
-		panic(fmt.Sprintf("vec: AXPY length mismatch %d != %d", len(dst), len(src)))
-	}
-	for i := range dst {
-		dst[i][0] += s * src[i][0]
-		dst[i][1] += s * src[i][1]
-		dst[i][2] += s * src[i][2]
-	}
 }
 
 // Fill sets every element of dst to v. It is the hot "zero the force

@@ -51,45 +51,6 @@ func TestSplatAndZero(t *testing.T) {
 	}
 }
 
-func TestCross(t *testing.T) {
-	x := New(1, 0, 0)
-	y := New(0, 1, 0)
-	z := New(0, 0, 1)
-	if got := x.Cross(y); got != z {
-		t.Errorf("x×y = %v, want z", got)
-	}
-	if got := y.Cross(z); got != x {
-		t.Errorf("y×z = %v, want x", got)
-	}
-	if got := z.Cross(x); got != y {
-		t.Errorf("z×x = %v, want y", got)
-	}
-}
-
-func TestCrossAnticommutative(t *testing.T) {
-	f := func(a, b Vec3) bool {
-		a, b = tame(a), tame(b)
-		lhs := a.Cross(b)
-		rhs := b.Cross(a).Neg()
-		return lhs.ApproxEqual(rhs, 1e-9*(1+a.Norm()*b.Norm()))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCrossOrthogonal(t *testing.T) {
-	f := func(a, b Vec3) bool {
-		a, b = tame(a), tame(b)
-		c := a.Cross(b)
-		tol := 1e-6 * (1 + a.Norm()*b.Norm()*(a.Norm()+b.Norm()))
-		return almostEq(c.Dot(a), 0, tol) && almostEq(c.Dot(b), 0, tol)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestNorm(t *testing.T) {
 	v := New(3, 4, 0)
 	if v.Norm() != 5 {
@@ -97,26 +58,6 @@ func TestNorm(t *testing.T) {
 	}
 	if v.Norm2() != 25 {
 		t.Errorf("Norm2 = %v", v.Norm2())
-	}
-	n := v.Normalized()
-	if !almostEq(n.Norm(), 1, 1e-15) {
-		t.Errorf("Normalized().Norm() = %v", n.Norm())
-	}
-	if Zero.Normalized() != Zero {
-		t.Error("Zero.Normalized() must stay zero")
-	}
-}
-
-func TestNormalizedUnitLength(t *testing.T) {
-	f := func(a Vec3) bool {
-		a = tame(a)
-		if a.Norm() == 0 {
-			return true
-		}
-		return almostEq(a.Normalized().Norm(), 1, 1e-12)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -139,16 +80,6 @@ func TestMinMax(t *testing.T) {
 	}
 	if v.MinComponent() != 1 {
 		t.Errorf("MinComponent = %v", v.MinComponent())
-	}
-}
-
-func TestAbsFloor(t *testing.T) {
-	v := New(-1.5, 2.5, -0.0)
-	if got := v.Abs(); got != (Vec3{1.5, 2.5, 0}) {
-		t.Errorf("Abs = %v", got)
-	}
-	if got := v.Floor(); got != (Vec3{-2, 2, 0}) {
-		t.Errorf("Floor = %v", got)
 	}
 }
 
@@ -205,24 +136,6 @@ func TestMaxNorm(t *testing.T) {
 	if MaxNorm(nil) != 0 {
 		t.Error("MaxNorm(nil) must be 0")
 	}
-}
-
-func TestAXPY(t *testing.T) {
-	dst := []Vec3{{1, 1, 1}, {2, 2, 2}}
-	src := []Vec3{{1, 0, 0}, {0, 1, 0}}
-	AXPY(dst, 2, src)
-	if dst[0] != (Vec3{3, 1, 1}) || dst[1] != (Vec3{2, 4, 2}) {
-		t.Errorf("AXPY = %v", dst)
-	}
-}
-
-func TestAXPYMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("AXPY with mismatched lengths must panic")
-		}
-	}()
-	AXPY(make([]Vec3, 2), 1, make([]Vec3, 3))
 }
 
 func TestFill(t *testing.T) {

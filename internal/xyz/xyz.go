@@ -210,36 +210,3 @@ func parseLattice(header string) (lx, ly, lz float64, err error) {
 	lz, err = get(8)
 	return
 }
-
-// ReadAllXYZ parses every frame of a multi-frame extended-XYZ stream
-// (the format cmd/mdrun -xyz appends). It returns the frames in order;
-// an empty stream yields an empty slice, a partial trailing frame is an
-// error.
-func ReadAllXYZ(r io.Reader) ([]*Snapshot, error) {
-	br := bufio.NewReader(r)
-	var frames []*Snapshot
-	for {
-		// Peek for EOF (allow trailing whitespace/newlines).
-		for {
-			b, err := br.Peek(1)
-			if err == io.EOF {
-				return frames, nil
-			}
-			if err != nil {
-				return frames, err
-			}
-			if b[0] == '\n' || b[0] == '\r' || b[0] == ' ' || b[0] == '\t' {
-				if _, err := br.ReadByte(); err != nil {
-					return frames, err
-				}
-				continue
-			}
-			break
-		}
-		snap, err := ReadXYZ(br)
-		if err != nil {
-			return frames, fmt.Errorf("xyz: frame %d: %w", len(frames), err)
-		}
-		frames = append(frames, snap)
-	}
-}

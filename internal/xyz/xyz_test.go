@@ -227,66 +227,6 @@ func TestFromSystemCopies(t *testing.T) {
 	}
 }
 
-func TestReadAllXYZMultiFrame(t *testing.T) {
-	var buf bytes.Buffer
-	want := []*Snapshot{}
-	for f := 0; f < 4; f++ {
-		snap := sampleSnapshot(t, f%2 == 0)
-		if f%2 != 0 {
-			snap.Vel = nil
-		}
-		snap.Step = f * 10
-		want = append(want, snap)
-		if err := WriteXYZ(&buf, snap); err != nil {
-			t.Fatal(err)
-		}
-	}
-	frames, err := ReadAllXYZ(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frames) != 4 {
-		t.Fatalf("got %d frames, want 4", len(frames))
-	}
-	for f, got := range frames {
-		if got.Step != want[f].Step {
-			t.Errorf("frame %d step = %d, want %d", f, got.Step, want[f].Step)
-		}
-		if len(got.Pos) != len(want[f].Pos) {
-			t.Fatalf("frame %d atoms = %d", f, len(got.Pos))
-		}
-		for i := range got.Pos {
-			if !got.Pos[i].ApproxEqual(want[f].Pos[i], 1e-8) {
-				t.Fatalf("frame %d pos[%d] mismatch", f, i)
-			}
-		}
-	}
-}
-
-func TestReadAllXYZEdgeCases(t *testing.T) {
-	// Empty stream.
-	frames, err := ReadAllXYZ(strings.NewReader(""))
-	if err != nil || len(frames) != 0 {
-		t.Errorf("empty stream: %d frames, %v", len(frames), err)
-	}
-	// Trailing whitespace only.
-	frames, err = ReadAllXYZ(strings.NewReader("\n \n"))
-	if err != nil || len(frames) != 0 {
-		t.Errorf("whitespace stream: %d frames, %v", len(frames), err)
-	}
-	// Truncated second frame errors.
-	var buf bytes.Buffer
-	snap := sampleSnapshot(t, false)
-	snap.Vel = nil
-	if err := WriteXYZ(&buf, snap); err != nil {
-		t.Fatal(err)
-	}
-	buf.WriteString("5\nbroken header\n")
-	if _, err := ReadAllXYZ(&buf); err == nil {
-		t.Error("truncated trailing frame accepted")
-	}
-}
-
 func TestCheckpointFileAtomicRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.sdck")
