@@ -22,7 +22,6 @@ import (
 
 	"sdcmd/internal/core"
 	"sdcmd/internal/force"
-	"sdcmd/internal/hybrid"
 	"sdcmd/internal/lattice"
 	"sdcmd/internal/md"
 	"sdcmd/internal/neighbor"
@@ -257,9 +256,8 @@ func BenchmarkMDStep(b *testing.B) {
 
 // --- ablation benchmarks ---------------------------------------------------
 // Design-choice studies DESIGN.md calls out: the Verlet-skin trade-off
-// (list rebuild frequency vs per-step pair surplus), half- vs full-list
-// sweeps (the §II.D symmetry optimizations), and the hybrid engine's
-// communication overhead against the shared-memory path.
+// (list rebuild frequency vs per-step pair surplus) and half- vs
+// full-list sweeps (the §II.D symmetry optimizations).
 
 func BenchmarkAblation_Skin(b *testing.B) {
 	for _, skin := range []float64{0, 0.3, 0.6, 1.0} {
@@ -300,52 +298,6 @@ func BenchmarkAblation_HalfVsFullList(b *testing.B) {
 		defer pool.Close()
 		red := s.reducer(b, strategy.RC, core.Dim2, pool)
 		s.benchCompute(b, red)
-	})
-}
-
-func BenchmarkAblation_HybridVsShared(b *testing.B) {
-	// Communication cost of the distributed engine at equal total
-	// parallelism on one host.
-	build := func(b *testing.B) *md.System {
-		cfg := lattice.MustBuild(lattice.BCC, benchCells, benchCells, benchCells, lattice.FeLatticeConstant)
-		sys := md.FromLattice(cfg)
-		if err := sys.InitVelocities(300, 1); err != nil {
-			b.Fatal(err)
-		}
-		return sys
-	}
-	b.Run("shared-sdc-2", func(b *testing.B) {
-		sys := build(b)
-		mcfg := md.DefaultConfig()
-		mcfg.Strategy = strategy.SDC
-		mcfg.Threads = 2
-		sim, err := md.NewSimulator(sys, mcfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer sim.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := sim.Step(1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("hybrid-2ranks", func(b *testing.B) {
-		sys := build(b)
-		hcfg := hybrid.DefaultConfig()
-		hcfg.Ranks = 2
-		sim, err := hybrid.NewSimulator(sys.Box, sys.Pos, sys.Vel, hcfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer sim.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := sim.Step(1); err != nil {
-				b.Fatal(err)
-			}
-		}
 	})
 }
 

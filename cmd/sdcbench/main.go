@@ -3,8 +3,6 @@
 //	sdcbench -experiment table1              # Table 1 (model mode)
 //	sdcbench -experiment fig9                # Fig. 9 speedup curves
 //	sdcbench -experiment reorder             # §II.D reordering gains
-//	sdcbench -experiment numa                # §V future-work NUMA study
-//	sdcbench -experiment cluster             # §V future-work hybrid cluster study
 //	sdcbench -experiment load                # traffic-shaped load run -> BENCH_load.json
 //	sdcbench -experiment all                 # everything, including load
 //	sdcbench -experiment table1 -mode measured -cells 10 -steps 20

@@ -94,49 +94,23 @@ type Decomposition struct {
 	ColorOf []int8
 	// ByColor[c] lists the subdomains of color c.
 	ByColor [][]int32
-
-	// axes are the split axes (defaults to Dim.Axes()).
-	axes []vec.Axis
 }
-
-// Axes returns the split axes.
-func (d *Decomposition) Axes() []vec.Axis { return d.axes }
 
 // Decompose builds the SDC decomposition of pos in bx for interaction
 // reach (pass cutoff+skin so the coloring remains safe for the life of
 // the neighbor list). It returns ErrTooFewSubdomains when the geometry
 // does not admit the required splitting. Dim1/2/3 split x / x,y /
-// x,y,z; to split a different axis subset use DecomposeAxes.
+// x,y,z.
 func Decompose(bx box.Box, pos []vec.Vec3, d Dim, reach float64) (*Decomposition, error) {
 	if d.Colors() == 0 {
 		return nil, fmt.Errorf("core: invalid dimensionality %v", d)
-	}
-	return DecomposeAxes(bx, pos, d.Axes(), reach)
-}
-
-// DecomposeAxes is Decompose for an explicit set of split axes — e.g.
-// the hybrid rank-level engine splits only {Y, Z} inside its x-slab.
-// The axes must be distinct and non-empty.
-func DecomposeAxes(bx box.Box, pos []vec.Vec3, axes []vec.Axis, reach float64) (*Decomposition, error) {
-	if len(axes) < 1 || len(axes) > 3 {
-		return nil, fmt.Errorf("core: need 1-3 split axes, got %d", len(axes))
-	}
-	seen := [3]bool{}
-	for _, a := range axes {
-		if a < 0 || a > 2 {
-			return nil, fmt.Errorf("core: invalid axis %d", a)
-		}
-		if seen[a] {
-			return nil, fmt.Errorf("core: duplicate axis %v", a)
-		}
-		seen[a] = true
 	}
 	if !(reach > 0) {
 		return nil, fmt.Errorf("core: reach %g must be positive", reach)
 	}
 	counts := [3]int{1, 1, 1}
 	l := bx.Lengths()
-	for _, a := range axes {
+	for _, a := range d.Axes() {
 		// Largest count with edge >= 2*reach; the clamp only keeps the
 		// conversion defined; NewGrid rejects anything above MaxCells.
 		n := int(min(l[a]/(2*reach), math.MaxInt32))
@@ -151,8 +125,7 @@ func DecomposeAxes(bx box.Box, pos []vec.Vec3, axes []vec.Axis, reach float64) (
 	if err != nil {
 		return nil, err
 	}
-	dec := &Decomposition{Grid: *g, Dim: Dim(len(axes)), Reach: reach,
-		axes: append([]vec.Axis(nil), axes...)}
+	dec := &Decomposition{Grid: *g, Dim: d, Reach: reach}
 	dec.color()
 	dec.Rebin(pos)
 	return dec, nil
@@ -185,10 +158,11 @@ func (d *Decomposition) color() {
 	for c := range d.ByColor {
 		d.ByColor[c] = make([]int32, 0, per)
 	}
+	axes := d.Dim.Axes()
 	for s := 0; s < ns; s++ {
 		co := d.Unflatten(s)
 		color := 0
-		for bit, a := range d.axes {
+		for bit, a := range axes {
 			color |= (co[a] & 1) << bit
 		}
 		d.ColorOf[s] = int8(color)
@@ -206,7 +180,7 @@ func (d *Decomposition) color() {
 //     CellOf
 func (d *Decomposition) Verify(pos []vec.Vec3) error {
 	edges := d.EdgeLengths()
-	for _, a := range d.axes {
+	for _, a := range d.Dim.Axes() {
 		n := d.Counts[a]
 		if n < 2 || n%2 != 0 {
 			return fmt.Errorf("core: axis %v count %d not an even number >= 2", a, n)

@@ -7,10 +7,9 @@
 // typed fault instead of a hang, and a deterministic fault injector so
 // every recovery path is exercised by tests rather than hoped-for.
 //
-// The design follows what production MD packages (MOLDY's restart
-// files, the task-rerouting runtime assumed by Mangiardi & Meyer's
-// hybrid scheme) treat as first-class: run-health checks and restart
-// state, layered over the paper's parallel strategies.
+// The design follows what production MD packages such as MOLDY treat
+// as first-class: run-health checks and restart files, layered over the
+// paper's parallel strategies.
 package guard
 
 import (

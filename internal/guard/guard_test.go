@@ -90,7 +90,7 @@ func TestRecoveryFromInjectedNaNForce(t *testing.T) {
 	if got := sup.Config().Dt; !(got < md.DefaultConfig().Dt) {
 		t.Errorf("dt %g not degraded", got)
 	}
-	if f := CheckVectors(sup.System().Pos, sup.System().Vel, sup.System().Force, 30); f != nil {
+	if f := checkVectors(sup.System().Pos, sup.System().Vel, sup.System().Force, 30); f != nil {
 		t.Errorf("final state not clean: %v", f)
 	}
 }

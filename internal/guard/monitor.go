@@ -27,10 +27,9 @@ type Limits struct {
 	EscapeMargin float64
 }
 
-// FirstNonFinite returns the index of the first vector with a NaN or
-// infinite component, or -1. Shared with internal/hybrid so rank
-// simulations run the identical step-invariant check.
-func FirstNonFinite(vs []vec.Vec3) int {
+// firstNonFinite returns the index of the first vector with a NaN or
+// infinite component, or -1.
+func firstNonFinite(vs []vec.Vec3) int {
 	for i, v := range vs {
 		if !v.IsFinite() {
 			return i
@@ -39,19 +38,19 @@ func FirstNonFinite(vs []vec.Vec3) int {
 	return -1
 }
 
-// CheckVectors is the reusable core of the per-step invariant check:
-// positions, velocities and forces must be finite. Any slice may be
-// nil (hybrid ranks check owned sub-slices). step goes into the fault.
-func CheckVectors(pos, vel, frc []vec.Vec3, step int) *Fault {
-	if i := FirstNonFinite(pos); i >= 0 {
+// checkVectors is the finiteness part of the per-step invariant check:
+// positions, velocities and forces must be finite. step goes into the
+// fault.
+func checkVectors(pos, vel, frc []vec.Vec3, step int) *Fault {
+	if i := firstNonFinite(pos); i >= 0 {
 		return &Fault{Monitor: "finite-pos", Step: step, Atom: i,
 			Msg: fmt.Sprintf("non-finite position %v", pos[i])}
 	}
-	if i := FirstNonFinite(vel); i >= 0 {
+	if i := firstNonFinite(vel); i >= 0 {
 		return &Fault{Monitor: "finite-vel", Step: step, Atom: i,
 			Msg: fmt.Sprintf("non-finite velocity %v", vel[i])}
 	}
-	if i := FirstNonFinite(frc); i >= 0 {
+	if i := firstNonFinite(frc); i >= 0 {
 		return &Fault{Monitor: "finite-force", Step: step, Atom: i,
 			Msg: fmt.Sprintf("non-finite force %v", frc[i])}
 	}
@@ -62,7 +61,7 @@ func CheckVectors(pos, vel, frc []vec.Vec3, step int) *Fault {
 // thresholds, escape) against sys. The energy-drift monitor needs the
 // simulator and lives in the supervisor.
 func CheckSystem(sys *md.System, step int, lim Limits) *Fault {
-	if f := CheckVectors(sys.Pos, sys.Vel, sys.Force, step); f != nil {
+	if f := checkVectors(sys.Pos, sys.Vel, sys.Force, step); f != nil {
 		return f
 	}
 	if lim.MaxKineticEnergy > 0 {

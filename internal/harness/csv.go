@@ -95,36 +95,3 @@ func (r *Reorder) WriteCSV(w io.Writer) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// WriteCSV emits the NUMA study curves.
-func (n *NUMA) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"experiment", "case", "series", "threads", "value"}); err != nil {
-		return err
-	}
-	emit := func(series string, vals []float64) error {
-		for ti, v := range vals {
-			if err := cw.Write([]string{"numa", n.Case.String(), series,
-				strconv.Itoa(n.Threads[ti]),
-				strconv.FormatFloat(v, 'f', 4, 64)}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, s := range []struct {
-		name string
-		vals []float64
-	}{
-		{"naive", n.Naive},
-		{"numa-aware", n.Aware},
-		{"ideal", n.Ideal},
-		{"improvement", n.Improvement},
-	} {
-		if err := emit(s.name, s.vals); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

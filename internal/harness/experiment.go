@@ -9,20 +9,18 @@ type Result interface {
 	WriteCSV(w io.Writer) error
 }
 
-// Experiment is one of the paper's evaluation artifacts or §V studies.
+// Experiment is one of the paper's evaluation artifacts.
 type Experiment struct {
 	Name string
 	Run  func(Options) (Result, error)
 }
 
-// Experiments lists every experiment, in render order: Table 1, Fig. 9,
-// the §II.D reordering gain, and the §V NUMA and cluster studies.
+// Experiments lists every experiment, in render order: Table 1, Fig. 9
+// and the §II.D reordering gain.
 var Experiments = []Experiment{
 	{"table1", func(o Options) (Result, error) { return RunTable1(o) }},
 	{"fig9", func(o Options) (Result, error) { return RunFig9(o) }},
 	{"reorder", func(o Options) (Result, error) { return RunReorder(o) }},
-	{"numa", func(o Options) (Result, error) { return RunNUMA(o) }},
-	{"cluster", func(o Options) (Result, error) { return RunCluster(o) }},
 }
 
 // LookupExperiment finds the experiment called name.

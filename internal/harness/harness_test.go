@@ -203,42 +203,6 @@ func TestRunReorderMeasured(t *testing.T) {
 	}
 }
 
-func TestRunNUMAModel(t *testing.T) {
-	res, err := RunNUMA(Options{Mode: ModeModel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Naive) != len(res.Threads) || len(res.Aware) != len(res.Threads) {
-		t.Fatal("curve lengths wrong")
-	}
-	for i, p := range res.Threads {
-		if p > 4 && res.Aware[i] <= res.Naive[i] {
-			t.Errorf("@%d threads: aware %.2f <= naive %.2f", p, res.Aware[i], res.Naive[i])
-		}
-		if res.Ideal[i] < res.Aware[i] {
-			t.Errorf("@%d threads: ideal %.2f < aware %.2f", p, res.Ideal[i], res.Aware[i])
-		}
-	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "NUMA study") {
-		t.Error("render header missing")
-	}
-	// Options flow through: single-case override.
-	res2, err := RunNUMA(Options{Cases: []lattice.Case{lattice.Small}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Case != lattice.Small {
-		t.Errorf("case override ignored: %v", res2.Case)
-	}
-	if _, err := RunNUMA(Options{Threads: []int{-1}}); err == nil {
-		t.Error("bad options accepted")
-	}
-}
-
 // runCSV runs the named experiment from the table and writes its CSV.
 func runCSV(name string, opts Options, w io.Writer) error {
 	exp, ok := LookupExperiment(name)
@@ -254,7 +218,7 @@ func runCSV(name string, opts Options, w io.Writer) error {
 
 func TestCSVOutputs(t *testing.T) {
 	opts := Options{Mode: ModeModel, Threads: []int{2, 16}}
-	for _, name := range []string{"table1", "fig9", "numa"} {
+	for _, name := range []string{"table1", "fig9"} {
 		var buf bytes.Buffer
 		if err := runCSV(name, opts, &buf); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -310,53 +274,5 @@ func TestTable1CSVBlankCells(t *testing.T) {
 	}
 	if !found {
 		t.Error("1D row missing from CSV")
-	}
-}
-
-func TestRunCluster(t *testing.T) {
-	res, err := RunCluster(Options{Mode: ModeModel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Fabrics) != 2 {
-		t.Fatalf("%d fabrics", len(res.Fabrics))
-	}
-	for _, fab := range res.Fabrics {
-		if len(fab.Points) < 3 {
-			t.Errorf("%s: only %d mixes", fab.Interconnect.Name, len(fab.Points))
-		}
-		for _, pt := range fab.Points {
-			if pt.Ranks*pt.ThreadsPerRank != res.TotalCores {
-				t.Errorf("%s: mix %dx%d != %d", fab.Interconnect.Name, pt.Ranks, pt.ThreadsPerRank, res.TotalCores)
-			}
-		}
-	}
-	// The §V story: the fast fabric's best mix beats the slow fabric's.
-	ib, eth := res.Fabrics[0], res.Fabrics[1]
-	if ib.Points[ib.BestIndex].Speedup <= eth.Points[eth.BestIndex].Speedup {
-		t.Errorf("InfiniBand best %.1f not above Ethernet best %.1f",
-			ib.Points[ib.BestIndex].Speedup, eth.Points[eth.BestIndex].Speedup)
-	}
-	// On Ethernet the optimum uses fewer ranks than on InfiniBand.
-	if eth.Points[eth.BestIndex].Ranks >= ib.Points[ib.BestIndex].Ranks {
-		t.Errorf("Ethernet optimum %d ranks, InfiniBand %d — latency should push toward fewer ranks",
-			eth.Points[eth.BestIndex].Ranks, ib.Points[ib.BestIndex].Ranks)
-	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "CLUSTER study") {
-		t.Error("render header missing")
-	}
-	buf.Reset()
-	if err := res.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "cluster,") {
-		t.Error("CSV rows missing")
-	}
-	if _, err := RunCluster(Options{Threads: []int{0}}); err == nil {
-		t.Error("bad options accepted")
 	}
 }

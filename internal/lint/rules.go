@@ -15,7 +15,6 @@ func DefaultRules() []Rule {
 	return []Rule{
 		&PoolOnlyGo{Allowed: []string{
 			"internal/strategy/pool.go",
-			"internal/hybrid/",
 			// The guard watchdog's runner/reaper goroutines are
 			// supervisor control plane, not force-loop parallelism; the
 			// force sweeps they drive still run under the pool.
@@ -146,12 +145,12 @@ func CallTarget(info *types.Info, fun ast.Expr) ast.Expr {
 
 // ---------------------------------------------------------------------------
 
-// PoolOnlyGo (R1) forbids raw `go` statements outside the worker pool
-// and the hybrid rank runner: every worker-level parallelism in the SDC
-// engine must route through strategy.Pool, because the coloring proof
-// (§II.B) is stated against the pool's striding and barriers. A stray
-// goroutine writing rho[]/force[] is exactly the race the paper's
-// schedule makes impossible.
+// PoolOnlyGo (R1) forbids raw `go` statements outside the worker pool:
+// every worker-level parallelism in the SDC engine must route through
+// strategy.Pool, because the coloring proof (§II.B) is stated against
+// the pool's striding and barriers. A stray goroutine writing
+// rho[]/force[] is exactly the race the paper's schedule makes
+// impossible.
 type PoolOnlyGo struct {
 	// Allowed lists rel paths (files, or directories with a trailing
 	// "/") where go statements are legitimate.

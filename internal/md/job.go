@@ -65,8 +65,10 @@ func DefaultJob() Job {
 }
 
 // WithDefaults returns j with each zero field set from DefaultJob. The
-// thermostat time constant defaults only when a target is set, and is
-// cleared when none is, so two jobs that run the same way compare equal.
+// thermostat time constant defaults only when a target is set. A job
+// without a positive target runs no thermostat, so its target and time
+// constant are both cleared, and two jobs that run the same way compare
+// equal.
 func (j Job) WithDefaults() Job {
 	d := DefaultJob()
 	if j.Potential == "" {
@@ -97,8 +99,8 @@ func (j Job) WithDefaults() Job {
 		j.Skin = d.Skin
 	}
 	switch {
-	case j.Thermostat <= 0:
-		j.ThermostatTau = 0
+	case !(j.Thermostat > 0):
+		j.Thermostat, j.ThermostatTau = 0, 0
 	case j.ThermostatTau == 0:
 		j.ThermostatTau = DefaultThermostatTau
 	}

@@ -127,15 +127,15 @@ func (b *Berendsen) Validate() error {
 
 // Apply rescales the velocities for one step of length dt.
 func (b *Berendsen) Apply(sys *System, dt float64) {
-	scale := b.Lambda(sys.Temperature(), dt)
+	scale := b.lambda(sys.Temperature(), dt)
 	for i := range sys.Vel {
 		sys.Vel[i] = sys.Vel[i].Scale(scale)
 	}
 }
 
-// Lambda returns the velocity scale λ for one step of length dt at
+// lambda returns the velocity scale λ for one step of length dt at
 // temperature cur; 1 when cur <= 0, where there is nothing to rescale.
-func (b *Berendsen) Lambda(cur, dt float64) float64 {
+func (b *Berendsen) lambda(cur, dt float64) float64 {
 	if cur <= 0 {
 		return 1
 	}

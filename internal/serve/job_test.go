@@ -15,7 +15,9 @@ import (
 // TestJobSpecEncodingPinned pins the normalized JSON and the store key
 // of three specs to the values the service has always produced: a
 // moved field, a renamed JSON tag or a changed default would orphan
-// every stored result and drain manifest.
+// every stored result and drain manifest. A fourth spec sets a negative
+// thermostat target, which runs no thermostat: it must share the first
+// spec's bytes and key.
 func TestJobSpecEncodingPinned(t *testing.T) {
 	for _, c := range []struct {
 		spec       JobSpec
@@ -35,6 +37,11 @@ func TestJobSpecEncodingPinned(t *testing.T) {
 			JobSpec{Potential: "eam-johnson", Cells: 6, Steps: 50, Thermostat: 900},
 			`{"potential":"eam-johnson","cells":6,"temperature":300,"seed":1,"strategy":"serial","threads":1,"dim":2,"dt":0.001,"skin":0.5,"steps":50,"thermostat":900,"thermostat_tau":0.01}`,
 			"e205394fdb0d46f3583e9e1b045e0ea95cde88ddbf0d8af72eb245a9fbb2624b",
+		},
+		{
+			JobSpec{Steps: 1, Thermostat: -5},
+			`{"potential":"eam-fs","cells":8,"temperature":300,"seed":1,"strategy":"serial","threads":1,"dim":2,"dt":0.001,"skin":0.5,"steps":1}`,
+			"a6cfff3dbbabcb388f5ad1fed535c628848c4b2814d79cbeebcd2d8e4a592b9b",
 		},
 	} {
 		norm, err := c.spec.normalized(4, 2)
@@ -60,15 +67,17 @@ func TestJobSpecEncodingPinned(t *testing.T) {
 
 // FuzzJobSpecNormalize decodes arbitrary bytes the way POST /jobs does
 // and normalizes them under a small CPU budget and shard count. Every
-// admitted spec must be a fixed point of normalization, keep its store
-// key through its own JSON encoding, and map to an md.Config that
-// NewSimulator accepts; nothing may panic.
+// admitted spec must be a fixed point of normalization, state "no
+// thermostat" one way only (target and time constant both 0), keep its
+// store key through its own JSON encoding, and map to an md.Config
+// that NewSimulator accepts; nothing may panic.
 func FuzzJobSpecNormalize(f *testing.F) {
 	for _, body := range []string{
 		`{"steps":1}`,
 		`{"cells":10,"temperature":600,"seed":7,"strategy":"sdc","threads":4,"dim":3,"dt":0.0005,"skin":0.3,"steps":200,"jitter":0.02}`,
 		`{"potential":"eam-johnson","cells":6,"steps":50,"thermostat":900}`,
 		`{"cells":121,"steps":1}`,
+		`{"steps":1,"thermostat":-5,"thermostat_tau":0.2}`,
 	} {
 		f.Add([]byte(body), uint8(4), uint8(2))
 	}
@@ -87,6 +96,9 @@ func FuzzJobSpecNormalize(f *testing.F) {
 		again, err := norm.normalized(c, n)
 		if err != nil || again != norm {
 			t.Fatalf("normalizing %+v again gives %+v, %v", norm, again, err)
+		}
+		if norm.Thermostat < 0 || (norm.ThermostatTau == 0) != (norm.Thermostat == 0) {
+			t.Fatalf("%+v states its thermostat two ways", norm)
 		}
 		h, err := norm.hash()
 		if err != nil {

@@ -255,9 +255,8 @@ type ExperimentOptions struct {
 	Check bool
 }
 
-// RunExperiment regenerates one of the paper's evaluation artifacts —
-// "table1", "fig9", "reorder" — or the §V future-work studies: NUMA
-// placement ("numa") and cluster-scale hybrid MPI+SDC ("cluster").
+// RunExperiment regenerates one of the paper's evaluation artifacts:
+// "table1", "fig9" or "reorder".
 func RunExperiment(name string, o ExperimentOptions) error {
 	if o.Out == nil {
 		return fmt.Errorf("sdcmd: ExperimentOptions.Out is required")

@@ -155,20 +155,6 @@ func TestRunExperimentFacade(t *testing.T) {
 		t.Error("reorder output wrong")
 	}
 	buf.Reset()
-	if err := RunExperiment("numa", ExperimentOptions{Out: &buf}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "NUMA") {
-		t.Error("numa output wrong")
-	}
-	buf.Reset()
-	if err := RunExperiment("cluster", ExperimentOptions{Out: &buf}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "CLUSTER") {
-		t.Error("cluster output wrong")
-	}
-	buf.Reset()
 	if err := RunExperiment("table1", ExperimentOptions{Out: &buf, CSV: true, Threads: []int{2}}); err != nil {
 		t.Fatal(err)
 	}
