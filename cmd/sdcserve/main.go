@@ -17,15 +17,14 @@
 //
 // With -tenants the server requires API keys and enforces per-tenant
 // quotas plus weighted fair-share dispatch (see README for the file
-// format); POST /arrays expands one request into a parameter sweep.
+// format).
 //
 // With -store-dir the server also keeps a crash-safe durable result
-// store: completed results (plus final checkpoints and telemetry)
-// survive restarts and are queryable:
+// store, so completed results survive restarts and an identical spec
+// is answered from disk:
 //
 //	sdcserve -addr :8080 -store-dir /var/lib/sdcserve/store \
 //	    -store-max-bytes 1073741824 -store-max-age 720h
-//	curl -s 'localhost:8080/store?material=eam-fs&strategy=sdc&limit=10'
 package main
 
 import (

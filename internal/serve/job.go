@@ -16,7 +16,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"sdcmd/internal/md"
 	"sdcmd/internal/telemetry"
@@ -198,12 +197,11 @@ type Job struct {
 	spec   JobSpec // normalized
 	tenant string  // owning tenant name
 
-	state   string
-	step    int
-	errMsg  string
-	result  *Result
-	rec     *telemetry.Recorder
-	created time.Time
+	state  string
+	step   int
+	errMsg string
+	result *Result
+	rec    *telemetry.Recorder
 
 	// events is the per-job live feed behind GET /jobs/{id}/events:
 	// status transitions, progress ticks and telemetry stream lines.

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,6 +12,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -22,7 +22,6 @@ import (
 	"sdcmd/internal/md"
 	"sdcmd/internal/store"
 	"sdcmd/internal/telemetry"
-	"sdcmd/internal/xyz"
 )
 
 // Cancellation causes, distinguished via context.Cause: a client DELETE
@@ -55,9 +54,8 @@ type Options struct {
 	// itself stops the integrator within one MD step.
 	CheckEvery int
 	// Store, when non-nil, is the durable result store: completed
-	// results (with their final checkpoints and telemetry) are written
-	// through to it, and Submit consults it after an in-memory cache
-	// miss so cache hits survive restarts.
+	// results are written through to it, and Submit consults it after an
+	// in-memory cache miss so cache hits survive restarts.
 	Store *store.Store
 	// Tenants, when non-nil, enables tenancy: API keys, per-tenant
 	// quotas and weighted fair-share dispatch. Without it every job
@@ -69,9 +67,6 @@ type Options struct {
 	// Heartbeat is the SSE comment-line cadence keeping idle streams
 	// alive through proxies (default 15s).
 	Heartbeat time.Duration
-	// MaxArrayJobs caps how many jobs one array submission may expand
-	// to (default 64).
-	MaxArrayJobs int
 }
 
 func (o Options) withDefaults() Options {
@@ -92,9 +87,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Heartbeat <= 0 {
 		o.Heartbeat = 15 * time.Second
-	}
-	if o.MaxArrayJobs <= 0 {
-		o.MaxArrayJobs = 64
 	}
 	return o
 }
@@ -147,14 +139,15 @@ type Scheduler struct {
 	// total count of non-withdrawn entries across all tenants.
 	pending map[string][]*Job
 	queued  int
+	// running counts jobs in StateRunning: raised at dispatch, lowered
+	// at the terminal transition, beside each tenant's Running counter.
+	running int
 	tstates map[string]*tenantState
-	arrays  map[string]*Array
 	// streamsActive gauges currently-attached SSE clients.
 	streamsActive int
 	counters      Counters
 	draining      bool
 	nextID        int
-	nextArrayID   int
 	// recentDurs is a ring of the last durWindow executed-job wall
 	// durations in seconds, feeding the Retry-After backpressure hint.
 	// Only jobs that actually occupied a shard contribute: cache and
@@ -204,7 +197,6 @@ func NewScheduler(opts Options) (*Scheduler, error) {
 		cache:   make(map[string]Result),
 		pending: make(map[string][]*Job),
 		tstates: make(map[string]*tenantState),
-		arrays:  make(map[string]*Array),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	var resumed []*Job
@@ -262,9 +254,9 @@ func (s *Scheduler) tenantStateLocked(name string) *tenantState {
 
 // scanManifests loads drain manifests left by a previous process,
 // in ID order so resumption is deterministic. A manifest that cannot
-// be read or decoded is quarantined (renamed aside) and skipped: one
-// corrupt file must not stop the server from starting and resuming
-// every healthy job. Leftover atomic-write temps are swept first.
+// be loaded is quarantined (renamed aside) and skipped: one corrupt
+// file must not stop the server from starting and resuming every
+// healthy job. Leftover atomic-write temps are swept first.
 func (s *Scheduler) scanManifests() ([]*Job, error) {
 	if n, err := atomicio.SweepTemps(atomicio.OS, s.opts.StateDir, ""); err != nil {
 		log.Printf("serve: temp sweep in %s: %v", s.opts.StateDir, err)
@@ -285,36 +277,48 @@ func (s *Scheduler) scanManifests() ([]*Job, error) {
 	var out []*Job
 	for _, name := range names {
 		path := filepath.Join(s.opts.StateDir, name)
-		b, err := os.ReadFile(path)
+		j, err := s.loadManifest(path, name)
 		if err != nil {
 			s.quarantineManifest(path, err)
 			continue
 		}
-		var m manifest
-		if err := json.Unmarshal(b, &m); err != nil {
-			s.quarantineManifest(path, err)
-			continue
-		}
-		j := &Job{
-			id:      m.ID,
-			hash:    m.Hash,
-			spec:    m.Spec,
-			tenant:  s.resolveTenant(m.Tenant).Name,
-			state:   StateQueued,
-			step:    m.Step,
-			created: time.Now(),
-			events:  newEventLog(),
-		}
-		if m.Checkpoint != "" {
-			j.resumeFrom = m.Checkpoint
-		}
-		var n int
-		if _, err := fmt.Sscanf(m.ID, "j%06d", &n); err == nil && n >= s.nextID {
-			s.nextID = n + 1
-		}
 		out = append(out, j)
 	}
 	return out, nil
+}
+
+// loadManifest reads one drain manifest and rebuilds its job. The
+// resumed run reads, writes and finally removes the files the job ID
+// and checkpoint name, so it accepts only the names this scheduler
+// gives out: the ID is the file name in newJobLocked's j%06d form, and
+// the checkpoint is empty or that job's file in the state directory.
+func (s *Scheduler) loadManifest(path, file string) (*Job, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var m manifest
+	if err := json.Unmarshal(b, &m); err != nil {
+		return nil, err
+	}
+	n, err := strconv.Atoi(strings.TrimPrefix(m.ID, "j"))
+	if err != nil || n < 0 || fmt.Sprintf("j%06d", n) != m.ID || file != m.ID+".json" {
+		return nil, fmt.Errorf("serve: manifest %s names job %q", file, m.ID)
+	}
+	if m.Checkpoint != "" && m.Checkpoint != s.checkpointPath(m.ID) {
+		return nil, fmt.Errorf("serve: manifest %s names checkpoint %q", file, m.Checkpoint)
+	}
+	// Key the job by the spec it will run, whatever the manifest's hash
+	// says, so its result is stored under the key of the run that made it.
+	h, err := m.Spec.hash()
+	if err != nil {
+		return nil, err
+	}
+	if n >= s.nextID {
+		s.nextID = n + 1
+	}
+	return &Job{id: m.ID, hash: h, spec: m.Spec, tenant: s.resolveTenant(m.Tenant).Name,
+		state: StateQueued, step: m.Step, events: newEventLog(), resumeFrom: m.Checkpoint}, nil
 }
 
 // quarantineManifest moves a corrupt manifest to <name>.corrupt so the
@@ -331,7 +335,8 @@ func (s *Scheduler) quarantineManifest(path string, cause error) {
 
 // manifest is the on-disk record of a job interrupted by a drain.
 type manifest struct {
-	ID   string  `json:"id"`
+	ID string `json:"id"`
+	// Hash is the job's store key; only older builds read it back.
 	Hash string  `json:"hash"`
 	Spec JobSpec `json:"spec"`
 	// Tenant is the owning tenant's name; the restarted server maps it
@@ -405,12 +410,6 @@ func (s *Scheduler) SubmitAs(t *Tenant, spec JobSpec) (Status, SubmitCode, error
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.submitLocked(t, norm, h)
-}
-
-// submitLocked is the admission core, shared with array expansion; the
-// mutex must be held and the spec already normalized and hashed.
-func (s *Scheduler) submitLocked(t *Tenant, norm JobSpec, h string) (Status, SubmitCode, error) {
 	if s.draining {
 		return Status{}, SubmitDraining, errors.New("serve: draining, not accepting jobs")
 	}
@@ -477,8 +476,7 @@ func (s *Scheduler) submitLocked(t *Tenant, norm JobSpec, h string) (Status, Sub
 func (s *Scheduler) newJobLocked(tenant string, spec JobSpec, hash string) *Job {
 	id := fmt.Sprintf("j%06d", s.nextID)
 	s.nextID++
-	j := &Job{id: id, hash: hash, spec: spec, tenant: tenant,
-		created: time.Now(), events: newEventLog()}
+	j := &Job{id: id, hash: hash, spec: spec, tenant: tenant, events: newEventLog()}
 	s.jobs[id] = j
 	return j
 }
@@ -683,6 +681,7 @@ func (s *Scheduler) worker() {
 		j.cancel = cancel
 		j.state = StateRunning
 		j.rec = telemetry.NewRecorder()
+		s.running++
 		s.tstates[j.tenant].counters.Running++
 		j.publishStatusLocked()
 		s.mu.Unlock()
@@ -706,7 +705,7 @@ func (s *Scheduler) runJob(ctx context.Context, cancel context.CancelCauseFunc, 
 	}
 
 	started := time.Now()
-	res, ckpt, runErr := s.execute(ctx, j, spec, resume, rec)
+	res, runErr := s.execute(ctx, j, spec, resume, rec)
 	cause := context.Cause(ctx)
 	if str != nil {
 		// Join the streamer before the terminal transition so the final
@@ -718,7 +717,7 @@ func (s *Scheduler) runJob(ctx context.Context, cancel context.CancelCauseFunc, 
 		// Durable write-through happens here, not in execute: the store
 		// retries transient IO with backoff sleeps, which must stay out
 		// of context-accepting call paths.
-		s.storePut(j.hash, spec, res, ckpt, rec)
+		s.storePut(j.hash, res)
 	}
 
 	s.mu.Lock()
@@ -732,6 +731,7 @@ func (s *Scheduler) runJob(ctx context.Context, cancel context.CancelCauseFunc, 
 		delete(s.byHash, j.hash)
 	}
 	ts := s.tenantStateLocked(j.tenant)
+	s.running--
 	ts.counters.Running--
 	// The job leaves StateRunning below, and Cancel and Drain call
 	// cancel only on running jobs: drop the spent func and its context
@@ -774,7 +774,7 @@ func (s *Scheduler) runJob(ctx context.Context, cancel context.CancelCauseFunc, 
 // storePut writes a completed result through to the durable store.
 // Failure degrades the store to memory-only serving and is logged, not
 // propagated: a dead disk must not fail jobs that computed fine.
-func (s *Scheduler) storePut(hash string, spec JobSpec, res *Result, ckpt []byte, rec *telemetry.Recorder) {
+func (s *Scheduler) storePut(hash string, res *Result) {
 	if s.opts.Store == nil {
 		return
 	}
@@ -783,25 +783,7 @@ func (s *Scheduler) storePut(hash string, spec JobSpec, res *Result, ckpt []byte
 		log.Printf("serve: encode result for store: %v", err)
 		return
 	}
-	e := store.Entry{
-		Meta: store.Meta{
-			Material: spec.Potential,
-			Cells:    spec.Cells,
-			Strategy: spec.Strategy,
-			Steps:    spec.Steps,
-		},
-		Result: resJSON,
-	}
-	if rec != nil {
-		if metJSON, merr := json.Marshal(rec.Snapshot()); merr == nil {
-			e.Metrics = metJSON
-		}
-	}
-	var arts map[string][]byte
-	if len(ckpt) > 0 {
-		arts = map[string][]byte{"checkpoint": ckpt}
-	}
-	if err := s.opts.Store.Put(hash, e, arts); err != nil {
+	if err := s.opts.Store.Put(hash, store.Entry{Result: resJSON}, nil); err != nil {
 		log.Printf("serve: durable store put %s: %v", hash, err)
 	}
 }
@@ -811,13 +793,11 @@ func (s *Scheduler) storePut(hash string, spec JobSpec, res *Result, ckpt []byte
 // cancellation it flushes a terminal event to attached streams, then
 // checkpoints the consistent post-cancel state and persists the resume
 // manifest — event strictly before manifest, so no client learns of
-// the restart promise before it is real from their stream's view. On
-// success it also returns the final-state checkpoint encoding for the
-// durable store.
-func (s *Scheduler) execute(ctx context.Context, j *Job, spec JobSpec, resume string, rec *telemetry.Recorder) (*Result, []byte, error) {
+// the restart promise before it is real from their stream's view.
+func (s *Scheduler) execute(ctx context.Context, j *Job, spec JobSpec, resume string, rec *telemetry.Recorder) (*Result, error) {
 	cfg, err := spec.mdConfig(rec)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	pol := guard.Policy{CheckEvery: s.opts.CheckEvery}
 	if s.opts.StateDir != "" {
@@ -829,12 +809,12 @@ func (s *Scheduler) execute(ctx context.Context, j *Job, spec JobSpec, resume st
 	} else {
 		var sys *md.System
 		if sys, err = spec.job().System(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		sup, err = guard.New(sys, cfg, pol)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer sup.Close()
 
@@ -850,38 +830,25 @@ func (s *Scheduler) execute(ctx context.Context, j *Job, spec JobSpec, resume st
 				errors.Is(context.Cause(ctx), errDrain) && pol.CheckpointPath != "" {
 				s.publishDrainInterrupt(j)
 				if cerr := sup.Checkpoint(); cerr != nil {
-					return nil, nil, fmt.Errorf("serve: drain checkpoint: %w", cerr)
+					return nil, fmt.Errorf("serve: drain checkpoint: %w", cerr)
 				}
 				m := manifest{ID: j.id, Hash: j.hash, Spec: spec, Tenant: j.tenant,
 					Step: sup.StepCount(), Checkpoint: pol.CheckpointPath}
 				if merr := s.writeManifest(m); merr != nil {
-					return nil, nil, merr
+					return nil, merr
 				}
 			}
-			return nil, nil, rerr
+			return nil, rerr
 		}
 	}
 	sys := sup.System()
-	res := &Result{
+	return &Result{
 		Steps:           sup.StepCount(),
 		PotentialEnergy: sup.PotentialEnergy(),
 		KineticEnergy:   sys.KineticEnergy(),
 		TotalEnergy:     sup.TotalEnergy(),
 		Temperature:     sys.Temperature(),
-	}
-	var ckpt []byte
-	if s.opts.Store != nil {
-		// Encode the final state once, in memory; the store persists it
-		// as a content-addressed artifact so a stored result can seed a
-		// bit-for-bit continuation run.
-		var buf bytes.Buffer
-		if cerr := xyz.WriteCheckpoint(&buf, xyz.FromSystem(sys, "Fe", "", sup.StepCount())); cerr != nil {
-			log.Printf("serve: encode final checkpoint for store: %v", cerr)
-		} else {
-			ckpt = buf.Bytes()
-		}
-	}
-	return res, ckpt, nil
+	}, nil
 }
 
 // publishDrainInterrupt flushes the terminal "interrupted" event to a
@@ -1102,13 +1069,7 @@ func (s *Scheduler) RetryAfterSeconds() int {
 func (s *Scheduler) Running() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, j := range s.jobs {
-		if j.state == StateRunning {
-			n++
-		}
-	}
-	return n
+	return s.running
 }
 
 // Metrics aggregates the per-job telemetry recorders into one snapshot:

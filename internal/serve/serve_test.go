@@ -424,6 +424,58 @@ func TestDeleteStopsRunningJob(t *testing.T) {
 	}
 }
 
+// TestRunningFollowsJobs follows /healthz's running count and the
+// sdcserve_jobs_running gauge through a run, a cancel and a drain.
+func TestRunningFollowsJobs(t *testing.T) {
+	base, sched := startTestServer(t, Options{MaxJobs: 1, CPU: 1})
+	check := func(when string, want int) {
+		t.Helper()
+		var health struct {
+			Running int `json:"running"`
+		}
+		getInto(t, base+"/healthz", &health)
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gauge := fmt.Sprintf("\nsdcserve_jobs_running %d\n", want)
+		if health.Running != want || !strings.Contains(string(body), gauge) {
+			t.Errorf("%s: /healthz running %d, gauge line %q present %v; want %d",
+				when, health.Running, strings.TrimSpace(gauge), strings.Contains(string(body), gauge), want)
+		}
+	}
+	cancel := func(id string) {
+		t.Helper()
+		resp, err := http.DefaultClient.Do(mustReq(t, http.MethodDelete, base+"/jobs/"+id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = resp.Body.Close()
+	}
+	check("idle", 0)
+	short, _ := postJob(t, base, smallSpec(81, 5))
+	waitState(t, base, short.ID, StateDone)
+	check("after a run", 0)
+	long, _ := postJob(t, base, smallSpec(82, 10_000_000))
+	waitState(t, base, long.ID, StateRunning)
+	check("running", 1)
+	cancel(long.ID)
+	waitState(t, base, long.ID, StateCanceled)
+	check("after a cancel", 0)
+	long2, _ := postJob(t, base, smallSpec(83, 10_000_000))
+	waitState(t, base, long2.ID, StateRunning)
+	check("running again", 1)
+	if err := sched.Drain(); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	check("after a drain", 0)
+}
+
 // TestConcurrentSubmitPollCancel hammers the API from many goroutines
 // under -race: distinct jobs submitted, polled and half of them
 // canceled mid-flight.

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"sdcmd/internal/store"
 	"sdcmd/internal/telemetry"
 )
 
@@ -28,18 +27,14 @@ import (
 //	GET    /jobs/{id}/result result of a done job (409 until then)
 //	DELETE /jobs/{id}        cancel; effective in every non-terminal
 //	                         state (owner-only under tenancy)
-//	POST   /arrays           submit a parameter sweep; expands to jobs
-//	GET    /arrays/{id}      aggregate sweep status + member results
 //	GET    /metrics          aggregated telemetry (Prometheus text, or
 //	                         JSON with ?format=json) + service counters
 //	                         + per-tenant sdcserve_tenant_* rows
-//	GET    /store            durable run catalog; filters material=,
-//	                         strategy=, cells=, min_steps=, limit=
 //	GET    /healthz          liveness + drain state + store health
 //
-// With a tenants file loaded, the /jobs and /arrays endpoints require
-// `Authorization: Bearer <key>` (or `X-API-Key: <key>`); /metrics,
-// /store and /healthz stay open for scrapers and probes.
+// With a tenants file loaded, the /jobs endpoints require
+// `Authorization: Bearer <key>` (or `X-API-Key: <key>`); /metrics and
+// /healthz stay open for scrapers and probes.
 //
 // Close stops the listener gracefully and reports the first serve
 // failure. It does NOT drain the scheduler — call Scheduler.Drain
@@ -69,20 +64,8 @@ func NewMux(sched *Scheduler) *http.ServeMux {
 	mux.HandleFunc("GET /jobs/{id}/events", a.auth(a.handleEvents))
 	mux.HandleFunc("GET /jobs/{id}/result", a.auth(a.handleResult))
 	mux.HandleFunc("DELETE /jobs/{id}", a.auth(a.handleCancel))
-	mux.HandleFunc("POST /arrays", a.auth(a.handleArray))
-	mux.HandleFunc("GET /arrays/{id}", a.auth(func(w http.ResponseWriter, r *http.Request, _ *Tenant) {
-		st, ok := a.sched.ArrayStatus(r.PathValue("id"))
-		if !ok {
-			a.writeError(w, http.StatusNotFound, "no such array")
-			return
-		}
-		a.writeJSON(w, http.StatusOK, st)
-	}))
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		a.handleMetrics(w, r)
-	})
-	mux.HandleFunc("GET /store", func(w http.ResponseWriter, r *http.Request) {
-		a.handleStore(w, r)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		// The store state rides on health: "degraded" means results are
@@ -167,39 +150,6 @@ func (a *api) handleSubmit(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	default:
 		a.sched.noteServerError()
 		a.writeError(w, http.StatusInternalServerError, "unknown submit outcome")
-	}
-}
-
-func (a *api) handleArray(w http.ResponseWriter, r *http.Request, t *Tenant) {
-	var spec ArraySpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		a.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad array spec: %v", err))
-		return
-	}
-	st, code, err := a.sched.SubmitArray(t, spec)
-	switch code {
-	case SubmitCreated:
-		a.writeJSON(w, http.StatusCreated, st)
-	case SubmitInvalid:
-		a.writeError(w, http.StatusBadRequest, err.Error())
-	case SubmitQuotaExceeded:
-		var qe *QuotaError
-		retry := 1
-		if errors.As(err, &qe) {
-			retry = qe.RetryAfterSeconds
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		a.writeError(w, http.StatusTooManyRequests, err.Error())
-	case SubmitQueueFull:
-		w.Header().Set("Retry-After", strconv.Itoa(a.sched.RetryAfterSeconds()))
-		a.writeError(w, http.StatusTooManyRequests, err.Error())
-	case SubmitDraining:
-		a.writeError(w, http.StatusServiceUnavailable, err.Error())
-	default:
-		a.sched.noteServerError()
-		a.writeError(w, http.StatusInternalServerError, "unknown array outcome")
 	}
 }
 
@@ -447,47 +397,6 @@ func writeTenantRows(buf *bytes.Buffer, tenants map[string]TenantCounters) {
 			_, _ = fmt.Fprintf(buf, "%s{tenant=%q} %d\n", f.name, name, f.get(tenants[name]))
 		}
 	}
-}
-
-// handleStore serves the durable run catalog: GET /store with optional
-// material=, strategy=, cells=, min_steps= and limit= query filters.
-func (a *api) handleStore(w http.ResponseWriter, r *http.Request) {
-	st := a.sched.Store()
-	if st == nil {
-		a.writeError(w, http.StatusNotFound, "durable store not configured (start with -store-dir)")
-		return
-	}
-	f := store.Filter{
-		Material: r.URL.Query().Get("material"),
-		Strategy: r.URL.Query().Get("strategy"),
-	}
-	for _, q := range []struct {
-		name string
-		dst  *int
-	}{
-		{"cells", &f.Cells},
-		{"min_steps", &f.MinSteps},
-		{"limit", &f.Limit},
-	} {
-		v := r.URL.Query().Get(q.name)
-		if v == "" {
-			continue
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			a.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad %s=%q", q.name, v))
-			return
-		}
-		*q.dst = n
-	}
-	entries := st.List(f)
-	ss := st.Stats()
-	a.writeJSON(w, http.StatusOK, struct {
-		Degraded bool                 `json:"degraded"`
-		Count    int                  `json:"count"`
-		Bytes    int64                `json:"bytes"`
-		Entries  []store.CatalogEntry `json:"entries"`
-	}{Degraded: ss.Degraded, Count: len(entries), Bytes: ss.Bytes, Entries: entries})
 }
 
 // writeJSON is the single-write response path: the body is encoded

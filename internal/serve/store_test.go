@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"sdcmd/internal/store"
-	"sdcmd/internal/xyz"
 )
 
 // waitSchedDone polls the scheduler until id completes and returns its
@@ -96,26 +94,10 @@ func TestStoreCacheHitSurvivesRestart(t *testing.T) {
 		t.Fatalf("restart result differs:\n got %+v\nwant %+v", second, want)
 	}
 
-	// The stored entry also carries the final-state checkpoint as an
-	// artifact, decodable and at the job's final step.
-	norm, err := spec.normalized(2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := norm.hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck, ok := st2.Artifact(h, "checkpoint")
-	if !ok {
-		t.Fatal("stored entry has no checkpoint artifact")
-	}
-	snap, err := xyz.ReadCheckpoint(bytes.NewReader(ck))
-	if err != nil {
-		t.Fatalf("stored checkpoint undecodable: %v", err)
-	}
-	if snap.Step != spec.Steps {
-		t.Errorf("stored checkpoint at step %d, want %d", snap.Step, spec.Steps)
+	// The stored entry holds the result only: no final-state checkpoint
+	// is written beside it.
+	if _, ok := st2.Artifact(sub.Hash, "checkpoint"); ok {
+		t.Error("stored entry carries a checkpoint artifact")
 	}
 }
 
@@ -170,6 +152,14 @@ func TestCorruptManifestQuarantinedNotFatal(t *testing.T) {
 	if c := sched.Counters(); c.BadManifests != 1 || c.Resumed != 2 {
 		t.Fatalf("counters %+v, want 1 bad manifest, 2 resumed", c)
 	}
+	// The manifest's hash is not a key: the job is keyed by its spec.
+	removedHash, err := removed.hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := sched.Get("j000002"); st.Hash != removedHash {
+		t.Errorf("resumed job keyed %q, want its spec's key %s", st.Hash, removedHash)
+	}
 	waitSchedDone(t, sched, "j000003")
 	deadline := time.Now().Add(60 * time.Second)
 	for {
@@ -199,10 +189,147 @@ func TestCorruptManifestQuarantinedNotFatal(t *testing.T) {
 	}
 }
 
+// writeManifests writes each manifest into dir under the given file
+// name.
+func writeManifests(t *testing.T, dir string, files map[string]manifest) {
+	t.Helper()
+	for file, m := range files {
+		b, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, file), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// assertQuarantinedOnly checks that a scheduler started over manifests
+// that all name foreign files resumed none of them, quarantined each,
+// and left the file outside the state directory as it was.
+func assertQuarantinedOnly(t *testing.T, dir string, files map[string]manifest, outside, content string) {
+	t.Helper()
+	sched, err := NewScheduler(Options{MaxJobs: 1, CPU: 1, StateDir: dir})
+	if err != nil {
+		t.Fatalf("startup: %v", err)
+	}
+	c := sched.Counters()
+	if err := sched.Drain(); err != nil {
+		t.Errorf("drain: %v", err)
+	}
+	if c.BadManifests != len(files) || c.Resumed != 0 {
+		t.Errorf("counters %+v, want %d bad manifests, none resumed", c, len(files))
+	}
+	for file := range files {
+		if _, err := os.Stat(filepath.Join(dir, file+".corrupt")); err != nil {
+			t.Errorf("manifest %s not quarantined: %v", file, err)
+		}
+	}
+	if b, err := os.ReadFile(outside); err != nil || string(b) != content {
+		t.Errorf("file outside the state dir: %q, %v; want %q untouched", b, err, content)
+	}
+}
+
+// TestManifestForeignIDQuarantined: a manifest whose id is not its own
+// file name in j%06d form is quarantined, not resumed. The id picks the
+// files the resumed run writes and removes: trusted, "../victim" would
+// remove <state-dir>/../victim.json when its job completed.
+func TestManifestForeignIDQuarantined(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "state")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	victim := filepath.Join(root, "victim.json")
+	if err := os.WriteFile(victim, []byte("keep"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := smallSpec(61, 5).normalized(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]manifest{
+		"j000000.json": {ID: "../victim", Spec: spec},
+		"j000001.json": {ID: "j000002", Spec: spec},
+		"j3.json":      {ID: "j3", Spec: spec},
+		"j-00004.json": {ID: "j-00004", Spec: spec},
+	}
+	writeManifests(t, dir, files)
+	assertQuarantinedOnly(t, dir, files, victim, "keep")
+}
+
+// TestManifestForeignCheckpointQuarantined: a manifest whose checkpoint
+// is neither empty nor <state-dir>/<id>.sdck is quarantined, so a
+// restart reads no checkpoint the scheduler did not write for that job.
+func TestManifestForeignCheckpointQuarantined(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "state")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	outside := filepath.Join(root, "outside.sdck")
+	if err := os.WriteFile(outside, []byte("keep"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := smallSpec(62, 5).normalized(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]manifest{
+		"j000000.json": {ID: "j000000", Spec: spec, Step: 3, Checkpoint: outside},
+		"j000001.json": {ID: "j000001", Spec: spec, Step: 3, Checkpoint: filepath.Join(dir, "j000002.sdck")},
+	}
+	writeManifests(t, dir, files)
+	assertQuarantinedOnly(t, dir, files, outside, "keep")
+}
+
+// TestResumedJobKeyedBySpecHash: a manifest whose hash names another
+// spec's key must not put its result under that key. The resumed job
+// is keyed by the spec it runs, so its own spec becomes a cache hit and
+// the other spec stays a miss.
+func TestResumedJobKeyedBySpecHash(t *testing.T) {
+	dir := t.TempDir()
+	ran, err := smallSpec(63, 10).normalized(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := smallSpec(64, 10).normalized(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranHash, err := ran.hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherHash, err := other.hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeManifests(t, dir, map[string]manifest{"j000000.json": {ID: "j000000", Hash: otherHash, Spec: ran}})
+	sched, err := NewScheduler(Options{MaxJobs: 1, CPU: 1, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := sched.Drain(); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+	}()
+	waitSchedDone(t, sched, "j000000")
+	if st, _ := sched.Get("j000000"); st.Hash != ranHash {
+		t.Errorf("resumed job keyed %q, want its spec's key %s", st.Hash, ranHash)
+	}
+	if _, code, err := sched.Submit(other); err != nil || code == SubmitCacheHit {
+		t.Errorf("other spec: code %v err %v; a cache hit serves the resumed job's result", code, err)
+	}
+	if _, code, err := sched.Submit(ran); err != nil || code != SubmitCacheHit {
+		t.Errorf("resumed spec: code %v err %v, want a cache hit", code, err)
+	}
+}
+
 // TestDegradedStoreKeepsServing drives the whole stack over HTTP with a
 // disk that dies after startup: jobs still complete, results are served
-// from memory, and /healthz, /store and /metrics all report the
-// degradation.
+// from memory, and /healthz and /metrics both report the degradation.
 func TestDegradedStoreKeepsServing(t *testing.T) {
 	ffs := store.NewFaultFS(nil)
 	st := store.Open(store.Options{
@@ -228,15 +355,6 @@ func TestDegradedStoreKeepsServing(t *testing.T) {
 		t.Fatalf("healthz %+v, want status ok with store degraded", health)
 	}
 
-	var catalog struct {
-		Degraded bool `json:"degraded"`
-		Count    int  `json:"count"`
-	}
-	getInto(t, base+"/store", &catalog)
-	if !catalog.Degraded || catalog.Count != 1 {
-		t.Fatalf("GET /store %+v, want degraded with the memory-held result listed", catalog)
-	}
-
 	resp2, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -249,6 +367,7 @@ func TestDegradedStoreKeepsServing(t *testing.T) {
 	for _, want := range []string{
 		"sdcserve_store_degraded 1",
 		"sdcserve_store_put_errors_total 1",
+		"sdcserve_store_entries 1",
 		"sdcserve_store_mem_entries 1",
 	} {
 		if !strings.Contains(string(body), want) {
@@ -261,52 +380,6 @@ func TestDegradedStoreKeepsServing(t *testing.T) {
 	_, resp3 := postJob(t, base, smallSpec(21, 30))
 	if resp3.StatusCode != http.StatusOK {
 		t.Errorf("resubmit under degraded store: HTTP %d, want 200 cache hit", resp3.StatusCode)
-	}
-}
-
-// TestStoreEndpointFilters exercises the catalog query parameters end
-// to end, plus the 404 when no store is configured.
-func TestStoreEndpointFilters(t *testing.T) {
-	st := store.Open(store.Options{Dir: t.TempDir()})
-	base, sched := startTestServer(t, Options{MaxJobs: 1, CPU: 2, Store: st})
-	sub, _ := postJob(t, base, smallSpec(31, 20))
-	waitSchedDone(t, sched, sub.ID)
-
-	var got struct {
-		Count   int `json:"count"`
-		Entries []struct {
-			Key  string     `json:"key"`
-			Meta store.Meta `json:"meta"`
-		} `json:"entries"`
-	}
-	getInto(t, base+"/store?material=eam-fs&cells=3&min_steps=20", &got)
-	if got.Count != 1 || len(got.Entries) != 1 {
-		t.Fatalf("filtered catalog %+v, want the one run", got)
-	}
-	if m := got.Entries[0].Meta; m.Material != "eam-fs" || m.Cells != 3 || m.Steps != 20 {
-		t.Errorf("catalog meta %+v", m)
-	}
-	getInto(t, base+"/store?material=eam-johnson", &got)
-	if got.Count != 0 {
-		t.Errorf("mismatched filter returned %d entries", got.Count)
-	}
-	resp, err := http.Get(base + "/store?cells=abc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad cells= filter: HTTP %d, want 400", resp.StatusCode)
-	}
-
-	noStore, _ := startTestServer(t, Options{MaxJobs: 1, CPU: 1})
-	resp, err = http.Get(noStore + "/store")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("GET /store without a store: HTTP %d, want 404", resp.StatusCode)
 	}
 }
 

@@ -86,7 +86,6 @@ func newBareScheduler(opts Options) *Scheduler {
 		cache:   make(map[string]Result),
 		pending: make(map[string][]*Job),
 		tstates: make(map[string]*tenantState),
-		arrays:  make(map[string]*Array),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s

@@ -8,19 +8,6 @@ import (
 	"time"
 )
 
-// Meta is the queryable description of a run, denormalized from the
-// job spec so the catalog can filter without decoding result payloads.
-type Meta struct {
-	// Material names the potential parametrization (e.g. "eam-fs").
-	Material string `json:"material,omitempty"`
-	// Cells is the supercell count per side — the case size.
-	Cells int `json:"cells,omitempty"`
-	// Strategy is the parallelization strategy the run used.
-	Strategy string `json:"strategy,omitempty"`
-	// Steps is the run length in timesteps.
-	Steps int `json:"steps,omitempty"`
-}
-
 // Artifact records one named blob of an entry: its content-addressed
 // filename under objects/, its sha256 and its size.
 type Artifact struct {
@@ -29,65 +16,30 @@ type Artifact struct {
 	Bytes int64  `json:"bytes"`
 }
 
-// Entry is the durable record stored per content key. Result and
-// Metrics are opaque JSON so the store does not depend on the service
-// types above it.
+// Entry is the durable record stored per content key. Result is opaque
+// JSON so the store does not depend on the service types above it.
 type Entry struct {
 	Version int    `json:"version"`
 	Key     string `json:"key"`
-	Meta    Meta   `json:"meta"`
 	// Result is the job's result document.
 	Result json.RawMessage `json:"result"`
-	// Metrics optionally carries the run's telemetry snapshot.
-	Metrics json.RawMessage `json:"metrics,omitempty"`
 	// Artifacts maps artifact name (e.g. "checkpoint") to its blob
-	// record; the blobs live in their own files.
+	// record; the blobs live in their own files. Nil when the entry was
+	// put without artifacts.
 	Artifacts map[string]Artifact `json:"artifacts,omitempty"`
 	// CreatedUnix is the commit time (seconds).
 	CreatedUnix int64 `json:"created_unix"`
 }
 
-// CatalogEntry is the in-memory index record of one stored run.
-type CatalogEntry struct {
-	Key       string              `json:"key"`
-	Meta      Meta                `json:"meta"`
-	Artifacts map[string]Artifact `json:"artifacts,omitempty"`
-	// Bytes is the on-disk footprint: entry file plus artifacts.
-	Bytes int64 `json:"bytes"`
-	// Created is the commit time; LastHit the most recent Get (file
+// catalogEntry is the in-memory index record of one stored entry.
+type catalogEntry struct {
+	artifacts map[string]Artifact
+	// bytes is the on-disk footprint: entry file plus artifacts.
+	bytes int64
+	// created is the commit time; lastHit the most recent Get (file
 	// mtime after a restart) — the LRU clock.
-	Created time.Time `json:"created"`
-	LastHit time.Time `json:"last_hit"`
-}
-
-// Filter selects catalog entries; zero fields match everything.
-type Filter struct {
-	// Material matches Meta.Material exactly.
-	Material string
-	// Strategy matches Meta.Strategy exactly.
-	Strategy string
-	// Cells, when > 0, matches Meta.Cells exactly.
-	Cells int
-	// MinSteps, when > 0, keeps runs of at least that many steps.
-	MinSteps int
-	// Limit caps the result count (0 = all).
-	Limit int
-}
-
-func (f Filter) matches(m Meta) bool {
-	if f.Material != "" && m.Material != f.Material {
-		return false
-	}
-	if f.Strategy != "" && m.Strategy != f.Strategy {
-		return false
-	}
-	if f.Cells > 0 && m.Cells != f.Cells {
-		return false
-	}
-	if f.MinSteps > 0 && m.Steps < f.MinSteps {
-		return false
-	}
-	return true
+	created time.Time
+	lastHit time.Time
 }
 
 // artifactFilesSorted returns the blob filenames of an artifact map in
@@ -102,57 +54,9 @@ func artifactFilesSorted(arts map[string]Artifact) []string {
 	return files
 }
 
-// List returns matching catalog entries, newest first (ties broken by
-// key so the order is deterministic). Degraded-mode memory entries are
-// included — they are served from RAM but are real results.
-func (s *Store) List(f Filter) []CatalogEntry {
-	s.mu.Lock()
-	out := make([]CatalogEntry, 0, len(s.catalog)+len(s.mem))
-	for _, c := range s.catalog {
-		if f.matches(c.Meta) {
-			out = append(out, *c)
-		}
-	}
-	for key, m := range s.mem {
-		if f.matches(m.entry.Meta) {
-			out = append(out, CatalogEntry{
-				Key:       key,
-				Meta:      m.entry.Meta,
-				Artifacts: m.entry.Artifacts,
-				Created:   time.Unix(m.entry.CreatedUnix, 0),
-				LastHit:   time.Unix(m.entry.CreatedUnix, 0),
-			})
-		}
-	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, k int) bool {
-		if !out[i].Created.Equal(out[k].Created) {
-			return out[i].Created.After(out[k].Created)
-		}
-		return out[i].Key < out[k].Key
-	})
-	if f.Limit > 0 && len(out) > f.Limit {
-		out = out[:f.Limit]
-	}
-	return out
-}
-
-// Len returns the live entry count.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.catalog) + len(s.mem)
-}
-
-// GC applies the retention policy now (it also runs after every Put):
+// gcLocked applies the retention policy; it runs after every Put:
 // entries older than MaxAge go first, then LRU-by-last-hit eviction
 // until the footprint fits MaxBytes.
-func (s *Store) GC() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gcLocked()
-}
-
 func (s *Store) gcLocked() {
 	if s.degraded {
 		return
@@ -160,7 +64,7 @@ func (s *Store) gcLocked() {
 	if s.opts.MaxAge > 0 {
 		cutoff := time.Now().Add(-s.opts.MaxAge)
 		for key, c := range s.catalog {
-			if c.Created.Before(cutoff) {
+			if c.created.Before(cutoff) {
 				s.evictLocked(key)
 			}
 		}
@@ -172,9 +76,9 @@ func (s *Store) gcLocked() {
 		var lru string
 		var oldest time.Time
 		for key, c := range s.catalog {
-			if lru == "" || c.LastHit.Before(oldest) ||
-				(c.LastHit.Equal(oldest) && key < lru) {
-				lru, oldest = key, c.LastHit
+			if lru == "" || c.lastHit.Before(oldest) ||
+				(c.lastHit.Equal(oldest) && key < lru) {
+				lru, oldest = key, c.lastHit
 			}
 		}
 		s.evictLocked(lru)
@@ -193,7 +97,7 @@ func (s *Store) evictLocked(key string) {
 		return
 	}
 	files := []string{s.entryPath(key)}
-	for _, name := range artifactFilesSorted(cat.Artifacts) {
+	for _, name := range artifactFilesSorted(cat.artifacts) {
 		files = append(files, s.artifactPath(name))
 	}
 	for _, p := range files {

@@ -13,10 +13,7 @@ import (
 var crashKey = strings.Repeat("c", 64)
 
 func crashEntry(version string) (Entry, map[string][]byte) {
-	e := Entry{
-		Meta:   Meta{Material: "eam-fs", Cells: 3, Strategy: "serial", Steps: 10},
-		Result: resultDoc(version),
-	}
+	e := Entry{Result: resultDoc(version)}
 	return e, map[string][]byte{"checkpoint": []byte("ck-" + version)}
 }
 

@@ -1,6 +1,6 @@
 // Package store is the durable content-addressed result store under
-// the job service: sha256 spec key → result JSON + checkpoint/metrics
-// artifacts, engineered for crash-safety end to end. Every write goes
+// the job service: sha256 spec key → result JSON plus optional named
+// artifact blobs, engineered for crash-safety end to end. Every write goes
 // through the atomicio temp-file + fsync + rename + parent-dir-fsync
 // discipline; every read re-verifies the recorded content hash and
 // quarantines (never deletes, never crashes on) corrupt or torn
@@ -113,7 +113,7 @@ type Counters struct {
 	SweptOrphans int `json:"swept_orphans"`
 }
 
-// Stats is a point-in-time snapshot for /healthz and GET /store.
+// Stats is a point-in-time snapshot for /metrics.
 type Stats struct {
 	Counters
 	// Entries and Bytes describe the live catalog (disk entries plus,
@@ -139,7 +139,7 @@ type Store struct {
 	opts Options
 
 	mu       sync.Mutex
-	catalog  map[string]*CatalogEntry
+	catalog  map[string]*catalogEntry
 	mem      map[string]*memEntry
 	bytes    int64
 	counters Counters
@@ -157,7 +157,7 @@ func Open(opts Options) *Store {
 	opts = opts.withDefaults()
 	s := &Store{
 		opts:    opts,
-		catalog: make(map[string]*CatalogEntry),
+		catalog: make(map[string]*catalogEntry),
 		mem:     make(map[string]*memEntry),
 	}
 	if opts.Dir == "" {
@@ -265,11 +265,15 @@ func (s *Store) Put(key string, e Entry, artifacts map[string][]byte) error {
 		return nil
 	}
 	prev := s.catalog[key]
-	e.Artifacts = make(map[string]Artifact, len(artifacts))
+	// The records describe this put's blobs only, never the caller's.
+	e.Artifacts = nil
+	if len(artifacts) > 0 {
+		e.Artifacts = make(map[string]Artifact, len(artifacts))
+	}
 	var artBytes int64
 	for name, data := range artifacts {
 		sum := sumHex(data)
-		art := Artifact{File: key + ".art-" + sum[:16], Sum: sum, Bytes: int64(len(data))}
+		art := Artifact{File: artifactFile(key, sum), Sum: sum, Bytes: int64(len(data))}
 		data := data
 		if err := s.retry(func() error {
 			return atomicio.WriteFileData(s.opts.FS, s.artifactPath(art.File), data)
@@ -292,20 +296,18 @@ func (s *Store) Put(key string, e Entry, artifacts map[string][]byte) error {
 	}); err != nil {
 		return s.putFailedLocked(key, e, artifacts, fmt.Errorf("store: entry %s: %w", key, err))
 	}
-	cat := &CatalogEntry{
-		Key:       key,
-		Meta:      e.Meta,
-		Artifacts: e.Artifacts,
-		Bytes:     int64(len(env)) + artBytes,
-		Created:   time.Unix(e.CreatedUnix, 0),
-		LastHit:   time.Now(),
+	cat := &catalogEntry{
+		artifacts: e.Artifacts,
+		bytes:     int64(len(env)) + artBytes,
+		created:   time.Unix(e.CreatedUnix, 0),
+		lastHit:   time.Now(),
 	}
 	if prev != nil {
-		s.bytes -= prev.Bytes
+		s.bytes -= prev.bytes
 		s.removeStaleArtifactsLocked(prev, cat)
 	}
 	s.catalog[key] = cat
-	s.bytes += cat.Bytes
+	s.bytes += cat.bytes
 	delete(s.mem, key)
 	s.counters.Puts++
 	s.gcLocked()
@@ -333,12 +335,12 @@ func (s *Store) putMemLocked(key string, e Entry, artifacts map[string][]byte) {
 // removeStaleArtifactsLocked drops artifact blobs the previous entry
 // version referenced and the new one does not. Best-effort: a survivor
 // is an orphan the next recovery scan sweeps.
-func (s *Store) removeStaleArtifactsLocked(prev, next *CatalogEntry) {
-	keep := make(map[string]bool, len(next.Artifacts))
-	for _, a := range next.Artifacts {
+func (s *Store) removeStaleArtifactsLocked(prev, next *catalogEntry) {
+	keep := make(map[string]bool, len(next.artifacts))
+	for _, a := range next.artifacts {
 		keep[a.File] = true
 	}
-	for _, a := range prev.Artifacts {
+	for _, a := range prev.artifacts {
 		if !keep[a.File] {
 			_ = s.opts.FS.Remove(s.artifactPath(a.File))
 		}
@@ -370,7 +372,7 @@ func (s *Store) Get(key string) (Entry, bool) {
 		s.counters.Misses++
 		return Entry{}, false
 	}
-	cat.LastHit = time.Now()
+	cat.lastHit = time.Now()
 	s.counters.Hits++
 	return e, true
 }
@@ -418,7 +420,21 @@ func decodeEntry(b []byte, key string) (Entry, error) {
 	if e.Version != entryVersion {
 		return Entry{}, fmt.Errorf("store: unsupported entry version %d", e.Version)
 	}
+	// The store names every blob itself, so a record naming any other
+	// file (a path outside objects/, another entry's blob) is not one
+	// this store wrote, and nothing may open or delete what it names.
+	for name, a := range e.Artifacts {
+		if !validKey(a.Sum) || a.File != artifactFile(e.Key, a.Sum) {
+			return Entry{}, fmt.Errorf("store: artifact %s names file %q with sum %q", name, a.File, a.Sum)
+		}
+	}
 	return e, nil
+}
+
+// artifactFile is the content-addressed name of a blob with the given
+// sha256 under an entry key.
+func artifactFile(key, sum string) string {
+	return key + ".art-" + sum[:16]
 }
 
 // Artifact returns one named artifact blob of an entry, verifying its
@@ -438,7 +454,7 @@ func (s *Store) Artifact(key, name string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	spec, ok := cat.Artifacts[name]
+	spec, ok := cat.artifacts[name]
 	if !ok {
 		return nil, false
 	}
@@ -463,7 +479,7 @@ func (s *Store) Artifact(key, name string) ([]byte, bool) {
 // dropLocked forgets a catalog entry without touching its files.
 func (s *Store) dropLocked(key string) {
 	if cat, ok := s.catalog[key]; ok {
-		s.bytes -= cat.Bytes
+		s.bytes -= cat.bytes
 		delete(s.catalog, key)
 	}
 }
@@ -476,7 +492,7 @@ func (s *Store) quarantineEntryLocked(key string, cause error) {
 	s.opts.Logf("store: quarantining entry %s: %v", key, cause)
 	names := []string{key + ".json"}
 	if cat, ok := s.catalog[key]; ok {
-		names = append(names, artifactFilesSorted(cat.Artifacts)...)
+		names = append(names, artifactFilesSorted(cat.artifacts)...)
 	}
 	s.dropLocked(key)
 	s.quarantineFilesLocked(names...)
@@ -593,13 +609,11 @@ func (s *Store) recoverEntryLocked(key string, referenced map[string]bool) {
 	for _, a := range e.Artifacts {
 		referenced[a.File] = true
 	}
-	s.catalog[key] = &CatalogEntry{
-		Key:       key,
-		Meta:      e.Meta,
-		Artifacts: e.Artifacts,
-		Bytes:     total,
-		Created:   time.Unix(e.CreatedUnix, 0),
-		LastHit:   lastHit,
+	s.catalog[key] = &catalogEntry{
+		artifacts: e.Artifacts,
+		bytes:     total,
+		created:   time.Unix(e.CreatedUnix, 0),
+		lastHit:   lastHit,
 	}
 	s.bytes += total
 }

@@ -28,11 +28,7 @@ func resultDoc(s string) json.RawMessage {
 
 func mustPut(t *testing.T, s *Store, k string, doc string, artifacts map[string][]byte) {
 	t.Helper()
-	e := Entry{
-		Meta:   Meta{Material: "eam-fs", Cells: 3, Strategy: "serial", Steps: 10},
-		Result: resultDoc(doc),
-	}
-	if err := s.Put(k, e, artifacts); err != nil {
+	if err := s.Put(k, Entry{Result: resultDoc(doc)}, artifacts); err != nil {
 		t.Fatalf("put %s: %v", k, err)
 	}
 }
@@ -49,9 +45,6 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 	if string(e.Result) != `{"result":"alpha"}` {
 		t.Errorf("result %s", e.Result)
-	}
-	if e.Meta.Material != "eam-fs" || e.Meta.Cells != 3 {
-		t.Errorf("meta %+v", e.Meta)
 	}
 	got, ok := s.Artifact(key(1), "checkpoint")
 	if !ok || string(got) != string(art) {
@@ -226,13 +219,10 @@ func TestPersistentFailureDegradesButKeepsServing(t *testing.T) {
 	if _, ok := s.Get(key(12)); !ok {
 		t.Error("degraded-mode put not served")
 	}
+	// The entry count includes the memory entries so it stays honest.
 	st := s.Stats()
-	if st.PutErrors != 1 || st.MemEntries != 2 {
-		t.Errorf("stats %+v, want 1 put error, 2 mem entries", st)
-	}
-	// List includes the memory entries so the catalog stays honest.
-	if got := len(s.List(Filter{})); got != 3 {
-		t.Errorf("list length %d, want 3", got)
+	if st.PutErrors != 1 || st.MemEntries != 2 || st.Entries != 3 {
+		t.Errorf("stats %+v, want 1 put error, 2 mem entries, 3 entries", st)
 	}
 }
 
@@ -278,8 +268,8 @@ func TestGCMaxAgeEvictsOld(t *testing.T) {
 	if err := s.Put(key(16), old, nil); err != nil {
 		t.Fatal(err)
 	}
+	// GC runs after every Put.
 	mustPut(t, s, key(17), "fresh", nil)
-	s.GC()
 	if _, ok := s.Get(key(16)); ok {
 		t.Error("expired entry survived GC")
 	}
@@ -288,46 +278,6 @@ func TestGCMaxAgeEvictsOld(t *testing.T) {
 	}
 	if st := s.Stats(); st.Evicted != 1 {
 		t.Errorf("evicted %d, want 1", st.Evicted)
-	}
-}
-
-func TestListFilters(t *testing.T) {
-	dir := t.TempDir()
-	s := Open(testOpts(dir))
-	put := func(i int, material, strat string, cells, steps int) {
-		t.Helper()
-		e := Entry{
-			Meta:   Meta{Material: material, Strategy: strat, Cells: cells, Steps: steps},
-			Result: resultDoc("r"),
-			// Distinct creation times make the newest-first order checkable.
-			CreatedUnix: time.Now().Add(time.Duration(i) * time.Second).Unix(),
-		}
-		if err := s.Put(key(i), e, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	put(20, "eam-fs", "serial", 3, 10)
-	put(21, "eam-fs", "sdc", 6, 100)
-	put(22, "eam-johnson", "sdc", 6, 1000)
-
-	if got := len(s.List(Filter{})); got != 3 {
-		t.Fatalf("unfiltered %d, want 3", got)
-	}
-	if got := s.List(Filter{Material: "eam-johnson"}); len(got) != 1 || got[0].Key != key(22) {
-		t.Errorf("material filter: %+v", got)
-	}
-	if got := s.List(Filter{Strategy: "sdc", Cells: 6}); len(got) != 2 {
-		t.Errorf("strategy+cells filter: %d, want 2", len(got))
-	}
-	if got := s.List(Filter{MinSteps: 50}); len(got) != 2 {
-		t.Errorf("min-steps filter: %d, want 2", len(got))
-	}
-	all := s.List(Filter{})
-	if all[0].Key != key(22) || all[2].Key != key(20) {
-		t.Errorf("not newest-first: %s..%s", all[0].Key, all[2].Key)
-	}
-	if got := s.List(Filter{Limit: 1}); len(got) != 1 || got[0].Key != key(22) {
-		t.Errorf("limit: %+v", got)
 	}
 }
 
@@ -383,7 +333,170 @@ func TestPutReplaceSwitchesArtifactsAtomically(t *testing.T) {
 		}
 		t.Errorf("objects/ holds %v, want entry + one blob", names)
 	}
-	if s.Len() != 1 {
-		t.Errorf("len %d, want 1", s.Len())
+	if n := s.Stats().Entries; n != 1 {
+		t.Errorf("entries %d, want 1", n)
+	}
+}
+
+// TestPutWithoutArtifactsKeepsNoArtifactsMap: an entry put without
+// artifacts keeps no artifact map, in its catalog record or on disk,
+// even when the entry handed in carries the records of an earlier put
+// (as one read back by Get does); the earlier blob is removed.
+func TestPutWithoutArtifactsKeepsNoArtifactsMap(t *testing.T) {
+	dir := t.TempDir()
+	s := Open(testOpts(dir))
+	mustPut(t, s, key(30), "plain", nil)
+	mustPut(t, s, key(31), "with", map[string][]byte{"ck": []byte("x")})
+	e, ok := s.Get(key(31))
+	if !ok || len(e.Artifacts) != 1 {
+		t.Fatalf("entry with artifact: found %v, artifacts %v", ok, e.Artifacts)
+	}
+	if err := s.Put(key(31), e, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{key(30), key(31)} {
+		if a := s.catalog[k].artifacts; a != nil {
+			t.Errorf("catalog record of %s keeps an artifact map %v", k, a)
+		}
+		if e, ok := s.Get(k); !ok || e.Artifacts != nil {
+			t.Errorf("entry %s: found %v, artifacts %v; want found, none", k, ok, e.Artifacts)
+		}
+	}
+	files, err := os.ReadDir(filepath.Join(dir, objectsDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 2 {
+		t.Errorf("objects/ holds %d files, want the two entries", len(files))
+	}
+}
+
+// v1Key is the key of the entry under testdata/v1: a 3-cell, 20-step
+// job's result as an earlier build of the service stored it, with the
+// run metadata, telemetry snapshot and final-state checkpoint artifact
+// it then wrote beside every result.
+const (
+	v1Key  = "6c9dc97f088675c7e085217928fe7121100f948c29e951821d74097971df1471"
+	v1Blob = v1Key + ".art-7c658042c6268582"
+)
+
+// copyV1 copies the testdata/v1 entry and blob into dir's objects/.
+func copyV1(t *testing.T, dir string) {
+	t.Helper()
+	objects := filepath.Join(dir, objectsDir)
+	if err := os.MkdirAll(objects, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	files, err := os.ReadDir(filepath.Join("testdata", "v1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(filepath.Join("testdata", "v1", f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(objects, f.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestOlderEntryFormatServes: an entry in the older format opens,
+// verifies and serves, artifact included, with nothing quarantined.
+// Decoding ignores its meta and metrics fields; the checksum covers
+// the raw bytes.
+func TestOlderEntryFormatServes(t *testing.T) {
+	dir := t.TempDir()
+	copyV1(t, dir)
+	s := Open(testOpts(dir))
+	if st := s.Stats(); st.Entries != 1 || st.Quarantined != 0 || st.SweptOrphans != 0 || st.Degraded {
+		t.Fatalf("open: stats %+v, want 1 entry, nothing quarantined or swept", st)
+	}
+	e, ok := s.Get(v1Key)
+	if !ok {
+		t.Fatal("older entry not served")
+	}
+	var res struct {
+		Steps int `json:"steps"`
+	}
+	if err := json.Unmarshal(e.Result, &res); err != nil || res.Steps != 20 {
+		t.Errorf("result %s: steps %d, err %v; want 20", e.Result, res.Steps, err)
+	}
+	ck, ok := s.Artifact(v1Key, "checkpoint")
+	if !ok || sumHex(ck) != e.Artifacts["checkpoint"].Sum {
+		t.Errorf("checkpoint artifact: found %v, %d bytes", ok, len(ck))
+	}
+	if st := s.Stats(); st.Quarantined != 0 || st.Hits != 1 {
+		t.Errorf("after reads: stats %+v, want 1 hit, nothing quarantined", st)
+	}
+}
+
+// seal frames raw entry bytes in a valid envelope.
+func seal(t testing.TB, raw []byte) []byte {
+	t.Helper()
+	b, err := json.Marshal(envelope{Entry: raw, Sum: sumHex(raw)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestEntryNamingForeignArtifactQuarantined: an entry whose checksum
+// holds but whose artifact record names a file the store would not
+// have named is quarantined at Open. Nothing reads or removes the file
+// it names: trusted, a record naming "../../victim.txt" would serve that
+// file's bytes, and the next Put's age GC would delete it.
+func TestEntryNamingForeignArtifactQuarantined(t *testing.T) {
+	blob := []byte("outside bytes")
+	sum := sumHex(blob)
+	for _, c := range []struct{ name, file, sum string }{
+		{"outside objects", "../../victim.txt", sum},
+		{"another key's blob", key(41) + ".art-" + sum[:16], sum},
+		{"short sum", key(40) + ".art-" + sum[:4], sum[:4]},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			root := t.TempDir()
+			dir := filepath.Join(root, "store")
+			victim := filepath.Join(root, "victim.txt")
+			if err := os.WriteFile(victim, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			objects := filepath.Join(dir, objectsDir)
+			if err := os.MkdirAll(objects, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(c.file, "/") {
+				// The named file exists at the recorded size, so only its
+				// name gives the record away.
+				if err := os.WriteFile(filepath.Join(objects, c.file), blob, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			raw, err := json.Marshal(Entry{
+				Version: entryVersion, Key: key(40), Result: resultDoc("x"),
+				Artifacts:   map[string]Artifact{"checkpoint": {File: c.file, Sum: c.sum, Bytes: int64(len(blob))}},
+				CreatedUnix: time.Now().Add(-2 * time.Hour).Unix(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(objects, key(40)+".json"), seal(t, raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			opts := testOpts(dir)
+			opts.MaxAge = time.Hour
+			s := Open(opts)
+			if st := s.Stats(); st.Quarantined != 1 || st.Entries != 0 {
+				t.Errorf("open: stats %+v, want the entry quarantined", st)
+			}
+			if b, ok := s.Artifact(key(40), "checkpoint"); ok {
+				t.Errorf("artifact served: %q", b)
+			}
+			mustPut(t, s, key(42), "next", nil) // runs the age GC
+			if b, err := os.ReadFile(victim); err != nil || string(b) != string(blob) {
+				t.Errorf("file outside the store: %q, %v; want it untouched", b, err)
+			}
+		})
 	}
 }
