@@ -75,9 +75,9 @@ var mutations = []mutation{
 		old:  "timer := time.NewTimer(deadline)",
 		new:  "if err := <-done; err != nil {\n\t\treturn err\n\t}\n\ttimer := time.NewTimer(deadline)"},
 	{rule: "nondet-order", file: "internal/serve/scheduler.go",
-		site: "func (s *Scheduler) Metrics() telemetry.Metrics {",
-		old:  "\tsort.Strings(ids)\n", new: "",
-		landsOn: "ids = append(ids, id)"},
+		site: "func (s *Scheduler) nextJobLocked() *Job {",
+		old:  "\tsort.Strings(names)\n", new: "",
+		landsOn: "names = append(names, name)"},
 }
 
 // TestEveryPassCatchesItsPlantedBug is the earn-or-delete gate of the

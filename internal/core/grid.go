@@ -87,19 +87,23 @@ func (g *Grid) Unflatten(c int) [3]int {
 // round one within an ulp of Hi down to about Lo, and the neighbor
 // search's periodic shifts need every atom in the cell its coordinate
 // lies in.
+//
+// Each axis is one scalar expression with the arithmetic of Box.Wrap
+// and Box.FracCoord, so the cell is theirs bit for bit: Vec3
+// temporaries would be stored and reloaded whole, at several times the
+// cost of the arithmetic.
 func (g *Grid) CellOf(p vec.Vec3) int {
-	w := g.Box.Wrap(p)
-	for a := range w {
-		if p[a] >= g.Box.Lo[a] && p[a] < g.Box.Hi[a] {
-			w[a] = p[a]
+	bx := &g.Box
+	flat := 0
+	for a := 0; a < 3; a++ {
+		x, lo, hi := p[a], bx.Lo[a], bx.Hi[a]
+		if !(x >= lo && x < hi) && bx.Periodic[a] {
+			x = bx.WrapAxis(a, x)
 		}
+		n := g.Counts[a]
+		flat = flat*n + min(max(int((x-lo)/(hi-lo)*float64(n)), 0), n-1)
 	}
-	f := g.Box.FracCoord(w)
-	var c [3]int
-	for a := range c {
-		c[a] = min(max(int(f[a]*float64(g.Counts[a])), 0), g.Counts[a]-1)
-	}
-	return g.Flatten(c)
+	return flat
 }
 
 // CellOfAtom returns the flat cell atom i was binned into by the latest
@@ -203,25 +207,32 @@ func resize(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// ForNeighbors calls fn with the flat index of every cell in the
-// 3×3×3 neighborhood of cell c, c included, wrapping on periodic axes
-// and stopping at open faces, and with the periodic shift of that
+// Neighbor is one cell of a neighborhood: its flat index and the
+// periodic shift of its image next to the home cell.
+type Neighbor struct {
+	Cell  int
+	Shift vec.Vec3
+}
+
+// Neighborhood returns every cell in the 3×3×3 neighborhood of cell
+// c, c included, in x-major order of the offsets, wrapping on periodic
+// axes and stopping at open faces, and with the periodic shift of that
 // cell's image: −L, 0 or +L per axis, so an atom at p in the cell lies
 // at p+shift next to cell c. On an axis with fewer than 3 cells the
 // wrapped offsets reach the same cell, so duplicates are dropped there,
-// each neighbor cell is visited once, and its shift is that of the
-// first offset reaching it.
-func (g *Grid) ForNeighbors(c int, fn func(flat int, shift vec.Vec3)) {
+// each neighbor cell is listed once, and its shift is that of the
+// first offset reaching it. The cells are written into buf.
+func (g *Grid) Neighborhood(c int, buf *[27]Neighbor) []Neighbor {
 	type step struct {
 		k int     // neighbor cell coordinate
 		s float64 // its periodic shift
 	}
 	co := g.Unflatten(c)
 	l := g.Box.Lengths()
-	var buf [3][3]step
+	var steps [3][3]step
 	var near [3][]step // distinct neighbor coordinates per axis
 	for a := range near {
-		near[a] = buf[a][:0]
+		near[a] = steps[a][:0]
 		n := g.Counts[a]
 		for d := -1; d <= 1; d++ {
 			st := step{k: co[a] + d}
@@ -241,11 +252,14 @@ func (g *Grid) ForNeighbors(c int, fn func(flat int, shift vec.Vec3)) {
 			near[a] = append(near[a], st)
 		}
 	}
+	k := 0
 	for _, x := range near[0] {
 		for _, y := range near[1] {
 			for _, z := range near[2] {
-				fn(g.Flatten([3]int{x.k, y.k, z.k}), vec.Vec3{x.s, y.s, z.s})
+				buf[k] = Neighbor{g.Flatten([3]int{x.k, y.k, z.k}), vec.Vec3{x.s, y.s, z.s}}
+				k++
 			}
 		}
 	}
+	return buf[:k]
 }

@@ -176,7 +176,10 @@ func TestGridNeighborhood(t *testing.T) {
 	}
 	self := g.Flatten([3]int{2, 2, 0})
 	visits := map[int]int{}
-	g.ForNeighbors(self, func(f int, _ vec.Vec3) { visits[f]++ })
+	var buf [27]Neighbor
+	for _, nb := range g.Neighborhood(self, &buf) {
+		visits[nb.Cell]++
+	}
 	for f, n := range visits {
 		if n > 1 {
 			t.Errorf("cell %d visited %d times", f, n)

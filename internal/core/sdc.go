@@ -201,15 +201,12 @@ func (d *Decomposition) Verify(pos []vec.Vec3) error {
 		}
 	}
 	ns := d.NumSubdomains()
+	var buf [27]Neighbor
 	for s := 0; s < ns; s++ {
-		var bad error
-		d.ForNeighbors(s, func(o int, _ vec.Vec3) {
-			if bad == nil && o != s && d.ColorOf[s] == d.ColorOf[o] {
-				bad = fmt.Errorf("core: same-color subdomains %d and %d are adjacent", s, o)
+		for _, nb := range d.Neighborhood(s, &buf) {
+			if o := nb.Cell; o != s && d.ColorOf[s] == d.ColorOf[o] {
+				return fmt.Errorf("core: same-color subdomains %d and %d are adjacent", s, o)
 			}
-		})
-		if bad != nil {
-			return bad
 		}
 	}
 	if len(d.PartIndex) != len(pos) {

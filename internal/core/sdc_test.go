@@ -137,12 +137,13 @@ func TestNoAdjacentSameColor(t *testing.T) {
 			t.Fatal(err)
 		}
 		ns := dec.NumSubdomains()
+		var buf [27]Neighbor
 		for s := 0; s < ns; s++ {
-			dec.ForNeighbors(s, func(o int, _ vec.Vec3) {
-				if o != s && dec.ColorOf[s] == dec.ColorOf[o] {
+			for _, nb := range dec.Neighborhood(s, &buf) {
+				if o := nb.Cell; o != s && dec.ColorOf[s] == dec.ColorOf[o] {
 					t.Fatalf("%v: adjacent subdomains %d,%d share color %d", d, s, o, dec.ColorOf[s])
 				}
-			})
+			}
 		}
 	}
 }

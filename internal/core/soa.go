@@ -1,12 +1,11 @@
 // Struct-of-arrays position storage. The simulator's public arrays stay
 // AoS ([]vec.Vec3 — the integrator, IO and reducer ABI all speak Vec3),
 // but the force kernels repack positions into three parallel coordinate
-// slices once per evaluation. Combined with the block reorder, after
-// which every subdomain's Atoms(s) is a dense ascending index range,
-// the sweep over partindex then streams three dense float64 arrays per
-// cell block instead of gathering scattered 24-byte structs — the
-// cache-blocking layout of the paper's §II.D and of Meyer's cell-task
-// kernels.
+// slices once per evaluation. Combined with md's cell order, after
+// which every neighbor cell's atoms are a dense ascending index range,
+// the sweep over partindex then streams three dense float64 arrays cell
+// by cell instead of gathering scattered 24-byte structs — the spatial
+// layout of the paper's §II.D and of Meyer's cell-task kernels.
 package core
 
 import "sdcmd/internal/vec"

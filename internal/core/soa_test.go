@@ -44,13 +44,13 @@ func TestSoA3ResizeReusesCapacity(t *testing.T) {
 	}
 }
 
-// TestBlockReorderRebinsToIdentity pins the property the block reorder
-// relies on: applying PartIndex as a NewToOld permutation and rebinning
-// yields the identity partition, so every subdomain's Atoms(s) is the
-// dense range [PStart[s], PStart[s+1]). Renumber, which the reorder
-// calls instead of that rebin, must leave PStart, PartIndex and every
-// atom's cell exactly as the rebin does, atoms outside the cell
-// included.
+// TestBlockReorderRebinsToIdentity pins the property the cell order
+// relies on, here on a decomposition's grid: applying PartIndex as a
+// NewToOld permutation and rebinning yields the identity partition, so
+// every cell's Atoms(s) is the dense range [PStart[s], PStart[s+1]).
+// Renumber, which md calls instead of that rebin, must leave PStart,
+// PartIndex and every atom's cell exactly as the rebin does, atoms
+// outside the cell included.
 func TestBlockReorderRebinsToIdentity(t *testing.T) {
 	bx := box.MustNew(vec.Zero, vec.Splat(40))
 	pos := randomPositions(400, bx, 7)

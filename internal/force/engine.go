@@ -48,9 +48,9 @@ type Engine struct {
 
 	// soa holds the positions of the current evaluation repacked into
 	// structure-of-arrays component streams. The pair kernels read X/Y/Z
-	// instead of gathering whole Vec3 values, so a sweep over a
-	// block-reordered subdomain streams three dense arrays — the §II.D
-	// cache-blocking layout.
+	// instead of gathering whole Vec3 values, so a sweep over atoms in
+	// cell order streams three dense arrays cell by cell — the §II.D
+	// spatial layout.
 	// Repacking is O(N) per evaluation against O(pairs) kernel work.
 	// Forces stay AoS ([]vec.Vec3): the strategies accumulate per
 	// component in place and the integrator consumes Vec3 directly.

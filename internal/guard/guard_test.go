@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"sdcmd/internal/box"
+	"sdcmd/internal/core"
 	"sdcmd/internal/lattice"
 	"sdcmd/internal/md"
 	"sdcmd/internal/strategy"
@@ -45,11 +46,19 @@ func hasEvent(events []Event, kind EventKind, detailSub string) bool {
 	return false
 }
 
-// runScenario runs one supervised simulation to completion and returns
-// the supervisor (still open; caller closes).
+// runScenario runs one supervised simulation of a 54-atom crystal
+// under md.DefaultConfig to completion and returns the supervisor
+// (still open; caller closes).
 func runScenario(t *testing.T, pol Policy, steps int) *Supervisor {
 	t.Helper()
-	sup, err := New(feSystem(t, 3, 150), md.DefaultConfig(), pol)
+	return runScenarioOf(t, 3, md.DefaultConfig(), pol, steps)
+}
+
+// runScenarioOf is runScenario on a crystal of cells³ unit cells under
+// cfg.
+func runScenarioOf(t *testing.T, cells int, cfg md.Config, pol Policy, steps int) *Supervisor {
+	t.Helper()
+	sup, err := New(feSystem(t, cells, 150), cfg, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,47 +271,124 @@ func TestDegradationLadder(t *testing.T) {
 	}
 }
 
+// TestRecoveryDegradesBlockReorderedSDC drives a block-reordered SDC
+// run down the ladder: the second fault leaves SDC, which must turn
+// the reorder off rather than leave a configuration no simulator
+// accepts, so the rollback finds its snapshot.
+func TestRecoveryDegradesBlockReorderedSDC(t *testing.T) {
+	cfg := md.DefaultConfig()
+	cfg.Strategy, cfg.Threads, cfg.Dim, cfg.BlockReorder = strategy.SDC, 2, core.Dim2, true
+	pol := Policy{
+		CheckEvery: 5,
+		MaxRetries: 3,
+		Inject: NewInjector(
+			&Injection{AtStep: 5, Kind: InjectForceNaN, Atom: 0},
+			&Injection{AtStep: 10, Kind: InjectForceNaN, Atom: 1},
+		),
+	}
+	sup, err := New(feSystem(t, 6, 150), cfg, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+	if err := sup.Run(20); err != nil {
+		t.Fatalf("run failed: %v (events %v)", err, kinds(sup.Events()))
+	}
+	ev := sup.Events()
+	if !hasEvent(ev, EventDegradeStrategy, "sdc -> cs, block reorder off") {
+		t.Errorf("retry 2 did not degrade sdc->cs with the reorder off: %v", ev)
+	}
+	if got := sup.Config(); got.Strategy != strategy.CS || got.BlockReorder {
+		t.Errorf("final strategy %v, block reorder %v; want cs without the reorder", got.Strategy, got.BlockReorder)
+	}
+	if sup.StepCount() != 20 {
+		t.Errorf("step count %d, want 20", sup.StepCount())
+	}
+}
+
+// TestRecoveryKeepsSnapshotsOnConfigError hands restore a configuration
+// no simulator accepts: it must return the configuration's error and
+// keep every snapshot, since none of them is at fault.
+func TestRecoveryKeepsSnapshotsOnConfigError(t *testing.T) {
+	sup, err := New(feSystem(t, 3, 150), md.DefaultConfig(), Policy{CheckEvery: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+	if err := sup.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	kept := sup.ring.len()
+	sup.cfg.BlockReorder = true // serial strategy: rejected by Validate
+	err = sup.restore(&Fault{Monitor: "test", Step: 10, Atom: -1})
+	if err == nil || !strings.Contains(err.Error(), "BlockReorder requires the sdc strategy") {
+		t.Errorf("restore error %v, want the configuration's", err)
+	}
+	if got := sup.ring.len(); got != kept || kept == 0 {
+		t.Errorf("%d snapshots after restore, want the %d kept", got, kept)
+	}
+}
+
+// TestCheckpointResumeBitForBit stops a run at its checkpoint, resumes
+// it from the file and requires the final checkpoint of the resumed run
+// to equal the uninterrupted run's byte for byte. The block-reordered
+// SDC case re-sorts the atoms into cell order at the rebuild every
+// checkpoint forces, and the resumed run sorts the loaded atoms at its
+// first build.
 func TestCheckpointResumeBitForBit(t *testing.T) {
-	dir := t.TempDir()
-	full := filepath.Join(dir, "full.sdck")
-	part := filepath.Join(dir, "part.sdck")
+	blocked := md.DefaultConfig()
+	blocked.Strategy, blocked.Threads, blocked.Dim, blocked.BlockReorder = strategy.SDC, 2, core.Dim2, true
+	for _, c := range []struct {
+		name  string
+		cells int
+		cfg   md.Config
+	}{
+		{"serial", 3, md.DefaultConfig()},
+		{"sdc-blocked", 6, blocked},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			full := filepath.Join(dir, "full.sdck")
+			part := filepath.Join(dir, "part.sdck")
 
-	newPol := func(path string) Policy {
-		return Policy{CheckEvery: 5, CheckpointEvery: 10, CheckpointPath: path}
-	}
-	// Uninterrupted run to step 30.
-	supA := runScenario(t, newPol(full), 30)
-	supA.Close()
+			newPol := func(path string) Policy {
+				return Policy{CheckEvery: 5, CheckpointEvery: 10, CheckpointPath: path}
+			}
+			// Uninterrupted run to step 30.
+			supA := runScenarioOf(t, c.cells, c.cfg, newPol(full), 30)
+			supA.Close()
 
-	// Interrupted twin: stop at step 10 (the checkpoint is on disk),
-	// then resume from the file and continue to 30.
-	supB := runScenario(t, newPol(part), 10)
-	supB.Close()
-	supC, err := Resume(part, md.DefaultConfig(), newPol(part))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer supC.Close()
-	if supC.StepCount() != 10 {
-		t.Fatalf("resume step count %d, want 10", supC.StepCount())
-	}
-	if !hasEvent(supC.Events(), EventResume, "") {
-		t.Errorf("no resume event: %v", kinds(supC.Events()))
-	}
-	if err := supC.Run(20); err != nil {
-		t.Fatal(err)
-	}
+			// Interrupted twin: stop at step 10 (the checkpoint is on disk),
+			// then resume from the file and continue to 30.
+			supB := runScenarioOf(t, c.cells, c.cfg, newPol(part), 10)
+			supB.Close()
+			supC, err := Resume(part, c.cfg, newPol(part))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer supC.Close()
+			if supC.StepCount() != 10 {
+				t.Fatalf("resume step count %d, want 10", supC.StepCount())
+			}
+			if !hasEvent(supC.Events(), EventResume, "") {
+				t.Errorf("no resume event: %v", kinds(supC.Events()))
+			}
+			if err := supC.Run(20); err != nil {
+				t.Fatal(err)
+			}
 
-	a, err := os.ReadFile(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("resumed run's final checkpoint differs from the uninterrupted run's — resume is not bit-for-bit")
+			a, err := os.ReadFile(full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Fatal("resumed run's final checkpoint differs from the uninterrupted run's — resume is not bit-for-bit")
+			}
+		})
 	}
 }
 

@@ -279,11 +279,16 @@ func (s *Supervisor) recoverFrom(err error) error {
 // degrade applies the next rung of the degradation ladder: the first
 // retry halves Dt (the cheapest fix for a marginal integration), later
 // retries step the strategy down SDC → CS → Serial, and once serial is
-// reached Dt halves again.
+// reached Dt halves again. Leaving SDC also turns BlockReorder off,
+// which only SDC runs take.
 func (s *Supervisor) degrade(atStep int) {
 	if s.retries > 1 {
 		if next, ok := downgradeStrategy(s.cfg.Strategy); ok {
-			s.log.record(atStep, EventDegradeStrategy, "strategy %v -> %v", s.cfg.Strategy, next)
+			off := ""
+			if s.cfg.BlockReorder {
+				s.cfg.BlockReorder, off = false, ", block reorder off"
+			}
+			s.log.record(atStep, EventDegradeStrategy, "strategy %v -> %v%s", s.cfg.Strategy, next, off)
 			s.cfg.Strategy = next
 			return
 		}
@@ -308,8 +313,13 @@ func downgradeStrategy(k strategy.Kind) (strategy.Kind, bool) {
 
 // restore rolls the supervisor back to the newest ring snapshot that
 // yields a working simulator, always onto a fresh System (a timed-out
-// sweep may still be mutating the old one).
+// sweep may still be mutating the old one). A configuration that no
+// simulator accepts is returned as it is, and no snapshot is dropped
+// for it.
 func (s *Supervisor) restore(cause *Fault) error {
+	if err := s.cfg.Validate(); err != nil {
+		return fmt.Errorf("guard: degraded configuration after %s fault: %w", cause.Monitor, err)
+	}
 	for s.ring.len() > 0 {
 		snap := s.ring.last()
 		sys, err := snap.ToSystem()

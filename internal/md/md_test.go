@@ -199,10 +199,10 @@ func TestStrategiesProduceIdenticalTrajectories(t *testing.T) {
 	}
 }
 
-// identityPartition reports whether dec's PartIndex is the identity,
-// i.e. every subdomain's atoms are one dense index range.
-func identityPartition(dec *core.Decomposition) bool {
-	for k, i := range dec.PartIndex {
+// identityPartition reports whether g's PartIndex is the identity,
+// i.e. every cell's atoms are one dense index range.
+func identityPartition(g *core.Grid) bool {
+	for k, i := range g.PartIndex {
 		if int(i) != k {
 			return false
 		}
@@ -214,7 +214,8 @@ func identityPartition(dec *core.Decomposition) bool {
 // without the block-reorder pass. The reorder relabels atoms, so the
 // runs are compared on relabeling-invariant quantities (energies,
 // momentum) and on the position multiset, while the reordered run must
-// actually sweep the dense block layout.
+// actually keep its atoms in the dense cell order of its neighbor-cell
+// grid.
 func TestBlockReorderPreservesPhysics(t *testing.T) {
 	run := func(blocked bool) (*Simulator, *System) {
 		sys := feSystem(t, 6, 120)
@@ -235,11 +236,11 @@ func TestBlockReorderPreservesPhysics(t *testing.T) {
 	}
 	ref, refSys := run(false)
 	blk, blkSys := run(true)
-	if !identityPartition(blk.Decomposition()) {
-		t.Error("block-reordered PartIndex is not the identity")
+	if !identityPartition(blk.cells) {
+		t.Error("block-reordered cell grid's PartIndex is not the identity")
 	}
-	if identityPartition(ref.Decomposition()) {
-		t.Error("scattered baseline PartIndex is the identity (test is vacuous)")
+	if identityPartition(ref.cells) {
+		t.Error("scattered baseline cell grid's PartIndex is the identity (test is vacuous)")
 	}
 	if dE := math.Abs(blk.TotalEnergy() - ref.TotalEnergy()); dE > 1e-7 {
 		t.Errorf("total energy differs by %g eV under reorder", dE)
@@ -259,6 +260,45 @@ func TestBlockReorderPreservesPhysics(t *testing.T) {
 		if best > 1e-7 {
 			t.Fatalf("reference atom %d has no counterpart within %g Å", i, best)
 		}
+	}
+}
+
+// TestBlockReorderCarriesMasses: the cell order at the first build
+// moves each atom's velocity and per-atom mass with its position.
+func TestBlockReorderCarriesMasses(t *testing.T) {
+	sys := feSystem(t, 6, 120)
+	masses := make([]float64, sys.N())
+	type state struct {
+		vel  vec.Vec3
+		mass float64
+	}
+	was := map[vec.Vec3]state{}
+	for i := range masses {
+		masses[i] = FeMass * (1 + float64(i)/float64(sys.N()))
+		was[sys.Pos[i]] = state{sys.Vel[i], masses[i]}
+	}
+	if err := sys.SetMasses(masses); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Strategy, cfg.Threads, cfg.Dim, cfg.BlockReorder = strategy.SDC, 2, core.Dim2, true
+	sim, err := NewSimulator(sys, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	moved := 0
+	for i, p := range sys.Pos {
+		w := was[p]
+		if w.vel != sys.Vel[i] || w.mass != sys.MassOf(i) {
+			t.Fatalf("atom %d at %v: velocity %v, mass %g; it had %v, %g", i, p, sys.Vel[i], sys.MassOf(i), w.vel, w.mass)
+		}
+		if w.mass != masses[i] {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Error("the cell order moved no atom (test is vacuous)")
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"sdcmd/internal/force"
 	"sdcmd/internal/neighbor"
 	"sdcmd/internal/potential"
-	"sdcmd/internal/reorder"
 	"sdcmd/internal/strategy"
 	"sdcmd/internal/telemetry"
 	"sdcmd/internal/vec"
@@ -30,13 +29,15 @@ type Config struct {
 	// Skin is the Verlet skin (>= 0); lists rebuild automatically when
 	// any atom has moved more than Skin/2 since the last build.
 	Skin float64
-	// BlockReorder, when true, permutes the atoms into decomposition
-	// block order at every neighbor-list rebuild, making each
-	// subdomain's atoms contiguous in memory — the §II.D cache-blocking
-	// reorder, after which the SDC sweeps walk each subdomain as one
-	// dense index range. It renumbers atoms (trajectory output order
-	// changes) so it is opt-in, requires the SDC strategy, and excludes
-	// alloy systems (Species is not permuted).
+	// BlockReorder, when true, permutes the atoms into the order of
+	// the neighbor-cell grid at every neighbor-list rebuild, so the
+	// atoms of each cell, and so most neighbor pairs, sit together in
+	// memory — the §II.D spatial reorder. The list search then skips
+	// most stencil cells whole, and the SDC sweeps walk each subdomain
+	// through its PartIndex, as unsorted runs do. It renumbers atoms
+	// (trajectory output order changes) so it is opt-in, requires the
+	// SDC strategy, and excludes alloy systems (Species is not
+	// permuted).
 	BlockReorder bool
 	// Dt is the timestep in ps.
 	Dt float64
@@ -160,6 +161,10 @@ type Simulator struct {
 	pool       *strategy.Pool
 	posAtBuild []vec.Vec3
 
+	// cells is the neighbor-cell grid, kept across rebuilds: each
+	// rebuild bins it once, for the cell order and the list search.
+	cells *core.Grid
+
 	// slots holds one result per worker of the integrator's passes
 	// over the atoms (one slot without a pool). drift, scan and kick
 	// are those passes, bound once as pool regions so that a step
@@ -220,9 +225,9 @@ func NewSimulator(sys *System, cfg Config) (*Simulator, error) {
 }
 
 // rebuild reconstructs the neighbor list, decomposition and reducer
-// from the current positions. The decomposition (and the optional block
-// reorder, which permutes positions) comes first so the neighbor list
-// is built from the final atom numbering.
+// from the current positions. It bins the cell grid first, and the
+// optional cell order, which permutes positions, follows at once, so
+// the decomposition and the list see the final atom numbering.
 func (s *Simulator) rebuild() error {
 	// The rebin and the list build borrow the simulator's pool. The
 	// serial strategy has none and passes an untyped nil: a nil *Pool
@@ -232,6 +237,20 @@ func (s *Simulator) rebuild() error {
 		pool = s.pool
 	}
 	reach := s.eng.Cutoff() + s.cfg.Skin
+	if len(s.posAtBuild) != s.Sys.N() {
+		s.posAtBuild = make([]vec.Vec3, s.Sys.N())
+	}
+	if s.cells == nil || s.cells.Box != s.Sys.Box {
+		cells, err := neighbor.CellGrid(s.Sys.Box, s.Sys.N(), reach)
+		if err != nil {
+			return err
+		}
+		s.cells = cells
+	}
+	s.cells.RebinParallel(s.Sys.Pos, pool)
+	if s.cfg.BlockReorder {
+		s.cellOrder()
+	}
 	if s.cfg.Strategy == strategy.SDC {
 		if s.dec == nil || s.dec.Box != s.Sys.Box {
 			dec, err := core.Decompose(s.Sys.Box, s.Sys.Pos, s.cfg.Dim, reach)
@@ -242,16 +261,11 @@ func (s *Simulator) rebuild() error {
 		} else {
 			s.dec.RebinParallel(s.Sys.Pos, pool)
 		}
-		if s.cfg.BlockReorder {
-			if err := s.blockReorder(); err != nil {
-				return err
-			}
-		}
 	}
 	// The outgoing list is dead once its reducer is replaced, so the
 	// build reuses its arrays.
 	list, err := neighbor.Builder{Cutoff: s.eng.Cutoff(), Skin: s.cfg.Skin, Half: true}.
-		Rebuild(s.list, s.Sys.Box, s.Sys.Pos, pool)
+		RebuildBinned(s.list, s.cells, s.Sys.Pos, pool)
 	if err != nil {
 		return err
 	}
@@ -263,26 +277,37 @@ func (s *Simulator) rebuild() error {
 	if err != nil {
 		return err
 	}
-	if s.posAtBuild == nil || len(s.posAtBuild) != s.Sys.N() {
-		s.posAtBuild = make([]vec.Vec3, s.Sys.N())
-	}
 	copy(s.posAtBuild, s.Sys.Pos)
 	s.rebuilds++
 	s.cfg.Telemetry.IncRebuild()
 	return nil
 }
 
-// blockReorder permutes the system into the decomposition's block
-// order — reorder.SpatialOrder over the decomposition's own grid — and
-// renumbers the grid to match, after which PartIndex is the identity:
-// the SDC sweeps' Fig. 7/8 loop over Atoms(s) then walks each
-// subdomain as one dense index range.
-func (s *Simulator) blockReorder() error {
-	if err := s.Sys.Permute(reorder.SpatialOrder(&s.dec.Grid)); err != nil {
-		return err
+// cellOrder permutes the system into the cell grid's order — new atom
+// n is old atom PartIndex[n], the permutation reorder.SpatialOrder of
+// the grid returns — and renumbers the grid to match, after which
+// PartIndex is the identity and each cell is one dense index range.
+// The vectors are permuted in place, staged through posAtBuild, which
+// the rebuild refills afterwards, so a rebuild allocates nothing for
+// them.
+func (s *Simulator) cellOrder() {
+	sys, order := s.Sys, s.cells.PartIndex
+	gather(sys.Pos, order, s.posAtBuild)
+	gather(sys.Vel, order, s.posAtBuild)
+	gather(sys.Force, order, s.posAtBuild)
+	if sys.Masses != nil {
+		gather(sys.Masses, order, make([]float64, len(sys.Masses)))
 	}
-	s.dec.Renumber()
-	return nil
+	s.cells.Renumber()
+}
+
+// gather sets a[n] to the old a[order[n]] for every n, staging a
+// through buf, which is as long as a.
+func gather[T any](a []T, order []int32, buf []T) {
+	copy(buf, a)
+	for n, o := range order {
+		a[n] = buf[o]
+	}
 }
 
 // computeForces runs the three-phase EAM evaluation; with telemetry on,
@@ -570,12 +595,12 @@ func (s *Simulator) Decomposition() *core.Decomposition { return s.dec }
 func (s *Simulator) Reducer() strategy.Reducer { return s.red }
 
 // ApplyStrain deforms the system homogeneously and rebuilds the
-// spatial structures (box geometry changed, so the old decomposition is
-// discarded).
+// spatial structures (box geometry changed, so the old decomposition
+// and cell grid are discarded).
 func (s *Simulator) ApplyStrain(eps vec.Vec3) error {
 	s.Sys.ApplyStrain(eps)
 	s.eng.Box = s.Sys.Box
-	s.dec = nil
+	s.dec, s.cells = nil, nil
 	if err := s.rebuild(); err != nil {
 		return err
 	}

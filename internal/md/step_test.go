@@ -33,7 +33,7 @@ func stepBits(sys *System) uint64 {
 // TestStepOutputBitsPinned pins the exact positions, velocities and
 // forces after runs long enough for at least three neighbor-list
 // rebuilds: the integrator's kicks, drift and wrap, the skin check and
-// every rebuild (rebin, block reorder, list build) must leave each bit
+// every rebuild (rebin, cell order, list build) must leave each bit
 // where it was, whatever worker pool runs them.
 func TestStepOutputBitsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -56,12 +56,12 @@ func TestStepOutputBitsPinned(t *testing.T) {
 		steps int
 		want  uint64
 	}{
-		{"fe-sdc-blocked-2w", 900, false, sdc(2, true), 60, 0x23815c2defc15655},
-		{"fe-sdc-blocked-3w", 900, false, sdc(3, true), 60, 0x23815c2defc15655},
-		{"fe-hot-skin0.15", 1500, false, func(c *Config) { sdc(2, true)(c); c.Skin = 0.15 }, 40, 0xcc74667afb78a97e},
+		{"fe-sdc-blocked-2w", 900, false, sdc(2, true), 60, 0x4cf90c6ae8e1f0aa},
+		{"fe-sdc-blocked-3w", 900, false, sdc(3, true), 60, 0x4cf90c6ae8e1f0aa},
+		{"fe-hot-skin0.15", 1500, false, func(c *Config) { sdc(2, true)(c); c.Skin = 0.15 }, 40, 0xd6bf5b433a45faf6},
 		{"fecr-sdc-scattered", 900, true, sdc(2, false), 60, 0xe605a2782438a5bb},
 		{"serial-berendsen", 900, false, func(c *Config) { c.Thermostat = &Berendsen{Target: 600, Tau: 0.05} }, 60, 0x738631053f62bcb0},
-		{"skin0", 900, false, func(c *Config) { sdc(2, true)(c); c.Skin = 0 }, 8, 0x808e94f80f085d89},
+		{"skin0", 900, false, func(c *Config) { sdc(2, true)(c); c.Skin = 0 }, 8, 0x8f1a8432b701ccde},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := DefaultConfig()

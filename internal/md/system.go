@@ -172,11 +172,10 @@ func (s *System) ApplyStrain(eps vec.Vec3) {
 	s.Box = s.Box.Strained(eps)
 }
 
-// Permute renumbers the atoms in place: new index n holds the atom
-// previously called p.NewToOld[n]. Positions, velocities, forces and
-// per-atom masses move together, so the physical state is unchanged up
-// to relabeling. The block-reorder locality pass (Config.BlockReorder)
-// uses this to make each subdomain's atoms contiguous in memory.
+// Permute renumbers the atoms: new index n holds the atom previously
+// called p.NewToOld[n]. Positions, velocities, forces and per-atom
+// masses move together, each into a new array, so the physical state
+// is unchanged up to relabeling.
 func (s *System) Permute(p reorder.Permutation) error {
 	if p.N() != s.N() {
 		return fmt.Errorf("md: permutation over %d atoms applied to %d", p.N(), s.N())

@@ -201,16 +201,22 @@ type Builder struct {
 // cells still hold every neighbor, so a tiny reach or a sparse system
 // only costs extra candidates.
 func NewCellGrid(bx box.Box, pos []vec.Vec3, reach float64) (*core.Grid, error) {
-	return newCellGrid(bx, pos, reach, nil)
+	g, err := CellGrid(bx, len(pos), reach)
+	if err != nil {
+		return nil, err
+	}
+	g.Rebin(pos)
+	return g, nil
 }
 
-// newCellGrid is NewCellGrid binning the atoms on pool (nil bins on the
-// calling goroutine).
-func newCellGrid(bx box.Box, pos []vec.Vec3, reach float64, pool core.Parallelizer) (*core.Grid, error) {
+// CellGrid returns the grid NewCellGrid picks for atoms atoms, not yet
+// binned. A caller that bins it itself, on its own pool and at every
+// rebuild, hands it to Builder.RebuildBinned.
+func CellGrid(bx box.Box, atoms int, reach float64) (*core.Grid, error) {
 	if !(reach > 0) {
 		return nil, fmt.Errorf("neighbor: cell reach %g must be positive", reach)
 	}
-	limit := max(1, min(len(pos), core.MaxCells))
+	limit := max(1, min(atoms, core.MaxCells))
 	l := bx.Lengths()
 	var counts [3]int
 	for a := range counts {
@@ -225,12 +231,7 @@ func newCellGrid(bx box.Box, pos []vec.Vec3, reach float64, pool core.Paralleliz
 		}
 		counts[a] = (counts[a] + 1) / 2
 	}
-	g, err := core.NewGrid(bx, counts)
-	if err != nil {
-		return nil, err
-	}
-	g.RebinParallel(pos, pool)
-	return g, nil
+	return core.NewGrid(bx, counts)
 }
 
 // Build constructs the list with a cell grid (O(N)) on the calling
@@ -251,22 +252,62 @@ func (b Builder) BuildParallel(bx box.Box, pos []vec.Vec3, pool core.Parallelize
 // Rebuild is BuildParallel reusing the arrays of old, a list the
 // caller no longer reads (nil allocates afresh). Use the returned list:
 // it is old unless the small-box fallback ran. On error old is left
-// untouched. The cell grid bins the atoms on the same pool.
+// untouched. It bins a CellGrid of its own on the same pool.
 //
 // The search is one pass over the atoms with the periodic image applied
-// once per stencil cell, not once per pair: core.Grid.ForNeighbors
-// reports each neighbor cell's shift s, and a candidate j of atom i
+// once per stencil cell, not once per pair: core.Grid.Neighborhood
+// lists each neighbor cell's shift s, and a candidate j of atom i
 // costs one test |(pᵢ − pⱼ) − s|² < reach². Cells at least reach wide
 // and at least 3 per axis make s exactly MinImage's L·round(d/L) for
 // every pair within reach, so the test is BuildBruteForce's bit for
 // bit. That holds only for positions in the primary cell; any other
-// input is searched through a wrapped copy. Each worker appends its
-// sorted rows to its own buffer, and the buffers are joined in chunk
-// order, which is atom order.
+// input is searched through a wrapped copy.
+//
+// A worker keeps the stencil of the cell its previous atom lay in, so
+// consecutive atoms of one cell share it. A cell lists its atoms in
+// ascending order, so a half list skips every stencil cell whose last
+// atom is not above i, and the atoms up to i of the others. A row is
+// sorted only when its neighbors came out of order; on atoms numbered
+// in cell order (the order SpatialOrder of this grid gives) they almost
+// never do. Each worker appends its rows to its own buffer, and the
+// buffers are joined in chunk order, which is atom order.
 func (b Builder) Rebuild(old *List, bx box.Box, pos []vec.Vec3, pool core.Parallelizer) (*List, error) {
 	if err := b.validate(bx); err != nil {
 		return nil, err
 	}
+	grid, err := CellGrid(bx, len(pos), b.Cutoff+b.Skin)
+	if err != nil {
+		return nil, err
+	}
+	return b.search(old, grid, pos, pool, false)
+}
+
+// RebuildBinned is Rebuild searching grid, a CellGrid of grid.Box for
+// this builder's reach that the caller binned from pos, instead of
+// binning one. It never changes grid: positions outside the primary
+// cell are searched through a wrapped copy binned into a grid of its
+// own. A grid whose cells are narrower than the reach, or that bins a
+// different atom count, is an error.
+func (b Builder) RebuildBinned(old *List, grid *core.Grid, pos []vec.Vec3, pool core.Parallelizer) (*List, error) {
+	if err := b.validate(grid.Box); err != nil {
+		return nil, err
+	}
+	if len(grid.PartIndex) != len(pos) {
+		return nil, fmt.Errorf("neighbor: grid bins %d atoms, not %d", len(grid.PartIndex), len(pos))
+	}
+	l := grid.Box.Lengths()
+	for a, n := range grid.Counts {
+		if n > max(1, int(l[a]/(b.Cutoff+b.Skin))) {
+			return nil, fmt.Errorf("neighbor: %d cells on axis %d are narrower than cutoff+skin %g", n, a, b.Cutoff+b.Skin)
+		}
+	}
+	return b.search(old, grid, pos, pool, true)
+}
+
+// search builds the list from grid over pos, as Rebuild describes;
+// binned says that grid already bins pos.
+func (b Builder) search(old *List, grid *core.Grid, pos []vec.Vec3, pool core.Parallelizer, binned bool) (*List, error) {
+	bx := grid.Box
 	if pool == nil {
 		pool = core.Inline{}
 	}
@@ -282,16 +323,22 @@ func (b Builder) Rebuild(old *List, bx box.Box, pos []vec.Vec3, pool core.Parall
 			}
 			pos[i] = p
 		}
-	}
-	reach := b.Cutoff + b.Skin
-	grid, err := newCellGrid(bx, pos, reach, pool)
-	if err != nil {
-		return nil, err
+		if binned {
+			g, err := core.NewGrid(bx, grid.Counts)
+			if err != nil {
+				return nil, err
+			}
+			grid, binned = g, false
+		}
 	}
 	if grid.Counts[0] < 3 || grid.Counts[1] < 3 || grid.Counts[2] < 3 {
 		return b.BuildBruteForce(bx, pos)
 	}
+	if !binned {
+		grid.RebinParallel(pos, pool)
+	}
 	n := len(pos)
+	reach := b.Cutoff + b.Skin
 	reach2 := reach * reach
 	l := old
 	if l == nil {
@@ -310,22 +357,54 @@ func (b Builder) Rebuild(old *List, bx box.Box, pos []vec.Vec3, pool core.Parall
 	}
 	pool.ParallelFor(n, func(start, end, tid int) {
 		row := rows[tid]
+		// The worker keeps the neighborhood of its previous atom's cell.
+		home, buf := -1, [27]core.Neighbor{}
+		var cells []core.Neighbor
 		for i := start; i < end; i++ {
 			first := len(row)
-			pi := pos[i]
-			grid.ForNeighbors(grid.CellOfAtom(i), func(c int, s vec.Vec3) {
-				for _, j := range grid.Atoms(c) {
-					if int(j) == i || (b.Half && int(j) < i) {
-						continue
-					}
-					pj := pos[j]
-					dx, dy, dz := pi[0]-pj[0]-s[0], pi[1]-pj[1]-s[1], pi[2]-pj[2]-s[2]
-					if dx*dx+dy*dy+dz*dz < reach2 {
-						row = append(row, j)
-					}
+			me := int32(i)
+			// A half list skips every candidate j <= i. A full list takes
+			// i itself, at distance 0 in its home cell, and drops it below.
+			lo := int32(-1)
+			if b.Half {
+				lo = me
+			}
+			xi, yi, zi := pos[i][0], pos[i][1], pos[i][2]
+			if c := grid.CellOfAtom(i); c != home {
+				home, cells = c, grid.Neighborhood(c, &buf)
+			}
+			for _, sc := range cells {
+				atoms := grid.Atoms(sc.Cell)
+				if len(atoms) == 0 || atoms[len(atoms)-1] <= lo {
+					continue
 				}
-			})
-			slices.Sort(row[first:])
+				for atoms[0] <= lo {
+					atoms = atoms[1:]
+				}
+				// Every candidate is written, and kept by advancing k only
+				// when it is within reach: a flag added, where a branch
+				// would mispredict on most kept pairs. The components are
+				// scalars, so no Vec3 is copied per candidate.
+				row = slices.Grow(row, len(atoms))
+				k := len(row)
+				out := row[:k+len(atoms)]
+				sx, sy, sz := sc.Shift[0], sc.Shift[1], sc.Shift[2]
+				for _, j := range atoms {
+					pj := &pos[j]
+					dx, dy, dz := xi-pj[0]-sx, yi-pj[1]-sy, zi-pj[2]-sz
+					out[k] = j
+					k += b2i(dx*dx+dy*dy+dz*dz < reach2)
+				}
+				row = out[:k]
+			}
+			if !b.Half {
+				if k := slices.Index(row[first:], me); k >= 0 {
+					row = slices.Delete(row, first+k, first+k+1)
+				}
+			}
+			if nb := row[first:]; !slices.IsSorted(nb) {
+				slices.Sort(nb)
+			}
 			l.Len[i] = int32(len(row) - first)
 		}
 		rows[tid] = row
@@ -340,6 +419,14 @@ func (b Builder) Rebuild(old *List, bx box.Box, pos []vec.Vec3, pool core.Parall
 		l.Neigh = append(l.Neigh, row...)
 	}
 	return l, nil
+}
+
+// b2i is 1 for true and 0 for false, without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // resize returns s with length n, reusing its array when it is long

@@ -109,15 +109,15 @@ func TestFlattenUnflattenRoundTrip(t *testing.T) {
 
 func TestForNeighborCellsCount(t *testing.T) {
 	g := cellGrid(t, box.MustNew(vec.Zero, vec.Splat(10)), 2.0, [3]int{5, 5, 5}) // periodic
-	count := 0
-	g.ForNeighbors(g.Flatten([3]int{2, 2, 2}), func(_ int, s vec.Vec3) {
-		count++
-		if s != vec.Zero {
-			t.Errorf("interior neighbor shifted by %v", s)
+	var buf [27]core.Neighbor
+	cells := g.Neighborhood(g.Flatten([3]int{2, 2, 2}), &buf)
+	for _, nb := range cells {
+		if nb.Shift != vec.Zero {
+			t.Errorf("interior neighbor shifted by %v", nb.Shift)
 		}
-	})
-	if count != 27 {
-		t.Errorf("interior neighborhood = %d cells, want 27", count)
+	}
+	if len(cells) != 27 {
+		t.Errorf("interior neighborhood = %d cells, want 27", len(cells))
 	}
 	// Periodic wrap at the corners still yields 27 distinct cells. A
 	// wrapped cell's image sits one edge (10) beyond the face it was
@@ -125,9 +125,9 @@ func TestForNeighborCellsCount(t *testing.T) {
 	// highest sees cell 0 at +10.
 	for _, corner := range []int{0, 4} {
 		seen := map[int]bool{}
-		g.ForNeighbors(g.Flatten([3]int{corner, corner, corner}), func(f int, s vec.Vec3) {
-			seen[f] = true
-			co := g.Unflatten(f)
+		for _, nb := range g.Neighborhood(g.Flatten([3]int{corner, corner, corner}), &buf) {
+			seen[nb.Cell] = true
+			co := g.Unflatten(nb.Cell)
 			for a := range co {
 				want := 0.0
 				if co[a] == 4-corner {
@@ -136,11 +136,11 @@ func TestForNeighborCellsCount(t *testing.T) {
 						want = -10
 					}
 				}
-				if s[a] != want {
-					t.Errorf("corner %d: cell %v axis %d shifted by %g, want %g", corner, co, a, s[a], want)
+				if nb.Shift[a] != want {
+					t.Errorf("corner %d: cell %v axis %d shifted by %g, want %g", corner, co, a, nb.Shift[a], want)
 				}
 			}
-		})
+		}
 		if len(seen) != 27 {
 			t.Errorf("corner %d neighborhood = %d distinct cells, want 27", corner, len(seen))
 		}
@@ -150,7 +150,10 @@ func TestForNeighborCellsCount(t *testing.T) {
 func TestForNeighborCellsSmallGridNoDuplicates(t *testing.T) {
 	g := cellGrid(t, box.MustNew(vec.Zero, vec.New(4, 4, 20)), 2.0, [3]int{2, 2, 10})
 	visits := map[int]int{}
-	g.ForNeighbors(g.Flatten([3]int{0, 0, 5}), func(f int, _ vec.Vec3) { visits[f]++ })
+	var buf [27]core.Neighbor
+	for _, nb := range g.Neighborhood(g.Flatten([3]int{0, 0, 5}), &buf) {
+		visits[nb.Cell]++
+	}
 	for c, n := range visits {
 		if n > 1 {
 			t.Errorf("cell %d visited %d times", c, n)
@@ -166,15 +169,15 @@ func TestForNeighborCellsOpenBoundary(t *testing.T) {
 	bx := box.MustNew(vec.Zero, vec.Splat(10))
 	bx.Periodic = [3]bool{false, true, true}
 	g := cellGrid(t, bx, 2.0, [3]int{5, 5, 5})
-	count := 0
-	g.ForNeighbors(g.Flatten([3]int{0, 2, 2}), func(_ int, s vec.Vec3) {
-		count++
-		if s[0] != 0 {
-			t.Errorf("open x axis shifted by %g", s[0])
+	var buf [27]core.Neighbor
+	cells := g.Neighborhood(g.Flatten([3]int{0, 2, 2}), &buf)
+	for _, nb := range cells {
+		if nb.Shift[0] != 0 {
+			t.Errorf("open x axis shifted by %g", nb.Shift[0])
 		}
-	})
-	if count != 18 { // 2×3×3: no wrap across the open x face
-		t.Errorf("open-boundary neighborhood = %d, want 18", count)
+	}
+	if len(cells) != 18 { // 2×3×3: no wrap across the open x face
+		t.Errorf("open-boundary neighborhood = %d, want 18", len(cells))
 	}
 }
 
@@ -657,6 +660,51 @@ func TestBuildParallelValidation(t *testing.T) {
 	}
 	if !sameCSR(got, want) {
 		t.Error("small-box fallback differs")
+	}
+}
+
+// TestRebuildBinnedValidation: RebuildBinned rejects a grid that bins
+// another atom count or whose cells are narrower than the reach, and
+// searches out-of-cell positions through a grid of its own, leaving the
+// caller's as it was.
+func TestRebuildBinnedValidation(t *testing.T) {
+	bx := box.MustNew(vec.Zero, vec.Splat(12))
+	pos := randomPositions(300, bx, 3)
+	b := Builder{Cutoff: 2, Skin: 0.5, Half: true}
+	g, err := NewCellGrid(bx, pos, 2.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.RebuildBinned(nil, g, pos[:299], nil); err == nil {
+		t.Error("grid of 300 atoms accepted for 299")
+	}
+	fine, err := NewCellGrid(bx, pos, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.RebuildBinned(nil, fine, pos, nil); err == nil {
+		t.Errorf("%v cells of a 12 Å box accepted for reach 2.5", fine.Counts)
+	}
+	moved := slices.Clone(pos)
+	for i := range moved {
+		moved[i][0] += 12 * float64(i%3-1)
+	}
+	binned := slices.Clone(g.PartIndex)
+	got, err := b.RebuildBinned(nil, g, moved, fakePool{threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrapped := slices.Clone(moved)
+	bx.WrapAll(wrapped)
+	want, err := b.BuildBruteForce(bx, wrapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameCSR(got, want) {
+		t.Error("out-of-cell search differs from BuildBruteForce on the wrapped positions")
+	}
+	if !slices.Equal(g.PartIndex, binned) {
+		t.Error("out-of-cell search rebinned the caller's grid")
 	}
 }
 

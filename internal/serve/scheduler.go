@@ -130,9 +130,13 @@ type Scheduler struct {
 	opts  Options
 	start time.Time
 
-	mu     sync.Mutex
-	cond   *sync.Cond // signaled on enqueue, job completion and drain
-	jobs   map[string]*Job
+	mu   sync.Mutex
+	cond *sync.Cond // signaled on enqueue, job completion and drain
+	jobs map[string]*Job
+	// order holds the jobs of jobs in ID order: newJobLocked hands out
+	// monotonic j%06d IDs, and the jobs resumed at start are registered
+	// in ID order before any new one.
+	order  []*Job
 	byHash map[string]*Job   // live (queued/running) job per content hash
 	cache  map[string]Result // completed results per content hash
 	// pending holds each tenant's FIFO of admitted jobs; queued is the
@@ -214,6 +218,7 @@ func NewScheduler(opts Options) (*Scheduler, error) {
 	s.mu.Lock()
 	for _, j := range resumed {
 		s.jobs[j.id] = j
+		s.order = append(s.order, j)
 		s.byHash[j.hash] = j
 		s.counters.Resumed++
 		s.tenantStateLocked(j.tenant)
@@ -478,6 +483,7 @@ func (s *Scheduler) newJobLocked(tenant string, spec JobSpec, hash string) *Job 
 	s.nextID++
 	j := &Job{id: id, hash: hash, spec: spec, tenant: tenant, events: newEventLog()}
 	s.jobs[id] = j
+	s.order = append(s.order, j)
 	return j
 }
 
@@ -894,14 +900,10 @@ func (s *Scheduler) Drain() error {
 		s.draining = true
 		// Withdraw queued jobs in ID order so manifest writes (and any
 		// first error) are deterministic.
-		var queued []*Job
-		for _, j := range s.jobs {
-			if j.state == StateQueued {
-				queued = append(queued, j)
+		for _, j := range s.order {
+			if j.state != StateQueued {
+				continue
 			}
-		}
-		sort.Slice(queued, func(i, k int) bool { return queued[i].id < queued[k].id })
-		for _, j := range queued {
 			j.skip = true
 			j.state = StateInterrupted
 			j.errMsg = "interrupted by server drain; resumes on restart"
@@ -923,7 +925,7 @@ func (s *Scheduler) Drain() error {
 		for _, ts := range s.tstates {
 			ts.counters.Queued = 0
 		}
-		for _, j := range s.jobs {
+		for _, j := range s.order {
 			if j.state == StateRunning && j.cancel != nil {
 				j.cancel(errDrain)
 			}
@@ -1074,19 +1076,15 @@ func (s *Scheduler) Running() int {
 
 // Metrics aggregates the per-job telemetry recorders into one snapshot:
 // phase timers, color sweeps, worker busy/wait and structural counters
-// summed across every job this process has run. Jobs are visited in
-// sorted ID order so the float sums (and therefore the /metrics body)
-// are bit-for-bit identical across calls and runs.
+// summed across every job this process has run. Jobs are visited in ID
+// order so the float sums (and therefore the /metrics body) are
+// bit-for-bit identical across calls and runs. The mutex is held only
+// to copy the recorder pointers; the merge runs outside it.
 func (s *Scheduler) Metrics() telemetry.Metrics {
 	s.mu.Lock()
-	ids := make([]string, 0, len(s.jobs))
-	for id := range s.jobs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	recs := make([]*telemetry.Recorder, 0, len(ids))
-	for _, id := range ids {
-		if j := s.jobs[id]; j.rec != nil {
+	recs := make([]*telemetry.Recorder, 0, len(s.order))
+	for _, j := range s.order {
+		if j.rec != nil {
 			recs = append(recs, j.rec)
 		}
 	}

@@ -76,11 +76,13 @@ type SimOptions struct {
 	// it with Simulation.Metrics, ServeMetrics or StreamMetrics. Off by
 	// default (the recorder costs two monotonic clock reads per phase).
 	Telemetry bool
-	// BlockReorder permutes atoms into decomposition block order at
-	// every neighbor-list rebuild (the §II.D cache-blocking reorder),
-	// enabling the dense cell-block sweeps of the "sdc" strategy. Off by
-	// default: it renumbers atoms, so trajectory and checkpoint atom
-	// order changes. Requires Strategy "sdc".
+	// BlockReorder permutes atoms into neighbor-cell order at every
+	// neighbor-list rebuild (the §II.D spatial reorder), so each cell's
+	// atoms are one dense index range and the list search skips most
+	// cells whole; the "sdc" sweeps walk their subdomains through
+	// PartIndex as on any order. Off by default: it renumbers atoms, so
+	// trajectory and checkpoint atom order changes. Requires Strategy
+	// "sdc".
 	BlockReorder bool
 }
 
