@@ -56,8 +56,16 @@ type Engine struct {
 	// component in place and the integrator consumes Vec3 directly.
 	soa core.SoA3
 	// img is Box's minimum image in multiply form, refreshed by every
-	// pack: the kernels pay no division per pair.
+	// pack: the kernels pay no division per pair. Only the rows of
+	// atoms outside the inner region take it.
 	img box.Image
+	// innerLo and innerHi bound the inner region of the latest pack:
+	// an atom strictly between them on every axis lies more than the
+	// cutoff, plus a rounding slack, inside every face of the box, and
+	// dists and disps take its row without the image. The region is
+	// empty (+Inf and −Inf) unless every axis is periodic and every
+	// packed position lies in [Lo, Hi).
+	innerLo, innerHi vec.Vec3
 
 	tel *telemetry.Recorder // per-phase timers; nil = disabled
 }
@@ -145,25 +153,71 @@ func (e *Engine) SetTelemetry(rec *telemetry.Recorder) { e.tel = rec }
 // vectors for every pair closer than L/2. Atom i's coordinates are
 // hoisted out of the loop, and the per-axis image inlines, so the loop
 // makes no call; the kernels call dists once per chunk.
+//
+// A row whose atom i lies in the inner region (see Engine.innerLo)
+// skips the image: six compares on xi, yi and zi pick the loop once per
+// chunk. Every kernel output keeps its bits, because every other
+// position lies in [Lo, Hi) and the box is periodic on every axis:
+//   - The image changes a raw difference d = xᵢ − xⱼ only when it
+//     shifts d by ±L, and then both |d| > L/2 and |d ∓ L| exceed the
+//     cutoff by more than rounding, since xᵢ is more than the cutoff
+//     plus the slack from either face. Every pair a kernel keeps
+//     (0 < r < cutoff) thus has the same d on every axis on both paths,
+//     and a pair the image would move is beyond the cutoff on both,
+//     where every kernel zeroes it (the interface kernels through the
+//     EAM contract that Energy and Density return (0, 0) there).
+//   - For d = −0, which needs xᵢ = −0 and xⱼ = +0, the image returns
+//     +0. A distance squares it, and a force kernel writes ±0 into one
+//     component of ci. Every reduction accumulator starts at +0, and a
+//     sum is −0 under round-to-nearest only when both addends are, so
+//     no accumulator is −0 and a ±0 addend leaves it unchanged.
+//
+// FuzzImageFreeRows and TestImageFreeRowsNeedTheirMargin pin this.
 func (e *Engine) dists(i int32, js []int32, r []float64) {
-	x, y, z, im := e.soa.X, e.soa.Y, e.soa.Z, &e.img
+	x := e.soa.X
+	y, z := e.soa.Y[:len(x)], e.soa.Z[:len(x)]
 	r = r[:len(js)]
 	xi, yi, zi := x[i], y[i], z[i]
+	if e.inner(xi, yi, zi) {
+		for k, j := range js {
+			dx, dy, dz := xi-x[j], yi-y[j], zi-z[j]
+			r[k] = math.Sqrt(dx*dx + dy*dy + dz*dz)
+		}
+		return
+	}
+	im := &e.img
 	for k, j := range js {
 		dx, dy, dz := im.MinAxis(0, xi-x[j]), im.MinAxis(1, yi-y[j]), im.MinAxis(2, zi-z[j])
 		r[k] = math.Sqrt(dx*dx + dy*dy + dz*dz)
 	}
 }
 
-// disps is dists for the displacements pᵢ − pⱼ themselves.
+// disps is dists for the displacements pᵢ − pⱼ themselves, with the
+// same image-free rows.
 func (e *Engine) disps(i int32, js []int32, d []vec.Vec3) {
-	x, y, z, im := e.soa.X, e.soa.Y, e.soa.Z, &e.img
+	x := e.soa.X
+	y, z := e.soa.Y[:len(x)], e.soa.Z[:len(x)]
 	d = d[:len(js)]
 	xi, yi, zi := x[i], y[i], z[i]
+	if e.inner(xi, yi, zi) {
+		for k, j := range js {
+			dk := &d[k]
+			dk[0], dk[1], dk[2] = xi-x[j], yi-y[j], zi-z[j]
+		}
+		return
+	}
+	im := &e.img
 	for k, j := range js {
 		dk := &d[k]
 		dk[0], dk[1], dk[2] = im.MinAxis(0, xi-x[j]), im.MinAxis(1, yi-y[j]), im.MinAxis(2, zi-z[j])
 	}
+}
+
+// inner reports whether (x, y, z) lies in the latest pack's inner
+// region; a NaN does not.
+func (e *Engine) inner(x, y, z float64) bool {
+	lo, hi := &e.innerLo, &e.innerHi
+	return x > lo[0] && x < hi[0] && y > lo[1] && y < hi[1] && z > lo[2] && z < hi[2]
 }
 
 // densityTerms is the interface phase-1 kernel: φ(r) flows both ways
@@ -222,15 +276,30 @@ func (e *Engine) pairTerms() strategy.Terms[float64] {
 	}
 }
 
+// innerSlack scales the rounding slack of the inner region: the margin
+// on each axis is the cutoff plus innerSlack·(cutoff + |Lo| + |Hi|),
+// millions of times the few ulps by which rounding moves a
+// coordinate, a difference or a distance.
+const innerSlack = 1e-9
+
 // pack checks pos against the species array, repacks it into the SoA
-// scratch and refreshes the image from Box; every public entry point
+// scratch, refreshes the image from Box and works out the inner region
+// of dists, in the pack's one pass over pos; every public entry point
 // calls it before building kernels so the closures see current data.
 func (e *Engine) pack(pos []vec.Vec3) error {
 	if e.alloy != nil && len(e.species) != len(pos) {
 		return fmt.Errorf("force: %d species for %d atoms", len(e.species), len(pos))
 	}
-	e.soa.Pack(pos)
+	inside := e.soa.PackIn(pos, e.Box.Lo, e.Box.Hi)
 	e.img = e.Box.Image()
+	e.innerLo, e.innerHi = vec.Splat(math.Inf(1)), vec.Splat(math.Inf(-1))
+	if inside && e.Box.Periodic == [3]bool{true, true, true} {
+		for a, lo := range e.Box.Lo {
+			hi := e.Box.Hi[a]
+			m := e.cutoff + innerSlack*(e.cutoff+math.Abs(lo)+math.Abs(hi))
+			e.innerLo[a], e.innerHi[a] = lo+m, hi-m
+		}
+	}
 	return nil
 }
 

@@ -3,6 +3,7 @@ package force
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"sdcmd/internal/box"
@@ -256,42 +257,90 @@ func TestEmptySystem(t *testing.T) {
 	}
 }
 
+// TestTranslationInvariance shifts every atom rigidly, with wrap, and
+// requires the forces and the energy to stay unchanged: the engine
+// depends only on relative geometry. The box has Lo ≠ 0, and each of
+// several random shifts moves rows between the image-free and the
+// imaged distance loops (see Engine.dists), under Serial and 2-worker
+// SDC, for Fe and Fe0.9Cr0.1. Each configuration gets its own list and
+// decomposition, since a shift rebins atoms into other subdomains.
 func TestTranslationInvariance(t *testing.T) {
-	// Rigidly shifting every atom (with wrap) must leave forces and
-	// energy unchanged: the engine depends only on relative geometry.
-	s := newSys(t, 4, 0.1)
-	eng, _ := NewEngine(s.pot, s.bx)
-	red := s.serial(t)
-	f0 := make([]vec.Vec3, len(s.pos))
-	if _, err := eng.Compute(red, s.pos, f0); err != nil {
-		t.Fatal(err)
+	cfg := lattice.MustBuild(lattice.BCC, 6, 6, 6, 2.8665)
+	cfg.Jitter(0.1, 7)
+	off := vec.New(-3.1, 5.7, -11.3)
+	bx := box.MustNew(cfg.Box.Lo.Add(off), cfg.Box.Hi.Add(off))
+	wrap := func(shift vec.Vec3) []vec.Vec3 {
+		pos := make([]vec.Vec3, cfg.N())
+		for i, p := range cfg.Pos {
+			pos[i] = bx.Wrap(p.Add(off).Add(shift))
+		}
+		return pos
 	}
-	e0, _, _, err := eng.PotentialEnergy(red, s.pos)
+	rng := rand.New(rand.NewSource(5))
+	species := make([]int32, cfg.N())
+	for i := range species {
+		if rng.Float64() < 0.1 {
+			species[i] = 1 // Cr
+		}
+	}
+	l := bx.Lengths()
+	var shifts []vec.Vec3
+	for range 4 {
+		shifts = append(shifts, vec.New((2*rng.Float64()-1)*l[0], (2*rng.Float64()-1)*l[1], (2*rng.Float64()-1)*l[2]))
+	}
+	fe, err := NewEngine(potential.DefaultFe(), bx)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	shift := vec.New(1.37, -2.2, 0.61)
-	shifted := make([]vec.Vec3, len(s.pos))
-	for i, p := range s.pos {
-		shifted[i] = s.bx.Wrap(p.Add(shift))
-	}
-	// The neighbor list indices survive a rigid shift (same relative
-	// geometry), so reuse the same reducer.
-	f1 := make([]vec.Vec3, len(shifted))
-	if _, err := eng.Compute(red, shifted, f1); err != nil {
-		t.Fatal(err)
-	}
-	e1, _, _, err := eng.PotentialEnergy(red, shifted)
+	alloy, err := NewAlloyEngine(potential.DefaultFeCr(), bx, species)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(e1-e0) > 1e-8*(1+math.Abs(e0)) {
-		t.Errorf("energy not translation invariant: %g vs %g", e0, e1)
-	}
-	for i := range f0 {
-		if !f0[i].ApproxEqual(f1[i], 1e-8*(1+f0[i].Norm())) {
-			t.Fatalf("force[%d] changed under translation: %v vs %v", i, f0[i], f1[i])
+	const skin = 0.5
+	pool := strategy.MustNewPool(2)
+	defer pool.Close()
+	for _, c := range []struct {
+		name string
+		eng  *Engine
+	}{{"fe", fe}, {"alloy", alloy}} {
+		eng := c.eng
+		for _, kind := range []strategy.Kind{strategy.Serial, strategy.SDC} {
+			compute := func(pos []vec.Vec3) ([]vec.Vec3, float64) {
+				t.Helper()
+				list, err := neighbor.Builder{Cutoff: eng.Cutoff(), Skin: skin, Half: true}.Build(bx, pos)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dec, err := core.Decompose(bx, pos, core.Dim2, eng.Cutoff()+skin)
+				if err != nil {
+					t.Fatal(err)
+				}
+				red, err := strategy.New(strategy.Config{Kind: kind, List: list, Pool: pool, Decomp: dec})
+				if err != nil {
+					t.Fatal(err)
+				}
+				f := make([]vec.Vec3, len(pos))
+				if _, err := eng.Compute(red, pos, f); err != nil {
+					t.Fatal(err)
+				}
+				e, _, _, err := eng.PotentialEnergy(red, pos)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f, e
+			}
+			f0, e0 := compute(wrap(vec.Zero))
+			for _, shift := range shifts {
+				f1, e1 := compute(wrap(shift))
+				if math.Abs(e1-e0) > 1e-8*(1+math.Abs(e0)) {
+					t.Errorf("%s/%v, shift %v: energy not translation invariant: %g vs %g", c.name, kind, shift, e0, e1)
+				}
+				for i := range f0 {
+					if !f0[i].ApproxEqual(f1[i], 1e-8*(1+f0[i].Norm())) {
+						t.Fatalf("%s/%v, shift %v: force[%d] changed under translation: %v vs %v", c.name, kind, shift, i, f0[i], f1[i])
+					}
+				}
+			}
 		}
 	}
 }

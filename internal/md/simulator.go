@@ -160,6 +160,7 @@ type Simulator struct {
 	red        strategy.Reducer
 	pool       *strategy.Pool
 	posAtBuild []vec.Vec3
+	massBuf    []float64 // cellOrder's staging buffer for the masses
 
 	// cells is the neighbor-cell grid, kept across rebuilds: each
 	// rebuild bins it once, for the cell order and the list search.
@@ -288,15 +289,18 @@ func (s *Simulator) rebuild() error {
 // the grid returns — and renumbers the grid to match, after which
 // PartIndex is the identity and each cell is one dense index range.
 // The vectors are permuted in place, staged through posAtBuild, which
-// the rebuild refills afterwards, so a rebuild allocates nothing for
-// them.
+// the rebuild refills afterwards, and the masses through massBuf, so a
+// rebuild allocates nothing for them.
 func (s *Simulator) cellOrder() {
 	sys, order := s.Sys, s.cells.PartIndex
 	gather(sys.Pos, order, s.posAtBuild)
 	gather(sys.Vel, order, s.posAtBuild)
 	gather(sys.Force, order, s.posAtBuild)
 	if sys.Masses != nil {
-		gather(sys.Masses, order, make([]float64, len(sys.Masses)))
+		if len(s.massBuf) != len(sys.Masses) {
+			s.massBuf = make([]float64, len(sys.Masses))
+		}
+		gather(sys.Masses, order, s.massBuf)
 	}
 	s.cells.Renumber()
 }

@@ -35,6 +35,10 @@ type List struct {
 	Len []int32
 	// Neigh holds the neighbor atom indices.
 	Neigh []int32
+
+	// rows keeps the row buffers of the search's workers after the
+	// first, so that a rebuild into this list allocates none.
+	rows [][]int32
 }
 
 // N returns the number of atoms the list covers.
@@ -136,6 +140,7 @@ func (l *List) PairSet() map[[2]int32]struct{} {
 func (l *List) ToFull() *List {
 	if !l.Half {
 		cp := *l
+		cp.rows = nil
 		cp.Index = append([]int32(nil), l.Index...)
 		cp.Len = append([]int32(nil), l.Len...)
 		cp.Neigh = append([]int32(nil), l.Neigh...)
@@ -344,16 +349,21 @@ func (b Builder) search(old *List, grid *core.Grid, pos []vec.Vec3, pool core.Pa
 	if l == nil {
 		l = &List{}
 	}
-	*l = List{Half: b.Half, Cutoff: b.Cutoff, Skin: b.Skin,
-		Index: resize(l.Index, n), Len: resize(l.Len, n), Neigh: l.Neigh[:0]}
 	// Worker 0 fills the outgoing Neigh array in place; the others
+	// append to the buffers they kept on the list at its last build, or
 	// start with room for an even share of it.
-	rows := make([][]int32, pool.Threads())
-	for t := range rows {
-		rows[t] = l.Neigh
-		if t > 0 {
+	rows := l.rows
+	if len(rows) != pool.Threads() {
+		rows = make([][]int32, pool.Threads())
+	}
+	*l = List{Half: b.Half, Cutoff: b.Cutoff, Skin: b.Skin,
+		Index: resize(l.Index, n), Len: resize(l.Len, n), Neigh: l.Neigh[:0], rows: rows}
+	rows[0] = l.Neigh
+	for t := 1; t < len(rows); t++ {
+		if rows[t] == nil {
 			rows[t] = make([]int32, 0, cap(l.Neigh)/len(rows))
 		}
+		rows[t] = rows[t][:0]
 	}
 	pool.ParallelFor(n, func(start, end, tid int) {
 		row := rows[tid]
@@ -414,7 +424,7 @@ func (b Builder) search(old *List, grid *core.Grid, pos []vec.Vec3, pool core.Pa
 		l.Index[i] = total
 		total += k
 	}
-	l.Neigh = rows[0]
+	l.Neigh, rows[0] = rows[0], nil
 	for _, row := range rows[1:] {
 		l.Neigh = append(l.Neigh, row...)
 	}

@@ -3,6 +3,7 @@ package neighbor
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -705,6 +706,57 @@ func TestRebuildBinnedValidation(t *testing.T) {
 	}
 	if !slices.Equal(g.PartIndex, binned) {
 		t.Error("out-of-cell search rebinned the caller's grid")
+	}
+}
+
+// TestRebuildBinnedKeepsWorkerRows: a warm RebuildBinned into the same
+// list on a 2-worker pool appends the second worker's rows to the
+// buffer it kept on the list at the last build, so it allocates at
+// most 4 KiB, where the list's Neigh array holds about 115 KiB (a
+// search that makes that buffer afresh allocates about 65 KiB). The
+// list stays BuildBruteForce's, and the copy ToFull makes of a full
+// list keeps no buffer of its own.
+func TestRebuildBinnedKeepsWorkerRows(t *testing.T) {
+	cfg := lattice.MustBuild(lattice.BCC, 12, 12, 12, 2.8665)
+	cfg.Jitter(0.1, 3)
+	b := Builder{Cutoff: 3.5, Skin: 0.5, Half: true}
+	g, err := NewCellGrid(cfg.Box, cfg.Pos, b.Cutoff+b.Skin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := fakePool{threads: 2}
+	rebuild := func(l *List) *List {
+		t.Helper()
+		l, err := b.RebuildBinned(l, g, cfg.Pos, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	list := rebuild(rebuild(nil))
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		list = rebuild(list)
+	}
+	runtime.ReadMemStats(&after)
+	if perBuild := (after.TotalAlloc - before.TotalAlloc) / runs; perBuild > 4096 {
+		t.Errorf("a warm rebuild allocates %d bytes, over 4 KiB; its Neigh array holds %d", perBuild, 4*len(list.Neigh))
+	}
+	want, err := b.BuildBruteForce(cfg.Box, cfg.Pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameCSR(list, want) {
+		t.Error("warm rebuild differs from BuildBruteForce")
+	}
+	full, err := Builder{Cutoff: b.Cutoff, Skin: b.Skin}.RebuildBinned(nil, g, cfg.Pos, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.rows == nil || full.ToFull().rows != nil {
+		t.Error("ToFull's copy of a full list shares its worker row buffers")
 	}
 }
 
