@@ -14,7 +14,7 @@
 //
 //   - sdc-shared-write: everything else a Pool worker body writes must
 //     be provably private — thread-confined (indexed by tid or the
-//     worker's round-robin k), block-confined (indexed by the worker's
+//     index k a worker claimed), block-confined (indexed by the worker's
 //     [start, end) loop), or local to the body. The index summarizes
 //     which parameter, captured and global slices every function may
 //     write and propagates the summaries bottom-up through calls and

@@ -124,7 +124,7 @@ func TestSafePatternsProve(t *testing.T) { lifecycle.checkSafe(t) }
 
 // TestWriteSetSafePatternsProve asserts the analyzer proves every
 // confinement idiom in the write-set fixture's safe.go: block indices,
-// tid slots, privatized buffers, local scratch and strided indices.
+// tid slots, privatized buffers, local scratch and claimed indices.
 func TestWriteSetSafePatternsProve(t *testing.T) { writeset.checkSafe(t) }
 
 func (fx fixture) checkSafe(t *testing.T) {

@@ -18,7 +18,7 @@ func addForce(force [][3]float64, i, j int32) {
 // AccumulateForces fans pairs out across workers but lets addForce
 // write force[] by pair endpoints — the interprocedural leak case.
 func AccumulateForces(pool *strategy.Pool, force [][3]float64, pairs []Pair) {
-	pool.ParallelForStrided(len(pairs), func(k, tid int) {
+	pool.ParallelForDynamic(len(pairs), func(k, tid int) {
 		pr := pairs[k]
 		addForce(force, pr.I, pr.J)
 	})

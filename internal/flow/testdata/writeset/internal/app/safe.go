@@ -4,7 +4,7 @@ import "fixture/internal/strategy"
 
 // SafePatterns exercises every confinement idiom the analyzer must
 // prove: block-indexed writes, tid slots, privatized per-thread
-// buffers, worker-local allocation, and strided indices. It must
+// buffers, worker-local allocation, and claimed indices. It must
 // produce zero findings.
 func SafePatterns(pool *strategy.Pool, acc []float64, hist []int, priv [][]float64) {
 	pool.ParallelFor(len(acc), func(start, end, tid int) {
@@ -22,7 +22,7 @@ func SafePatterns(pool *strategy.Pool, acc []float64, hist []int, priv [][]float
 		}
 		_ = scratch
 	})
-	pool.ParallelForStrided(len(acc), func(k, tid int) {
+	pool.ParallelForDynamic(len(acc), func(k, tid int) {
 		acc[k] += float64(tid)
 	})
 	pool.Run(func(tid int) {

@@ -11,7 +11,7 @@ type SDCish struct {
 // SweepScalar accumulates pair terms into out without worker-local
 // confinement — licensed here, and only here, by the SDC schedule.
 func (r *SDCish) SweepScalar(out []float64, visit func(i, j int32) (float64, float64)) {
-	r.Pool.ParallelForStrided(len(r.Neigh), func(k, tid int) {
+	r.Pool.ParallelForDynamic(len(r.Neigh), func(k, tid int) {
 		for _, j := range r.Neigh[k] {
 			ci, cj := visit(int32(k), j)
 			out[k] += ci

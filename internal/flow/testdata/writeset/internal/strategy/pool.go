@@ -26,8 +26,9 @@ func (p *Pool) ParallelFor(n int, body func(start, end, tid int)) { body(0, n, 0
 // ParallelForAtoms is ParallelFor with atom-count-aware splitting.
 func (p *Pool) ParallelForAtoms(n int, body func(start, end, tid int)) { body(0, n, 0) }
 
-// ParallelForStrided hands out single indices round-robin.
-func (p *Pool) ParallelForStrided(n int, body func(k, tid int)) {
+// ParallelForDynamic hands out single indices, each to the worker that
+// claims it.
+func (p *Pool) ParallelForDynamic(n int, body func(k, tid int)) {
 	for k := 0; k < n; k++ {
 		body(k, 0)
 	}

@@ -46,7 +46,7 @@ func (w *walker) fold(ln *node) {
 var dispatchMethods = map[string]bool{
 	"Run":                true,
 	"ParallelFor":        true,
-	"ParallelForStrided": true,
+	"ParallelForDynamic": true,
 	"ParallelForAtoms":   true,
 }
 

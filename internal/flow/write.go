@@ -16,7 +16,7 @@ var ApprovedPaths = []string{
 
 // workerWritePass checks the SDC write discipline: every write a
 // Pool worker body can reach must be provably confined to the worker
-// (indexed by tid, by the strided k, or by the worker's [start, end)
+// (indexed by tid, by the claimed k, or by the worker's [start, end)
 // block) unless the dispatch site lives in an approved reducer file.
 type workerWritePass struct {
 	sh *shared
@@ -41,14 +41,15 @@ type convention struct {
 //	Run(fn(tid))                          — tid is param 0
 //	ParallelFor/ParallelForAtoms(body(start, end, tid))
 //	                                      — tid is param 2, block is [p0, p1)
-//	ParallelForStrided(body(k, tid))      — both k and tid confine
+//	ParallelForDynamic(body(k, tid))      — both k and tid confine: each
+//	                                        k is claimed by one worker
 func conventionFor(method string) convention {
 	switch method {
 	case "Run":
 		return convention{confined: map[int]bool{0: true}, loopLo: -1, loopHi: -1}
 	case "ParallelFor", "ParallelForAtoms":
 		return convention{confined: map[int]bool{2: true}, loopLo: 0, loopHi: 1}
-	case "ParallelForStrided":
+	case "ParallelForDynamic":
 		return convention{confined: map[int]bool{0: true, 1: true}, loopLo: -1, loopHi: -1}
 	}
 	return convention{confined: map[int]bool{}, loopLo: -1, loopHi: -1}

@@ -51,7 +51,8 @@ type Engine struct {
 	// instead of gathering whole Vec3 values, so a sweep over atoms in
 	// cell order streams three dense arrays cell by cell — the §II.D
 	// spatial layout.
-	// Repacking is O(N) per evaluation against O(pairs) kernel work.
+	// Repacking is O(N) per evaluation against O(pairs) kernel work,
+	// and runs on the reducer's workers (see pack).
 	// Forces stay AoS ([]vec.Vec3): the strategies accumulate per
 	// component in place and the integrator consumes Vec3 directly.
 	soa core.SoA3
@@ -67,7 +68,22 @@ type Engine struct {
 	// packed position lies in [Lo, Hi).
 	innerLo, innerHi vec.Vec3
 
+	// prep is pack's pooled pass, packChunk bound once so that an
+	// evaluation allocates nothing for it. prepPos and prepF are the
+	// positions and forces of the pass in flight, and prepOut holds
+	// each worker's result, one slot per reducer thread.
+	prep           func(start, end, tid int)
+	prepPos, prepF []vec.Vec3
+	prepOut        []prepSlot
+
 	tel *telemetry.Recorder // per-phase timers; nil = disabled
+}
+
+// prepSlot is one worker's result of pack's pooled pass: the end of
+// its chunk and whether every position of the chunk lies in [Lo, Hi).
+type prepSlot struct {
+	end int
+	in  bool
 }
 
 // terms are the potential-specific parts of the three phases. The
@@ -284,13 +300,45 @@ const innerSlack = 1e-9
 
 // pack checks pos against the species array, repacks it into the SoA
 // scratch, refreshes the image from Box and works out the inner region
-// of dists, in the pack's one pass over pos; every public entry point
-// calls it before building kernels so the closures see current data.
-func (e *Engine) pack(pos []vec.Vec3) error {
+// of dists; every public entry point calls it before building kernels
+// so the closures see current data. It also zeroes ρ for the density
+// sweep and, unless f is nil, the forces. The copy, the in-box test and
+// both zero-fills are one pass on the reducer's workers (packChunk),
+// each over its chunk of the atoms; the in-box flags of the chunks are
+// ANDed. The copy and the zeroing are exact, and the AND is the serial
+// test's answer, so no output bit depends on the worker count.
+func (e *Engine) pack(red strategy.Reducer, pos, f []vec.Vec3) error {
 	if e.alloy != nil && len(e.species) != len(pos) {
 		return fmt.Errorf("force: %d species for %d atoms", len(e.species), len(pos))
 	}
-	inside := e.soa.PackIn(pos, e.Box.Lo, e.Box.Hi)
+	n := len(pos)
+	e.soa.Resize(n)
+	if cap(e.rho) < n {
+		e.rho = make([]float64, n)
+		e.fp = make([]float64, n)
+	}
+	e.rho, e.fp = e.rho[:n], e.fp[:n]
+	if threads := red.Threads(); len(e.prepOut) != threads {
+		e.prepOut = make([]prepSlot, threads)
+	}
+	for t := range e.prepOut {
+		e.prepOut[t] = prepSlot{in: true} // a worker with no chunk
+	}
+	if e.prep == nil {
+		e.prep = e.packChunk
+	}
+	// Full slice expressions: a list longer than pos fails on the
+	// chunk's slicing instead of reading or clearing past len.
+	e.prepPos, e.prepF = pos[:n:n], f[:len(f):len(f)]
+	red.ParallelForAtoms(e.prep)
+	e.prepPos, e.prepF = nil, nil
+	inside, end := true, 0
+	for _, o := range e.prepOut {
+		inside, end = inside && o.in, max(end, o.end)
+	}
+	if end != n {
+		return fmt.Errorf("force: the reducer's list covers %d atoms, %d positions given", end, n)
+	}
 	e.img = e.Box.Image()
 	e.innerLo, e.innerHi = vec.Splat(math.Inf(1)), vec.Splat(math.Inf(-1))
 	if inside && e.Box.Periodic == [3]bool{true, true, true} {
@@ -303,18 +351,22 @@ func (e *Engine) pack(pos []vec.Vec3) error {
 	return nil
 }
 
+// packChunk is pack's pass over atoms [start, end) as worker tid: it
+// packs their positions with PackIn into their range of the SoA scratch
+// and zeroes their ρ and forces.
+func (e *Engine) packChunk(start, end, tid int) {
+	chunk := core.SoA3{X: e.soa.X[start:end], Y: e.soa.Y[start:end], Z: e.soa.Z[start:end]}
+	in := chunk.PackIn(e.prepPos[start:end], e.Box.Lo, e.Box.Hi)
+	e.prepOut[tid] = prepSlot{end: end, in: in}
+	clear(e.rho[start:end])
+	if e.prepF != nil {
+		clear(e.prepF[start:end])
+	}
+}
+
 // densities runs phase 1, the irregular scalar reduction, over the
-// packed positions into rho.
+// packed positions into rho, which pack zeroed.
 func (e *Engine) densities(red strategy.Reducer) {
-	n := e.soa.Len()
-	if cap(e.rho) < n {
-		e.rho = make([]float64, n)
-		e.fp = make([]float64, n)
-	}
-	e.rho, e.fp = e.rho[:n], e.fp[:n]
-	for i := range e.rho {
-		e.rho[i] = 0
-	}
 	red.SweepScalar(e.rho, e.terms.density(e))
 }
 
@@ -375,8 +427,9 @@ func (e *Engine) Compute(red strategy.Reducer, pos []vec.Vec3, f []vec.Vec3) (Re
 	if len(f) != len(pos) {
 		return Result{}, fmt.Errorf("force: force array length %d != %d atoms", len(f), len(pos))
 	}
-	// The pack stays outside the density span: it is its own layer.
-	if err := e.pack(pos); err != nil {
+	// The pack stays outside the density span: it is its own layer,
+	// and it zeroes ρ and f.
+	if err := e.pack(red, pos, f); err != nil {
 		return Result{}, err
 	}
 	sp := e.tel.Span()
@@ -389,7 +442,6 @@ func (e *Engine) Compute(red strategy.Reducer, pos []vec.Vec3, f []vec.Vec3) (Re
 
 	// Phase 3: forces (irregular vector reduction).
 	sp = e.tel.Span()
-	vec.Fill(f, vec.Vec3{})
 	red.SweepVector(f, e.terms.force(e))
 	e.tel.EndPhase(telemetry.PhaseForce, sp)
 	return res, nil
@@ -398,7 +450,7 @@ func (e *Engine) Compute(red strategy.Reducer, pos []vec.Vec3, f []vec.Vec3) (Re
 // PairEnergy computes Σ_pairs V(r) with one extra scalar sweep (each
 // atom receives half of each bond's energy).
 func (e *Engine) PairEnergy(red strategy.Reducer, pos []vec.Vec3) (float64, error) {
-	if err := e.pack(pos); err != nil {
+	if err := e.pack(red, pos, nil); err != nil {
 		return 0, err
 	}
 	per := make([]float64, len(pos))
@@ -414,7 +466,8 @@ func (e *Engine) PairEnergy(red strategy.Reducer, pos []vec.Vec3) (float64, erro
 // its two components. It re-runs phases 1-2 internally, so it does not
 // disturb a previous Compute's outputs except the scratch arrays.
 func (e *Engine) PotentialEnergy(red strategy.Reducer, pos []vec.Vec3) (total, pair, embed float64, err error) {
-	// PairEnergy validates and packs pos for the two phases below.
+	// PairEnergy validates and packs pos, and zeroes ρ, for the two
+	// phases below.
 	if pair, err = e.PairEnergy(red, pos); err != nil {
 		return 0, 0, 0, err
 	}

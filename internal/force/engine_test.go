@@ -110,6 +110,30 @@ func TestComputeRejectsBadForceArray(t *testing.T) {
 	}
 }
 
+// TestComputeRejectsShortList hands Compute a list of fewer atoms than
+// positions. The pack runs over the list's atoms, so it would leave the
+// other atoms' forces unwritten; it must fail instead, on one worker
+// and on a 2-worker pool.
+func TestComputeRejectsShortList(t *testing.T) {
+	s := newSys(t, 6, 0.05)
+	eng, _ := NewEngine(s.pot, s.bx)
+	list, err := neighbor.Builder{Cutoff: s.pot.Cutoff(), Skin: 0.5, Half: true}.Build(s.bx, s.pos[:len(s.pos)-3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := strategy.MustNewPool(2)
+	defer pool.Close()
+	for _, k := range []strategy.Kind{strategy.Serial, strategy.SAP} {
+		red, err := strategy.New(strategy.Config{Kind: k, List: list, Pool: pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Compute(red, s.pos, make([]vec.Vec3, len(s.pos))); err == nil {
+			t.Errorf("%v: a list of %d atoms accepted for %d positions", k, list.N(), len(s.pos))
+		}
+	}
+}
+
 func TestForceMatchesNumericalGradient(t *testing.T) {
 	// eq. (2) consistency: analytic force = −∂E/∂r numerically.
 	cfg := lattice.MustBuild(lattice.BCC, 3, 3, 3, 2.8665)

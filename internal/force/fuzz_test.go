@@ -27,7 +27,10 @@ import (
 //   - for Fe, Serial through the EAM-interface kernels (the potential
 //     behind a wrapper that hides its type from NewEngine) gives the
 //     analytic kernels' forces bit for bit, on amd64, where Go fuses no
-//     x*y+z on its own (see TestEngineOutputBitsPinned).
+//     x*y+z on its own (see TestEngineOutputBitsPinned);
+//   - SDC on the generated workers gives the forces of SDC on one
+//     worker bit for bit: whichever worker claims a subdomain, every
+//     slot receives the same addends in the same order.
 //
 // scale is max|F| of the Serial forces, floored at 1 eV/Å: on an
 // unjittered lattice every force is rounding residue of order 1e-15
@@ -80,7 +83,7 @@ func FuzzStrategiesAgree(f *testing.F) {
 
 		pool := strategy.MustNewPool(workers)
 		defer pool.Close()
-		compute := func(eng *Engine, k strategy.Kind) []vec.Vec3 {
+		computeOn := func(pool *strategy.Pool, eng *Engine, k strategy.Kind) []vec.Vec3 {
 			red, err := strategy.New(strategy.Config{Kind: k, List: list, Pool: pool, Decomp: dec})
 			if err != nil {
 				t.Fatalf("%v: %v", k, err)
@@ -91,6 +94,7 @@ func FuzzStrategiesAgree(f *testing.F) {
 			}
 			return forces
 		}
+		compute := func(eng *Engine, k strategy.Kind) []vec.Vec3 { return computeOn(pool, eng, k) }
 		want := compute(eng, strategy.Serial)
 		if !alloy && runtime.GOARCH == "amd64" {
 			iface, err := NewEngine(struct{ potential.EAM }{potential.DefaultFe()}, cfg.Box)
@@ -119,6 +123,18 @@ func FuzzStrategiesAgree(f *testing.F) {
 			}
 			if net := vec.Sum(got).Norm(); net > 1e-12*float64(len(got))*scale {
 				t.Fatalf("%v, %d workers: |ΣF| = %g over %d atoms, max|F| %g", k, workers, net, len(got), scale)
+			}
+			if k == strategy.SDC {
+				one := strategy.MustNewPool(1)
+				defer one.Close()
+				ref := computeOn(one, eng, k)
+				for i := range got {
+					for a := 0; a < 3; a++ {
+						if math.Float64bits(got[i][a]) != math.Float64bits(ref[i][a]) {
+							t.Fatalf("SDC, %d workers: F[%d] = %v, 1 worker %v", workers, i, got[i], ref[i])
+						}
+					}
+				}
 			}
 		}
 	})

@@ -182,7 +182,11 @@ func ulpsAway(x float64, n int) float64 {
 //   - The same evaluation is repeated with the partner of an atom deep
 //     inside left unwrapped, one box length out. A region that ignores
 //     positions outside [Lo, Hi) makes the deep atom's row image-free
-//     and drops that pair.
+//     and drops that pair. On the 2-worker pool the unwrapped atom lies
+//     in the last worker's chunk of the pack, and in a copy with the
+//     deep pair moved to the front, in the first worker's chunk; so a
+//     pack that reads any one worker's in-box flag instead of ANDing
+//     them all fails one of the two.
 func TestImageFreeRowsNeedTheirMargin(t *testing.T) {
 	pot := potential.DefaultFe()
 	rc := pot.Cutoff()
@@ -198,6 +202,9 @@ func TestImageFreeRowsNeedTheirMargin(t *testing.T) {
 	}
 	unwrapped := slices.Clone(wrapped)
 	unwrapped[5][0] += hi[0] - lo[0]
+	// The deep atom keeps the lower index, so the pair stays in its row
+	// of the half list.
+	unwrappedFirst := slices.Concat(unwrapped[4:], unwrapped[:4])
 
 	pool := strategy.MustNewPool(2)
 	defer pool.Close()
@@ -205,9 +212,9 @@ func TestImageFreeRowsNeedTheirMargin(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		pos  []vec.Vec3
-	}{{"wrapped", wrapped}, {"unwrapped", unwrapped}} {
+	}{{"wrapped", wrapped}, {"unwrapped", unwrapped}, {"unwrapped-first", unwrappedFirst}} {
 		wantF, wantTotal, _, _ := Reference(pot, bx, c.pos)
-		for _, i := range []int{0, 2, 4} {
+		for i := range wantF {
 			if wantF[i] == (vec.Vec3{}) {
 				t.Fatalf("%s: atom %d feels no force; the case lost its pair", c.name, i)
 			}

@@ -57,7 +57,9 @@ func (v *Verification) Failed() bool {
 // EAM force evaluation (density sweep, embedding, force sweep) on a
 // jittered bcc-Fe replica of Options.MeasuredCells per side; conflicts
 // and force deviations from the serial reference are collected. The SDC
-// schedule is additionally audited statically.
+// schedule is additionally audited statically: on two or more workers
+// any two subdomains of a color may run at once, so the audit requires
+// their write sets to be disjoint.
 func VerifyStrategies(opts Options) (*Verification, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {

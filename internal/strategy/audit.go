@@ -15,31 +15,35 @@ import (
 // (e.g. RC) must audit the half list they started from.
 var ErrNeedHalfList = errors.New("strategy: audit expects a half neighbor list")
 
-// Conflict records two workers writing one array slot inside the same
-// color phase — exactly the race the SDC coloring is supposed to make
-// impossible (§II.B).
+// Conflict records two subdomains of one color writing one array slot
+// — exactly the race the SDC coloring is supposed to make impossible
+// (§II.B): the workers claim a color's subdomains in whatever order
+// they reach the cursor, so any two of them may run at once.
 type Conflict struct {
 	// Color is the phase in which the collision occurred.
 	Color int
 	// Slot is the per-atom array index written twice.
 	Slot int32
-	// FirstTID and SecondTID are the clashing workers.
-	FirstTID, SecondTID int
+	// FirstSub and SecondSub are the clashing subdomains.
+	FirstSub, SecondSub int
 }
 
-// AuditSDCSchedule replays the exact SDC schedule — color by color,
-// subdomains strided over `threads` workers the way sdcReducer assigns
-// them — and records every slot each worker would write (the atom
-// itself and all of its half-list neighbors). It returns the conflicts:
-// slots written by two different workers within one color phase. A
-// correct decomposition must return none; tests drive this with both
-// legal and deliberately corrupted colorings.
+// AuditSDCSchedule replays the SDC schedule — color by color, each
+// color's subdomains claimed by `threads` workers — and records every
+// slot each subdomain would write (its atoms and all of their half-list
+// neighbors). Since a claim may give any subdomain to any worker, with
+// threads >= 2 any two subdomains of one color may run at once, so it
+// returns the conflicts: slots written by two different subdomains
+// within one color phase. With one worker the subdomains run one after
+// another and nothing can conflict. A correct decomposition must return
+// none; tests drive this with both legal and deliberately corrupted
+// colorings.
 //
 // This is a *schedule* verifier, not a runtime race detector: it checks
 // the paper's safety theorem against the actual data structures
-// (pstart/partindex, neighlist, coloring, worker striding) without
-// needing concurrent execution — so it works even on a single-core
-// host where real races rarely manifest.
+// (pstart/partindex, neighlist, coloring) without needing concurrent
+// execution — so it works even on a single-core host where real races
+// rarely manifest.
 func AuditSDCSchedule(dec *core.Decomposition, list *neighbor.List, threads int) ([]Conflict, error) {
 	if dec == nil || list == nil {
 		return nil, fmt.Errorf("strategy: audit needs a decomposition and a list")
@@ -53,33 +57,32 @@ func AuditSDCSchedule(dec *core.Decomposition, list *neighbor.List, threads int)
 	if len(dec.PartIndex) != list.N() {
 		return nil, fmt.Errorf("strategy: decomposition covers %d atoms, list %d", len(dec.PartIndex), list.N())
 	}
+	if threads == 1 {
+		return nil, nil
+	}
 	var conflicts []Conflict
-	// writer[slot] = tid+1 within the current color phase.
+	// writer[slot] = subdomain+1 within the current color phase.
 	writer := make([]int32, list.N())
 	for color := 0; color < dec.NumColors(); color++ {
-		for k := range writer {
-			writer[k] = 0
-		}
-		subs := dec.ByColor[color]
-		record := func(slot int32, tid int) {
-			prev := writer[slot]
-			if prev == 0 {
-				writer[slot] = int32(tid + 1)
-				return
+		clear(writer)
+		for _, s := range dec.ByColor[color] {
+			record := func(slot int32) {
+				prev := writer[slot]
+				if prev == 0 {
+					writer[slot] = s + 1
+					return
+				}
+				if prev != s+1 {
+					conflicts = append(conflicts, Conflict{
+						Color: color, Slot: slot,
+						FirstSub: int(prev) - 1, SecondSub: int(s),
+					})
+				}
 			}
-			if int(prev) != tid+1 {
-				conflicts = append(conflicts, Conflict{
-					Color: color, Slot: slot,
-					FirstTID: int(prev) - 1, SecondTID: tid,
-				})
-			}
-		}
-		for k, s := range subs {
-			tid := k % threads // ParallelForStrided's assignment
 			for _, i := range dec.Atoms(int(s)) {
-				record(i, tid)
+				record(i)
 				for _, j := range list.Neighbors(int(i)) {
-					record(j, tid)
+					record(j)
 				}
 			}
 		}

@@ -8,14 +8,21 @@ import (
 )
 
 // sdcReducer executes the paper's Figs. 7/8 schedule: an outer serial
-// loop over colors; inside each color the subdomains of that color are
-// distributed over the workers with the same strided `spart += colors`
-// pattern, and each worker sweeps its subdomains' atoms with completely
-// unsynchronized writes. The implicit barrier at the end of each
-// Pool.Run is the only synchronization, exactly the "low synchronization
-// cost" property §II.B claims. The parallel region (pool) persists
-// across colors, mirroring the paper's hoisting of `#pragma omp
-// parallel` outside the color loop to avoid refork costs.
+// loop over colors; inside each color the workers claim the color's
+// subdomains one at a time from a shared cursor (Pool.ParallelForDynamic,
+// where the paper's `spart += colors` loop deals them out statically),
+// and each worker sweeps its subdomains' atoms with completely
+// unsynchronized writes. The implicit barrier at the end of each color
+// is the only synchronization besides the claims, exactly the "low
+// synchronization cost" property §II.B claims. The parallel region
+// (pool) persists across colors, mirroring the paper's hoisting of
+// `#pragma omp parallel` outside the color loop to avoid refork costs.
+//
+// The sums do not depend on which worker claims a subdomain: subdomains
+// of one color write disjoint slots (each subdomain edge is at least
+// twice the list's reach), each subdomain walks its rows in order, and
+// each color ends in its barrier, so every slot receives the same
+// addends in the same order on any number of workers.
 type sdcReducer struct {
 	list *neighbor.List
 	pool *Pool
@@ -55,13 +62,13 @@ func (r *sdcReducer) SweepVector(out []vec.Vec3, terms Terms[vec.Vec3]) {
 	sdcSweep(r, out, terms, r.bufs.vector)
 }
 
-// sdcSweep runs the color loop: each color's subdomains are strided
-// over the workers, which walk their atoms' rows writing out directly.
+// sdcSweep runs the color loop: the workers claim each color's
+// subdomains and walk their atoms' rows, writing out directly.
 func sdcSweep[T Elem](r *sdcReducer, out []T, terms Terms[T], bufs []rowBuf[T]) {
 	for c := 0; c < r.dec.NumColors(); c++ {
 		sp := r.tel.Span()
 		subs := r.dec.ByColor[c]
-		r.pool.ParallelForStrided(len(subs), func(k, tid int) {
+		r.pool.ParallelForDynamic(len(subs), func(k, tid int) {
 			buf := &bufs[tid]
 			for _, i := range r.dec.Atoms(int(subs[k])) {
 				pairRow(r.list, i, out, terms, buf)

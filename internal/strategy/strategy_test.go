@@ -4,7 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"sdcmd/internal/box"
 	"sdcmd/internal/core"
@@ -211,22 +213,18 @@ func checkAccumulates[T Elem](t *testing.T, name string, sweep func([]T, Terms[T
 
 func TestSDCWriteSetsDisjoint(t *testing.T) {
 	// The paper's central safety claim (§II.B): within one color, the
-	// write sets of distinct subdomains never overlap. With as many
-	// workers as the largest color has subdomains, every subdomain is
-	// its own worker, so any overlap is a conflict.
+	// write sets of distinct subdomains never overlap. On two or more
+	// workers any two subdomains of a color may run at once, so any
+	// overlap is a conflict.
 	s := newTestSystem(t, 8, 4.0)
-	threads := 0
-	for _, subs := range s.dec.ByColor {
-		threads = max(threads, len(subs))
-	}
-	conflicts, err := AuditSDCSchedule(s.dec, s.list, threads)
+	conflicts, err := AuditSDCSchedule(s.dec, s.list, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(conflicts) != 0 {
 		c := conflicts[0]
-		t.Fatalf("%d conflicts; first: color %d, atom %d written by workers %d and %d",
-			len(conflicts), c.Color, c.Slot, c.FirstTID, c.SecondTID)
+		t.Fatalf("%d conflicts; first: color %d, atom %d written by subdomains %d and %d",
+			len(conflicts), c.Color, c.Slot, c.FirstSub, c.SecondSub)
 	}
 }
 
@@ -379,20 +377,76 @@ func TestPoolParallelFor(t *testing.T) {
 	}
 	// Empty range is a no-op.
 	pool.ParallelFor(0, func(start, end, tid int) { t.Error("body called for n=0") })
-	pool.ParallelForStrided(0, func(k, tid int) { t.Error("body called for n=0") })
+	pool.ParallelForDynamic(0, func(k, tid int) { t.Error("body called for n=0") })
 }
 
-func TestPoolParallelForStrided(t *testing.T) {
-	pool := MustNewPool(3)
+// TestPoolParallelForDynamic checks the claim schedule: every index runs
+// exactly once on a valid worker, and a worker that stalls at its first
+// claim leaves every other index to the other workers. A static deal
+// (index k to worker k mod 3) would keep indices 3, 6, … waiting behind
+// the stalled one; the stall then ends on its timeout and the test fails
+// instead of hanging.
+func TestPoolParallelForDynamic(t *testing.T) {
+	const threads, n = 3, 17
+	pool := MustNewPool(threads)
 	defer pool.Close()
-	n := 17
-	owner := make([]int, n)
-	pool.ParallelForStrided(n, func(k, tid int) {
-		owner[k] = tid + 1
+	var mu sync.Mutex
+	runs, owner := make([]int, n), make([]int, n)
+	others := 0
+	release := make(chan struct{})
+	pool.ParallelForDynamic(n, func(k, tid int) {
+		mu.Lock()
+		runs[k]++
+		owner[k] = tid
+		if k != 0 {
+			if others++; others == n-1 {
+				close(release)
+			}
+		}
+		mu.Unlock()
+		if k == 0 {
+			select {
+			case <-release:
+			case <-time.After(5 * time.Second):
+				t.Errorf("worker %d stalled at index 0 for 5 s: the other workers left indices unclaimed", tid)
+			}
+		}
 	})
-	for k := 0; k < n; k++ {
-		if owner[k] != k%3+1 {
-			t.Fatalf("index %d ran on worker %d, want %d", k, owner[k]-1, k%3)
+	for k := range n {
+		if runs[k] != 1 {
+			t.Fatalf("index %d ran %d times", k, runs[k])
+		}
+		if owner[k] < 0 || owner[k] >= threads {
+			t.Fatalf("index %d ran on worker %d of %d", k, owner[k], threads)
+		}
+		if k > 0 && owner[k] == owner[0] {
+			t.Errorf("index %d ran on worker %d, which was stalled at index 0", k, owner[0])
+		}
+	}
+}
+
+// TestPoolLoopsAllocateNothing pins the bound regions of ParallelFor and
+// ParallelForDynamic: a call with a body made beforehand allocates
+// nothing.
+func TestPoolLoopsAllocateNothing(t *testing.T) {
+	pool := MustNewPool(2)
+	defer pool.Close()
+	hits := make([]int, 64)
+	chunks := func(start, end, tid int) {
+		for i := start; i < end; i++ {
+			hits[i]++
+		}
+	}
+	claims := func(k, tid int) { hits[k]++ }
+	if a := testing.AllocsPerRun(50, func() { pool.ParallelFor(len(hits), chunks) }); a != 0 {
+		t.Errorf("ParallelFor: %v allocations per call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(50, func() { pool.ParallelForDynamic(len(hits), claims) }); a != 0 {
+		t.Errorf("ParallelForDynamic: %v allocations per call, want 0", a)
+	}
+	for i, h := range hits {
+		if h != 2*51 {
+			t.Fatalf("index %d ran %d times in 2×51 calls", i, h)
 		}
 	}
 }
@@ -520,8 +574,8 @@ func TestAuditSDCScheduleDetectsBadColoring(t *testing.T) {
 		t.Fatal("merged-color schedule produced no conflicts — detector is blind")
 	}
 	c := conflicts[0]
-	if c.FirstTID == c.SecondTID {
-		t.Errorf("conflict between identical workers: %+v", c)
+	if c.FirstSub == c.SecondSub {
+		t.Errorf("conflict between identical subdomains: %+v", c)
 	}
 }
 
