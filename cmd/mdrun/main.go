@@ -1,18 +1,18 @@
 // Command mdrun runs a bcc-iron EAM molecular-dynamics simulation with
 // a selectable reduction strategy, printing thermodynamic diagnostics
-// and optionally writing XYZ frames and a restart checkpoint.
+// and optionally writing XYZ frames, a CSV thermo log and a restart
+// checkpoint.
 //
 // Examples:
 //
 //	mdrun -cells 10 -steps 200 -temp 300 -strategy sdc -threads 4
-//	mdrun -cells 8 -steps 100 -xyz traj.xyz -every 10
-//	mdrun -cells 8 -steps 50 -checkpoint state.sdck
-//	mdrun -restore state.sdck -steps 50
+//	mdrun -cells 8 -steps 100 -xyz traj.xyz -log thermo.csv -every 10
 //
-// With -guard (implied by -checkpoint-every and -resume) the run is
-// supervised: invariants are checked as it goes, faults roll back to
-// the last good snapshot under a degradation ladder, and checkpoints
-// are written atomically so an interrupted run resumes bit-for-bit:
+// Every run is supervised: invariants are checked as it goes, and a
+// fault rolls back to the last good snapshot under a degradation ladder
+// (-max-retries -1 fails at the first fault instead). -steps is the
+// absolute step target. Checkpoints are written atomically, so an
+// interrupted run resumes bit for bit from the last one:
 //
 //	mdrun -cells 8 -steps 1000 -checkpoint state.sdck -checkpoint-every 100
 //	mdrun -resume -checkpoint state.sdck -steps 2000   # continue to step 2000
@@ -58,11 +58,11 @@ func closeKeep(f *os.File, retErr *error) {
 
 // interruptedErr renders the cancellation outcome: the run context was
 // canceled by SIGINT/SIGTERM, everything that buffers (metrics stream,
-// thermo log, checkpoint) has been flushed by the time run returns, and
-// the process exits nonzero so callers can tell a cut-short run from a
-// completed one.
-func interruptedErr(step int, flushed string) error {
-	return fmt.Errorf("interrupted by signal at step %d (%s flushed); exiting nonzero", step, flushed)
+// thermo log, event log, checkpoint) has been flushed by the time run
+// returns, and the process exits nonzero so callers can tell a
+// cut-short run from a completed one.
+func interruptedErr(step int) error {
+	return fmt.Errorf("interrupted by signal at step %d (logs, events, metrics and checkpoint flushed); exiting nonzero", step)
 }
 
 func run(args []string) (retErr error) {
@@ -77,7 +77,7 @@ func run(args []string) (retErr error) {
 	d := md.DefaultJob()
 	fs := flag.NewFlagSet("mdrun", flag.ContinueOnError)
 	cells := fs.Int("cells", d.Cells, "bcc supercells per side (atoms = 2*cells^3)")
-	steps := fs.Int("steps", 100, "timesteps to run")
+	steps := fs.Int("steps", 100, "absolute step target (a resumed run continues its checkpoint's count)")
 	temp := fs.Float64("temp", d.Temperature, "initial temperature (K)")
 	strat := fs.String("strategy", d.Strategy, "reduction strategy: serial|sdc|cs|atomic|sap|rc")
 	threads := fs.Int("threads", d.Threads, "worker threads for parallel strategies")
@@ -89,13 +89,11 @@ func run(args []string) (retErr error) {
 	jitter := fs.Float64("jitter", 0, "initial lattice jitter amplitude (Å)")
 	every := fs.Int("every", 10, "report (and frame-write) interval in steps")
 	xyzPath := fs.String("xyz", "", "append XYZ frames to this file")
-	ckptPath := fs.String("checkpoint", "", "write a final binary checkpoint here")
-	restorePath := fs.String("restore", "", "resume from a checkpoint instead of building a lattice")
+	ckptPath := fs.String("checkpoint", "", "write a final atomic checkpoint here")
 	logPath := fs.String("log", "", "write a CSV thermodynamics log here")
-	guardOn := fs.Bool("guard", false, "run under the fault-tolerant supervisor")
-	ckptEvery := fs.Int("checkpoint-every", 0, "atomic checkpoint interval in steps (implies -guard, needs -checkpoint)")
-	resume := fs.Bool("resume", false, "resume a guarded run from -checkpoint; -steps is the absolute target")
-	maxRetries := fs.Int("max-retries", 0, "supervisor rollback budget (0 = default 3)")
+	ckptEvery := fs.Int("checkpoint-every", 0, "atomic checkpoint interval in steps (needs -checkpoint)")
+	resume := fs.Bool("resume", false, "resume from -checkpoint instead of building a lattice")
+	maxRetries := fs.Int("max-retries", 0, "supervisor rollback budget (0 = default 3; negative fails at the first fault)")
 	checkEvery := fs.Int("check-every", 0, "supervisor invariant-check interval in steps (0 = default 10)")
 	deadline := fs.Duration("deadline", 0, "watchdog deadline per supervised step chunk (0 = off)")
 	guardLog := fs.String("guard-log", "", "stream supervisor events as JSON lines to this file")
@@ -108,8 +106,14 @@ func run(args []string) (retErr error) {
 	if *steps < 0 || *every < 1 {
 		return fmt.Errorf("steps must be >= 0 and every >= 1")
 	}
+	if *ckptEvery > 0 && *ckptPath == "" {
+		return fmt.Errorf("-checkpoint-every needs -checkpoint <path>")
+	}
+	if *resume && *ckptPath == "" {
+		return fmt.Errorf("-resume needs -checkpoint <path>")
+	}
 	metrics := metricsArgs{addr: *metricsAddr, logPath: *metricsLog, every: *metricsEvery}
-	simOpts := sdcmd.SimOptions{
+	opts := sdcmd.SimOptions{
 		Cells:            *cells,
 		Temperature:      *temp,
 		Seed:             *seed,
@@ -121,40 +125,30 @@ func run(args []string) (retErr error) {
 		ThermostatTarget: *thermostat,
 		Jitter:           *jitter,
 		Telemetry:        metrics.enabled(),
+		CheckEvery:       *checkEvery,
+		MaxRetries:       *maxRetries,
+		CheckpointPath:   *ckptPath,
+		CheckpointEvery:  *ckptEvery,
+		StepDeadline:     *deadline,
 	}
-	if *guardOn || *ckptEvery > 0 || *resume {
-		return runGuarded(ctx, sdcmd.GuardOptions{
-			SimOptions:      simOpts,
-			CheckEvery:      *checkEvery,
-			MaxRetries:      *maxRetries,
-			CheckpointPath:  *ckptPath,
-			CheckpointEvery: *ckptEvery,
-			StepDeadline:    *deadline,
-		}, guardedArgs{
-			steps: *steps, every: *every, xyzPath: *xyzPath, logPath: *logPath,
-			resume: *resume, guardLog: *guardLog, restorePath: *restorePath,
-			metrics: metrics,
-		})
+	if *guardLog != "" {
+		f, err := os.Create(*guardLog)
+		if err != nil {
+			return err
+		}
+		defer closeKeep(f, &retErr)
+		opts.EventWriter = f
 	}
 
 	var sim *sdcmd.Simulation
-	if *restorePath != "" {
-		f, err := os.Open(*restorePath)
-		if err != nil {
+	var err error
+	if *resume {
+		if sim, err = sdcmd.ResumeSimulation(opts); err != nil {
 			return err
 		}
-		sim, err = sdcmd.RestoreSimulation(f, simOpts)
-		_ = f.Close() // read-only: close errors carry no data loss
-		if err != nil {
-			return err
-		}
-		fmt.Printf("restored from %s\n", *restorePath)
-	} else {
-		var err error
-		sim, err = sdcmd.NewSimulation(simOpts)
-		if err != nil {
-			return err
-		}
+		fmt.Printf("resumed from %s at step %d\n", *ckptPath, sim.StepCount())
+	} else if sim, err = sdcmd.NewSimulation(opts); err != nil {
+		return err
 	}
 	defer sim.Close()
 
@@ -200,11 +194,8 @@ func run(args []string) (retErr error) {
 		return err
 	}
 	interrupted := false
-	for done := 0; done < *steps && !interrupted; {
-		chunk := *every
-		if done+chunk > *steps {
-			chunk = *steps - done
-		}
+	for sim.StepCount() < *steps && !interrupted {
+		chunk := min(*every, *steps-sim.StepCount())
 		if err := sim.RunContext(ctx, chunk); err != nil {
 			if !errors.Is(err, sdcmd.ErrCanceled) {
 				return err
@@ -213,7 +204,6 @@ func run(args []string) (retErr error) {
 			// run, then exit nonzero below.
 			interrupted = true
 		}
-		done = sim.StepCount()
 		if err := report(); err != nil {
 			return err
 		}
@@ -224,21 +214,25 @@ func run(args []string) (retErr error) {
 		}
 	}
 	if *ckptPath != "" {
-		f, err := os.Create(*ckptPath)
-		if err != nil {
-			return err
-		}
-		defer closeKeep(f, &retErr)
-		if err := sim.WriteCheckpoint(f); err != nil {
+		if err := sim.Checkpoint(); err != nil {
 			return err
 		}
 		fmt.Printf("checkpoint written to %s\n", *ckptPath)
+	}
+	if r := sim.Retries(); r > 0 {
+		fmt.Printf("recovered from %d fault(s); event log:\n", r)
+		for _, ev := range sim.Events() {
+			fmt.Printf("  step %6d  %-16s %s\n", ev.Step, ev.Kind, ev.Detail)
+		}
+	}
+	if err := sim.StreamError(); err != nil {
+		return fmt.Errorf("guard event stream: %w", err)
 	}
 	if metrics.enabled() {
 		printPhaseSummary(sim.Metrics())
 	}
 	if interrupted {
-		return interruptedErr(sim.StepCount(), "logs, metrics and checkpoint")
+		return interruptedErr(sim.StepCount())
 	}
 	return nil
 }

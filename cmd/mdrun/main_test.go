@@ -2,12 +2,16 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"sdcmd/internal/xyz"
 )
 
 func TestRunBasic(t *testing.T) {
@@ -56,13 +60,42 @@ func TestRunXYZAndCheckpointRoundTrip(t *testing.T) {
 	if fi, err := os.Stat(ckpt); err != nil || fi.Size() == 0 {
 		t.Errorf("checkpoint missing/empty: %v", err)
 	}
-	// Restore and continue.
-	if err := run([]string{"-restore", ckpt, "-steps", "5", "-every", "5"}); err != nil {
-		t.Fatalf("restore: %v", err)
+	// Resume and continue to the absolute target, logging the thermo
+	// records of the continued run.
+	thermo := filepath.Join(dir, "thermo.csv")
+	if err := run([]string{"-resume", "-checkpoint", ckpt, "-steps", "15", "-every", "5",
+		"-log", thermo}); err != nil {
+		t.Fatalf("resume: %v", err)
 	}
-	if err := run([]string{"-restore", filepath.Join(dir, "nope.sdck")}); err == nil {
+	snap, err := xyz.ReadCheckpointFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Step != 15 {
+		t.Errorf("resumed run checkpointed step %d, want 15", snap.Step)
+	}
+	recs := thermoRecords(t, thermo)
+	if len(recs) != 3 || recs[1][0] != "10" || recs[2][0] != "15" {
+		t.Errorf("thermo log of the resumed run %v, want the header and steps 10 and 15", recs)
+	}
+	if err := run([]string{"-resume", "-checkpoint", filepath.Join(dir, "nope.sdck")}); err == nil {
 		t.Error("missing checkpoint accepted")
 	}
+}
+
+// thermoRecords reads a -log CSV file.
+func thermoRecords(t *testing.T, path string) [][]string {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = f.Close() }()
+	recs, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
 }
 
 func TestRunSDCParallel(t *testing.T) {
@@ -74,7 +107,7 @@ func TestRunSDCParallel(t *testing.T) {
 func TestRunGuardedSmoke(t *testing.T) {
 	dir := t.TempDir()
 	evLog := filepath.Join(dir, "events.jsonl")
-	if err := run([]string{"-guard", "-cells", "4", "-steps", "10", "-every", "5",
+	if err := run([]string{"-cells", "4", "-steps", "10", "-every", "5",
 		"-check-every", "5", "-guard-log", evLog}); err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +122,8 @@ func TestRunGuardedSmoke(t *testing.T) {
 
 func TestRunGuardedBadFlags(t *testing.T) {
 	cases := [][]string{
-		{"-guard", "-log", "thermo.csv"},
-		{"-checkpoint-every", "5"},                        // no -checkpoint
-		{"-resume"},                                       // no -checkpoint
-		{"-guard", "-restore", "state.sdck"},              // mixed resume styles
+		{"-checkpoint-every", "5"}, // no -checkpoint
+		{"-resume"},                // no -checkpoint
 		{"-resume", "-checkpoint", "does-not-exist.sdck"}, // missing file
 	}
 	for i, args := range cases {
@@ -106,7 +137,7 @@ func TestRunGuardedBadFlags(t *testing.T) {
 // to end: a SIGTERM mid-run must stop the integrator at a step
 // boundary, still write the requested final checkpoint, and surface a
 // nonzero ("interrupted") exit so callers can tell a cut-short run from
-// a completed one. The checkpoint must then restore cleanly.
+// a completed one. The checkpoint must then resume cleanly.
 func TestRunInterruptCheckpointsAndExitsNonzero(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "state.sdck")
@@ -131,8 +162,13 @@ func TestRunInterruptCheckpointsAndExitsNonzero(t *testing.T) {
 	if fi, err := os.Stat(ckpt); err != nil || fi.Size() == 0 {
 		t.Fatalf("final checkpoint missing/empty after interrupt: %v", err)
 	}
-	if err := run([]string{"-restore", ckpt, "-steps", "5", "-every", "5"}); err != nil {
-		t.Fatalf("restore after interrupt: %v", err)
+	snap, err := xyz.ReadCheckpointFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := strconv.Itoa(snap.Step + 5)
+	if err := run([]string{"-resume", "-checkpoint", ckpt, "-steps", target, "-every", "5"}); err != nil {
+		t.Fatalf("resume after interrupt: %v", err)
 	}
 }
 

@@ -2,15 +2,13 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"time"
 
 	"sdcmd"
 )
 
-// metricsArgs carries the observability flags shared by the plain and
-// guarded code paths.
+// metricsArgs carries the observability flags.
 type metricsArgs struct {
 	addr    string        // -metrics-addr: HTTP /metrics + pprof listener
 	logPath string        // -metrics-log: JSONL snapshot stream target
@@ -21,18 +19,10 @@ type metricsArgs struct {
 // whether the simulation should pay for a telemetry recorder).
 func (m metricsArgs) enabled() bool { return m.addr != "" || m.logPath != "" }
 
-// metricsSource is the slice of Simulation/GuardedSimulation the
-// observability plumbing needs.
-type metricsSource interface {
-	Metrics() sdcmd.Metrics
-	ServeMetrics(addr string) (*sdcmd.MetricsServer, error)
-	StreamMetrics(w io.Writer, every time.Duration) (*sdcmd.MetricsStream, error)
-}
-
 // startMetrics brings up the HTTP listener and/or the JSONL stream and
 // returns a shutdown function to defer; shutdown errors are promoted
 // into retErr so a failed final flush fails the run.
-func startMetrics(a metricsArgs, src metricsSource, retErr *error) (func(), error) {
+func startMetrics(a metricsArgs, src *sdcmd.Simulation, retErr *error) (func(), error) {
 	var (
 		srv  *sdcmd.MetricsServer
 		str  *sdcmd.MetricsStream

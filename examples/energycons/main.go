@@ -2,17 +2,19 @@
 // versus timestep — the standard validation of a force field +
 // integrator pair, and the reason the potentials carry the C¹ smooth
 // cutoff (§II discussion in DESIGN.md). Also demonstrates the
-// checkpoint round trip: the run is saved, restored and continued, and
-// the restart must track the original trajectory exactly.
+// checkpoint round trip: the run is checkpointed and continued, a
+// second run resumes from the checkpoint, and the resumed run must
+// track the continued one bit for bit.
 //
 //	go run ./examples/energycons
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 	"math"
+	"os"
+	"path/filepath"
 
 	"sdcmd"
 )
@@ -44,25 +46,57 @@ func main() {
 	fmt.Println("\nDrift grows ~dt² (velocity-Verlet is second order); at the paper's")
 	fmt.Printf("own Δt = %g ps the integration error is negligible.\n\n", sdcmd.PaperTimestep)
 
-	// Checkpoint round trip.
-	fmt.Println("checkpoint demo: run 50 steps, save, continue 50 vs restore+50")
-	simA, err := sdcmd.NewSimulation(sdcmd.SimOptions{Cells: 5, Temperature: 200, Seed: 4})
+	dir, err := os.MkdirTemp("", "energycons")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer simA.Close()
-	if err := simA.Run(50); err != nil {
+	err = checkpointDemo(filepath.Join(dir, "state.sdck"))
+	_ = os.RemoveAll(dir)
+	if err != nil {
 		log.Fatal(err)
 	}
-	var ckpt bytes.Buffer
-	if err := simA.WriteCheckpoint(&ckpt); err != nil {
-		log.Fatal(err)
+}
+
+// checkpointDemo runs 50 steps, checkpoints to path and continues 50
+// more, then resumes a second run from the checkpoint to the same step
+// 100: the two runs must end with the same total-energy bits.
+func checkpointDemo(path string) error {
+	fmt.Println("checkpoint demo: run 50 steps, checkpoint, continue to step 100 vs resume to step 100")
+	opts := sdcmd.SimOptions{Cells: 5, Temperature: 200, Seed: 4, CheckpointPath: path}
+	cont, err := sdcmd.NewSimulation(opts)
+	if err != nil {
+		return err
 	}
-	eMid := simA.TotalEnergy()
-	if err := simA.Run(50); err != nil {
-		log.Fatal(err)
+	defer cont.Close()
+	if err := cont.Run(50); err != nil {
+		return err
 	}
-	fmt.Printf("  at step  50: E = %.6f eV (checkpoint: %d bytes)\n", eMid, ckpt.Len())
-	fmt.Printf("  at step 100: E = %.6f eV\n", simA.TotalEnergy())
-	fmt.Println("  (use cmd/mdrun -checkpoint to write restart files from the CLI)")
+	if err := cont.Checkpoint(); err != nil {
+		return err
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("  at step  50: E = %.6f eV (checkpoint: %d bytes)\n", cont.TotalEnergy(), fi.Size())
+	if err := cont.Run(50); err != nil {
+		return err
+	}
+
+	resumed, err := sdcmd.ResumeSimulation(opts)
+	if err != nil {
+		return err
+	}
+	defer resumed.Close()
+	if err := resumed.Run(100 - resumed.StepCount()); err != nil {
+		return err
+	}
+	ec, er := cont.TotalEnergy(), resumed.TotalEnergy()
+	fmt.Printf("  at step %d: continued E = %.6f eV (bits %016x)\n", cont.StepCount(), ec, math.Float64bits(ec))
+	fmt.Printf("  at step %d: resumed   E = %.6f eV (bits %016x)\n", resumed.StepCount(), er, math.Float64bits(er))
+	if math.Float64bits(ec) != math.Float64bits(er) {
+		return fmt.Errorf("the resumed run left the continued run's trajectory")
+	}
+	fmt.Println("  (use cmd/mdrun -checkpoint and -resume for restart files from the CLI)")
+	return nil
 }

@@ -104,6 +104,35 @@ func TestRecoveryFromInjectedNaNForce(t *testing.T) {
 	}
 }
 
+// TestApplyStrainIsTheRollbackTarget strains the crystal at step 5,
+// where the ring already holds the unstrained step-5 state, and faults
+// at step 10: the rollback must land on the strained state, so the run
+// ends in the strained box.
+func TestApplyStrainIsTheRollbackTarget(t *testing.T) {
+	pol := Policy{
+		CheckEvery: 5,
+		Inject:     NewInjector(&Injection{AtStep: 10, Kind: InjectForceNaN, Atom: 3, Component: 1}),
+	}
+	sup := runScenario(t, pol, 5)
+	defer sup.Close()
+	want := sup.System().Box.Lengths()[0] * 1.01
+	if err := sup.ApplyStrain(vec.New(0.01, 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sup.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	if !hasEvent(sup.Events(), EventRollback, "rolled back to step 5") {
+		t.Fatalf("no rollback to step 5: %v", sup.Events())
+	}
+	if got := sup.System().Box.Lengths()[0]; math.Abs(got-want) > 1e-9*want {
+		t.Errorf("box x length %g after the rollback, want the strained %g", got, want)
+	}
+	if sup.StepCount() != 15 {
+		t.Errorf("step count %d, want 15", sup.StepCount())
+	}
+}
+
 func TestRecoveryIsDeterministic(t *testing.T) {
 	// The whole recovery path — fault, rollback, degraded re-run — must
 	// be a pure function of the schedule: two identical supervised runs

@@ -13,6 +13,7 @@ import (
 	"sdcmd/internal/atomicio"
 	"sdcmd/internal/md"
 	"sdcmd/internal/strategy"
+	"sdcmd/internal/vec"
 	"sdcmd/internal/xyz"
 )
 
@@ -26,8 +27,10 @@ type Policy struct {
 	CheckEvery int
 	// RingSize bounds the in-memory snapshot ring (default 4).
 	RingSize int
-	// MaxRetries bounds the total number of rollbacks per Run call;
-	// the fault is returned once the budget is spent (default 3).
+	// MaxRetries bounds the total number of rollbacks over the
+	// supervisor's life; the fault is returned once the budget is spent
+	// (default 3). A negative value gives up at the first fault, with
+	// no rollback.
 	MaxRetries int
 	// CheckpointPath, with CheckpointEvery > 0, enables periodic atomic
 	// on-disk checkpoints (temp file + rename). The path is also the
@@ -362,6 +365,23 @@ func (s *Supervisor) Checkpoint() error {
 	s.cfg.Telemetry.IncCheckpoint()
 	s.log.record(s.absStep, EventCheckpoint, "wrote %s", s.pol.CheckpointPath)
 	return s.sim.Rebuild()
+}
+
+// ApplyStrain deforms the live state homogeneously by (1+eps) per axis
+// and makes the strained state the ring's only snapshot, so a later
+// rollback returns to the strained lattice instead of undoing the
+// strain.
+func (s *Supervisor) ApplyStrain(eps vec.Vec3) error {
+	if s.closed {
+		return errors.New("guard: supervisor is closed")
+	}
+	if err := s.sim.ApplyStrain(eps); err != nil {
+		return err
+	}
+	s.ring = newSnapRing(s.pol.RingSize)
+	s.ring.push(xyz.FromSystem(s.sys, "Fe", "", s.absStep))
+	s.anchorEnergy()
+	return nil
 }
 
 // StepCount returns the absolute step counter (it survives rollbacks,

@@ -1,11 +1,8 @@
 package md
 
 import (
-	"bytes"
-	"encoding/csv"
 	"math"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -535,59 +532,6 @@ func TestBlowupDetection(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "md:") {
 		t.Errorf("unhelpful blow-up error: %v", err)
-	}
-}
-
-func TestThermoLogger(t *testing.T) {
-	sys := feSystem(t, 3, 100)
-	sim, err := NewSimulator(sys, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sim.Close()
-	var buf bytes.Buffer
-	lg, err := NewThermoLogger(&buf, sim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewThermoLogger(nil, sim); err == nil {
-		t.Error("nil writer accepted")
-	}
-	if _, err := NewThermoLogger(&buf, nil); err == nil {
-		t.Error("nil simulator accepted")
-	}
-	for k := 0; k < 3; k++ {
-		if err := lg.Log(); err != nil {
-			t.Fatal(err)
-		}
-		if err := sim.Step(5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	recs, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 4 { // header + 3 rows
-		t.Fatalf("got %d records", len(recs))
-	}
-	if recs[0][0] != "step" || len(recs[0]) != 6 {
-		t.Errorf("header = %v", recs[0])
-	}
-	if recs[1][0] != "0" || recs[2][0] != "5" || recs[3][0] != "10" {
-		t.Errorf("steps = %v %v %v", recs[1][0], recs[2][0], recs[3][0])
-	}
-	// Energy column is conserved across rows (NVE).
-	e0, err := strconv.ParseFloat(recs[1][5], 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := strconv.ParseFloat(recs[3][5], 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(e2-e0) > 1e-3*math.Abs(e0) {
-		t.Errorf("logged NVE energy drifted: %g -> %g", e0, e2)
 	}
 }
 

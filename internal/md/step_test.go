@@ -168,10 +168,10 @@ func TestNonFiniteForceNamesLowestAtom(t *testing.T) {
 
 // TestStepAllocations pins the heap allocations of a steady step, no
 // rebuild, on a 2 000-atom crystal: the integrator's passes, the
-// engine's pack and the pool's loop regions are bound once, so a step
-// allocates only the force evaluation's kernel closures and the SDC
-// sweep's per-color bodies. A one-worker pool runs its regions on the
-// caller.
+// engine's pack, the pool's loop regions and the SDC sweep's worker
+// bodies are bound once, so a step allocates only the force
+// evaluation's kernel closures. A one-worker pool runs its regions on
+// the caller.
 func TestStepAllocations(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -180,8 +180,8 @@ func TestStepAllocations(t *testing.T) {
 		limit   float64
 	}{
 		{"serial", strategy.Serial, 1, 3},
-		{"sdc-1w", strategy.SDC, 1, 11},
-		{"sdc-2w", strategy.SDC, 2, 11},
+		{"sdc-1w", strategy.SDC, 1, 3},
+		{"sdc-2w", strategy.SDC, 2, 3},
 	} {
 		cfg := DefaultConfig()
 		cfg.Strategy, cfg.Threads = c.strat, c.threads

@@ -168,6 +168,11 @@ type Result struct {
 	// Cached reports whether the result was served from the
 	// content-addressed cache instead of a fresh run.
 	Cached bool `json:"cached"`
+	// Rollbacks counts the supervisor's rollbacks in the run (omitted
+	// when 0). Each one halved the timestep or stepped the strategy
+	// down, so the run is not the one its spec describes: the result
+	// goes to its job but into neither the cache nor the store.
+	Rollbacks int `json:"rollbacks,omitempty"`
 }
 
 // Status is the client-facing view of a job.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"path/filepath"
 	"testing"
 
 	"sdcmd"
@@ -161,6 +162,7 @@ func TestFacadeAndServiceBuildTheSameRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	opts.CheckpointPath = filepath.Join(t.TempDir(), "facade.sdck")
 	sim, err := sdcmd.NewSimulation(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -168,11 +170,10 @@ func TestFacadeAndServiceBuildTheSameRun(t *testing.T) {
 	defer sim.Close()
 	sameState := func(when string) {
 		t.Helper()
-		var buf bytes.Buffer
-		if err := sim.WriteCheckpoint(&buf); err != nil {
+		if err := sim.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		snap, err := xyz.ReadCheckpoint(&buf)
+		snap, err := xyz.ReadCheckpointFile(opts.CheckpointPath)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -718,8 +718,13 @@ func (s *Scheduler) runJob(ctx context.Context, cancel context.CancelCauseFunc, 
 		// metrics event precedes the terminal status event.
 		_ = str.Close()
 	}
+	// Only a run that never rolled back is the run its spec describes,
+	// so only its result is cached under the spec's key.
+	cacheable := runErr == nil && res.Rollbacks == 0
 	if runErr == nil {
 		res.WallSeconds = time.Since(started).Seconds()
+	}
+	if cacheable {
 		// Durable write-through happens here, not in execute: the store
 		// retries transient IO with backoff sleeps, which must stay out
 		// of context-accepting call paths.
@@ -748,7 +753,9 @@ func (s *Scheduler) runJob(ctx context.Context, cancel context.CancelCauseFunc, 
 		j.state = StateDone
 		j.result = res
 		j.step = res.Steps
-		s.cache[j.hash] = *res
+		if cacheable {
+			s.cache[j.hash] = *res
+		}
 		s.counters.Completed++
 		ts.counters.Completed++
 		s.removeStateFiles(j.id)
@@ -854,6 +861,7 @@ func (s *Scheduler) execute(ctx context.Context, j *Job, spec JobSpec, resume st
 		KineticEnergy:   sys.KineticEnergy(),
 		TotalEnergy:     sup.TotalEnergy(),
 		Temperature:     sys.Temperature(),
+		Rollbacks:       sup.Retries(),
 	}, nil
 }
 

@@ -35,6 +35,46 @@ func waitSchedDone(t *testing.T, sched *Scheduler, id string) Result {
 	return Result{}
 }
 
+// TestRolledBackResultIsNotCached runs a spec whose timestep is too
+// large for the crystal under default options and a durable store: the
+// supervisor rolls back and halves dt, and the job completes with its
+// rollback count. That run is not the one the spec describes, so
+// neither the cache nor the store keeps it, and a resubmission runs
+// again.
+func TestRolledBackResultIsNotCached(t *testing.T) {
+	st := store.Open(store.Options{Dir: t.TempDir()})
+	sched, err := NewScheduler(Options{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := sched.Drain(); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+	}()
+	spec := JobSpec{Cells: 4, Steps: 100, Temperature: 300, Dt: 0.03}
+	for run := 1; run <= 2; run++ {
+		sub, code, err := sched.Submit(spec)
+		if err != nil || code != SubmitCreated {
+			t.Fatalf("submission %d: code %v err %v, want a fresh run", run, code, err)
+		}
+		res := waitSchedDone(t, sched, sub.ID)
+		if res.Rollbacks == 0 || res.Cached || res.Steps != spec.Steps {
+			t.Fatalf("submission %d: result %+v, want %d steps after a rollback", run, res, spec.Steps)
+		}
+	}
+	if s := st.Stats(); s.Puts != 0 {
+		t.Errorf("store took %d puts of a rolled-back result", s.Puts)
+	}
+	clean, err := json.Marshal(Result{Steps: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(clean), "rollbacks") {
+		t.Errorf("a clean result encodes a rollback count: %s", clean)
+	}
+}
+
 // TestStoreCacheHitSurvivesRestart is the cross-restart acceptance
 // test: a result computed by one scheduler process is served
 // bit-for-bit identical by a second scheduler over the same store

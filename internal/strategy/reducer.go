@@ -150,8 +150,7 @@ func New(cfg Config) (Reducer, error) {
 		if err := validateDecomp(cfg); err != nil {
 			return nil, err
 		}
-		return &sdcReducer{list: cfg.List, pool: cfg.Pool, dec: cfg.Decomp, tel: cfg.Telemetry,
-			bufs: bufs}, nil
+		return newSDCReducer(cfg, bufs), nil
 	case CS:
 		return &csReducer{list: cfg.List, pool: cfg.Pool, bufs: bufs}, nil
 	case AtomicCS:

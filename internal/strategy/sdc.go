@@ -33,7 +33,39 @@ type sdcReducer struct {
 	// phaseHook, when set (by CheckedReducer), runs serially after each
 	// color's pool barrier.
 	phaseHook func()
-	bufs      rowBufs
+	// scalar and vector are the two sweeps' worker bodies, bound once
+	// in newSDCReducer.
+	scalar sdcBody[float64]
+	vector sdcBody[vec.Vec3]
+}
+
+// sdcBody is the worker body of one element type's color sweeps, bound
+// once on the reducer as Pool binds its regions: sdcSweep stores the
+// color's subdomains, out and terms beside it, so a sweep allocates
+// nothing.
+type sdcBody[T Elem] struct {
+	r     *sdcReducer
+	bufs  []rowBuf[T]
+	subs  []int32
+	out   []T
+	terms Terms[T]
+	run   func(k, tid int)
+}
+
+// claim walks the rows of the atoms of the color's k-th subdomain.
+func (b *sdcBody[T]) claim(k, tid int) {
+	buf := &b.bufs[tid]
+	for _, i := range b.r.dec.Atoms(int(b.subs[k])) {
+		pairRow(b.r.list, i, b.out, b.terms, buf)
+	}
+}
+
+func newSDCReducer(cfg Config, bufs rowBufs) *sdcReducer {
+	r := &sdcReducer{list: cfg.List, pool: cfg.Pool, dec: cfg.Decomp, tel: cfg.Telemetry}
+	r.scalar = sdcBody[float64]{r: r, bufs: bufs.scalar}
+	r.vector = sdcBody[vec.Vec3]{r: r, bufs: bufs.vector}
+	r.scalar.run, r.vector.run = r.scalar.claim, r.vector.claim
+	return r
 }
 
 func (r *sdcReducer) Kind() Kind    { return SDC }
@@ -55,30 +87,27 @@ func (r *sdcReducer) barrier() {
 }
 
 func (r *sdcReducer) SweepScalar(out []float64, terms Terms[float64]) {
-	sdcSweep(r, out, terms, r.bufs.scalar)
+	sdcSweep(r, &r.scalar, out, terms)
 }
 
 func (r *sdcReducer) SweepVector(out []vec.Vec3, terms Terms[vec.Vec3]) {
-	sdcSweep(r, out, terms, r.bufs.vector)
+	sdcSweep(r, &r.vector, out, terms)
 }
 
 // sdcSweep runs the color loop: the workers claim each color's
 // subdomains and walk their atoms' rows, writing out directly.
-func sdcSweep[T Elem](r *sdcReducer, out []T, terms Terms[T], bufs []rowBuf[T]) {
+func sdcSweep[T Elem](r *sdcReducer, b *sdcBody[T], out []T, terms Terms[T]) {
+	b.out, b.terms = out, terms
 	for c := 0; c < r.dec.NumColors(); c++ {
 		sp := r.tel.Span()
-		subs := r.dec.ByColor[c]
-		r.pool.ParallelForDynamic(len(subs), func(k, tid int) {
-			buf := &bufs[tid]
-			for _, i := range r.dec.Atoms(int(subs[k])) {
-				pairRow(r.list, i, out, terms, buf)
-			}
-		})
+		b.subs = r.dec.ByColor[c]
+		r.pool.ParallelForDynamic(len(b.subs), b.run)
 		// Pool barrier here: the next color starts only when every
 		// worker finished this one (paper §II.B step 3).
 		r.barrier()
 		r.tel.AddColor(c, sp.Elapsed())
 	}
+	b.subs, b.out, b.terms = nil, nil, nil
 }
 
 func (r *sdcReducer) ParallelForAtoms(body func(start, end, tid int)) {

@@ -10,6 +10,7 @@
 //   - internal/strategy — SDC plus the CS/Atomic/SAP/RC baselines
 //   - internal/potential, internal/force — the EAM physics
 //   - internal/md — time integration
+//   - internal/guard — the supervisor every Simulation runs under
 //   - internal/harness, internal/perfmodel — the paper's experiments
 //
 // Quick start:
@@ -27,10 +28,15 @@ package sdcmd
 
 import (
 	"context"
+	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
+	"time"
 
+	"sdcmd/internal/guard"
 	"sdcmd/internal/harness"
 	"sdcmd/internal/md"
 	"sdcmd/internal/strategy"
@@ -39,9 +45,10 @@ import (
 	"sdcmd/internal/xyz"
 )
 
-// SimOptions configures NewSimulation. The zero value of each field
-// selects the default of the internal md.DefaultJob, the one run
-// description mdrun and the sdcserve job service share.
+// SimOptions configures NewSimulation and ResumeSimulation. The zero
+// value of each field selects the default of the internal
+// md.DefaultJob, the one run description mdrun and the sdcserve job
+// service share, or of the run's supervisor.
 type SimOptions struct {
 	// Cells is the bcc supercell count per side (default 8 → 1024
 	// atoms of iron at the experimental lattice constant).
@@ -84,24 +91,63 @@ type SimOptions struct {
 	// trajectory and checkpoint atom order changes. Requires Strategy
 	// "sdc".
 	BlockReorder bool
+
+	// CheckEvery is the supervisor's invariant-check and
+	// rollback-snapshot interval in steps (default 10).
+	CheckEvery int
+	// MaxRetries bounds the rollbacks of the whole run before a fault
+	// is returned (default 3). A negative value fails fast: the first
+	// fault is returned, with no rollback.
+	MaxRetries int
+	// CheckpointPath is the file Checkpoint writes atomically and
+	// ResumeSimulation reads.
+	CheckpointPath string
+	// CheckpointEvery, when > 0, also checkpoints to CheckpointPath
+	// every CheckpointEvery steps.
+	CheckpointEvery int
+	// StepDeadline arms the watchdog: a step chunk exceeding it becomes
+	// a stall fault and triggers rollback (0 = off).
+	StepDeadline time.Duration
+	// EventWriter, when non-nil, receives every supervisor event as a
+	// JSON line (the machine-readable audit trail).
+	EventWriter io.Writer
 }
 
 // PaperTimestep is the paper's Δt = 10⁻¹⁷ s, in ps.
 const PaperTimestep = md.PaperTimestep
 
 // ErrCanceled is the errors.Is sentinel for a run stopped by context
-// cancellation (RunContext on Simulation or GuardedSimulation). It
-// wraps the context's error, so errors.Is against context.Canceled
-// works too; a canceled run always stops at a step boundary with the
-// state consistent and checkpointable.
+// cancellation (Simulation.RunContext). It wraps the context's error,
+// so errors.Is against context.Canceled works too; a canceled run
+// always stops at a step boundary with the state consistent and
+// checkpointable.
 var ErrCanceled = md.ErrCanceled
 
-// Simulation is a live MD run over bcc iron.
+// Simulation is a live MD run over bcc iron under the fault-tolerant
+// supervisor: invariants are checked as it runs, a violation rolls the
+// state back to the last checked snapshot under a degradation ladder
+// (halve Dt, then fall back toward the serial strategy), and
+// checkpoints are written atomically for a bit-for-bit resume. A clean
+// run that writes no checkpoint follows the unsupervised integrator bit
+// for bit.
 type Simulation struct {
-	sim    *md.Simulator
-	sys    *md.System
-	thermo *md.ThermoLogger
-	recorder
+	sup *guard.Supervisor
+	// dt is the timestep the run was built with; the thermo log's time
+	// column is StepCount × dt.
+	dt     float64
+	thermo *csv.Writer
+}
+
+// GuardEvent is one entry of the supervisor's transition log: faults,
+// rollbacks, degradations, checkpoints, resumes.
+type GuardEvent struct {
+	// Step is the absolute simulation step of the event.
+	Step int
+	// Kind is the transition class: "fault", "rollback", "halve-dt",
+	// "degrade-strategy", "checkpoint", "resume", "give-up", "inject".
+	Kind string
+	// Detail is the human-readable specifics.
+	Detail string
 }
 
 // config maps o to the run it describes and that run's md.Config:
@@ -131,7 +177,18 @@ func (o SimOptions) config() (md.Job, md.Config, error) {
 	return j, mcfg, nil
 }
 
-// NewSimulation builds a bcc-Fe system and its simulator.
+func (o SimOptions) policy() guard.Policy {
+	return guard.Policy{
+		CheckEvery:      o.CheckEvery,
+		MaxRetries:      o.MaxRetries,
+		CheckpointPath:  o.CheckpointPath,
+		CheckpointEvery: o.CheckpointEvery,
+		StepDeadline:    o.StepDeadline,
+		EventWriter:     o.EventWriter,
+	}
+}
+
+// NewSimulation builds a bcc-Fe system and its supervised simulator.
 func NewSimulation(o SimOptions) (*Simulation, error) {
 	j, mcfg, err := o.config()
 	if err != nil {
@@ -141,101 +198,138 @@ func NewSimulation(o SimOptions) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSimulation(sys, mcfg)
-}
-
-// RestoreSimulation resumes a run from a checkpoint written by
-// WriteCheckpoint. Structural options (Strategy, Threads, Dim, Dt,
-// Skin, Johnson, thermostat) are taken from o; the state (positions,
-// velocities, box, mass) comes from the checkpoint, so Cells,
-// Temperature, Seed and Jitter are ignored.
-func RestoreSimulation(r io.Reader, o SimOptions) (*Simulation, error) {
-	snap, err := xyz.ReadCheckpoint(r)
+	sup, err := guard.New(sys, mcfg, o.policy())
 	if err != nil {
 		return nil, err
 	}
-	sys, err := snap.ToSystem()
-	if err != nil {
-		return nil, err
+	return &Simulation{sup: sup, dt: mcfg.Dt}, nil
+}
+
+// ResumeSimulation continues the run checkpointed at o.CheckpointPath.
+// The state (positions, velocities, box, mass) and the step count come
+// from the file, so Cells, Temperature, Seed and Jitter are ignored;
+// the rest of the run comes from o. Under the options that wrote the
+// checkpoint, the continuation is bit for bit the run that wrote it.
+func ResumeSimulation(o SimOptions) (*Simulation, error) {
+	if o.CheckpointPath == "" {
+		return nil, errors.New("sdcmd: ResumeSimulation needs SimOptions.CheckpointPath")
 	}
 	_, mcfg, err := o.config()
 	if err != nil {
 		return nil, err
 	}
-	return newSimulation(sys, mcfg)
-}
-
-func newSimulation(sys *md.System, mcfg md.Config) (*Simulation, error) {
-	sim, err := md.NewSimulator(sys, mcfg)
+	sup, err := guard.Resume(o.CheckpointPath, mcfg, o.policy())
 	if err != nil {
 		return nil, err
 	}
-	return &Simulation{sim: sim, sys: sys, recorder: recorder{mcfg.Telemetry}}, nil
+	return &Simulation{sup: sup, dt: mcfg.Dt}, nil
 }
 
-// Run advances n timesteps.
-func (s *Simulation) Run(n int) error { return s.sim.Step(n) }
+// Run advances n timesteps under supervision. Recoverable faults are
+// absorbed (rollback and degradation); the error return means the
+// retry budget is spent or recovery itself failed.
+func (s *Simulation) Run(n int) error { return s.sup.Run(n) }
 
-// RunContext advances up to n timesteps, stopping at the next step
-// boundary once ctx is canceled; the returned error then wraps
-// ErrCanceled and the state stays consistent (last completed step).
-func (s *Simulation) RunContext(ctx context.Context, n int) error { return s.sim.StepCtx(ctx, n) }
+// RunContext is Run with cancellation: a canceled ctx stops the run
+// within one MD step and returns an error wrapping ErrCanceled without
+// spending a retry or rolling back; the state is the last completed
+// step and Checkpoint may be called right after.
+func (s *Simulation) RunContext(ctx context.Context, n int) error { return s.sup.RunCtx(ctx, n) }
 
 // N returns the atom count.
-func (s *Simulation) N() int { return s.sys.N() }
+func (s *Simulation) N() int { return s.sup.System().N() }
 
 // Temperature returns the instantaneous kinetic temperature (K).
-func (s *Simulation) Temperature() float64 { return s.sys.Temperature() }
+func (s *Simulation) Temperature() float64 { return s.sup.System().Temperature() }
 
 // KineticEnergy returns the kinetic energy (eV).
-func (s *Simulation) KineticEnergy() float64 { return s.sys.KineticEnergy() }
+func (s *Simulation) KineticEnergy() float64 { return s.sup.System().KineticEnergy() }
 
 // PotentialEnergy returns the full EAM potential energy (eV).
-func (s *Simulation) PotentialEnergy() float64 { return s.sim.PotentialEnergy() }
+func (s *Simulation) PotentialEnergy() float64 { return s.sup.PotentialEnergy() }
 
 // TotalEnergy returns KE + PE (eV).
-func (s *Simulation) TotalEnergy() float64 { return s.sim.TotalEnergy() }
+func (s *Simulation) TotalEnergy() float64 { return s.sup.TotalEnergy() }
 
-// StepCount returns completed steps.
-func (s *Simulation) StepCount() int { return s.sim.StepCount() }
+// StepCount returns the absolute step counter: a rollback rewinds it,
+// and a resumed run continues its checkpoint's count.
+func (s *Simulation) StepCount() int { return s.sup.StepCount() }
+
+// Retries returns how many rollbacks the supervisor has spent.
+func (s *Simulation) Retries() int { return s.sup.Retries() }
 
 // ApplyStrain deforms the cell homogeneously by (1+eps) per axis — one
-// micro-deformation increment.
+// micro-deformation increment. The strained state becomes the only
+// rollback target, so a later fault cannot undo the strain.
 func (s *Simulation) ApplyStrain(ex, ey, ez float64) error {
-	return s.sim.ApplyStrain(vec.New(ex, ey, ez))
+	return s.sup.ApplyStrain(vec.New(ex, ey, ez))
 }
 
 // WriteXYZ writes the current frame in extended-XYZ form.
 func (s *Simulation) WriteXYZ(w io.Writer, comment string) error {
-	return xyz.WriteXYZ(w, xyz.FromSystem(s.sys, "Fe", comment, s.sim.StepCount()))
+	return xyz.WriteXYZ(w, xyz.FromSystem(s.sup.System(), "Fe", comment, s.sup.StepCount()))
 }
 
-// WriteCheckpoint writes a binary restart checkpoint.
-func (s *Simulation) WriteCheckpoint(w io.Writer) error {
-	return xyz.WriteCheckpoint(w, xyz.FromSystem(s.sys, "Fe", "", s.sim.StepCount()))
+// Checkpoint writes a binary restart checkpoint of the current state
+// to SimOptions.CheckpointPath, atomically (temp file and rename), and
+// rebuilds the neighbor list so the run continues exactly as one
+// resumed from the file would.
+func (s *Simulation) Checkpoint() error { return s.sup.Checkpoint() }
+
+// Events returns the supervisor's transition log.
+func (s *Simulation) Events() []GuardEvent {
+	evs := s.sup.Events()
+	out := make([]GuardEvent, len(evs))
+	for i, e := range evs {
+		out[i] = GuardEvent{Step: e.Step, Kind: string(e.Kind), Detail: e.Detail}
+	}
+	return out
 }
+
+// StreamError reports the first failure writing to EventWriter (nil
+// when streaming is healthy or disabled).
+func (s *Simulation) StreamError() error { return s.sup.StreamError() }
 
 // StartThermoLog attaches a CSV thermodynamics log (step, time, T, KE,
-// PE, E); call LogThermo to append records.
+// PE, E) and writes its header; call LogThermo to append records. The
+// step is the absolute StepCount and the time StepCount × the run's
+// Dt.
 func (s *Simulation) StartThermoLog(w io.Writer) error {
-	lg, err := md.NewThermoLogger(w, s.sim)
-	if err != nil {
-		return err
+	if w == nil {
+		return errors.New("sdcmd: thermo log needs a writer")
 	}
-	s.thermo = lg
-	return nil
+	s.thermo = csv.NewWriter(w)
+	return s.writeThermo([]string{"step", "time_ps", "T_K", "KE_eV", "PE_eV", "E_eV"})
 }
 
-// LogThermo appends one record to the attached thermo log.
+// LogThermo appends one record at the current step to the attached
+// thermo log. The potential energy is re-evaluated (extra sweeps), so
+// log at intervals, not every step.
 func (s *Simulation) LogThermo() error {
 	if s.thermo == nil {
-		return fmt.Errorf("sdcmd: no thermo log attached (call StartThermoLog)")
+		return errors.New("sdcmd: no thermo log attached (call StartThermoLog)")
 	}
-	return s.thermo.Log()
+	ke, pe := s.KineticEnergy(), s.PotentialEnergy()
+	return s.writeThermo([]string{
+		strconv.Itoa(s.StepCount()),
+		strconv.FormatFloat(float64(s.StepCount())*s.dt, 'g', 10, 64),
+		strconv.FormatFloat(s.Temperature(), 'g', 8, 64),
+		strconv.FormatFloat(ke, 'g', 10, 64),
+		strconv.FormatFloat(pe, 'g', 10, 64),
+		strconv.FormatFloat(ke+pe, 'g', 10, 64),
+	})
+}
+
+func (s *Simulation) writeThermo(rec []string) error {
+	if err := s.thermo.Write(rec); err != nil {
+		return err
+	}
+	s.thermo.Flush()
+	return s.thermo.Error()
 }
 
 // Close releases worker resources.
-func (s *Simulation) Close() { s.sim.Close() }
+func (s *Simulation) Close() { s.sup.Close() }
 
 // ExperimentOptions configures RunExperiment.
 type ExperimentOptions struct {

@@ -2,8 +2,11 @@ package sdcmd
 
 import (
 	"bytes"
+	"encoding/csv"
 	"math"
+	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -104,7 +107,8 @@ func TestSimulationJohnsonEmbedding(t *testing.T) {
 }
 
 func TestSimulationStrainAndIO(t *testing.T) {
-	sim, err := NewSimulation(SimOptions{Cells: 4})
+	ckpt := filepath.Join(t.TempDir(), "s.sdck")
+	sim, err := NewSimulation(SimOptions{Cells: 4, CheckpointPath: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +127,11 @@ func TestSimulationStrainAndIO(t *testing.T) {
 	if !strings.Contains(x.String(), "Fe") {
 		t.Error("XYZ output missing element")
 	}
-	var c bytes.Buffer
-	if err := sim.WriteCheckpoint(&c); err != nil {
+	if err := sim.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() == 0 {
-		t.Error("empty checkpoint")
+	if fi, err := os.Stat(ckpt); err != nil || fi.Size() == 0 {
+		t.Errorf("checkpoint missing or empty: %v", err)
 	}
 }
 
@@ -185,56 +188,73 @@ func TestStrategiesList(t *testing.T) {
 	}
 }
 
-func TestRestoreSimulation(t *testing.T) {
-	sim, err := NewSimulation(SimOptions{Cells: 6, Temperature: 150})
+// TestResumeSimulation resumes a checkpoint under other structural
+// options than the run that wrote it: the state and the step count come
+// from the file, the strategy, potential and thermostat from the
+// options.
+func TestResumeSimulation(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "r.sdck")
+	sim, err := NewSimulation(SimOptions{Cells: 6, Temperature: 150, CheckpointPath: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.Run(10); err != nil {
 		t.Fatal(err)
 	}
-	var ckpt bytes.Buffer
-	if err := sim.WriteCheckpoint(&ckpt); err != nil {
+	if err := sim.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	eMid := sim.TotalEnergy()
 	sim.Close()
 
-	restored, err := RestoreSimulation(bytes.NewReader(ckpt.Bytes()), SimOptions{Strategy: "sdc", Threads: 2, Dim: 2})
+	resumed, err := ResumeSimulation(SimOptions{Strategy: "sdc", Threads: 2, Dim: 2, CheckpointPath: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer restored.Close()
-	if restored.N() != 432 {
-		t.Errorf("restored N = %d", restored.N())
+	defer resumed.Close()
+	if resumed.N() != 432 || resumed.StepCount() != 10 {
+		t.Errorf("resumed N = %d at step %d, want 432 at step 10", resumed.N(), resumed.StepCount())
 	}
-	if math.Abs(restored.TotalEnergy()-eMid) > 1e-6*math.Abs(eMid) {
-		t.Errorf("restored E = %g, want %g", restored.TotalEnergy(), eMid)
+	if math.Abs(resumed.TotalEnergy()-eMid) > 1e-6*math.Abs(eMid) {
+		t.Errorf("resumed E = %g, want %g", resumed.TotalEnergy(), eMid)
 	}
-	if err := restored.Run(5); err != nil {
+	if err := resumed.Run(5); err != nil {
 		t.Fatal(err)
+	}
+	if resumed.StepCount() != 15 {
+		t.Errorf("StepCount %d after 5 more steps, want 15", resumed.StepCount())
 	}
 
 	// Error paths.
-	if _, err := RestoreSimulation(strings.NewReader("garbage"), SimOptions{}); err == nil {
-		t.Error("garbage checkpoint accepted")
+	garbage := filepath.Join(t.TempDir(), "garbage.sdck")
+	if err := os.WriteFile(garbage, []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := RestoreSimulation(bytes.NewReader(ckpt.Bytes()), SimOptions{Strategy: "nope"}); err == nil {
-		t.Error("bad strategy accepted on restore")
-	}
-	if _, err := RestoreSimulation(bytes.NewReader(ckpt.Bytes()), SimOptions{Dim: 9}); err == nil {
-		t.Error("bad dim accepted on restore")
+	for name, o := range map[string]SimOptions{
+		"no path":      {},
+		"missing file": {CheckpointPath: filepath.Join(t.TempDir(), "nope.sdck")},
+		"garbage":      {CheckpointPath: garbage},
+		"bad strategy": {CheckpointPath: ckpt, Strategy: "nope"},
+		"bad dim":      {CheckpointPath: ckpt, Dim: 9},
+	} {
+		if _, err := ResumeSimulation(o); err == nil {
+			t.Errorf("%s accepted on resume", name)
+		}
 	}
 	// Johnson + thermostat path.
-	r2, err := RestoreSimulation(bytes.NewReader(ckpt.Bytes()), SimOptions{Johnson: true, ThermostatTarget: 100})
+	r2, err := ResumeSimulation(SimOptions{Johnson: true, ThermostatTarget: 100, CheckpointPath: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r2.Close()
 }
 
+// TestFacadeThermoLog checks the CSV thermo log: its header, one
+// record per call at the absolute step, the NVE energy column, and a
+// resumed run's records continuing the checkpoint's step count.
 func TestFacadeThermoLog(t *testing.T) {
-	sim, err := NewSimulation(SimOptions{Cells: 3})
+	ckpt := filepath.Join(t.TempDir(), "t.sdck")
+	sim, err := NewSimulation(SimOptions{Cells: 3, CheckpointPath: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,32 +262,76 @@ func TestFacadeThermoLog(t *testing.T) {
 	if err := sim.LogThermo(); err == nil {
 		t.Error("LogThermo without StartThermoLog accepted")
 	}
+	if err := sim.StartThermoLog(nil); err == nil {
+		t.Error("nil writer accepted")
+	}
 	var buf bytes.Buffer
 	if err := sim.StartThermoLog(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.LogThermo(); err != nil {
+	for k := 0; k < 3; k++ {
+		if err := sim.LogThermo(); err != nil {
+			t.Fatal(err)
+		}
+		if k < 2 {
+			if err := sim.Run(5); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	recs, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(5); err != nil {
+	if len(recs) != 4 {
+		t.Fatalf("thermo CSV has %d records, want the header and 3 rows:\n%s", len(recs), buf.String())
+	}
+	if strings.Join(recs[0], ",") != "step,time_ps,T_K,KE_eV,PE_eV,E_eV" {
+		t.Errorf("header = %v", recs[0])
+	}
+	if recs[1][0] != "0" || recs[2][0] != "5" || recs[3][0] != "10" {
+		t.Errorf("steps = %v %v %v", recs[1][0], recs[2][0], recs[3][0])
+	}
+	e0, err := strconv.ParseFloat(recs[1][5], 64)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.LogThermo(); err != nil {
+	e2, err := strconv.ParseFloat(recs[3][5], 64)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "step,time_ps") {
-		t.Error("thermo CSV header missing")
+	if math.Abs(e2-e0) > 1e-3*math.Abs(e0) {
+		t.Errorf("logged NVE energy drifted: %g -> %g", e0, e2)
 	}
-	if len(strings.Split(strings.TrimSpace(buf.String()), "\n")) != 3 {
-		t.Errorf("thermo CSV rows wrong:\n%s", buf.String())
+
+	if err := sim.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := ResumeSimulation(SimOptions{CheckpointPath: ckpt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resumed.Close()
+	var rbuf bytes.Buffer
+	if err := resumed.StartThermoLog(&rbuf); err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.LogThermo(); err != nil {
+		t.Fatal(err)
+	}
+	if rows := strings.Split(strings.TrimSpace(rbuf.String()), "\n"); len(rows) != 2 || !strings.HasPrefix(rows[1], "10,") {
+		t.Errorf("resumed thermo log %q, want its first record at step 10", rbuf.String())
 	}
 }
 
-func TestGuardedSimulationFacade(t *testing.T) {
+// TestSimulationCheckpointEvents runs the supervised facade with a
+// checkpoint cadence: the event log records the checkpoint, and a
+// resumed run continues the checkpoint's step count.
+func TestSimulationCheckpointEvents(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "g.sdck")
-	sim, err := NewGuardedSimulation(GuardOptions{
-		SimOptions:      SimOptions{Cells: 4, Temperature: 100},
+	sim, err := NewSimulation(SimOptions{
+		Cells: 4, Temperature: 100,
 		CheckEvery:      5,
 		CheckpointPath:  ckpt,
 		CheckpointEvery: 10,
@@ -297,9 +361,7 @@ func TestGuardedSimulationFacade(t *testing.T) {
 	}
 	sim.Close()
 
-	resumed, err := ResumeGuardedSimulation(ckpt, GuardOptions{
-		CheckpointPath: ckpt,
-	})
+	resumed, err := ResumeSimulation(SimOptions{CheckpointPath: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +375,40 @@ func TestGuardedSimulationFacade(t *testing.T) {
 	if err := resumed.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ResumeGuardedSimulation(filepath.Join(dir, "nope.sdck"), GuardOptions{}); err == nil {
-		t.Error("missing checkpoint accepted")
+}
+
+// TestSimulationFaultPolicy drives a timestep too large for the
+// crystal: the default policy rolls back and halves Dt until the run
+// completes, and a negative MaxRetries returns the first fault without
+// rolling back.
+func TestSimulationFaultPolicy(t *testing.T) {
+	o := SimOptions{Cells: 4, Dt: 0.03}
+	sim, err := NewSimulation(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	if err := sim.Run(100); err != nil {
+		t.Fatalf("default policy did not recover: %v", err)
+	}
+	if sim.Retries() == 0 || sim.StepCount() != 100 {
+		t.Errorf("retries %d at step %d, want a rollback and step 100", sim.Retries(), sim.StepCount())
+	}
+
+	o.MaxRetries = -1
+	fast, err := NewSimulation(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fast.Close()
+	if err := fast.Run(100); err == nil {
+		t.Fatal("fail-fast run survived its fault")
+	}
+	var kinds []string
+	for _, e := range fast.Events() {
+		kinds = append(kinds, e.Kind)
+	}
+	if strings.Join(kinds, ",") != "fault,give-up" {
+		t.Errorf("fail-fast events %v, want a fault and a give-up", kinds)
 	}
 }
