@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -559,6 +560,59 @@ func TestSnapshotRing(t *testing.T) {
 		t.Error("drained ring still has entries")
 	}
 	r.dropLast() // must not panic on empty
+}
+
+// TestSupervisedStepAllocatesLikePlain checks each step of a run whose
+// ring is full: a supervised step, which snapshots the state at every
+// step here, allocates at most extraPerStep bytes more than a plain
+// md.Simulator step on the same trajectory. A fresh snapshot of the
+// 1 024 atoms would be 48 KiB; the ring copies into the one it evicts.
+func TestSupervisedStepAllocatesLikePlain(t *testing.T) {
+	const (
+		cells        = 8
+		warm, steps  = 10, 20
+		extraPerStep = 1024
+	)
+	cfg := md.DefaultConfig()
+	sup, err := New(feSystem(t, cells, 300), cfg, Policy{CheckEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+	sim, err := md.NewSimulator(feSystem(t, cells, 300), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	if err := sup.Run(warm); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Step(warm); err != nil {
+		t.Fatal(err)
+	}
+	if sup.ring.len() != len(sup.ring.buf) {
+		t.Fatalf("ring holds %d of %d snapshots after %d steps", sup.ring.len(), len(sup.ring.buf), warm)
+	}
+	supervised := bytesPerStep(t, steps, func() error { return sup.Run(1) })
+	plain := bytesPerStep(t, steps, func() error { return sim.Step(1) })
+	t.Logf("bytes per step: supervised %d, plain %d", supervised, plain)
+	if supervised > plain+extraPerStep {
+		t.Errorf("a supervised step allocates %d B, a plain one %d B; want at most %d B more", supervised, plain, extraPerStep)
+	}
+}
+
+// bytesPerStep returns the bytes allocated per call of step, over n calls.
+func bytesPerStep(t *testing.T, n int, step func() error) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
 }
 
 func TestPolicyValidation(t *testing.T) {

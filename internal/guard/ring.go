@@ -1,6 +1,9 @@
 package guard
 
-import "sdcmd/internal/xyz"
+import (
+	"sdcmd/internal/md"
+	"sdcmd/internal/xyz"
+)
 
 // snapRing is a bounded ring of validated snapshots: only states that
 // passed the invariant checks are pushed, so the newest entry is always
@@ -23,6 +26,22 @@ func (r *snapRing) push(s *xyz.Snapshot) {
 	if r.n < len(r.buf) {
 		r.n++
 	}
+}
+
+// capture pushes a snapshot of sys at step. When the ring is full it
+// copies into the snapshot it evicts, whose Pos and Vel already have
+// the atom count, so a supervised run allocates no snapshot once its
+// ring has filled.
+func (r *snapRing) capture(sys *md.System, step int) {
+	s := r.buf[r.head] // nil unless the ring is full
+	if s == nil {
+		s = xyz.FromSystem(sys, "Fe", "", step)
+	} else {
+		s.Box, s.Mass, s.Step = sys.Box, sys.Mass, step
+		s.Pos = append(s.Pos[:0], sys.Pos...)
+		s.Vel = append(s.Vel[:0], sys.Vel...)
+	}
+	r.push(s)
 }
 
 // last returns the newest snapshot, or nil when empty.

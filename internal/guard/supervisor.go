@@ -163,7 +163,7 @@ func newAt(sys *md.System, cfg md.Config, pol Policy, startStep int) (*Superviso
 		sim.Close()
 		return nil, fmt.Errorf("guard: initial state already violates invariants: %w", f)
 	}
-	s.ring.push(xyz.FromSystem(sys, "Fe", "", startStep))
+	s.ring.capture(sys, startStep)
 	return s, nil
 }
 
@@ -232,7 +232,7 @@ func (s *Supervisor) RunCtx(ctx context.Context, n int) error {
 			}
 			continue
 		}
-		s.ring.push(xyz.FromSystem(s.sys, "Fe", "", s.absStep))
+		s.ring.capture(s.sys, s.absStep)
 		if s.pol.CheckpointEvery > 0 && s.absStep-s.lastCkpt >= s.pol.CheckpointEvery {
 			if err := s.Checkpoint(); err != nil {
 				return err
@@ -379,7 +379,7 @@ func (s *Supervisor) ApplyStrain(eps vec.Vec3) error {
 		return err
 	}
 	s.ring = newSnapRing(s.pol.RingSize)
-	s.ring.push(xyz.FromSystem(s.sys, "Fe", "", s.absStep))
+	s.ring.capture(s.sys, s.absStep)
 	s.anchorEnergy()
 	return nil
 }

@@ -82,16 +82,6 @@ DATA expsconst<>+0x1f0(SB)/8, $4503599627371519.0
 DATA expsconst<>+0x1f8(SB)/8, $4503599627371519.0
 GLOBL expsconst<>(SB), RODATA|NOPTR, $0x200
 
-// Loading four qwords from row 3−t keeps the first t lanes of a tail
-// of t < 4 elements.
-DATA expstail<>+0x00(SB)/8, $-1
-DATA expstail<>+0x08(SB)/8, $-1
-DATA expstail<>+0x10(SB)/8, $-1
-DATA expstail<>+0x18(SB)/8, $0
-DATA expstail<>+0x20(SB)/8, $0
-DATA expstail<>+0x28(SB)/8, $0
-GLOBL expstail<>(SB), RODATA|NOPTR, $0x30
-
 // EXP4 sets Y0 to the exps of the four lanes of Y0 and Y13 to their
 // range mask: all ones where |x| <= 700 (an ordered, quiet compare),
 // zero elsewhere and on NaN. It reads the constants held in Y4-Y12 and
@@ -148,7 +138,15 @@ loop:
 	SUBQ AX, DX
 	CMPQ DX, $4
 	JLT  tail
-	VMOVUPD (SI)(AX*8), Y0
+	// Four 8-byte loads, not one 32-byte load: the kernels write the
+	// exponents one word at a time just before the call, and a load
+	// that spans several pending stores cannot take its data from the
+	// store buffer, so it would wait for them to commit.
+	VMOVSD      (SI)(AX*8), X0
+	VMOVHPD     8(SI)(AX*8), X0, X0
+	VMOVSD      16(SI)(AX*8), X1
+	VMOVHPD     24(SI)(AX*8), X1, X1
+	VINSERTF128 $1, X1, Y0, Y0
 	EXP4
 	VMOVMSKPD Y13, R8
 	CMPQ      R8, $15
@@ -158,22 +156,35 @@ loop:
 	JMP       loop
 
 tail:
-	// DX = t, the 0 to 3 elements left. The masked load reads only
-	// them and zeroes the other lanes, whose exp is in range and
-	// never stored.
-	TESTQ DX, DX
-	JZ    out
-	MOVQ  $3, R9
-	SUBQ  DX, R9
-	LEAQ  expstail<>(SB), R10
-	VMOVUPD (R10)(R9*8), Y14
-	VMASKMOVPD (SI)(AX*8), Y14, Y0
+	// DX = t, the 0 to 3 elements left, loaded and stored one word at
+	// a time. The loads zero the other lanes, whose exp is in range
+	// and never stored. Each JEQ reads the flags of the CMPQ DX, $2
+	// before it: the moves between leave them alone.
+	TESTQ   DX, DX
+	JZ      out
+	VMOVSD  (SI)(AX*8), X0
+	CMPQ    DX, $2
+	JLT     tailexp
+	VMOVHPD 8(SI)(AX*8), X0, X0
+	JEQ     tailexp
+	VMOVSD      16(SI)(AX*8), X1
+	VINSERTF128 $1, X1, Y0, Y0
+
+tailexp:
 	EXP4
 	VMOVMSKPD Y13, R8
 	CMPQ      R8, $15
 	JNE       out
-	VMASKMOVPD Y0, Y14, (SI)(AX*8)
-	ADDQ       DX, AX
+	VMOVSD    X0, (SI)(AX*8)
+	CMPQ      DX, $2
+	JLT       tailend
+	VMOVHPD   X0, 8(SI)(AX*8)
+	JEQ       tailend
+	VEXTRACTF128 $1, Y0, X1
+	VMOVSD       X1, 16(SI)(AX*8)
+
+tailend:
+	ADDQ DX, AX
 
 out:
 	VZEROUPPER

@@ -235,22 +235,3 @@ func (j *Job) statusLocked() Status {
 		Tenant: j.tenant,
 	}
 }
-
-// publishStatusLocked appends the job's current status to its event
-// feed; the scheduler mutex must be held (the event log's own mutex is
-// a leaf below it). Terminal states also close the feed so attached
-// SSE streams end cleanly — but the drain path closes the log earlier,
-// before the resume manifest is persisted, and publish-after-close is
-// a no-op, so ordering there is owned by the drain code.
-func (j *Job) publishStatusLocked() {
-	st := j.statusLocked()
-	b, err := json.Marshal(st)
-	if err != nil {
-		return // Status marshals from plain fields; unreachable
-	}
-	j.events.publish(EventStatus, b)
-	switch st.State {
-	case StateDone, StateFailed, StateCanceled, StateInterrupted:
-		j.events.closeLog()
-	}
-}

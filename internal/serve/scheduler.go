@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -121,6 +122,30 @@ type Counters struct {
 	ServerErrors  int `json:"server_errors"`
 }
 
+// What the scheduler keeps of finished work is bounded, whatever the
+// run length. A job that ends done, failed or canceled stays
+// addressable for jobRetention after its terminal transition; it is
+// retired at the first Submit or terminal transition after that, and
+// its ID then answers as unknown. An interrupted job is never retired:
+// a restart resumes it under its ID. The window is 6.7 times the
+// longest gap measured between a job's terminal event and its client's
+// last request for it, 0.3 s in api-smoke, which polls every 0.2 s and
+// then reads the result and the event stream; serve-mixed and the load
+// harness stay under 0.15 s. The in-memory result cache keeps the
+// resultCacheCap newest results; the durable store, when configured,
+// backs every miss.
+const (
+	jobRetention   = 2 * time.Second
+	resultCacheCap = 256
+)
+
+// finishedJob is a job waiting out its retention window, with the time
+// of its terminal transition.
+type finishedJob struct {
+	job *Job
+	at  time.Time
+}
+
 // Scheduler multiplexes simulation jobs over a fixed set of shard
 // workers. Admission is bounded (backpressure, not unbounded
 // buffering); dispatch is weighted fair-share across tenants; identical
@@ -129,6 +154,8 @@ type Counters struct {
 type Scheduler struct {
 	opts  Options
 	start time.Time
+	// retain is jobRetention; tests shorten it.
+	retain time.Duration
 
 	mu   sync.Mutex
 	cond *sync.Cond // signaled on enqueue, job completion and drain
@@ -139,6 +166,16 @@ type Scheduler struct {
 	order  []*Job
 	byHash map[string]*Job   // live (queued/running) job per content hash
 	cache  map[string]Result // completed results per content hash
+	// cacheKeys is a ring of cache's keys in insertion order, the oldest
+	// at cacheNext: cachePutLocked evicts it once cache holds
+	// resultCacheCap results.
+	cacheKeys [resultCacheCap]string
+	cacheNext int
+	// finished holds the done, failed and canceled jobs not yet retired,
+	// in the order they became terminal; retired is the fold of the
+	// retired jobs' final recorder snapshots, in retirement order.
+	finished []finishedJob
+	retired  telemetry.Metrics
 	// pending holds each tenant's FIFO of admitted jobs; queued is the
 	// total count of non-withdrawn entries across all tenants.
 	pending map[string][]*Job
@@ -196,6 +233,7 @@ func NewScheduler(opts Options) (*Scheduler, error) {
 	s := &Scheduler{
 		opts:    opts,
 		start:   time.Now(),
+		retain:  jobRetention,
 		jobs:    make(map[string]*Job),
 		byHash:  make(map[string]*Job),
 		cache:   make(map[string]Result),
@@ -223,7 +261,7 @@ func NewScheduler(opts Options) (*Scheduler, error) {
 		s.counters.Resumed++
 		s.tenantStateLocked(j.tenant)
 		s.enqueueLocked(j)
-		j.publishStatusLocked()
+		s.publishLocked(j)
 	}
 	s.mu.Unlock()
 	for i := 0; i < opts.MaxJobs; i++ {
@@ -418,6 +456,7 @@ func (s *Scheduler) SubmitAs(t *Tenant, spec JobSpec) (Status, SubmitCode, error
 	if s.draining {
 		return Status{}, SubmitDraining, errors.New("serve: draining, not accepting jobs")
 	}
+	s.retireLocked(time.Now())
 	ts := s.tenantStateLocked(t.Name)
 	res, hit := s.cache[h]
 	if !hit && s.opts.Store != nil {
@@ -428,7 +467,7 @@ func (s *Scheduler) SubmitAs(t *Tenant, spec JobSpec) (Status, SubmitCode, error
 			if err := json.Unmarshal(e.Result, &res); err != nil {
 				log.Printf("serve: store entry %s undecodable as result: %v", h, err)
 			} else {
-				s.cache[h] = res
+				s.cachePutLocked(h, res)
 				s.counters.StoreHits++
 				hit = true
 			}
@@ -447,7 +486,7 @@ func (s *Scheduler) SubmitAs(t *Tenant, spec JobSpec) (Status, SubmitCode, error
 		j.step = norm.Steps
 		s.counters.CacheHits++
 		ts.counters.CacheHits++
-		j.publishStatusLocked()
+		s.publishLocked(j)
 		return j.statusLocked(), SubmitCacheHit, nil
 	}
 	if live, ok := s.byHash[h]; ok {
@@ -473,8 +512,68 @@ func (s *Scheduler) SubmitAs(t *Tenant, spec JobSpec) (Status, SubmitCode, error
 	s.enqueueLocked(j)
 	s.counters.Submitted++
 	ts.counters.Submitted++
-	j.publishStatusLocked()
+	s.publishLocked(j)
 	return j.statusLocked(), SubmitCreated, nil
+}
+
+// publishLocked appends j's current status to its event feed; the
+// scheduler mutex must be held (the event log's own mutex is a leaf
+// below it). Terminal states also close the feed so attached SSE
+// streams end cleanly — but the drain path closes the log earlier,
+// before the resume manifest is persisted, and publish-after-close is
+// a no-op, so ordering there is owned by the drain code. Done, failed
+// and canceled also start the job's retention window, after retiring
+// the jobs whose window has passed.
+func (s *Scheduler) publishLocked(j *Job) {
+	st := j.statusLocked()
+	b, err := json.Marshal(st)
+	if err != nil {
+		return // Status marshals from plain fields; unreachable
+	}
+	j.events.publish(EventStatus, b)
+	switch st.State {
+	case StateDone, StateFailed, StateCanceled:
+		j.events.closeLog()
+		now := time.Now()
+		s.retireLocked(now)
+		s.finished = append(s.finished, finishedJob{job: j, at: now})
+	case StateInterrupted:
+		j.events.closeLog()
+	}
+}
+
+// retireLocked retires every finished job whose retention window has
+// passed by now: it leaves jobs and order, and its recorder's final
+// snapshot is folded into retired. finished is in terminal order, so
+// those jobs are a prefix of it. The mutex must be held.
+func (s *Scheduler) retireLocked(now time.Time) {
+	n := 0
+	for ; n < len(s.finished) && now.Sub(s.finished[n].at) >= s.retain; n++ {
+		j := s.finished[n].job
+		delete(s.jobs, j.id)
+		if j.rec != nil {
+			s.retired = mergeMetrics(s.retired, j.rec.Snapshot())
+		}
+	}
+	if n == 0 {
+		return
+	}
+	clear(s.finished[:n])
+	s.finished = s.finished[n:]
+	s.order = slices.DeleteFunc(s.order, func(j *Job) bool { return s.jobs[j.id] != j })
+}
+
+// cachePutLocked caches a result under its content hash, evicting the
+// oldest cached result when the cache is full; the mutex must be held.
+func (s *Scheduler) cachePutLocked(hash string, r Result) {
+	if _, ok := s.cache[hash]; !ok {
+		if len(s.cache) == resultCacheCap {
+			delete(s.cache, s.cacheKeys[s.cacheNext])
+		}
+		s.cacheKeys[s.cacheNext] = hash
+		s.cacheNext = (s.cacheNext + 1) % resultCacheCap
+	}
+	s.cache[hash] = r
 }
 
 // newJobLocked allocates and registers a job; the mutex must be held.
@@ -643,7 +742,7 @@ func (s *Scheduler) Cancel(id string) (Status, bool) {
 		ts.counters.Queued--
 		ts.counters.Canceled++
 		s.counters.Canceled++
-		j.publishStatusLocked()
+		s.publishLocked(j)
 		s.removeStateFiles(j.id)
 	case StateRunning:
 		// cancel is non-nil by construction: the worker sets it in the
@@ -654,7 +753,7 @@ func (s *Scheduler) Cancel(id string) (Status, bool) {
 		j.errMsg = "canceled after drain interrupt; resume withdrawn"
 		s.counters.Canceled++
 		s.tenantStateLocked(j.tenant).counters.Canceled++
-		j.publishStatusLocked()
+		s.publishLocked(j)
 		s.removeStateFiles(j.id)
 	}
 	return j.statusLocked(), true
@@ -689,7 +788,7 @@ func (s *Scheduler) worker() {
 		j.rec = telemetry.NewRecorder()
 		s.running++
 		s.tstates[j.tenant].counters.Running++
-		j.publishStatusLocked()
+		s.publishLocked(j)
 		s.mu.Unlock()
 		s.runJob(ctx, cancel, j)
 	}
@@ -754,7 +853,7 @@ func (s *Scheduler) runJob(ctx context.Context, cancel context.CancelCauseFunc, 
 		j.result = res
 		j.step = res.Steps
 		if cacheable {
-			s.cache[j.hash] = *res
+			s.cachePutLocked(j.hash, *res)
 		}
 		s.counters.Completed++
 		ts.counters.Completed++
@@ -778,7 +877,7 @@ func (s *Scheduler) runJob(ctx context.Context, cancel context.CancelCauseFunc, 
 		ts.counters.Failed++
 		s.removeStateFiles(j.id)
 	}
-	j.publishStatusLocked()
+	s.publishLocked(j)
 	// A finished job may free a MaxRunning slot; waiting workers must
 	// re-evaluate their pick.
 	s.cond.Broadcast()
@@ -919,7 +1018,7 @@ func (s *Scheduler) Drain() error {
 			// Terminal event first, manifest second: a stream that saw
 			// the event can rely on the resume record existing once the
 			// drain completes.
-			j.publishStatusLocked()
+			s.publishLocked(j)
 			if s.opts.StateDir != "" {
 				m := manifest{ID: j.id, Hash: j.hash, Spec: j.spec, Tenant: j.tenant,
 					Step: j.step, Checkpoint: j.resumeFrom}
@@ -1084,12 +1183,15 @@ func (s *Scheduler) Running() int {
 
 // Metrics aggregates the per-job telemetry recorders into one snapshot:
 // phase timers, color sweeps, worker busy/wait and structural counters
-// summed across every job this process has run. Jobs are visited in ID
-// order so the float sums (and therefore the /metrics body) are
-// bit-for-bit identical across calls and runs. The mutex is held only
-// to copy the recorder pointers; the merge runs outside it.
+// summed across every job this process has run. The sum starts from the
+// retired jobs' total, folded in retirement order, and adds the retained
+// jobs' recorders in ID order, so the float sums (and therefore the
+// /metrics body) are bit-for-bit identical across calls while no job
+// finishes or retires. The mutex is held only to copy the total and the
+// recorder pointers; the merge runs outside it.
 func (s *Scheduler) Metrics() telemetry.Metrics {
 	s.mu.Lock()
+	agg := s.retired
 	recs := make([]*telemetry.Recorder, 0, len(s.order))
 	for _, j := range s.order {
 		if j.rec != nil {
@@ -1097,7 +1199,7 @@ func (s *Scheduler) Metrics() telemetry.Metrics {
 		}
 	}
 	s.mu.Unlock()
-	agg := telemetry.Metrics{UptimeSeconds: time.Since(s.start).Seconds()}
+	agg.UptimeSeconds = time.Since(s.start).Seconds()
 	for _, r := range recs {
 		agg = mergeMetrics(agg, r.Snapshot())
 	}
